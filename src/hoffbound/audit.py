@@ -1,26 +1,29 @@
 """Independent recheck of a bound report's certificates.
 
 Everything here is deliberately primitive: index bookkeeping, matrix-vector
-products, norms, and sign tests on the stored witnesses.  No optimization
-code is imported, so a report produced by any backend (including an external
-plugin) is validated by arithmetic that shares nothing with the solver that
-built it.
+products, norms, one singular value decomposition, and sign tests on the
+stored witnesses.  No optimization code is imported, so a report produced by
+any backend (including an external plugin) is validated by arithmetic that
+shares nothing with the solver that built it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundReport
-from .core import ProblemInstance, euclidean_norm
+from .core import ProblemInstance, euclidean_norm, relative_scale
+from .numerics import DEFAULT_RANK_TOL
 
 __all__ = ["AuditResult", "audit_report"]
 
 MARGIN_TOL = 1e-9
 CENTER_TOL = 1e-8
 BASIS_TOL = 1e-10
+SIGMA_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -32,16 +35,34 @@ class AuditResult:
     metrics: dict
 
 
+def _sigma_and_rank_gap(M: np.ndarray) -> tuple[float | None, float]:
+    """Smallest singular value of M above the rank threshold, and the rank gap.
+
+    Threshold and SVD call are those of the bound computation, so an honest
+    report reproduces its sigma bit for bit.  The gap is ``s_r / s_{r+1}`` at
+    numerical rank r (infinite at full rank); sigma is None for a zero M.
+    """
+    s = np.linalg.svd(M, full_matrices=False)[1]
+    sigma_max = float(s[0]) if s.size else 0.0
+    if sigma_max <= DEFAULT_RANK_TOL * relative_scale(float(np.linalg.norm(M))):
+        return None, math.inf
+    r = int(np.count_nonzero(s > DEFAULT_RANK_TOL * sigma_max))
+    gap = float(s[r - 1] / s[r]) if r < s.size and s[r] > 0.0 else math.inf
+    return float(s[r - 1]), gap
+
+
 def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     """Recheck every certificate a bound report relies on.
 
     Checks, per branch: the partition covers the row indices exactly once;
     the slack-block witness satisfies A_N x_bar >= 1 and its norm equals the
     reported value; the tight-block witness is strictly positive, sums to 1,
-    and annihilates A_B' to within ``CENTER_TOL`` times the block scale; the
-    stitching witness has unit margin through the recomputed row scaling and
-    an orthonormal basis; and the total equals the branch arithmetic bit for
-    bit.
+    and annihilates A_B' to within ``CENTER_TOL`` times the block scale;
+    ``sigma`` exceeds the smallest singular value of A_B' diag(y_bar) above
+    the default rank threshold by at most ``SIGMA_RTOL`` relative (a looser
+    ``rank_tol`` that drops a singular value fails here); the stitching
+    witness has unit margin through the recomputed row scaling and an
+    orthonormal basis; and the total equals the branch arithmetic bit for bit.
     """
     A = instance.A
     failures: list[str] = []
@@ -104,6 +125,13 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
             if ceq > CENTER_TOL * scale:
                 failures.append(
                     f"A_B' y_bar residual {ceq:.3e} exceeds {CENTER_TOL:.0e} x scale"
+                )
+            sigma, gap = _sigma_and_rank_gap(A_B.T * y[None, :])
+            metrics["case_b_sigma"] = sigma
+            metrics["case_b_rank_gap"] = gap
+            if sigma is None or cb.sigma > sigma * (1.0 + SIGMA_RTOL):
+                failures.append(
+                    f"sigma {cb.sigma!r} exceeds the recomputed value {sigma!r}"
                 )
             if cb.sigma <= 0.0:
                 failures.append("sigma must be positive")

@@ -47,25 +47,22 @@ class OracleResult:
             self.best_u.setflags(write=False)
 
 
-def ratio_at(
-    instance: ProblemInstance,
-    u: np.ndarray,
-    cfg: SolverConfig | None = None,
-) -> float:
+def ratio_at(instance: ProblemInstance, u: np.ndarray) -> float:
     """Lower-bound ratio dist_2(u, P) / max row violation at one point.
 
     Points with no meaningful violation contribute 0: the violation floor is
     relative to both the matrix scale and ``||u||``, so feasible points are
-    screened out without a projection solve.  The numerator is the certified
-    distance underestimate from the projection's dual, so an inexact solve
-    can only make the reported ratio smaller, never unsound.
+    screened out without a projection.  The numerator is the certified
+    distance underestimate from the projection's multipliers, valid for any
+    mu >= 0, so an NNLS fit that stops early can only make the reported ratio
+    smaller, never unsound; a fit that fails raises ``SolverStall``.
     """
     u = np.asarray(u, dtype=float)
     viol = pos_part_inf_norm(instance.A @ u)
     floor = _VIOLATION_FLOOR * instance.scale * max(1.0, euclidean_norm(u))
     if viol <= floor:
         return 0.0
-    proj = project_onto_cone(instance, u, cfg)
+    proj = project_onto_cone(instance, u)
     return proj.distance_lower / viol
 
 
@@ -134,7 +131,8 @@ def lower_bound_monte_carlo(
         Interior witness from the row partition; its negation is a strong
         candidate because it violates every slack row at once.
     cfg : SolverConfig, optional
-        Accuracy knobs for the projection solves.
+        Ignored: the projections are NNLS fits with no tolerances to set.  It
+        is accepted so one configuration can be passed to every stage.
 
     Returns
     -------
@@ -144,7 +142,6 @@ def lower_bound_monte_carlo(
     """
     if num_samples < 0:
         raise ValueError("num_samples must be nonnegative")
-    cfg = cfg or SolverConfig()
     n = instance.n
 
     candidates = directed_candidates(instance, x_hat)
@@ -161,7 +158,7 @@ def lower_bound_monte_carlo(
     skipped = 0
     for u in candidates:
         try:
-            r = ratio_at(instance, u, cfg)
+            r = ratio_at(instance, u)
         except HoffboundError:
             # a candidate whose projection fails costs a sample, not the run
             skipped += 1

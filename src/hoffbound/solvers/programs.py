@@ -1,6 +1,6 @@
 """Concrete optimization programs used by the bounding pipeline.
 
-Four operations are exposed, all routed through the backend registry:
+Four operations are exposed; the first three go through the backend registry:
 
 * ``solve_partition_lp``: the self-dual feasibility LP whose optimal support
   splits the rows of A into the tight set B and the slack set N.
@@ -8,7 +8,8 @@ Four operations are exposed, all routed through the backend registry:
   with exact feasibility after restoration and a certified duality gap.
 * ``solve_analytic_center``: log-barrier center of ``{y > 0 : A_B' y = 0,
   sum(y) = 1}`` by damped Newton on the affine slice.
-* ``project_onto_cone``: Euclidean projection onto ``{x : A x <= 0}``.
+* ``project_onto_cone``: Euclidean projection onto ``{x : A x <= 0}`` by one
+  nonnegative least-squares fit against the rows of A.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
 
 _POS_FLOOR = 1e-12
 _INFEAS_RESIDUAL = 1e-6
+_PROJ_FEAS_TOL = 1e-10
 
 
 def _barrier_newton(program: StandardFormProgram, cfg: SolverConfig) -> SolverResult:
@@ -601,109 +603,70 @@ class ProjectionResult:
 
     ``distance`` is the primal value ||u - point||, an overestimate of the
     true distance whenever the point is inexact; ``distance_lower`` is a
-    certified underestimate derived from a dual feasible multiplier, so the
-    true distance always lies in [distance_lower, distance].
+    certified underestimate derived from the nonnegative row multipliers, so
+    the true distance always lies in [distance_lower, distance].
     """
 
     point: np.ndarray
     distance: float
     distance_lower: float
     feas_violation: float
-    kkt_residual: float
 
 
-def project_onto_cone(
-    instance: ProblemInstance,
-    u: np.ndarray,
-    cfg: SolverConfig | None = None,
-) -> ProjectionResult:
+def project_onto_cone(instance: ProblemInstance, u: np.ndarray) -> ProjectionResult:
     """Project ``u`` onto the feasible cone of the instance.
 
-    The input is normalized to unit length before the solve and the result
-    rescaled afterwards; projection onto a cone commutes with positive
-    scaling, and the normalization keeps the solver tolerances meaningful
-    across input magnitudes.
+    The polar cone of P is spanned by the rows of A (Moreau decomposition), so
+    the residual of one fit ``min_{mu >= 0} ||u - A' mu||`` is the projection
+    and mu certifies the distance.  The fit runs on the unit vector along u;
+    projection onto a cone commutes with positive scaling.
 
     Raises
     ------
     SolverStall
-        If the projection QP fails to reach its tolerances.
+        If the fit reaches its iteration cap or ends outside the cone.
     """
-    cfg = cfg or SolverConfig()
     u = np.asarray(u, dtype=float)
     if u.shape != (instance.n,):
         raise ValueError(f"u has shape {u.shape}, expected ({instance.n},)")
     unorm = euclidean_norm(u)
     if unorm <= 1e-300:
         return ProjectionResult(point=np.zeros(instance.n), distance=0.0,
-                                distance_lower=0.0, feas_violation=0.0,
-                                kkt_residual=0.0)
-
-    n = instance.n
-    u_hat = u / unorm
+                                distance_lower=0.0, feas_violation=0.0)
 
     # Positive row scalings leave the cone unchanged, so the constraints are
     # row-normalized for conditioning and identically zero rows are dropped.
+    # With no rows left the cone is the whole space; the fit must not run,
+    # since scipy's nnls aborts the process on a matrix with no columns.
     norms = np.sqrt(np.sum(instance.A * instance.A, axis=1))
     keep = norms > 1e-300
     if not np.any(keep):
         return ProjectionResult(point=u.copy(), distance=0.0,
-                                distance_lower=0.0, feas_violation=0.0,
-                                kkt_residual=0.0)
+                                distance_lower=0.0, feas_violation=0.0)
     Aw = instance.A[keep] / norms[keep, None]
-    mk = Aw.shape[0]
-
-    nv = n + mk
-    P = np.zeros((nv, nv))
-    P[np.arange(n), np.arange(n)] = 1.0
-    c = np.zeros(nv)
-    c[:n] = -u_hat
-    E = np.concatenate([Aw, np.eye(mk)], axis=1)
-    f = np.zeros(mk)
-    cone = np.zeros(nv, dtype=bool)
-    cone[n:] = True
-
-    program = StandardFormProgram(c=c, E=E, f=f, nonneg=cone, quadratic=P)
-    res = dispatch(program, cfg)
-    if not res.converged:
-        raise SolverStall(
-            f"projection QP did not converge ({res.status}, "
-            f"{res.iterations} iterations)"
-        )
-    x_hat = res.v[:n]
-    if res.eq_multipliers is not None:
-        mu = np.maximum(-np.asarray(res.eq_multipliers, dtype=float), 0.0)
-    else:
-        mu = np.zeros(mk)
-
-    # Polish: u decomposes into its projection plus a nonnegative
-    # combination of the active rows, so a nonnegative least-squares fit of
-    # u against those rows recovers the projection and its multipliers to
-    # rounding error; the fit is nonnegative by construction, which keeps
-    # the dual distance certificate tight.
-    slacks = -(Aw @ x_hat)
-    active = slacks <= 1e-6
-    if np.any(active):
-        coef, _ = scipy.optimize.nnls(Aw[active].T, u_hat)
-        x_pol = u_hat - Aw[active].T @ coef
-        if (
-            float((Aw @ x_pol).max(initial=0.0)) <= 1e-10
-            and euclidean_norm(u_hat - x_pol) <= euclidean_norm(u_hat - x_hat)
-        ):
-            x_hat = x_pol
-            mu = np.zeros(mk)
-            mu[active] = coef
+    u_hat = u / unorm
+    try:
+        mu, _ = scipy.optimize.nnls(Aw.T, u_hat)
+    except RuntimeError as exc:
+        raise SolverStall(f"projection NNLS did not converge: {exc}") from exc
 
     # Any mu >= 0 certifies dist^2 >= 2 mu'(Aw u) - ||Aw' mu||^2.
-    lb_sq = 2.0 * float(mu @ (Aw @ u_hat)) - float(np.sum((Aw.T @ mu) ** 2))
+    polar = Aw.T @ mu
+    lb_sq = 2.0 * float(mu @ (Aw @ u_hat)) - float(polar @ polar)
     dist_lower = float(np.sqrt(max(lb_sq, 0.0))) * unorm
 
-    x = x_hat * unorm
+    # Subtracting the rescaled polar part (rather than rescaling u_hat) keeps
+    # an interior point exactly where it is: mu = 0 there.
+    x = u - polar * unorm
+    # On rank-deficient row sets (low-rank A, or u within rounding of the
+    # boundary) the fit can end at a non-stationary mu without an error.
+    if float((Aw @ x).max()) > _PROJ_FEAS_TOL * unorm:
+        raise SolverStall("projection NNLS returned a point outside the cone")
     feas = max(0.0, float((instance.A @ x).max(initial=0.0)))
+    distance = euclidean_norm(u - x)
     return ProjectionResult(
         point=x,
-        distance=euclidean_norm(u - x),
-        distance_lower=min(dist_lower, euclidean_norm(u - x)),
+        distance=distance,
+        distance_lower=min(dist_lower, distance),
         feas_violation=feas,
-        kkt_residual=float(res.residuals.get("dual_rel", np.nan)),
     )

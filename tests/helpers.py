@@ -48,5 +48,22 @@ def degenerate_matrix(seed: int) -> np.ndarray:
     return A
 
 
+def planted_mixed_matrix(seed: int, m: int, n: int) -> np.ndarray:
+    """Mixed-branch matrix with a planted split, rows in shuffled order.
+
+    A unit direction d lies in the cone.  Pairs of rows +r, -r with r
+    orthogonal to d are tight; every other row has a'd < 0 and is slack.
+    """
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(n)
+    d /= np.linalg.norm(d)
+    perp = np.eye(n) - np.outer(d, d)
+    pairs = min(m // 5, n // 2)
+    R = rng.standard_normal((pairs, n)) @ perp
+    G = rng.standard_normal((m - 2 * pairs, n)) @ perp
+    slack = G - rng.uniform(0.2, 1.0, size=(G.shape[0], 1)) * d[None, :]
+    return np.vstack([R, -R, slack])[rng.permutation(m)]
+
+
 def instance(A) -> ProblemInstance:
     return ProblemInstance.from_matrix(np.asarray(A, dtype=float))

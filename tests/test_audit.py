@@ -61,6 +61,21 @@ def test_audit_rejects_tampered_center():
     assert not res.ok
 
 
+def test_audit_rejects_inflated_sigma():
+    # inflating sigma 100x and redoing the branch arithmetic consistently
+    # lowers the README example's total from 8.485 to 3.0
+    inst = instance(C4)
+    rep = bound_h0(inst)
+    sigma = rep.case_b.sigma * 100.0
+    bad_case_b = dataclasses.replace(rep.case_b, sigma=sigma, value=2.0 / sigma)
+    total = rep.stitch.value * max(rep.case_n.value, bad_case_b.value)
+    assert total == pytest.approx(3.0, rel=1e-12)
+    res = audit_report(inst, dataclasses.replace(rep, case_b=bad_case_b, total=total))
+    assert not res.ok
+    assert any("exceeds the recomputed value" in f for f in res.failures)
+    assert res.metrics["case_b_sigma"] == rep.case_b.sigma
+
+
 def test_audit_rejects_non_orthonormal_stitch_basis():
     inst = instance(C4)
     rep = bound_h0(inst)
@@ -82,6 +97,9 @@ def test_audit_metrics_expose_branch_quantities():
     assert res.ok
     assert {"case_n_margin", "case_n_norm"} <= set(res.metrics)
     inst4 = instance(C4)
-    res4 = audit_report(inst4, bound_h0(inst4))
+    rep4 = bound_h0(inst4)
+    res4 = audit_report(inst4, rep4)
     assert res4.ok
     assert res4.metrics  # general branch records every component check
+    assert res4.metrics["case_b_sigma"] == rep4.case_b.sigma
+    assert res4.metrics["case_b_rank_gap"] > 1.0

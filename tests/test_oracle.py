@@ -100,7 +100,7 @@ def test_monte_carlo_skips_failed_projections(monkeypatch):
     import hoffbound.oracle as oracle_mod
     from hoffbound import SolverStall
 
-    def always_fails(instance, u, cfg=None):
+    def always_fails(instance, u):
         raise SolverStall("projection did not converge")
 
     monkeypatch.setattr(oracle_mod, "ratio_at", always_fails)
@@ -108,6 +108,22 @@ def test_monte_carlo_skips_failed_projections(monkeypatch):
                                              num_samples=4, seed=0)
     assert res.lower_bound == 0.0
     assert res.best_u is None
+    assert res.skipped == res.samples_used
+
+
+def test_nnls_iteration_cap_skips_candidates(monkeypatch):
+    import scipy.optimize
+    from hoffbound import SolverStall
+
+    def capped(A, b, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", capped)
+    inst = instance(-np.eye(3))
+    with pytest.raises(SolverStall):
+        ratio_at(inst, -np.ones(3))
+    res = lower_bound_monte_carlo(inst, num_samples=4, seed=0)
+    assert res.lower_bound == 0.0
     assert res.skipped == res.samples_used
 
 

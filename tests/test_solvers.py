@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoffbound import (
     InfeasibleQP,
@@ -18,7 +20,7 @@ from hoffbound import (
     solve_partition_lp,
 )
 
-from helpers import gaussian_matrix, instance
+from helpers import gaussian_matrix, instance, planted_mixed_matrix
 
 
 # --- configuration and registry -------------------------------------------
@@ -223,12 +225,12 @@ def test_projection_partial_clip():
 
 def test_projection_of_interior_point_is_identity():
     inst = instance(np.eye(2))
-    res = project_onto_cone(inst, np.array([-1.0, -2.0]))
-    # the primal point is only solver-accurate, but the certified lower
-    # bound recognizes an interior point exactly
-    assert res.distance <= 1e-6
+    u = np.array([-1.0, -2.0])
+    res = project_onto_cone(inst, u)
+    # NNLS returns mu = 0 for an interior point, so nothing moves
+    assert res.distance == 0.0
     assert res.distance_lower == 0.0
-    assert np.allclose(res.point, [-1.0, -2.0], atol=1e-6)
+    assert np.array_equal(res.point, u)
 
 
 def test_projection_of_origin():
@@ -236,6 +238,16 @@ def test_projection_of_origin():
     res = project_onto_cone(inst, np.zeros(2))
     assert res.distance == 0.0
     assert np.allclose(res.point, 0.0)
+
+
+def test_projection_with_only_zero_rows():
+    # the cone is the whole space; no fit runs, since scipy's nnls aborts
+    # the process on a matrix with no columns
+    u = np.array([1.0, -2.0])
+    res = project_onto_cone(instance(np.zeros((3, 2))), u)
+    assert res.distance == 0.0
+    assert res.distance_lower == 0.0
+    assert np.array_equal(res.point, u)
 
 
 def test_projection_feasibility_and_lower_bound():
@@ -247,6 +259,46 @@ def test_projection_feasibility_and_lower_bound():
         res = project_onto_cone(inst, u)
         assert res.feas_violation <= 1e-8 * inst.scale
         assert res.distance_lower <= res.distance + 1e-12
+
+
+def test_projection_rejects_a_fit_outside_the_cone(monkeypatch):
+    import scipy.optimize
+    from hoffbound import SolverStall
+
+    # a fit that stops at mu = 0 leaves the violating u where it is
+    monkeypatch.setattr(scipy.optimize, "nnls",
+                        lambda A, b, **kwargs: (np.zeros(A.shape[1]), 1.0))
+    with pytest.raises(SolverStall):
+        project_onto_cone(instance(np.eye(2)), np.array([1.0, 1.0]))
+
+
+def _check_projection(A, u_seed):
+    inst = instance(A)
+    u = np.random.default_rng([u_seed, 1]).standard_normal(inst.n)
+    res = project_onto_cone(inst, u)
+    assert res.feas_violation <= 1e-8 * inst.scale
+    assert res.distance_lower <= res.distance
+    # Moreau: the multipliers' certificate meets the primal distance
+    assert res.distance_lower == pytest.approx(res.distance, rel=1e-8)
+
+
+_PROJECTION_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@_PROJECTION_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+       m=st.integers(5, 400), u_seed=st.integers(0, 2**32 - 1))
+def test_projection_on_planted_mixed_matrices(seed, n, m, u_seed):
+    _check_projection(planted_mixed_matrix(seed, m, n), u_seed)
+
+
+@_PROJECTION_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       m=st.integers(1, 400), u_seed=st.integers(0, 2**32 - 1))
+def test_projection_with_rows_scaled_over_sixteen_decades(seed, n, m, u_seed):
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-8.0, 8.0, size=(m, 1))
+    _check_projection(rng.standard_normal((m, n)) * scales, u_seed)
 
 
 # --- partition linear program ---------------------------------------------------
