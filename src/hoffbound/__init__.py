@@ -21,9 +21,7 @@ from .bounds import (
     bound_stitch,
 )
 from .core import (
-    DEFAULT_NORMS,
     HoffboundError,
-    NormPair,
     ProblemInstance,
     euclidean_norm,
     pos_part_inf_norm,
@@ -70,13 +68,8 @@ from .solvers import (
     PartitionLPSolution,
     ProjectionResult,
     SolverConfig,
-    SolverResult,
     SolverStall,
-    StandardFormProgram,
-    available_solvers,
-    dispatch,
     project_onto_cone,
-    register_solver,
     solve_analytic_center,
     solve_min_norm_qp,
     solve_partition_lp,
@@ -91,7 +84,6 @@ __all__ = [
     "BoundReport",
     "CaseBBound",
     "CaseNBound",
-    "DEFAULT_NORMS",
     "DEFAULT_RANK_TOL",
     "DegenerateRow",
     "DimensionError",
@@ -99,7 +91,6 @@ __all__ = [
     "InfeasibleQP",
     "MinNormSolution",
     "NoInteriorPoint",
-    "NormPair",
     "NullBasis",
     "NumericalFailure",
     "OracleResult",
@@ -112,13 +103,10 @@ __all__ = [
     "RowScaling",
     "RunConfig",
     "SolverConfig",
-    "SolverResult",
     "SolverStall",
-    "StandardFormProgram",
     "StitchBound",
     "UnsupportedFormat",
     "audit_report",
-    "available_solvers",
     "bound_case_b",
     "bound_case_n",
     "bound_h0",
@@ -127,7 +115,6 @@ __all__ = [
     "closed_form_H0",
     "compute_partition",
     "directed_candidates",
-    "dispatch",
     "euclidean_norm",
     "load_matrix",
     "lower_bound_monte_carlo",
@@ -135,7 +122,6 @@ __all__ = [
     "pos_part_inf_norm",
     "project_onto_cone",
     "ratio_at",
-    "register_solver",
     "report_to_dict",
     "row_normalize",
     "save_matrix_csv",

@@ -2,9 +2,8 @@
 
 Everything here is deliberately primitive: index bookkeeping, matrix-vector
 products, norms, one singular value decomposition, and sign tests on the
-stored witnesses.  No optimization code is imported, so a report produced by
-any backend (including an external plugin) is validated by arithmetic that
-shares nothing with the solver that built it.
+stored witnesses.  No optimization code is imported, so a report is
+validated by arithmetic that shares nothing with the code that built it.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .core import ProblemInstance, euclidean_norm, relative_scale
-from .numerics import DEFAULT_RANK_TOL
+from .numerics import DEFAULT_RANK_TOL, row_norms
 
 __all__ = ["AuditResult", "audit_report"]
 
@@ -153,11 +152,11 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
             failures.append(
                 f"stitch witness leaves the null space of A_B ({null_res:.3e})"
             )
-        row_norms = np.sqrt(np.sum(A_N * A_N, axis=1))
-        if np.any(row_norms <= 0.0):
+        norms = row_norms(A_N)
+        if np.any(norms <= 0.0):
             failures.append("a slack row is identically zero")
         else:
-            margin = float(((A_N @ lift) / row_norms).min())
+            margin = float(((A_N @ lift) / norms).min())
             metrics["stitch_margin"] = margin
             if margin < 1.0 - MARGIN_TOL:
                 failures.append(f"stitch witness margin {margin!r} is below 1")

@@ -273,7 +273,6 @@ def bound_h0(
     diagnostics = {
         "feas_tol": cfg.feas_tol,
         "opt_tol": cfg.opt_tol,
-        "solver_id": cfg.solver_id,
         "rank_tol": rank_tol,
         "m": instance.m,
         "n": instance.n,

@@ -3,19 +3,19 @@
 The cone under study is ``P = {x : A x <= 0}`` for a dense real matrix ``A``.
 Throughout the package the row space (image of ``A``) carries the sup norm and
 the column space (domain) carries the Euclidean norm; this is the only norm
-pair supported.
+pair supported.  The distance-to-violation identity relies on the sup norm's
+monotonicity: ``|y| <= |z|`` entrywise implies ``||y|| <= ||z||``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
 __all__ = [
     "HoffboundError",
-    "NormPair",
     "ProblemInstance",
     "ZERO_MATRIX_FLOOR",
     "euclidean_norm",
@@ -58,28 +58,6 @@ def relative_scale(frobenius_scale: float) -> float:
 
 
 @dataclass(frozen=True)
-class NormPair:
-    """The fixed norm convention: Euclidean on the domain, sup on the image.
-
-    Only this pair is constructible.  The sup norm satisfies the componentwise
-    compatibility property (``|y| <= |z|`` entrywise implies ``||y|| <= ||z||``)
-    that the distance-to-violation identity relies on.
-    """
-
-    domain_norm: str = "l2"
-    image_norm: str = "linf"
-
-    def __post_init__(self) -> None:
-        if self.domain_norm != "l2" or self.image_norm != "linf":
-            raise ValueError(
-                "only the (l2 domain, linf image) norm pair is supported"
-            )
-
-
-DEFAULT_NORMS = NormPair()
-
-
-@dataclass(frozen=True)
 class ProblemInstance:
     """Immutable dense matrix ``A`` defining the cone ``P = {x : A x <= 0}``.
 
@@ -98,7 +76,6 @@ class ProblemInstance:
     m: int
     n: int
     frobenius_scale: float
-    norms: NormPair = field(default=DEFAULT_NORMS)
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:

@@ -23,6 +23,7 @@ __all__ = [
     "NumericalFailure",
     "RowScaling",
     "orthonormal_null_basis",
+    "row_norms",
     "row_normalize",
     "smallest_positive_singular_value",
 ]
@@ -136,6 +137,11 @@ def smallest_positive_singular_value(
     return float(positive[-1])
 
 
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-d array."""
+    return np.sqrt(np.sum(X * X, axis=1))
+
+
 def row_normalize(A_N: npt.ArrayLike) -> RowScaling:
     """Scale each row to unit Euclidean norm; ``D_ii = 1 / ||row_i||_2``.
 
@@ -145,7 +151,7 @@ def row_normalize(A_N: npt.ArrayLike) -> RowScaling:
     A_N = np.asarray(A_N, dtype=float)
     if A_N.ndim != 2 or A_N.shape[0] == 0:
         raise ValueError("expected a matrix with at least one row")
-    norms = np.linalg.norm(A_N, axis=1)
+    norms = row_norms(A_N)
     if (norms <= 1e-300).any():
         bad = int(np.argmin(norms))
         raise DegenerateRow(f"row {bad} has zero norm and cannot be normalized")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HoffboundError, ProblemInstance, euclidean_norm, pos_part_inf_norm
+from .numerics import row_norms
 from .solvers import SolverConfig, project_onto_cone
 
 __all__ = [
@@ -196,10 +197,10 @@ def closed_form_H0(A: np.ndarray) -> float | None:
     if float(np.abs(A).max(initial=0.0)) == 0.0:
         return 0.0
 
-    row_norms = np.sqrt(np.sum(A * A, axis=1))
-    nonzero = np.flatnonzero(row_norms > 0.0)
+    norms = row_norms(A)
+    nonzero = np.flatnonzero(norms > 0.0)
     if nonzero.size == 1:
-        return 1.0 / float(row_norms[nonzero[0]])
+        return 1.0 / float(norms[nonzero[0]])
 
     if m == n:
         diag = np.diag(A)

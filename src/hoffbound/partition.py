@@ -185,8 +185,8 @@ def verify_partition(
     """Recheck a partition certificate using only matrix-vector products.
 
     No solver is invoked: the checks are index bookkeeping, norms, and sign
-    conditions on the stored witnesses, so this can audit results produced
-    by any backend.
+    conditions on the stored witnesses, so they share nothing with the LP
+    that produced the certificate.
     """
     A = instance.A
     m = instance.m

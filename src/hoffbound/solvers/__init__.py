@@ -1,15 +1,10 @@
-"""Optimization layer: standard-form programs, backends, and the registry."""
+"""Optimization layer: the pipeline's programs, their engines and error types."""
 
 from .config import (
     InfeasibleQP,
     NoInteriorPoint,
     SolverConfig,
-    SolverResult,
     SolverStall,
-    StandardFormProgram,
-    available_solvers,
-    dispatch,
-    register_solver,
 )
 from .programs import (
     AnalyticCenterSolution,
@@ -30,13 +25,8 @@ __all__ = [
     "PartitionLPSolution",
     "ProjectionResult",
     "SolverConfig",
-    "SolverResult",
     "SolverStall",
-    "StandardFormProgram",
-    "available_solvers",
-    "dispatch",
     "project_onto_cone",
-    "register_solver",
     "solve_analytic_center",
     "solve_min_norm_qp",
     "solve_partition_lp",

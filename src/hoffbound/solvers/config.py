@@ -1,21 +1,8 @@
-"""Solver configuration, error types, and the pluggable backend registry.
-
-Every optimization problem in the pipeline is expressed in one standard form
-
-    minimize    0.5 v' P v + c' v  (optionally minus a weighted log barrier)
-    subject to  E v = f,  G v >= h,  v_i >= 0 for flagged components
-
-and handed to a backend selected by ``SolverConfig.solver_id``.  The built-in
-backend covers everything the pipeline needs; external engines can be
-registered under a new key without touching the call sites.
-"""
+"""Solver accuracy settings and the error types raised by the programs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..core import HoffboundError
 
@@ -23,12 +10,7 @@ __all__ = [
     "InfeasibleQP",
     "NoInteriorPoint",
     "SolverConfig",
-    "SolverResult",
     "SolverStall",
-    "StandardFormProgram",
-    "available_solvers",
-    "dispatch",
-    "register_solver",
 ]
 
 
@@ -51,7 +33,6 @@ class SolverConfig:
     feas_tol: float = 1e-9
     opt_tol: float = 1e-8
     max_iters: int = 500
-    solver_id: str = "builtin"
 
     def __post_init__(self) -> None:
         for name in ("feas_tol", "opt_tol"):
@@ -67,74 +48,4 @@ class SolverConfig:
             feas_tol=self.feas_tol / factor,
             opt_tol=self.opt_tol / factor,
             max_iters=self.max_iters,
-            solver_id=self.solver_id,
         )
-
-
-@dataclass
-class StandardFormProgram:
-    """One convex program in the standard form consumed by backends.
-
-    ``quadratic`` is the (symmetric PSD) matrix P of the quadratic term;
-    ``log_barrier_weights`` requests minimization of ``-sum w_i log v_i`` over
-    the components with ``w_i > 0`` (used for analytic centering).  ``nonneg``
-    flags the componentwise-nonnegative variables; the rest are free.  ``v0``
-    is an optional strictly feasible hint that backends may ignore.
-    """
-
-    c: np.ndarray
-    E: np.ndarray
-    f: np.ndarray
-    nonneg: np.ndarray
-    G: np.ndarray | None = None
-    h: np.ndarray | None = None
-    quadratic: np.ndarray | None = None
-    log_barrier_weights: np.ndarray | None = None
-    v0: np.ndarray | None = None
-
-    @property
-    def num_vars(self) -> int:
-        return int(self.c.shape[0])
-
-
-@dataclass
-class SolverResult:
-    """Primal point returned by a backend, with residuals for auditing."""
-
-    v: np.ndarray
-    residuals: dict[str, float]
-    iterations: int
-    status: str
-    eq_multipliers: np.ndarray | None = None
-    ineq_multipliers: np.ndarray | None = None
-
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
-
-
-SolverBackend = Callable[[StandardFormProgram, SolverConfig], SolverResult]
-
-_REGISTRY: dict[str, SolverBackend] = {}
-
-
-def register_solver(solver_id: str, backend: SolverBackend) -> None:
-    """Register ``backend`` under ``solver_id`` (overwrites any previous one)."""
-    if not solver_id:
-        raise ValueError("solver_id must be a nonempty string")
-    _REGISTRY[solver_id] = backend
-
-
-def available_solvers() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
-def dispatch(program: StandardFormProgram, cfg: SolverConfig) -> SolverResult:
-    """Route ``program`` to the backend selected by ``cfg.solver_id``."""
-    try:
-        backend = _REGISTRY[cfg.solver_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown solver_id {cfg.solver_id!r}; registered: {available_solvers()}"
-        ) from None
-    return backend(program, cfg)

@@ -16,8 +16,10 @@ The factorization is reused for the corrector solve, and one pass of
 iterative refinement against the unregularized matrix keeps the static
 regularization from contaminating the returned residuals.
 
-The problems this engine sees are small and dense (a few hundred variables
-at most), so an LU of the full augmented matrix beats anything sparse.
+The problems this engine sees are dense: the min-norm QPs have at most a
+few hundred variables, and the partition LP of an m x n matrix has an
+augmented system of dimension 5m + 2n + 2 (2,082 at 400 x 40).  Every step
+runs one dense LU of the full augmented matrix.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Concrete optimization programs used by the bounding pipeline.
 
-Four operations are exposed; the first three go through the backend registry:
+Four operations are exposed, each calling its engine directly:
 
 * ``solve_partition_lp``: the self-dual feasibility LP whose optimal support
-  splits the rows of A into the tight set B and the slack set N.
-* ``solve_min_norm_qp``: minimum-Euclidean-norm point of ``{z : G z >= 1}``,
-  with exact feasibility after restoration and a certified duality gap.
+  splits the rows of A into the tight set B and the slack set N, solved by
+  the interior-point method of ``ipm.py``.
+* ``solve_min_norm_qp``: minimum-Euclidean-norm point of ``{z : G z >= 1}``
+  by the same interior-point method, with exact feasibility after
+  restoration and a certified duality gap.
 * ``solve_analytic_center``: log-barrier center of ``{y > 0 : A_B' y = 0,
   sum(y) = 1}`` by damped Newton on the affine slice.
 * ``project_onto_cone``: Euclidean projection onto ``{x : A x <= 0}`` by one
@@ -21,17 +23,8 @@ import scipy.linalg
 import scipy.optimize
 
 from ..core import ProblemInstance, euclidean_norm, relative_scale
-from ..numerics import NumericalFailure, orthonormal_null_basis
-from .config import (
-    InfeasibleQP,
-    NoInteriorPoint,
-    SolverConfig,
-    SolverResult,
-    SolverStall,
-    StandardFormProgram,
-    dispatch,
-    register_solver,
-)
+from ..numerics import NumericalFailure, orthonormal_null_basis, row_norms
+from .config import InfeasibleQP, NoInteriorPoint, SolverConfig, SolverStall
 from .ipm import solve_qp_ipm
 
 __all__ = [
@@ -50,43 +43,38 @@ _INFEAS_RESIDUAL = 1e-6
 _PROJ_FEAS_TOL = 1e-10
 
 
-def _barrier_newton(program: StandardFormProgram, cfg: SolverConfig) -> SolverResult:
-    """Damped Newton for min c'v - sum w_i log v_i over {E v = f, v > 0}.
+def _barrier_newton(
+    E: np.ndarray, f: np.ndarray, v0: np.ndarray | None, cfg: SolverConfig
+) -> tuple[np.ndarray, float, int]:
+    """Damped Newton for min -sum log v_i over {E v = f, v > 0}.
 
     The iteration runs in the exact affine parametrization v = v0 + W q with
     W an orthonormal null-space basis of E, so equality feasibility is
-    preserved to rounding error regardless of step length.
+    preserved to rounding error regardless of step length.  Returns the
+    center, the norm of the reduced gradient there, and the iteration count.
+
+    Raises
+    ------
+    SolverStall
+        If the reduced gradient stays above ``opt_tol`` at the iteration cap
+        or a line search finds no decrease.
     """
-    w = np.asarray(program.log_barrier_weights, dtype=float)
-    if np.any(w <= 0.0):
-        raise ValueError("log-barrier weights must all be positive")
-    E = program.E
-    f = program.f
-    c = program.c
-
-    v = _positive_slice_point(program, cfg)
-    basis = orthonormal_null_basis(E)
-    W = basis.Q
+    v = _positive_slice_point(E, f, v0, cfg)
+    W = orthonormal_null_basis(E).Q
     if W.shape[1] == 0:
-        return SolverResult(
-            v=v,
-            residuals={"grad_inf": 0.0, "eq_inf": float(np.abs(E @ v - f).max(initial=0.0))},
-            iterations=0,
-            status="converged",
-        )
+        return v, 0.0, 0
 
-    grad_target = cfg.opt_tol * max(1.0, float(np.abs(c).max(initial=0.0)))
-    status = "stalled"
+    w = np.ones(v.shape[0])  # unit barrier weights; phi sums through a dot
+    converged = False
     it = 0
     for it in range(cfg.max_iters):
-        g_full = c - w / v
-        g = W.T @ g_full
-        gnorm = euclidean_norm(g)
-        if gnorm <= grad_target:
-            status = "converged"
+        inv = 1.0 / v
+        g = W.T @ -inv
+        if euclidean_norm(g) <= cfg.opt_tol:
+            converged = True
             break
 
-        B = W * (np.sqrt(w) / v)[:, None]
+        B = W * inv[:, None]
         H = B.T @ B
         dq = _solve_spd(H, -g)
         dv = W @ dq
@@ -95,7 +83,7 @@ def _barrier_newton(program: StandardFormProgram, cfg: SolverConfig) -> SolverRe
         neg = dv < 0.0
         if np.any(neg):
             alpha = min(1.0, 0.99 * float(np.min(-v[neg] / dv[neg])))
-        phi0 = float(c @ v) - float(w @ np.log(v))
+        phi0 = -float(w @ np.log(v))
         slope = float(g @ dq)
         # Once the Newton decrement drops below the evaluation noise of phi,
         # a sufficient-decrease test can only reject; the boundary-capped
@@ -106,7 +94,7 @@ def _barrier_newton(program: StandardFormProgram, cfg: SolverConfig) -> SolverRe
         for _ in range(60):
             v_new = v + alpha * dv
             if np.all(v_new > 0.0):
-                phi = float(c @ v_new) - float(w @ np.log(v_new))
+                phi = -float(w @ np.log(v_new))
                 if phi <= phi0 + 1e-4 * alpha * slope:
                     break
             alpha *= 0.5
@@ -114,16 +102,9 @@ def _barrier_newton(program: StandardFormProgram, cfg: SolverConfig) -> SolverRe
             break
         v = v_new
 
-    g_final = W.T @ (c - w / v)
-    return SolverResult(
-        v=v,
-        residuals={
-            "grad_inf": euclidean_norm(g_final),
-            "eq_inf": float(np.abs(E @ v - f).max(initial=0.0)),
-        },
-        iterations=it,
-        status=status,
-    )
+    if not converged:
+        raise SolverStall("analytic center Newton did not converge (stalled)")
+    return v, euclidean_norm(W.T @ -(1.0 / v)), it
 
 
 def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -142,16 +123,18 @@ def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _positive_slice_point(
-    program: StandardFormProgram, cfg: SolverConfig
+    E: np.ndarray, f: np.ndarray, v0: np.ndarray | None, cfg: SolverConfig
 ) -> np.ndarray:
-    """Strictly positive point on {E v = f}, or raise NoInteriorPoint."""
-    E = program.E
-    f = program.f
-    p = program.num_vars
+    """Strictly positive point on {E v = f}, or raise NoInteriorPoint.
+
+    The hint ``v0`` is projected onto the slice and tried first, then the
+    minimum-norm point of the slice, then a phase-one LP.
+    """
+    p = E.shape[1]
 
     candidates = []
-    if program.v0 is not None:
-        v0 = np.asarray(program.v0, dtype=float)
+    if v0 is not None:
+        v0 = np.asarray(v0, dtype=float)
         r = E @ v0 - f
         corr, *_ = np.linalg.lstsq(E, r, rcond=None)
         candidates.append(v0 - corr)
@@ -200,60 +183,6 @@ def _on_slice(E: np.ndarray, f: np.ndarray, v: np.ndarray) -> bool:
     return float(np.abs(E @ v - f).max(initial=0.0)) <= tol
 
 
-def _builtin_backend(program: StandardFormProgram, cfg: SolverConfig) -> SolverResult:
-    """Default backend: damped Newton for barrier programs, IPM otherwise."""
-    if program.log_barrier_weights is not None:
-        if program.quadratic is not None:
-            raise ValueError("barrier and quadratic objectives cannot be combined")
-        return _barrier_newton(program, cfg)
-
-    c = program.c
-    E = program.E
-    f = program.f
-    nonneg = np.asarray(program.nonneg, dtype=bool)
-    N = program.num_vars
-    P = program.quadratic if program.quadratic is not None else np.zeros((N, N))
-
-    if program.G is not None:
-        G = program.G
-        h = program.h if program.h is not None else np.zeros(G.shape[0])
-        k = G.shape[0]
-        E = np.block([[E, np.zeros((E.shape[0], k))], [G, -np.eye(k)]])
-        f = np.concatenate([f, h])
-        c = np.concatenate([c, np.zeros(k)])
-        P2 = np.zeros((N + k, N + k))
-        P2[:N, :N] = P
-        P = P2
-        nonneg = np.concatenate([nonneg, np.ones(k, dtype=bool)])
-
-    res = solve_qp_ipm(
-        P,
-        c,
-        E,
-        f,
-        nonneg,
-        feas_tol=cfg.feas_tol,
-        opt_tol=cfg.opt_tol,
-        max_iters=cfg.max_iters,
-    )
-    n_eq = program.f.shape[0]
-    return SolverResult(
-        v=res.v[:N],
-        residuals={
-            "primal_rel": res.primal_res,
-            "dual_rel": res.dual_res,
-            "comp": res.mu,
-        },
-        iterations=res.iterations,
-        status=res.status,
-        eq_multipliers=res.lam[:n_eq],
-        ineq_multipliers=res.lam[n_eq:] if program.G is not None else None,
-    )
-
-
-register_solver("builtin", _builtin_backend)
-
-
 @dataclass(frozen=True)
 class PartitionLPSolution:
     """Optimal point of the row-partition LP.
@@ -296,7 +225,7 @@ def solve_partition_lp(
     # The optimal (y, s, t) is invariant under uniform positive scaling of A
     # (x absorbs the factor), so solve in units of the largest row norm and
     # scale x back afterwards.
-    row_scale = float(np.sqrt(np.sum(instance.A * instance.A, axis=1)).max())
+    row_scale = float(row_norms(instance.A).max())
     if row_scale <= 1e-300:
         row_scale = 1.0
     A = instance.A / row_scale
@@ -327,15 +256,17 @@ def solve_partition_lp(
 
     # Solve a notch tighter than advertised so the residual budget below
     # holds with margin even for matrices of unit scale.
-    solve_cfg = SolverConfig(
+    res = solve_qp_ipm(
+        np.zeros((nv, nv)),
+        c,
+        E,
+        f,
+        cone,
         feas_tol=cfg.feas_tol / 10.0,
         opt_tol=cfg.opt_tol / 10.0,
         max_iters=cfg.max_iters,
-        solver_id=cfg.solver_id,
     )
-    program = StandardFormProgram(c=c, E=E, f=f, nonneg=cone)
-    res = dispatch(program, solve_cfg)
-    if not res.converged:
+    if res.status != "converged":
         raise SolverStall(
             f"partition LP did not converge ({res.status}, "
             f"{res.iterations} iterations)"
@@ -433,7 +364,7 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
     # Solve in units where the largest row has norm 1.  The solution maps
     # back by one scalar division, so the iteration (and in particular the
     # active-set identification below) behaves identically for G and alpha G.
-    s = float(np.sqrt(np.sum(G * G, axis=1)).max())
+    s = float(row_norms(G).max())
     if s <= 1e-300:
         raise InfeasibleQP("a zero matrix cannot reach margin 1")
     Gw = G / s
@@ -447,18 +378,26 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
     cone = np.zeros(nv, dtype=bool)
     cone[d:] = True
 
-    program = StandardFormProgram(c=c, E=E, f=f, nonneg=cone, quadratic=P)
-    res = dispatch(program, cfg)
+    res = solve_qp_ipm(
+        P,
+        c,
+        E,
+        f,
+        cone,
+        feas_tol=cfg.feas_tol,
+        opt_tol=cfg.opt_tol,
+        max_iters=cfg.max_iters,
+    )
 
     z_raw = res.v[:d] / s
     restored = _restore_feasibility(G, z_raw)
     if restored is None:
-        if res.residuals.get("primal_rel", np.inf) > _INFEAS_RESIDUAL:
+        if res.primal_res > _INFEAS_RESIDUAL:
             raise InfeasibleQP(
                 "no point with G z >= 1 was found; the system looks infeasible"
             )
         raise SolverStall("minimum-norm QP stalled before reaching feasibility")
-    if not res.converged:
+    if res.status != "converged":
         raise SolverStall(
             f"minimum-norm QP did not converge ({res.status}, "
             f"{res.iterations} iterations)"
@@ -477,17 +416,7 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
         if z_pol is not None and euclidean_norm(z_pol) < euclidean_norm(z_best):
             z_best = z_pol
 
-    lam = res.eq_multipliers
-    if lam is not None:
-        lam = np.asarray(lam, dtype=float) / s**2
-    else:
-        lam = np.zeros(k)
-        if np.any(active):
-            lam_act, *_ = np.linalg.lstsq(
-                G[active].T, 2.0 * z_best, rcond=None
-            )
-            lam[active] = lam_act
-    lam = np.maximum(lam, 0.0)
+    lam = np.maximum(res.lam / s**2, 0.0)
     dual_lower = float(lam.sum()) - 0.25 * float(np.sum((G.T @ lam) ** 2))
 
     norm = euclidean_norm(z_best)
@@ -496,8 +425,8 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
     residuals = {
         "min_margin": min_margin,
         "optimality_gap": gap,
-        "primal_rel": res.residuals.get("primal_rel", 0.0),
-        "dual_rel": res.residuals.get("dual_rel", 0.0),
+        "primal_rel": res.primal_res,
+        "dual_rel": res.dual_res,
     }
     if gap > 50.0 * max(1, k) * cfg.opt_tol * (1.0 + norm**2):
         raise SolverStall(
@@ -558,28 +487,14 @@ def solve_analytic_center(
     # of A_B, so run the iteration in units of the largest row norm; the
     # center then comes out identical for A_B and alpha A_B.
     A_orig = A_B
-    s = float(np.sqrt(np.sum(A_B * A_B, axis=1)).max())
+    s = float(row_norms(A_B).max())
     if s > 1e-300:
         A_B = A_B / s
 
     E = np.concatenate([A_B.T, np.ones((1, p))], axis=0)
     f = np.zeros(n + 1)
     f[-1] = 1.0
-    program = StandardFormProgram(
-        c=np.zeros(p),
-        E=E,
-        f=f,
-        nonneg=np.ones(p, dtype=bool),
-        log_barrier_weights=np.ones(p),
-        v0=y_start,
-    )
-    res = dispatch(program, cfg)
-    if res.status not in ("converged",):
-        raise SolverStall(
-            f"analytic center Newton did not converge ({res.status})"
-        )
-
-    y = np.asarray(res.v, dtype=float)
+    y, grad_norm, iterations = _barrier_newton(E, f, y_start, cfg)
     if y.min(initial=np.inf) <= 0.0:
         raise NoInteriorPoint("analytic center iterate left the positive orthant")
     y = y / y.sum()
@@ -587,13 +502,10 @@ def solve_analytic_center(
         "eq_inf": float(np.abs(A_orig.T @ y).max(initial=0.0)),
         "normalization": abs(float(y.sum()) - 1.0),
         "min_component": float(y.min()),
-        "grad_norm": float(res.residuals.get("grad_inf", np.nan)),
+        "grad_norm": grad_norm,
     }
     return AnalyticCenterSolution(
-        y=y,
-        grad_norm=residuals["grad_norm"],
-        residuals=residuals,
-        iterations=res.iterations,
+        y=y, grad_norm=grad_norm, residuals=residuals, iterations=iterations
     )
 
 
@@ -619,12 +531,14 @@ def project_onto_cone(instance: ProblemInstance, u: np.ndarray) -> ProjectionRes
     The polar cone of P is spanned by the rows of A (Moreau decomposition), so
     the residual of one fit ``min_{mu >= 0} ||u - A' mu||`` is the projection
     and mu certifies the distance.  The fit runs on the unit vector along u;
-    projection onto a cone commutes with positive scaling.
+    projection onto a cone commutes with positive scaling.  A fit that ends
+    outside the cone is redone once by bounded-variable least squares.
 
     Raises
     ------
     SolverStall
-        If the fit reaches its iteration cap or ends outside the cone.
+        If the fit reaches its iteration cap, or both fits end outside the
+        cone.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (instance.n,):
@@ -638,7 +552,7 @@ def project_onto_cone(instance: ProblemInstance, u: np.ndarray) -> ProjectionRes
     # row-normalized for conditioning and identically zero rows are dropped.
     # With no rows left the cone is the whole space; the fit must not run,
     # since scipy's nnls aborts the process on a matrix with no columns.
-    norms = np.sqrt(np.sum(instance.A * instance.A, axis=1))
+    norms = row_norms(instance.A)
     keep = norms > 1e-300
     if not np.any(keep):
         return ProjectionResult(point=u.copy(), distance=0.0,
@@ -650,18 +564,26 @@ def project_onto_cone(instance: ProblemInstance, u: np.ndarray) -> ProjectionRes
     except RuntimeError as exc:
         raise SolverStall(f"projection NNLS did not converge: {exc}") from exc
 
-    # Any mu >= 0 certifies dist^2 >= 2 mu'(Aw u) - ||Aw' mu||^2.
-    polar = Aw.T @ mu
-    lb_sq = 2.0 * float(mu @ (Aw @ u_hat)) - float(polar @ polar)
-    dist_lower = float(np.sqrt(max(lb_sq, 0.0))) * unorm
-
     # Subtracting the rescaled polar part (rather than rescaling u_hat) keeps
     # an interior point exactly where it is: mu = 0 there.
+    polar = Aw.T @ mu
     x = u - polar * unorm
-    # On rank-deficient row sets (low-rank A, or u within rounding of the
-    # boundary) the fit can end at a non-stationary mu without an error.
     if float((Aw @ x).max()) > _PROJ_FEAS_TOL * unorm:
-        raise SolverStall("projection NNLS returned a point outside the cone")
+        # On rank-deficient row sets (low-rank A, or u within rounding of the
+        # boundary) nnls can end at a non-stationary mu without an error;
+        # a bounded-variable least-squares refit recovers those.
+        fit = scipy.optimize.lsq_linear(
+            Aw.T, u_hat, bounds=(0.0, np.inf), method="bvls"
+        )
+        mu = np.maximum(fit.x, 0.0)
+        polar = Aw.T @ mu
+        x = u - polar * unorm
+        if float((Aw @ x).max()) > _PROJ_FEAS_TOL * unorm:
+            raise SolverStall("projection fit returned a point outside the cone")
+
+    # Any mu >= 0 certifies dist^2 >= 2 mu'(Aw u) - ||Aw' mu||^2.
+    lb_sq = 2.0 * float(mu @ (Aw @ u_hat)) - float(polar @ polar)
+    dist_lower = float(np.sqrt(max(lb_sq, 0.0))) * unorm
     feas = max(0.0, float((instance.A @ x).max(initial=0.0)))
     distance = euclidean_norm(u - x)
     return ProjectionResult(

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from hoffbound import (
-    DEFAULT_NORMS,
-    NormPair,
     ProblemInstance,
     euclidean_norm,
     pos_part_inf_norm,
@@ -25,18 +23,6 @@ def test_pos_part_inf_norm_zero_without_violations():
 def test_euclidean_norm():
     assert euclidean_norm(np.array([3.0, 4.0])) == 5.0
     assert euclidean_norm(np.array([])) == 0.0
-
-
-def test_default_norm_pair_is_l2_linf():
-    assert DEFAULT_NORMS == NormPair("l2", "linf")
-    assert DEFAULT_NORMS.domain_norm == "l2"
-    assert DEFAULT_NORMS.image_norm == "linf"
-
-
-@pytest.mark.parametrize("pair", [("l1", "linf"), ("l2", "l2"), ("linf", "linf")])
-def test_other_norm_pairs_rejected(pair):
-    with pytest.raises(ValueError):
-        NormPair(*pair)
 
 
 def test_from_matrix_requires_2d():

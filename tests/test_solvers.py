@@ -1,4 +1,4 @@
-"""Solver configuration, backend registry, and the four optimization programs."""
+"""Solver configuration, the two engines, and the four optimization programs."""
 
 import numpy as np
 import pytest
@@ -10,27 +10,24 @@ from hoffbound import (
     NoInteriorPoint,
     ProblemInstance,
     SolverConfig,
-    StandardFormProgram,
-    available_solvers,
-    dispatch,
+    SolverStall,
     project_onto_cone,
-    register_solver,
     solve_analytic_center,
     solve_min_norm_qp,
     solve_partition_lp,
 )
+from hoffbound.solvers.ipm import solve_qp_ipm
 
-from helpers import gaussian_matrix, instance, planted_mixed_matrix
+from helpers import degenerate_matrix, gaussian_matrix, instance, planted_mixed_matrix
 
 
-# --- configuration and registry -------------------------------------------
+# --- configuration ---------------------------------------------------------
 
 def test_config_defaults():
     cfg = SolverConfig()
     assert cfg.feas_tol == 1e-9
     assert cfg.opt_tol == 1e-8
     assert cfg.max_iters == 500
-    assert cfg.solver_id == "builtin"
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -50,79 +47,24 @@ def test_config_tightened_divides_tolerances():
     assert cfg.feas_tol == pytest.approx(1e-11, rel=1e-12)
     assert cfg.opt_tol == pytest.approx(1e-10, rel=1e-12)
     assert cfg.max_iters == 500
-    assert cfg.solver_id == "builtin"
 
 
-def test_builtin_backend_is_registered():
-    assert "builtin" in available_solvers()
-
-
-def test_unknown_solver_id_raises():
-    prog = StandardFormProgram(c=np.zeros(1), E=np.zeros((0, 1)), f=np.zeros(0),
-                               nonneg=np.array([0]))
-    with pytest.raises(KeyError):
-        dispatch(prog, SolverConfig(solver_id="no-such-backend"))
-
-
-def test_registering_a_wrapper_backend_routes_calls():
-    calls = []
-
-    def wrapper(program, cfg):
-        calls.append(program.num_vars)
-        inner = SolverConfig(feas_tol=cfg.feas_tol, opt_tol=cfg.opt_tol,
-                             max_iters=cfg.max_iters, solver_id="builtin")
-        return dispatch(program, inner)
-
-    register_solver("test-wrapper", wrapper)
-    assert "test-wrapper" in available_solvers()
-    sol = solve_min_norm_qp(np.array([[3.0, 4.0]]),
-                            SolverConfig(solver_id="test-wrapper"))
-    assert calls, "wrapper backend was never invoked"
-    assert sol.norm == pytest.approx(0.2, abs=1e-9)
-
-
-# --- standard-form dispatch ------------------------------------------------
-
-def test_lp_with_inequality_rows():
-    # max x subject to x <= 1, x >= 0
-    prog = StandardFormProgram(c=np.array([-1.0]), E=np.zeros((0, 1)), f=np.zeros(0),
-                               nonneg=np.array([0]),
-                               G=np.array([[-1.0]]), h=np.array([-1.0]))
-    res = dispatch(prog, SolverConfig())
-    assert res.converged
-    assert res.v[0] == pytest.approx(1.0, abs=1e-8)
-    assert res.ineq_multipliers is not None
-    assert res.ineq_multipliers[0] == pytest.approx(1.0, abs=1e-6)
-
+# --- engines ------------------------------------------------------------------
 
 def test_bound_constrained_qp():
     # min 0.5 ||v||^2 - v_0 + 0.5 v_1 over v >= 0: optimum at e_0, with a
     # strictly positive multiplier on the inactive coordinate
-    prog = StandardFormProgram(c=np.array([-1.0, 0.5]), E=np.zeros((0, 2)),
-                               f=np.zeros(0), nonneg=np.array([0, 1]),
-                               quadratic=np.eye(2))
-    res = dispatch(prog, SolverConfig())
-    assert res.converged
+    res = solve_qp_ipm(np.eye(2), np.array([-1.0, 0.5]), np.zeros((0, 2)),
+                       np.zeros(0), np.array([False, True]))
+    assert res.status == "converged"
     assert np.allclose(res.v, [1.0, 0.0], atol=1e-6)
 
 
 def test_barrier_program_runs_damped_newton():
-    # analytic center of the probability simplex in R^2 is (1/2, 1/2)
-    prog = StandardFormProgram(c=np.zeros(2), E=np.ones((1, 2)), f=np.ones(1),
-                               nonneg=np.array([0, 1]),
-                               log_barrier_weights=np.ones(2))
-    res = dispatch(prog, SolverConfig())
-    assert res.converged
-    assert np.allclose(res.v, [0.5, 0.5], atol=1e-9)
-
-
-def test_barrier_plus_quadratic_is_rejected():
-    prog = StandardFormProgram(c=np.zeros(2), E=np.ones((1, 2)), f=np.ones(1),
-                               nonneg=np.array([0, 1]),
-                               quadratic=np.eye(2),
-                               log_barrier_weights=np.ones(2))
-    with pytest.raises(ValueError):
-        dispatch(prog, SolverConfig())
+    # a zero tight block leaves the probability simplex in R^2, whose
+    # analytic center is (1/2, 1/2)
+    sol = solve_analytic_center(np.zeros((2, 1)))
+    assert np.allclose(sol.y, [0.5, 0.5], atol=1e-9)
 
 
 # --- minimum-norm margin QP -------------------------------------------------
@@ -262,14 +204,29 @@ def test_projection_feasibility_and_lower_bound():
 
 
 def test_projection_rejects_a_fit_outside_the_cone(monkeypatch):
-    import scipy.optimize
-    from hoffbound import SolverStall
+    import types
 
-    # a fit that stops at mu = 0 leaves the violating u where it is
+    import scipy.optimize
+
+    # fits that stop at mu = 0 leave the violating u where it is
     monkeypatch.setattr(scipy.optimize, "nnls",
                         lambda A, b, **kwargs: (np.zeros(A.shape[1]), 1.0))
+    monkeypatch.setattr(scipy.optimize, "lsq_linear",
+                        lambda A, b, **kwargs: types.SimpleNamespace(x=np.zeros(A.shape[1])))
     with pytest.raises(SolverStall):
         project_onto_cone(instance(np.eye(2)), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("seed", [196, 551, 671, 1696])
+def test_projection_refits_when_nnls_ends_outside_the_cone(seed):
+    # on these low-rank row sets scipy's nnls returns multipliers up to 7e15
+    # for some u and its fit ends outside the cone; the BVLS refit keeps them
+    inst = instance(degenerate_matrix(seed))
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        res = project_onto_cone(inst, rng.standard_normal(inst.n))
+        assert res.feas_violation <= 1e-8 * inst.scale
+        assert res.distance_lower == pytest.approx(res.distance, rel=1e-8)
 
 
 def _check_projection(A, u_seed):
