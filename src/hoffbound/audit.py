@@ -34,19 +34,22 @@ class AuditResult:
     metrics: dict
 
 
-def _sigma_and_rank_gap(M: np.ndarray) -> tuple[float | None, float]:
+def _sigma_and_rank_gap(
+    M: np.ndarray, rank: int | None = None
+) -> tuple[float | None, float]:
     """Smallest singular value of M above the rank threshold, and the rank gap.
 
     Threshold and SVD call are those of the bound computation, so an honest
     report reproduces its sigma bit for bit.  The gap is ``s_r / s_{r+1}`` at
-    numerical rank r (infinite at full rank); sigma is None for a zero M.
+    numerical rank r (infinite at full rank or r = 0), with r decided by the
+    threshold unless ``rank`` fixes it; sigma is None for a zero M.
     """
     s = np.linalg.svd(M, full_matrices=False)[1]
     sigma_max = float(s[0]) if s.size else 0.0
     if sigma_max <= DEFAULT_RANK_TOL * relative_scale(float(np.linalg.norm(M))):
         return None, math.inf
-    r = int(np.count_nonzero(s > DEFAULT_RANK_TOL * sigma_max))
-    gap = float(s[r - 1] / s[r]) if r < s.size and s[r] > 0.0 else math.inf
+    r = int(np.count_nonzero(s > DEFAULT_RANK_TOL * sigma_max)) if rank is None else rank
+    gap = float(s[r - 1] / s[r]) if 0 < r < s.size and s[r] > 0.0 else math.inf
     return float(s[r - 1]), gap
 
 
@@ -142,6 +145,8 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
         Q = st.Q
         gram_err = float(np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0))
         metrics["stitch_gram_err"] = gram_err
+        # the stitch basis was cut at rank n - dim(Q); no threshold yet
+        metrics["stitch_rank_gap"] = _sigma_and_rank_gap(A_B, instance.n - Q.shape[1])[1]
         if gram_err > BASIS_TOL:
             failures.append(f"stitch basis is not orthonormal ({gram_err:.3e})")
         lift = Q @ st.z_bar

@@ -159,7 +159,6 @@ def bound_case_n(A_N: np.ndarray, cfg: SolverConfig | None = None) -> CaseNBound
         diagnostics={
             "dual_lower": sol.dual_lower,
             "optimality_gap": sol.residuals["optimality_gap"],
-            "iterations": sol.iterations,
         },
     )
 
@@ -248,7 +247,6 @@ def bound_stitch(
             "basis_residual": basis.residual,
             "dual_lower": sol.dual_lower,
             "optimality_gap": sol.residuals["optimality_gap"],
-            "iterations": sol.iterations,
         },
     )
 

@@ -19,7 +19,9 @@ class SolverStall(HoffboundError):
 
 
 class InfeasibleQP(HoffboundError):
-    """No feasible point was found; signals an upstream partition error."""
+    """``{z : G z >= 1}`` is infeasible, or its minimum-norm point is beyond
+    double precision; on a slack block this signals an upstream partition
+    error."""
 
 
 class NoInteriorPoint(HoffboundError):

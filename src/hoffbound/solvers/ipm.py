@@ -1,4 +1,4 @@
-"""Dense predictor-corrector interior-point method for convex QPs.
+"""Dense predictor-corrector interior-point method for the pipeline's LPs.
 
 Solves
 
@@ -16,10 +16,10 @@ The factorization is reused for the corrector solve, and one pass of
 iterative refinement against the unregularized matrix keeps the static
 regularization from contaminating the returned residuals.
 
-The problems this engine sees are dense: the min-norm QPs have at most a
-few hundred variables, and the partition LP of an m x n matrix has an
-augmented system of dimension 5m + 2n + 2 (2,082 at 400 x 40).  Every step
-runs one dense LU of the full augmented matrix.
+The engine takes a quadratic term P, but the pipeline hands it only LPs
+(P = 0): the partition LP, whose augmented system for an m x n matrix has
+dimension 5m + 2n + 2 (2,082 at 400 x 40), and the phase-one LP of the
+analytic center.  Every step runs one dense LU of the full augmented matrix.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ Four operations are exposed, each calling its engine directly:
   splits the rows of A into the tight set B and the slack set N, solved by
   the interior-point method of ``ipm.py``.
 * ``solve_min_norm_qp``: minimum-Euclidean-norm point of ``{z : G z >= 1}``
-  by the same interior-point method, with exact feasibility after
-  restoration and a certified duality gap.
+  by one nonnegative least-squares fit (Lawson & Hanson's least-distance
+  program), with exact feasibility after restoration and a certified
+  duality gap.
 * ``solve_analytic_center``: log-barrier center of ``{y > 0 : A_B' y = 0,
   sum(y) = 1}`` by damped Newton on the affine slice.
 * ``project_onto_cone``: Euclidean projection onto ``{x : A x <= 0}`` by one
@@ -39,8 +40,7 @@ __all__ = [
 ]
 
 _POS_FLOOR = 1e-12
-_INFEAS_RESIDUAL = 1e-6
-_PROJ_FEAS_TOL = 1e-10
+_FIT_TOL = 1e-10
 
 
 def _barrier_newton(
@@ -304,6 +304,31 @@ def solve_partition_lp(
     )
 
 
+def _nnls(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Nonnegative least-squares fit ``argmin_{x >= 0} ||M x - b||``.
+
+    On rank-deficient column sets scipy's ``nnls`` can end at a
+    non-stationary x without an error, so a fit with ``max(M'(b - M x)) >
+    _FIT_TOL`` is redone once by bounded-variable least squares.
+
+    Raises
+    ------
+    SolverStall
+        If ``nnls`` reaches its iteration cap, or both fits end
+        non-stationary.
+    """
+    try:
+        x, _ = scipy.optimize.nnls(M, b)
+    except RuntimeError as exc:
+        raise SolverStall(f"NNLS fit did not converge: {exc}") from exc
+    if float((M.T @ (b - M @ x)).max()) > _FIT_TOL:
+        fit = scipy.optimize.lsq_linear(M, b, bounds=(0.0, np.inf), method="bvls")
+        x = np.maximum(fit.x, 0.0)
+        if float((M.T @ (b - M @ x)).max()) > _FIT_TOL:
+            raise SolverStall("NNLS fit ended non-stationary after a BVLS refit")
+    return x
+
+
 @dataclass(frozen=True)
 class MinNormSolution:
     """Feasible near-minimal-norm point of ``{z : G z >= 1}``.
@@ -318,7 +343,6 @@ class MinNormSolution:
     min_margin: float
     dual_lower: float
     residuals: dict[str, float]
-    iterations: int
 
 
 def _restore_feasibility(G: np.ndarray, z: np.ndarray) -> np.ndarray | None:
@@ -340,8 +364,13 @@ def _restore_feasibility(G: np.ndarray, z: np.ndarray) -> np.ndarray | None:
 def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNormSolution:
     """Minimum-norm point of the polyhedron ``{z : G z >= 1}``.
 
-    The interior-point solution is polished by solving the active-set
-    equality system with a minimum-norm least-squares step, then rescaled so
+    This is a least-distance program, solved as in Lawson & Hanson (1974,
+    ch. 23) by one nonnegative least-squares fit ``min_{u >= 0} ||M u - e||``
+    with ``M = [G'; 1']`` and ``e`` the last unit vector: the residual
+    ``r = M u - e`` gives the point ``r[:d] / -r[d]``, and ``u``, scaled,
+    the multipliers.  The fit fixes the point only to about
+    eps (1 + ||z||^2), so it is polished by the minimum-norm solution of the
+    equality system on the fit's passive rows (``u > 0``), then rescaled so
     feasibility holds exactly.  Polishing makes the returned point a
     deterministic function of the active set, which keeps the result stable
     under row permutations and matrix rescalings.
@@ -349,9 +378,10 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
     Raises
     ------
     InfeasibleQP
-        If no feasible point is found (large primal residual at the cap).
+        If the system is infeasible, or its minimum-norm point is beyond
+        double precision.
     SolverStall
-        If the iteration stalls while the problem still looks feasible.
+        If the fit does not converge or the certified gap is too large.
     """
     cfg = cfg or SolverConfig()
     G = np.asarray(G, dtype=float)
@@ -362,73 +392,49 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
         raise InfeasibleQP("empty constraint system cannot reach margin 1")
 
     # Solve in units where the largest row has norm 1.  The solution maps
-    # back by one scalar division, so the iteration (and in particular the
-    # active-set identification below) behaves identically for G and alpha G.
+    # back by one scalar division, so the fit (and in particular the active
+    # set used by the polish) behaves identically for G and alpha G.
     s = float(row_norms(G).max())
     if s <= 1e-300:
         raise InfeasibleQP("a zero matrix cannot reach margin 1")
     Gw = G / s
 
-    nv = d + k
-    P = np.zeros((nv, nv))
-    P[np.arange(d), np.arange(d)] = 2.0
-    c = np.zeros(nv)
-    E = np.concatenate([Gw, -np.eye(k)], axis=1)
-    f = np.ones(k)
-    cone = np.zeros(nv, dtype=bool)
-    cone[d:] = True
-
-    res = solve_qp_ipm(
-        P,
-        c,
-        E,
-        f,
-        cone,
-        feas_tol=cfg.feas_tol,
-        opt_tol=cfg.opt_tol,
-        max_iters=cfg.max_iters,
-    )
-
-    z_raw = res.v[:d] / s
-    restored = _restore_feasibility(G, z_raw)
-    if restored is None:
-        if res.primal_res > _INFEAS_RESIDUAL:
-            raise InfeasibleQP(
-                "no point with G z >= 1 was found; the system looks infeasible"
-            )
-        raise SolverStall("minimum-norm QP stalled before reaching feasibility")
-    if res.status != "converged":
-        raise SolverStall(
-            f"minimum-norm QP did not converge ({res.status}, "
-            f"{res.iterations} iterations)"
+    M = np.concatenate([Gw.T, np.ones((1, k))], axis=0)
+    e = np.zeros(d + 1)
+    e[d] = 1.0
+    u = _nnls(M, e)
+    r = M @ u - e
+    rho = -float(r[d])
+    z_best = _restore_feasibility(G, r[:d] / (rho * s)) if rho > 0.0 else None
+    if z_best is None:
+        raise InfeasibleQP(
+            "no point with G z >= 1 was found: the system is infeasible, or "
+            "its minimum-norm point is beyond double precision"
         )
-    z_best = restored
 
-    # Polish: rows at margin define an equality system whose minimum-norm
-    # solution is the exact optimum when the active set is identified.  The
-    # detection runs in the normalized units so it is scale-free.
-    margins = Gw @ res.v[:d] - 1.0
-    act_tol = 1e-6 * (1.0 + float(np.abs(margins).max(initial=0.0)))
-    active = margins <= act_tol
+    # Polish: the passive rows define an equality system whose minimum-norm
+    # solution is the exact optimum when the active set is identified.
+    active = u > 0.0
     if np.any(active):
         z_pol, *_ = np.linalg.lstsq(Gw[active], np.ones(int(active.sum())), rcond=None)
         z_pol = _restore_feasibility(G, z_pol / s)
         if z_pol is not None and euclidean_norm(z_pol) < euclidean_norm(z_best):
             z_best = z_pol
 
-    lam = np.maximum(res.lam / s**2, 0.0)
-    dual_lower = float(lam.sum()) - 0.25 * float(np.sum((G.T @ lam) ** 2))
+    # Weak duality: every lam >= 0 gives ||z||^2 >= 1'lam - ||G'lam||^2 / 4.
+    # Along lam = t u the best t gives (1'u)^2 / ||G'u||^2, which needs no
+    # rho (rho = 1 - 1'u cancels as ||z|| grows).  At the optimum the bound
+    # meets ||z||^2, so its rounding error is taken off: gamma bounds the
+    # relative error of each sum and product in it.
+    gamma = (k + d + 2) * np.finfo(float).eps
+    den = euclidean_norm(G.T @ u) + gamma * euclidean_norm(np.abs(G).T @ u)
+    dual_lower = (1.0 - gamma) * (float(u.sum()) / den) ** 2
 
     norm = euclidean_norm(z_best)
     min_margin = float((G @ z_best).min())
     gap = norm**2 - dual_lower
-    residuals = {
-        "min_margin": min_margin,
-        "optimality_gap": gap,
-        "primal_rel": res.primal_res,
-        "dual_rel": res.dual_res,
-    }
-    if gap > 50.0 * max(1, k) * cfg.opt_tol * (1.0 + norm**2):
+    residuals = {"min_margin": min_margin, "optimality_gap": gap}
+    if gap > cfg.opt_tol * (1.0 + norm**2):
         raise SolverStall(
             f"certified optimality gap {gap:.3e} is too large for the "
             "requested tolerance"
@@ -439,7 +445,6 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
         min_margin=min_margin,
         dual_lower=dual_lower,
         residuals=residuals,
-        iterations=res.iterations,
     )
 
 
@@ -559,27 +564,12 @@ def project_onto_cone(instance: ProblemInstance, u: np.ndarray) -> ProjectionRes
                                 distance_lower=0.0, feas_violation=0.0)
     Aw = instance.A[keep] / norms[keep, None]
     u_hat = u / unorm
-    try:
-        mu, _ = scipy.optimize.nnls(Aw.T, u_hat)
-    except RuntimeError as exc:
-        raise SolverStall(f"projection NNLS did not converge: {exc}") from exc
+    mu = _nnls(Aw.T, u_hat)
 
     # Subtracting the rescaled polar part (rather than rescaling u_hat) keeps
     # an interior point exactly where it is: mu = 0 there.
     polar = Aw.T @ mu
     x = u - polar * unorm
-    if float((Aw @ x).max()) > _PROJ_FEAS_TOL * unorm:
-        # On rank-deficient row sets (low-rank A, or u within rounding of the
-        # boundary) nnls can end at a non-stationary mu without an error;
-        # a bounded-variable least-squares refit recovers those.
-        fit = scipy.optimize.lsq_linear(
-            Aw.T, u_hat, bounds=(0.0, np.inf), method="bvls"
-        )
-        mu = np.maximum(fit.x, 0.0)
-        polar = Aw.T @ mu
-        x = u - polar * unorm
-        if float((Aw @ x).max()) > _PROJ_FEAS_TOL * unorm:
-            raise SolverStall("projection fit returned a point outside the cone")
 
     # Any mu >= 0 certifies dist^2 >= 2 mu'(Aw u) - ||Aw' mu||^2.
     lb_sq = 2.0 * float(mu @ (Aw @ u_hat)) - float(polar @ polar)

@@ -54,6 +54,11 @@ def planted_mixed_matrix(seed: int, m: int, n: int) -> np.ndarray:
     A unit direction d lies in the cone.  Pairs of rows +r, -r with r
     orthogonal to d are tight; every other row has a'd < 0 and is slack.
     """
+    return planted_mixed_split(seed, m, n)[0]
+
+
+def planted_mixed_split(seed: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``planted_mixed_matrix`` together with the boolean mask of its slack rows."""
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(n)
     d /= np.linalg.norm(d)
@@ -62,7 +67,8 @@ def planted_mixed_matrix(seed: int, m: int, n: int) -> np.ndarray:
     R = rng.standard_normal((pairs, n)) @ perp
     G = rng.standard_normal((m - 2 * pairs, n)) @ perp
     slack = G - rng.uniform(0.2, 1.0, size=(G.shape[0], 1)) * d[None, :]
-    return np.vstack([R, -R, slack])[rng.permutation(m)]
+    order = rng.permutation(m)
+    return np.vstack([R, -R, slack])[order], order >= 2 * pairs
 
 
 def instance(A) -> ProblemInstance:

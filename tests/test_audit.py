@@ -9,7 +9,7 @@ import pytest
 import hoffbound.audit
 from hoffbound import audit_report, bound_h0
 
-from helpers import gaussian_matrix, instance
+from helpers import gaussian_matrix, instance, planted_mixed_matrix
 
 C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 
@@ -103,3 +103,10 @@ def test_audit_metrics_expose_branch_quantities():
     assert res4.metrics  # general branch records every component check
     assert res4.metrics["case_b_sigma"] == rep4.case_b.sigma
     assert res4.metrics["case_b_rank_gap"] > 1.0
+    # the tight rows of C4 have rank 1 exactly, so nothing is left below s_1
+    assert res4.metrics["stitch_rank_gap"] == np.inf
+    # planted +-r pairs: rank n - dim(Q), with rounding below it
+    inst8 = instance(planted_mixed_matrix(3, 30, 8))
+    res8 = audit_report(inst8, bound_h0(inst8))
+    assert res8.ok
+    assert 1e12 < res8.metrics["stitch_rank_gap"] < np.inf

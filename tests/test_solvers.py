@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoffbound import (
+    HoffboundError,
     InfeasibleQP,
     NoInteriorPoint,
     ProblemInstance,
@@ -18,7 +19,13 @@ from hoffbound import (
 )
 from hoffbound.solvers.ipm import solve_qp_ipm
 
-from helpers import degenerate_matrix, gaussian_matrix, instance, planted_mixed_matrix
+from helpers import (
+    degenerate_matrix,
+    gaussian_matrix,
+    instance,
+    planted_mixed_matrix,
+    planted_mixed_split,
+)
 
 
 # --- configuration ---------------------------------------------------------
@@ -102,6 +109,24 @@ def test_min_norm_qp_feasible_margins():
     G = rng.standard_normal((4, 6))
     sol = solve_min_norm_qp(G)
     assert np.min(G @ sol.z) >= 1.0 - 1e-9
+
+
+def test_min_norm_qp_polish_reaches_closed_form():
+    # both rows are active at z* = (1, 2e4); the raw least-distance fit fixes
+    # z only to about eps ||z||^2, so this needs the passive-set polish
+    sol = solve_min_norm_qp(np.array([[1.0, 0.0], [-1.0, 1e-4]]))
+    assert np.allclose(sol.z, [1.0, 2e4], rtol=1e-12, atol=0.0)
+    assert sol.norm == pytest.approx(np.hypot(1.0, 2e4), rel=1e-12)
+
+
+def test_min_norm_qp_dual_bound_holds_in_floating_point():
+    # the fit's multipliers meet the optimum, so without its rounding
+    # allowance the dual bound lands above ||z||^2 on 5 of these 50
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        sol = solve_min_norm_qp(rng.standard_normal((int(rng.integers(1, 6)), 5)))
+        gap = sol.norm ** 2 - sol.dual_lower
+        assert 0.0 <= gap <= 1e-12 * (1.0 + sol.norm ** 2)
 
 
 def test_min_norm_qp_infeasible_inputs():
@@ -203,18 +228,26 @@ def test_projection_feasibility_and_lower_bound():
         assert res.distance_lower <= res.distance + 1e-12
 
 
-def test_projection_rejects_a_fit_outside_the_cone(monkeypatch):
+@pytest.mark.parametrize("solve, expected", [
+    (lambda: project_onto_cone(instance(np.eye(2)), np.array([1.0, 1.0])).point,
+     [0.0, 0.0]),
+    (lambda: solve_min_norm_qp(np.array([[3.0, 4.0]])).z, [0.12, 0.16]),
+], ids=["projection", "min_norm"])
+def test_projection_rejects_a_fit_outside_the_cone(monkeypatch, solve, expected):
     import types
 
     import scipy.optimize
 
-    # fits that stop at mu = 0 leave the violating u where it is
+    # an nnls fit that stops at zero is not stationary (the projection leaves
+    # the violating u where it is); the BVLS refit recovers the answer, and
+    # the call stalls only when the refit fails too
     monkeypatch.setattr(scipy.optimize, "nnls",
                         lambda A, b, **kwargs: (np.zeros(A.shape[1]), 1.0))
+    assert np.allclose(solve(), expected, rtol=0.0, atol=1e-12)
     monkeypatch.setattr(scipy.optimize, "lsq_linear",
                         lambda A, b, **kwargs: types.SimpleNamespace(x=np.zeros(A.shape[1])))
     with pytest.raises(SolverStall):
-        project_onto_cone(instance(np.eye(2)), np.array([1.0, 1.0]))
+        solve()
 
 
 @pytest.mark.parametrize("seed", [196, 551, 671, 1696])
@@ -256,6 +289,32 @@ def test_projection_with_rows_scaled_over_sixteen_decades(seed, n, m, u_seed):
     rng = np.random.default_rng(seed)
     scales = 10.0 ** rng.uniform(-8.0, 8.0, size=(m, 1))
     _check_projection(rng.standard_normal((m, n)) * scales, u_seed)
+
+
+def _check_min_norm(G):
+    # either a certified point or a typed error, never another exception
+    try:
+        sol = solve_min_norm_qp(G)
+    except HoffboundError:
+        return
+    assert float((G @ sol.z).min()) >= 1.0
+    gap = sol.norm ** 2 - sol.dual_lower
+    assert 0.0 <= gap <= 1e-8 * (1.0 + sol.norm ** 2)
+
+
+@_PROJECTION_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), m=st.integers(1, 30))
+def test_min_norm_qp_with_rows_scaled_over_sixteen_decades(seed, n, m):
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-8.0, 8.0, size=(m, 1))
+    _check_min_norm(rng.standard_normal((m, n)) * scales)
+
+
+@_PROJECTION_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), m=st.integers(5, 400))
+def test_min_norm_qp_on_planted_slack_blocks(seed, n, m):
+    A, slack = planted_mixed_split(seed, m, n)
+    _check_min_norm(A[slack])
 
 
 # --- partition linear program ---------------------------------------------------
