@@ -41,7 +41,6 @@ from .numerics import (
     DegenerateRow,
     NullBasis,
     NumericalFailure,
-    RowScaling,
     orthonormal_null_basis,
     row_normalize,
     smallest_positive_singular_value,
@@ -100,7 +99,6 @@ __all__ = [
     "PartitionLPSolution",
     "ProblemInstance",
     "ProjectionResult",
-    "RowScaling",
     "RunConfig",
     "SolverConfig",
     "SolverStall",

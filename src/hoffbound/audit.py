@@ -2,8 +2,8 @@
 
 Everything here is deliberately primitive: index bookkeeping, matrix-vector
 products, norms, one singular value decomposition, and sign tests on the
-stored witnesses.  No optimization code is imported, so a report is
-validated by arithmetic that shares nothing with the code that built it.
+stored witnesses.  No solver is called, so a report is validated by
+arithmetic that shares nothing with the code that built it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 from .bounds import BoundReport
 from .core import ProblemInstance, euclidean_norm, relative_scale
 from .numerics import DEFAULT_RANK_TOL, row_norms
+from .partition import verify_partition
 
 __all__ = ["AuditResult", "audit_report"]
 
@@ -56,15 +57,17 @@ def _sigma_and_rank_gap(
 def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     """Recheck every certificate a bound report relies on.
 
-    Checks, per branch: the partition covers the row indices exactly once;
-    the slack-block witness satisfies A_N x_bar >= 1 and its norm equals the
-    reported value; the tight-block witness is strictly positive, sums to 1,
-    and annihilates A_B' to within ``CENTER_TOL`` times the block scale;
-    ``sigma`` exceeds the smallest singular value of A_B' diag(y_bar) above
-    the default rank threshold by at most ``SIGMA_RTOL`` relative (a looser
-    ``rank_tol`` that drops a singular value fails here); the stitching
-    witness has unit margin through the recomputed row scaling and an
-    orthonormal basis; and the total equals the branch arithmetic bit for bit.
+    Checks, per branch: the partition certificate passes
+    ``verify_partition`` (exact cover of the row indices, and the witnesses
+    x_hat and y_hat); the slack-block witness satisfies A_N x_bar >= 1 and
+    its norm equals the reported value; the tight-block witness is strictly
+    positive, sums to 1, and annihilates A_B' to within ``CENTER_TOL`` times
+    the block scale; ``sigma`` exceeds the smallest singular value of
+    A_B' diag(y_bar) above the default rank threshold by at most
+    ``SIGMA_RTOL`` relative (a looser ``rank_tol`` that drops a singular value
+    fails here); the stitching witness has unit margin through the recomputed
+    row scaling and an orthonormal basis; and the total equals the branch
+    arithmetic bit for bit.
     """
     A = instance.A
     failures: list[str] = []
@@ -84,8 +87,9 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
             failures=("non-zero branch is missing its partition certificate",),
             metrics=metrics,
         )
-    if sorted(cert.B + cert.N) != list(range(instance.m)):
-        failures.append("B and N do not partition the row indices")
+    check = verify_partition(instance, cert)
+    failures.extend(check.failures)
+    metrics.update(check.metrics)
 
     A_B = A[list(cert.B)]
     A_N = A[list(cert.N)]

@@ -34,7 +34,6 @@ import numpy as np
 from .core import ProblemInstance, euclidean_norm
 from .numerics import (
     DEFAULT_RANK_TOL,
-    NullBasis,
     NumericalFailure,
     orthonormal_null_basis,
     row_normalize,
@@ -66,7 +65,6 @@ class CaseNBound:
     value: float
     x_bar: np.ndarray
     min_margin: float
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.x_bar.setflags(write=False)
@@ -84,7 +82,6 @@ class CaseBBound:
     value: float
     y_bar: np.ndarray
     sigma: float | None
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.y_bar.setflags(write=False)
@@ -103,7 +100,6 @@ class StitchBound:
     z_bar: np.ndarray
     Q: np.ndarray
     min_margin: float
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.z_bar.setflags(write=False)
@@ -152,15 +148,7 @@ def bound_case_n(A_N: np.ndarray, cfg: SolverConfig | None = None) -> CaseNBound
     cfg = cfg or SolverConfig()
     A_N = np.asarray(A_N, dtype=float)
     sol = solve_min_norm_qp(A_N, cfg)
-    return CaseNBound(
-        value=sol.norm,
-        x_bar=sol.z.copy(),
-        min_margin=sol.min_margin,
-        diagnostics={
-            "dual_lower": sol.dual_lower,
-            "optimality_gap": sol.residuals["optimality_gap"],
-        },
-    )
+    return CaseNBound(value=sol.norm, x_bar=sol.z.copy(), min_margin=sol.min_margin)
 
 
 def bound_case_b(
@@ -182,12 +170,7 @@ def bound_case_b(
     if p == 0:
         raise ValueError("the tight set must be nonempty")
     if float(np.abs(A_B).max(initial=0.0)) == 0.0:
-        return CaseBBound(
-            value=0.0,
-            y_bar=np.full(p, 1.0 / p),
-            sigma=None,
-            diagnostics={"note": "zero tight block; bound is 0 by convention"},
-        )
+        return CaseBBound(value=0.0, y_bar=np.full(p, 1.0 / p), sigma=None)
 
     ac = solve_analytic_center(A_B, cfg, y_start=y_start)
     weighted = A_B.T * ac.y[None, :]
@@ -197,17 +180,7 @@ def bound_case_b(
             "weighted tight block has no positive singular value above the "
             "rank tolerance; the center is too unbalanced to certify"
         )
-    return CaseBBound(
-        value=2.0 / sigma,
-        y_bar=ac.y.copy(),
-        sigma=sigma,
-        diagnostics={
-            "grad_norm": ac.grad_norm,
-            "center_eq_inf": ac.residuals["eq_inf"],
-            "min_component": ac.residuals["min_component"],
-            "iterations": ac.iterations,
-        },
-    )
+    return CaseBBound(value=2.0 / sigma, y_bar=ac.y.copy(), sigma=sigma)
 
 
 def bound_stitch(
@@ -215,7 +188,6 @@ def bound_stitch(
     A_N: np.ndarray,
     cfg: SolverConfig | None = None,
     rank_tol: float = DEFAULT_RANK_TOL,
-    null_basis: NullBasis | None = None,
 ) -> StitchBound:
     """Certified restriction factor tying the block bounds together.
 
@@ -223,7 +195,7 @@ def bound_stitch(
     deep point z_bar with D A_N Q z_bar >= 1 is computed; 1 + 2 ||z_bar||
     bounds how much distances can grow when passing from the subspace to the
     cone cut out of it.  The factor is invariant to the choice of
-    orthonormal basis Q, which ``null_basis`` lets callers pin down.
+    orthonormal basis Q.
     """
     cfg = cfg or SolverConfig()
     A_B = np.asarray(A_B, dtype=float)
@@ -231,23 +203,13 @@ def bound_stitch(
     if A_N.shape[0] == 0:
         raise ValueError("the slack set must be nonempty")
 
-    basis = null_basis if null_basis is not None else orthonormal_null_basis(
-        A_B, rank_tol
-    )
-    scaling = row_normalize(A_N)
-    M = scaling.normalized_rows @ basis.Q
-    sol = solve_min_norm_qp(M, cfg)
+    Q = orthonormal_null_basis(A_B, rank_tol).Q
+    sol = solve_min_norm_qp(row_normalize(A_N) @ Q, cfg)
     return StitchBound(
         value=1.0 + 2.0 * sol.norm,
         z_bar=sol.z.copy(),
-        Q=np.array(basis.Q),
+        Q=np.array(Q),
         min_margin=sol.min_margin,
-        diagnostics={
-            "null_dim": int(basis.Q.shape[1]),
-            "basis_residual": basis.residual,
-            "dual_lower": sol.dual_lower,
-            "optimality_gap": sol.residuals["optimality_gap"],
-        },
     )
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "DegenerateRow",
     "NullBasis",
     "NumericalFailure",
-    "RowScaling",
     "orthonormal_null_basis",
     "row_norms",
     "row_normalize",
@@ -47,35 +46,19 @@ class DegenerateRow(HoffboundError):
 class NullBasis:
     """Orthonormal basis ``Q`` of the numerical null space of a matrix.
 
-    ``Q`` has shape ``(n, k)`` with ``Q^T Q = I``; ``residual`` is the largest
-    entry of ``|A Q|``, certifying how well the columns annihilate ``A``.
+    ``Q`` has shape ``(n, k)`` with ``Q^T Q = I``.
     """
 
     Q: np.ndarray
-    k: int
-    residual: float
 
     def __post_init__(self) -> None:
-        if self.Q.shape[1] != self.k:
-            raise ValueError("declared null dimension does not match basis shape")
-        if self.k > 0:
-            gram_err = np.abs(self.Q.T @ self.Q - np.eye(self.k)).max()
+        k = self.Q.shape[1]
+        if k > 0:
+            gram_err = np.abs(self.Q.T @ self.Q - np.eye(k)).max()
             if gram_err > 1e-10:
                 raise NumericalFailure(
                     f"null basis lost orthonormality (gram error {gram_err:.3e})"
                 )
-
-
-@dataclass(frozen=True)
-class RowScaling:
-    """Positive diagonal ``D`` making every row of ``D @ A`` unit Euclidean."""
-
-    D: np.ndarray
-    normalized_rows: np.ndarray
-
-    def __post_init__(self) -> None:
-        if (self.D <= 0).any():
-            raise ValueError("row scaling must be strictly positive")
 
 
 def _svd(M: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -100,18 +83,16 @@ def orthonormal_null_basis(A_B: npt.ArrayLike, rank_tol: float = DEFAULT_RANK_TO
         raise ValueError("expected a 2-d matrix")
     rows, n = A_B.shape
     if rows == 0:
-        return NullBasis(Q=np.eye(n), k=n, residual=0.0)
+        return NullBasis(Q=np.eye(n))
 
     fro = float(np.linalg.norm(A_B))
     _, s, Vh = _svd(A_B, full_matrices=True)
     sigma_max = float(s[0]) if s.size else 0.0
     if sigma_max <= rank_tol * relative_scale(fro):
-        return NullBasis(Q=np.eye(n), k=n, residual=float(np.abs(A_B).max(initial=0.0)))
+        return NullBasis(Q=np.eye(n))
 
     rank = int(np.count_nonzero(s > rank_tol * sigma_max))
-    Q = np.ascontiguousarray(Vh[rank:].T)
-    residual = float(np.abs(A_B @ Q).max()) if Q.shape[1] else 0.0
-    return NullBasis(Q=Q, k=n - rank, residual=residual)
+    return NullBasis(Q=np.ascontiguousarray(Vh[rank:].T))
 
 
 def smallest_positive_singular_value(
@@ -142,8 +123,9 @@ def row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(X * X, axis=1))
 
 
-def row_normalize(A_N: npt.ArrayLike) -> RowScaling:
-    """Scale each row to unit Euclidean norm; ``D_ii = 1 / ||row_i||_2``.
+def row_normalize(A_N: npt.ArrayLike) -> np.ndarray:
+    """Rows of ``A_N`` scaled to unit Euclidean norm, ``D A_N`` with
+    ``D_ii = 1 / ||row_i||_2``.
 
     Raises ``DegenerateRow`` if any row is numerically zero, which signals a
     broken partition upstream (strict rows are never zero).
@@ -155,5 +137,4 @@ def row_normalize(A_N: npt.ArrayLike) -> RowScaling:
     if (norms <= 1e-300).any():
         bad = int(np.argmin(norms))
         raise DegenerateRow(f"row {bad} has zero norm and cannot be normalized")
-    D = 1.0 / norms
-    return RowScaling(D=D, normalized_rows=A_N * D[:, None])
+    return A_N * (1.0 / norms)[:, None]

@@ -16,10 +16,11 @@ The factorization is reused for the corrector solve, and one pass of
 iterative refinement against the unregularized matrix keeps the static
 regularization from contaminating the returned residuals.
 
-The engine takes a quadratic term P, but the pipeline hands it only LPs
-(P = 0): the partition LP, whose augmented system for an m x n matrix has
-dimension 5m + 2n + 2 (2,082 at 400 x 40), and the phase-one LP of the
-analytic center.  Every step runs one dense LU of the full augmented matrix.
+The engine takes a quadratic term P, but its one caller is the partition LP
+(P = 0), whose augmented system for an m x n matrix has dimension
+5m + 2n + 2 (2,082 at 400 x 40); the analytic center reaches it only through
+that LP, as its phase one.  Every step runs one dense LU of the full
+augmented matrix.
 """
 
 from __future__ import annotations
@@ -43,14 +44,8 @@ class IPMResult:
     """Final iterate of one interior-point solve."""
 
     v: np.ndarray
-    lam: np.ndarray
-    z: np.ndarray
     iterations: int
-    mu: float
-    primal_res: float
-    dual_res: float
     status: str
-    message: str
 
 
 def _starting_point(
@@ -69,21 +64,20 @@ def _starting_point(
 
     vc = v[cone]
     zc = z[cone]
-    if vc.size:
-        dp = max(-1.5 * float(vc.min()), 0.0)
-        dd = max(-1.5 * float(zc.min()), 0.0)
-        vc = vc + dp
-        zc = zc + dd
-        dot = float(vc @ zc)
-        sz = float(zc.sum())
-        sv = float(vc.sum())
-        vc = vc + (0.5 * dot / sz if sz > _DIV_FLOOR else 1.0)
-        zc = zc + (0.5 * dot / sv if sv > _DIV_FLOOR else 1.0)
-        vc = np.maximum(vc, 1e-1)
-        zc = np.maximum(zc, 1e-1)
-        v = v.copy()
-        v[cone] = vc
-        z[cone] = zc
+    dp = max(-1.5 * float(vc.min()), 0.0)
+    dd = max(-1.5 * float(zc.min()), 0.0)
+    vc = vc + dp
+    zc = zc + dd
+    dot = float(vc @ zc)
+    sz = float(zc.sum())
+    sv = float(vc.sum())
+    vc = vc + (0.5 * dot / sz if sz > _DIV_FLOOR else 1.0)
+    zc = zc + (0.5 * dot / sv if sv > _DIV_FLOOR else 1.0)
+    vc = np.maximum(vc, 1e-1)
+    zc = np.maximum(zc, 1e-1)
+    v = v.copy()
+    v[cone] = vc
+    z[cone] = zc
     return v, lam, z
 
 
@@ -118,7 +112,8 @@ def solve_qp_ipm(
     f : ndarray of shape (M,)
         Equality right-hand side.
     cone : boolean ndarray of shape (N,)
-        Mask of componentwise-nonnegative variables; the rest are free.
+        Mask of componentwise-nonnegative variables, at least one; the rest
+        are free.
     feas_tol, opt_tol : float
         Relative primal/dual feasibility and complementarity targets.
     max_iters : int
@@ -127,7 +122,7 @@ def solve_qp_ipm(
     Returns
     -------
     IPMResult
-        Best iterate found, with status ``"converged"`` or ``"stalled"``.
+        Final iterate, with status ``"converged"`` or ``"stalled"``.
     """
     N = c.shape[0]
     M = f.shape[0]
@@ -135,6 +130,8 @@ def solve_qp_ipm(
         raise ValueError(f"E has shape {E.shape}, expected {(M, N)}")
     cone = np.asarray(cone, dtype=bool)
     k = int(cone.sum())
+    if k == 0:
+        raise ValueError("the cone mask must select at least one variable")
 
     v, lam, z = _starting_point(P, c, E, f, cone)
 
@@ -146,7 +143,6 @@ def solve_qp_ipm(
     )
     f_scale = 1.0 + float(np.abs(f).max(initial=0.0))
 
-    best: IPMResult | None = None
     best_merit = np.inf
     stall_counter = 0
 
@@ -158,7 +154,7 @@ def solve_qp_ipm(
         Pv = P @ v
         r_d = Pv + c - E.T @ lam - z
         r_p = f - E @ v
-        mu = float(v[cone] @ z[cone]) / k if k else 0.0
+        mu = float(v[cone] @ z[cone]) / k
 
         obj = 0.5 * float(v @ Pv) + float(c @ v)
         rel_p = float(np.abs(r_p).max(initial=0.0)) / f_scale
@@ -172,32 +168,11 @@ def solve_qp_ipm(
             if merit < best_merit * _STALL_FACTOR:
                 stall_counter = 0
             best_merit = merit
-            best = IPMResult(
-                v=v.copy(),
-                lam=lam.copy(),
-                z=z.copy(),
-                iterations=it,
-                mu=mu,
-                primal_res=rel_p,
-                dual_res=rel_d,
-                status="running",
-                message="",
-            )
         else:
             stall_counter += 1
 
         if rel_p <= feas_tol and rel_d <= feas_tol and gap <= opt_tol:
-            return IPMResult(
-                v=v,
-                lam=lam,
-                z=z,
-                iterations=it,
-                mu=mu,
-                primal_res=rel_p,
-                dual_res=rel_d,
-                status="converged",
-                message="tolerances met",
-            )
+            return IPMResult(v=v, iterations=it, status="converged")
         if stall_counter >= _STALL_WINDOW:
             break
 
@@ -233,43 +208,31 @@ def solve_qp_ipm(
             v[cone], _DIV_FLOOR
         )
 
-        if k:
-            a_p = _max_step(v[cone], dv_aff[cone])
-            a_d = _max_step(z[cone], dz_aff[cone])
-            mu_aff = float(
-                (v[cone] + a_p * dv_aff[cone]) @ (z[cone] + a_d * dz_aff[cone])
-            ) / k
-            sigma = (mu_aff / mu) ** 3 if mu > 0.0 else 0.0
-            sigma = min(max(sigma, 0.0), 1.0)
-        else:
-            sigma = 0.0
+        a_p = _max_step(v[cone], dv_aff[cone])
+        a_d = _max_step(z[cone], dz_aff[cone])
+        mu_aff = float(
+            (v[cone] + a_p * dv_aff[cone]) @ (z[cone] + a_d * dz_aff[cone])
+        ) / k
+        sigma = (mu_aff / mu) ** 3 if mu > 0.0 else 0.0
+        sigma = min(max(sigma, 0.0), 1.0)
 
         # Corrector: recenter and cancel the second-order term.
         rc = np.zeros(N)
-        if k:
-            rc[cone] = sigma * mu - v[cone] * z[cone] - dv_aff[cone] * dz_aff[cone]
+        rc[cone] = sigma * mu - v[cone] * z[cone] - dv_aff[cone] * dz_aff[cone]
         rhs_d = -r_d + rc / np.where(cone, np.maximum(v, _DIV_FLOOR), 1.0)
         dv, y = solve_kkt(rhs_d, r_p)
         dlam = -y
         dz = np.zeros(N)
         dz[cone] = (rc[cone] - z[cone] * dv[cone]) / np.maximum(v[cone], _DIV_FLOOR)
 
-        if k:
-            eta = min(0.9995, max(0.995, 1.0 - 10.0 * mu))
-            a_p = min(1.0, eta * _max_step(v[cone], dv[cone]))
-            a_d = min(1.0, eta * _max_step(z[cone], dz[cone]))
-        else:
-            a_p = a_d = 1.0
+        eta = min(0.9995, max(0.995, 1.0 - 10.0 * mu))
+        a_p = min(1.0, eta * _max_step(v[cone], dv[cone]))
+        a_d = min(1.0, eta * _max_step(z[cone], dz[cone]))
 
         v = v + a_p * dv
         lam = lam + a_d * dlam
         z = z + a_d * dz
-        if k:
-            v[cone] = np.maximum(v[cone], _DIV_FLOOR)
-            z[cone] = np.maximum(z[cone], _DIV_FLOOR)
+        v[cone] = np.maximum(v[cone], _DIV_FLOOR)
+        z[cone] = np.maximum(z[cone], _DIV_FLOOR)
 
-    if best is None:  # pragma: no cover - first iterate always recorded
-        raise NumericalFailure("interior-point iteration produced no iterate")
-    best.status = "stalled"
-    best.message = f"no convergence within {max_iters} iterations"
-    return best
+    return IPMResult(v=v, iterations=it, status="stalled")

@@ -10,7 +10,8 @@ Four operations are exposed, each calling its engine directly:
   program), with exact feasibility after restoration and a certified
   duality gap.
 * ``solve_analytic_center``: log-barrier center of ``{y > 0 : A_B' y = 0,
-  sum(y) = 1}`` by damped Newton on the affine slice.
+  sum(y) = 1}`` by damped Newton on the affine slice, started from a hint, the
+  slice's minimum-norm point, or the partition LP of A_B.
 * ``project_onto_cone``: Euclidean projection onto ``{x : A x <= 0}`` by one
   nonnegative least-squares fit against the rows of A.
 """
@@ -44,14 +45,15 @@ _FIT_TOL = 1e-10
 
 
 def _barrier_newton(
-    E: np.ndarray, f: np.ndarray, v0: np.ndarray | None, cfg: SolverConfig
+    E: np.ndarray, v: np.ndarray, cfg: SolverConfig
 ) -> tuple[np.ndarray, float, int]:
-    """Damped Newton for min -sum log v_i over {E v = f, v > 0}.
+    """Damped Newton for min -sum log v_i over {E v' = E v, v' > 0}.
 
-    The iteration runs in the exact affine parametrization v = v0 + W q with
-    W an orthonormal null-space basis of E, so equality feasibility is
-    preserved to rounding error regardless of step length.  Returns the
-    center, the norm of the reduced gradient there, and the iteration count.
+    Starts from the strictly positive point ``v`` and runs in the exact
+    affine parametrization v + W q with W an orthonormal null-space basis of
+    E, so equality feasibility is preserved to rounding error regardless of
+    step length.  Returns the center, the norm of the reduced gradient
+    there, and the iteration count.
 
     Raises
     ------
@@ -59,7 +61,6 @@ def _barrier_newton(
         If the reduced gradient stays above ``opt_tol`` at the iteration cap
         or a line search finds no decrease.
     """
-    v = _positive_slice_point(E, f, v0, cfg)
     W = orthonormal_null_basis(E).Q
     if W.shape[1] == 0:
         return v, 0.0, 0
@@ -123,64 +124,49 @@ def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _positive_slice_point(
-    E: np.ndarray, f: np.ndarray, v0: np.ndarray | None, cfg: SolverConfig
+    A_B: np.ndarray,
+    E: np.ndarray,
+    f: np.ndarray,
+    y0: np.ndarray | None,
+    cfg: SolverConfig,
 ) -> np.ndarray:
-    """Strictly positive point on {E v = f}, or raise NoInteriorPoint.
+    """Strictly positive point on the slice {E y = f} = {A_B' y = 0, sum(y) = 1}.
 
-    The hint ``v0`` is projected onto the slice and tried first, then the
-    minimum-norm point of the slice, then a phase-one LP.
+    Tried in turn, each on the slice (projected there if need be) and held
+    to a positivity floor: the hint ``y0``, the minimum-norm point of the
+    slice, then the ``y`` of the partition LP of A_B.  That ``y`` is at least the
+    LP's margin t > 0 on every row exactly when the slice has a strictly
+    positive point (Stiemke's lemma).
+
+    Raises
+    ------
+    NoInteriorPoint
+        If no candidate clears the floor.
+    SolverStall
+        If the partition LP does not converge.
     """
-    p = E.shape[1]
+    e_max = max(1.0, float(np.abs(E).max(initial=0.0)))
 
-    candidates = []
-    if v0 is not None:
-        v0 = np.asarray(v0, dtype=float)
-        r = E @ v0 - f
-        corr, *_ = np.linalg.lstsq(E, r, rcond=None)
-        candidates.append(v0 - corr)
-    v_mn, *_ = np.linalg.lstsq(E, f, rcond=None)
-    candidates.append(v_mn)
+    def project(v: np.ndarray) -> np.ndarray:
+        corr, *_ = np.linalg.lstsq(E, E @ v - f, rcond=None)
+        return v - corr
 
-    for cand in candidates:
-        floor = _POS_FLOOR * max(1.0, float(np.abs(cand).max(initial=0.0)))
-        if cand.min(initial=np.inf) > floor and _on_slice(E, f, cand):
-            return cand
+    def positive(v: np.ndarray) -> bool:
+        v_max = max(1.0, float(np.abs(v).max(initial=0.0)))
+        on_slice = float(np.abs(E @ v - f).max(initial=0.0)) <= 1e-10 * e_max * v_max
+        return v.min(initial=np.inf) > _POS_FLOOR * v_max and on_slice
 
-    # Phase one: maximize the smallest component over the slice.
-    n_eq = E.shape[0]
-    nv = p + 1 + p
-    c = np.zeros(nv)
-    c[p] = -1.0
-    E1 = np.zeros((n_eq + p, nv))
-    E1[:n_eq, :p] = E
-    E1[n_eq:, :p] = np.eye(p)
-    E1[n_eq:, p] = -1.0
-    E1[n_eq:, p + 1 :] = -np.eye(p)
-    f1 = np.concatenate([f, np.zeros(p)])
-    cone = np.ones(nv, dtype=bool)
-    res = solve_qp_ipm(
-        np.zeros((nv, nv)),
-        c,
-        E1,
-        f1,
-        cone,
-        feas_tol=cfg.feas_tol,
-        opt_tol=cfg.opt_tol,
-        max_iters=cfg.max_iters,
-    )
-    t_val = float(res.v[p])
-    if res.status != "converged" or t_val <= 1e3 * _POS_FLOOR:
-        raise NoInteriorPoint(
-            "no strictly positive point on the equality slice was found"
-        )
-    return res.v[:p].copy()
-
-
-def _on_slice(E: np.ndarray, f: np.ndarray, v: np.ndarray) -> bool:
-    tol = 1e-10 * max(1.0, float(np.abs(E).max(initial=0.0))) * max(
-        1.0, float(np.abs(v).max(initial=0.0))
-    )
-    return float(np.abs(E @ v - f).max(initial=0.0)) <= tol
+    if y0 is not None:
+        v = project(np.asarray(y0, dtype=float))
+        if positive(v):
+            return v
+    v, *_ = np.linalg.lstsq(E, f, rcond=None)
+    if positive(v):
+        return v
+    v = project(solve_partition_lp(ProblemInstance.from_matrix(A_B), cfg).y)
+    if positive(v):
+        return v
+    raise NoInteriorPoint("no strictly positive point on the equality slice was found")
 
 
 @dataclass(frozen=True)
@@ -196,7 +182,6 @@ class PartitionLPSolution:
     s: np.ndarray
     t: float
     residuals: dict[str, float]
-    iterations: int
 
 
 def solve_partition_lp(
@@ -299,29 +284,27 @@ def solve_partition_lp(
             "partition LP residuals exceed the feasibility budget: "
             f"{residuals}"
         )
-    return PartitionLPSolution(
-        x=x, y=y, s=s, t=t, residuals=residuals, iterations=res.iterations
-    )
+    return PartitionLPSolution(x=x, y=y, s=s, t=t, residuals=residuals)
 
 
 def _nnls(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Nonnegative least-squares fit ``argmin_{x >= 0} ||M x - b||``.
 
     On rank-deficient column sets scipy's ``nnls`` can end at a
-    non-stationary x without an error, so a fit with ``max(M'(b - M x)) >
-    _FIT_TOL`` is redone once by bounded-variable least squares.
+    non-stationary x without an error, or stop at its iteration cap; either
+    way, a fit with ``max(M'(b - M x)) > _FIT_TOL`` is redone once by
+    bounded-variable least squares.
 
     Raises
     ------
     SolverStall
-        If ``nnls`` reaches its iteration cap, or both fits end
-        non-stationary.
+        If the BVLS refit ends non-stationary too.
     """
     try:
         x, _ = scipy.optimize.nnls(M, b)
-    except RuntimeError as exc:
-        raise SolverStall(f"NNLS fit did not converge: {exc}") from exc
-    if float((M.T @ (b - M @ x)).max()) > _FIT_TOL:
+    except RuntimeError:  # the iteration cap
+        x = None
+    if x is None or float((M.T @ (b - M @ x)).max()) > _FIT_TOL:
         fit = scipy.optimize.lsq_linear(M, b, bounds=(0.0, np.inf), method="bvls")
         x = np.maximum(fit.x, 0.0)
         if float((M.T @ (b - M @ x)).max()) > _FIT_TOL:
@@ -342,7 +325,6 @@ class MinNormSolution:
     norm: float
     min_margin: float
     dual_lower: float
-    residuals: dict[str, float]
 
 
 def _restore_feasibility(G: np.ndarray, z: np.ndarray) -> np.ndarray | None:
@@ -433,18 +415,13 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
     norm = euclidean_norm(z_best)
     min_margin = float((G @ z_best).min())
     gap = norm**2 - dual_lower
-    residuals = {"min_margin": min_margin, "optimality_gap": gap}
     if gap > cfg.opt_tol * (1.0 + norm**2):
         raise SolverStall(
             f"certified optimality gap {gap:.3e} is too large for the "
             "requested tolerance"
         )
     return MinNormSolution(
-        z=z_best,
-        norm=norm,
-        min_margin=min_margin,
-        dual_lower=dual_lower,
-        residuals=residuals,
+        z=z_best, norm=norm, min_margin=min_margin, dual_lower=dual_lower
     )
 
 
@@ -454,7 +431,6 @@ class AnalyticCenterSolution:
 
     y: np.ndarray
     grad_norm: float
-    residuals: dict[str, float]
     iterations: int
 
 
@@ -473,14 +449,15 @@ def solve_analytic_center(
         Accuracy knobs; defaults are shared with the rest of the pipeline.
     y_start : ndarray of shape (p,), optional
         Strictly positive hint on the slice (projected onto it before use).
-        Without a usable hint a small auxiliary LP locates one.
+        Without a usable hint the partition LP of A_B locates one.
 
     Raises
     ------
     NoInteriorPoint
         If the slice has no strictly positive point.
     SolverStall
-        If Newton fails to drive the reduced gradient below ``opt_tol``.
+        If the partition LP run as phase one does not converge, or Newton
+        fails to drive the reduced gradient below ``opt_tol``.
     """
     cfg = cfg or SolverConfig()
     A_B = np.asarray(A_B, dtype=float)
@@ -491,7 +468,6 @@ def solve_analytic_center(
     # The slice {A_B' y = 0, sum(y) = 1} is invariant under uniform scaling
     # of A_B, so run the iteration in units of the largest row norm; the
     # center then comes out identical for A_B and alpha A_B.
-    A_orig = A_B
     s = float(row_norms(A_B).max())
     if s > 1e-300:
         A_B = A_B / s
@@ -499,19 +475,11 @@ def solve_analytic_center(
     E = np.concatenate([A_B.T, np.ones((1, p))], axis=0)
     f = np.zeros(n + 1)
     f[-1] = 1.0
-    y, grad_norm, iterations = _barrier_newton(E, f, y_start, cfg)
+    y0 = _positive_slice_point(A_B, E, f, y_start, cfg)
+    y, grad_norm, iterations = _barrier_newton(E, y0, cfg)
     if y.min(initial=np.inf) <= 0.0:
         raise NoInteriorPoint("analytic center iterate left the positive orthant")
-    y = y / y.sum()
-    residuals = {
-        "eq_inf": float(np.abs(A_orig.T @ y).max(initial=0.0)),
-        "normalization": abs(float(y.sum()) - 1.0),
-        "min_component": float(y.min()),
-        "grad_norm": grad_norm,
-    }
-    return AnalyticCenterSolution(
-        y=y, grad_norm=grad_norm, residuals=residuals, iterations=iterations
-    )
+    return AnalyticCenterSolution(y=y / y.sum(), grad_norm=grad_norm, iterations=iterations)
 
 
 @dataclass(frozen=True)
@@ -536,14 +504,14 @@ def project_onto_cone(instance: ProblemInstance, u: np.ndarray) -> ProjectionRes
     The polar cone of P is spanned by the rows of A (Moreau decomposition), so
     the residual of one fit ``min_{mu >= 0} ||u - A' mu||`` is the projection
     and mu certifies the distance.  The fit runs on the unit vector along u;
-    projection onto a cone commutes with positive scaling.  A fit that ends
-    outside the cone is redone once by bounded-variable least squares.
+    projection onto a cone commutes with positive scaling.  A fit that stops
+    at its iteration cap or ends outside the cone is redone once by
+    bounded-variable least squares.
 
     Raises
     ------
     SolverStall
-        If the fit reaches its iteration cap, or both fits end outside the
-        cone.
+        If the refit ends outside the cone too.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (instance.n,):

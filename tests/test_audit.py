@@ -53,6 +53,17 @@ def test_audit_rejects_shrunk_slack_witness():
     assert len(res.failures) >= 1
 
 
+def test_audit_rejects_tampered_partition_witness():
+    # flipping x_hat keeps its norm and A_B x_hat = 0 but makes it violate N
+    inst = instance(C4)
+    rep = bound_h0(inst)
+    bad_cert = dataclasses.replace(rep.partition, x_hat=-rep.partition.x_hat)
+    res = audit_report(inst, dataclasses.replace(rep, partition=bad_cert))
+    assert not res.ok
+    assert "x_hat is not strictly slack on every row of N" in res.failures
+    assert res.metrics["min_slack_N"] == -1.0
+
+
 def test_audit_rejects_tampered_center():
     inst = instance(C4)
     rep = bound_h0(inst)

@@ -18,20 +18,20 @@ INV_SQRT2 = 0.7071067811865476
 
 def test_null_basis_of_full_rank_matrix_is_empty():
     nb = orthonormal_null_basis(np.eye(2))
-    assert nb.k == 0
+    assert nb.Q.shape[1] == 0
     assert nb.Q.shape == (2, 0)
 
 
 def test_null_basis_of_rank_one_row():
     nb = orthonormal_null_basis(np.array([[1.0, -1.0]]))
-    assert nb.k == 1
+    assert nb.Q.shape[1] == 1
     # direction is (1,1)/sqrt(2) up to sign
     assert abs(abs(nb.Q.ravel() @ np.array([INV_SQRT2, INV_SQRT2])) - 1.0) < 1e-12
 
 
 def test_null_basis_of_zero_matrix_is_identity():
     nb = orthonormal_null_basis(np.zeros((2, 3)))
-    assert nb.k == 3
+    assert nb.Q.shape[1] == 3
     assert np.allclose(nb.Q, np.eye(3))
 
 
@@ -39,21 +39,20 @@ def test_null_basis_random_matrix_properties():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((6, 4)) @ rng.standard_normal((4, 7))
     nb = orthonormal_null_basis(A)
-    assert nb.k == 7 - np.linalg.matrix_rank(A)
+    assert nb.Q.shape[1] == 7 - np.linalg.matrix_rank(A)
     assert np.max(np.abs(A @ nb.Q)) < 1e-10 * np.linalg.norm(A)
-    assert np.max(np.abs(nb.Q.T @ nb.Q - np.eye(nb.k))) < 1e-12
-    assert nb.residual < 1e-10
+    assert np.max(np.abs(nb.Q.T @ nb.Q - np.eye(nb.Q.shape[1]))) < 1e-12
 
 
 def test_null_basis_rank_tolerance_is_relative():
     # the 1e-12 singular value sits below the relative threshold
     nb = orthonormal_null_basis(np.diag([1.0, 1e-12]))
-    assert nb.k == 1
+    assert nb.Q.shape[1] == 1
 
 
 def test_null_basis_rejects_non_orthonormal_columns():
     with pytest.raises(NumericalFailure):
-        NullBasis(Q=np.array([[1.0], [1.0]]), k=1, residual=0.0)
+        NullBasis(Q=np.array([[1.0], [1.0]]))
 
 
 def test_sigma_plus_of_zero_matrix_is_none():
@@ -74,9 +73,8 @@ def test_sigma_plus_skips_singular_values_below_relative_threshold():
 
 def test_row_normalize_units_and_inverse_norms():
     rs = row_normalize(np.array([[3.0, 4.0], [0.0, 2.0]]))
-    assert np.allclose(rs.D, [0.2, 0.5])
-    assert np.allclose(rs.normalized_rows, [[0.6, 0.8], [0.0, 1.0]])
-    assert np.allclose(np.linalg.norm(rs.normalized_rows, axis=1), 1.0)
+    assert np.allclose(rs, [[0.6, 0.8], [0.0, 1.0]])
+    assert np.allclose(np.linalg.norm(rs, axis=1), 1.0)
 
 
 def test_row_normalize_rejects_zero_row():

@@ -112,14 +112,20 @@ def test_monte_carlo_skips_failed_projections(monkeypatch):
 
 
 def test_nnls_iteration_cap_skips_candidates(monkeypatch):
+    import types
+
     import scipy.optimize
     from hoffbound import SolverStall
 
     def capped(A, b, **kwargs):
         raise RuntimeError("Maximum number of iterations reached.")
 
+    # a capped nnls fit is redone by BVLS; only a failed refit skips
     monkeypatch.setattr(scipy.optimize, "nnls", capped)
     inst = instance(-np.eye(3))
+    assert ratio_at(inst, -np.ones(3)) == pytest.approx(np.sqrt(3.0), rel=1e-12)
+    monkeypatch.setattr(scipy.optimize, "lsq_linear",
+                        lambda A, b, **kwargs: types.SimpleNamespace(x=np.zeros(A.shape[1])))
     with pytest.raises(SolverStall):
         ratio_at(inst, -np.ones(3))
     res = lower_bound_monte_carlo(inst, num_samples=4, seed=0)

@@ -166,6 +166,16 @@ def test_analytic_center_requires_rows():
         solve_analytic_center(np.zeros((0, 2)))
 
 
+def test_analytic_center_phase_one_reaches_the_hinted_center():
+    # the slice's minimum-norm point has y_0 = -0.047, so without a hint the
+    # start comes from the partition LP of the block
+    A = np.array([[10.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]]).T
+    hinted = solve_analytic_center(A, y_start=np.array([0.04, 0.34, 0.34] + [0.04] * 7))
+    sol = solve_analytic_center(A)
+    assert np.allclose(sol.y, hinted.y, rtol=0.0, atol=1e-9)
+    assert np.abs(A.T @ sol.y).max() <= 1e-12
+
+
 def test_analytic_center_empty_slice():
     # y_0 + y_1 = 0 with y > 0 and sum y = 1 has no interior point
     with pytest.raises(NoInteriorPoint):
