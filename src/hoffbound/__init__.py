@@ -9,7 +9,7 @@ witnesses, restriction factor), an independent audit of those certificates,
 and a Monte Carlo lower-bound oracle for sandwich validation.
 """
 
-from .audit import AuditResult, audit_report
+from .audit import AuditResult, audit_report, verify_partition
 from .bounds import (
     BoundReport,
     CaseBBound,
@@ -29,7 +29,6 @@ from .core import (
 from .io import (
     DimensionError,
     ParseError,
-    RunConfig,
     UnsupportedFormat,
     canonical_report_json,
     load_matrix,
@@ -39,7 +38,6 @@ from .io import (
 from .numerics import (
     DEFAULT_RANK_TOL,
     DegenerateRow,
-    NullBasis,
     NumericalFailure,
     orthonormal_null_basis,
     row_normalize,
@@ -55,9 +53,7 @@ from .oracle import (
 from .partition import (
     AmbiguousIndex,
     PartitionCertificate,
-    PartitionCheck,
     compute_partition,
-    verify_partition,
 )
 from .solvers import (
     AnalyticCenterSolution,
@@ -90,16 +86,13 @@ __all__ = [
     "InfeasibleQP",
     "MinNormSolution",
     "NoInteriorPoint",
-    "NullBasis",
     "NumericalFailure",
     "OracleResult",
     "ParseError",
     "PartitionCertificate",
-    "PartitionCheck",
     "PartitionLPSolution",
     "ProblemInstance",
     "ProjectionResult",
-    "RunConfig",
     "SolverConfig",
     "SolverStall",
     "StitchBound",

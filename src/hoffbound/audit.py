@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .core import ProblemInstance, euclidean_norm, relative_scale
-from .numerics import DEFAULT_RANK_TOL, row_norms
-from .partition import verify_partition
+from .core import ProblemInstance, euclidean_norm
+from .numerics import NumericalFailure, numerical_rank, row_norms
+from .partition import PartitionCertificate
 
-__all__ = ["AuditResult", "audit_report"]
+__all__ = ["AuditResult", "audit_report", "verify_partition"]
 
 MARGIN_TOL = 1e-9
-CENTER_TOL = 1e-8
+RESIDUAL_TOL = 1e-8
 BASIS_TOL = 1e-10
 SIGMA_RTOL = 1e-12
 
@@ -35,39 +35,99 @@ class AuditResult:
     metrics: dict
 
 
-def _sigma_and_rank_gap(
-    M: np.ndarray, rank: int | None = None
-) -> tuple[float | None, float]:
-    """Smallest singular value of M above the rank threshold, and the rank gap.
+def _sigma_and_rank_gap(M: np.ndarray) -> tuple[float | None, float]:
+    """Smallest singular value of M that the rank rule counts, and the gap.
 
-    Threshold and SVD call are those of the bound computation, so an honest
+    Rank rule and SVD call are those of the bound computation, so an honest
     report reproduces its sigma bit for bit.  The gap is ``s_r / s_{r+1}`` at
-    numerical rank r (infinite at full rank or r = 0), with r decided by the
-    threshold unless ``rank`` fixes it; sigma is None for a zero M.
+    numerical rank r (infinite at full rank or r = 0); sigma is None when
+    r = 0.  Raises ``NumericalFailure`` when the rank is ambiguous.
     """
     s = np.linalg.svd(M, full_matrices=False)[1]
-    sigma_max = float(s[0]) if s.size else 0.0
-    if sigma_max <= DEFAULT_RANK_TOL * relative_scale(float(np.linalg.norm(M))):
+    r = numerical_rank(s, float(np.linalg.norm(M)))
+    if r == 0:
         return None, math.inf
-    r = int(np.count_nonzero(s > DEFAULT_RANK_TOL * sigma_max)) if rank is None else rank
-    gap = float(s[r - 1] / s[r]) if 0 < r < s.size and s[r] > 0.0 else math.inf
+    gap = float(s[r - 1] / s[r]) if r < s.size and s[r] > 0.0 else math.inf
     return float(s[r - 1]), gap
+
+
+def verify_partition(
+    instance: ProblemInstance, cert: PartitionCertificate
+) -> AuditResult:
+    """Recheck a partition certificate using only matrix-vector products.
+
+    No solver is invoked: the checks are index bookkeeping, norms, and sign
+    conditions on the stored witnesses (exact cover of the row indices,
+    ``A_N x_hat < 0`` with ``A_B x_hat = 0``, and ``y_hat > 0`` summing to 1
+    with ``A_B' y_hat = 0``), so they share nothing with the LP that
+    produced the certificate.  Residuals may reach ``RESIDUAL_TOL`` times
+    ``max(1, ||A||_F)``.
+    """
+    A = instance.A
+    failures: list[str] = []
+    metrics: dict = {}
+    budget = RESIDUAL_TOL * instance.scale
+
+    union = sorted(cert.B + cert.N)
+    if union != list(range(instance.m)):
+        failures.append("B and N do not partition the row indices")
+    if list(cert.B) != sorted(cert.B) or list(cert.N) != sorted(cert.N):
+        failures.append("index tuples are not sorted")
+
+    A_B = A[list(cert.B)]
+    A_N = A[list(cert.N)]
+
+    if cert.N:
+        nrm = euclidean_norm(cert.x_hat)
+        metrics["x_hat_norm"] = nrm
+        if abs(nrm - 1.0) > 1e-10:
+            failures.append(f"x_hat norm {nrm!r} is not 1")
+        slack = -(A_N @ cert.x_hat)
+        metrics["min_slack_N"] = float(slack.min())
+        if slack.min() <= 0.0:
+            failures.append("x_hat is not strictly slack on every row of N")
+        tight = float(np.abs(A_B @ cert.x_hat).max(initial=0.0))
+        metrics["tight_rows_inf"] = tight
+        if tight > budget:
+            failures.append(f"A_B x_hat residual {tight:.3e} exceeds budget")
+    else:
+        if euclidean_norm(cert.x_hat) != 0.0:
+            failures.append("x_hat must be zero when N is empty")
+
+    if cert.B:
+        if cert.y_hat.shape != (len(cert.B),):
+            failures.append("y_hat length does not match B")
+        else:
+            metrics["min_y_hat"] = float(cert.y_hat.min())
+            if cert.y_hat.min() <= 0.0:
+                failures.append("y_hat is not strictly positive")
+            ssum = float(cert.y_hat.sum())
+            metrics["y_hat_sum_err"] = abs(ssum - 1.0)
+            if abs(ssum - 1.0) > 1e-10:
+                failures.append(f"y_hat sums to {ssum!r}, not 1")
+            ceq = float(np.abs(A_B.T @ cert.y_hat).max(initial=0.0))
+            metrics["center_eq_inf"] = ceq
+            if ceq > budget:
+                failures.append(f"A_B' y_hat residual {ceq:.3e} exceeds budget")
+    elif cert.y_hat.size:
+        failures.append("y_hat must be empty when B is empty")
+
+    return AuditResult(ok=not failures, failures=tuple(failures), metrics=metrics)
 
 
 def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     """Recheck every certificate a bound report relies on.
 
     Checks, per branch: the partition certificate passes
-    ``verify_partition`` (exact cover of the row indices, and the witnesses
-    x_hat and y_hat); the slack-block witness satisfies A_N x_bar >= 1 and
-    its norm equals the reported value; the tight-block witness is strictly
-    positive, sums to 1, and annihilates A_B' to within ``CENTER_TOL`` times
-    the block scale; ``sigma`` exceeds the smallest singular value of
-    A_B' diag(y_bar) above the default rank threshold by at most
-    ``SIGMA_RTOL`` relative (a looser ``rank_tol`` that drops a singular value
-    fails here); the stitching witness has unit margin through the recomputed
-    row scaling and an orthonormal basis; and the total equals the branch
-    arithmetic bit for bit.
+    ``verify_partition``; the slack-block witness satisfies A_N x_bar >= 1
+    and its norm equals the reported value; the tight-block witness is
+    strictly positive, sums to 1, and annihilates A_B' to within
+    ``RESIDUAL_TOL`` times the block scale; ``sigma`` exceeds the smallest
+    singular value of A_B' diag(y_bar) that the rank rule counts by at most
+    ``SIGMA_RTOL`` relative; the stitching witness has unit margin through
+    the recomputed row scaling and an orthonormal basis; and the total
+    equals the branch arithmetic bit for bit.  A rank that falls in
+    the rule's ambiguous band is recorded as a failure, not raised.
     """
     A = instance.A
     failures: list[str] = []
@@ -128,17 +188,21 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
             scale = max(1.0, float(np.sqrt(np.sum(A_B * A_B))))
             ceq = float(np.abs(A_B.T @ y).max(initial=0.0))
             metrics["case_b_eq_inf"] = ceq
-            if ceq > CENTER_TOL * scale:
+            if ceq > RESIDUAL_TOL * scale:
                 failures.append(
-                    f"A_B' y_bar residual {ceq:.3e} exceeds {CENTER_TOL:.0e} x scale"
+                    f"A_B' y_bar residual {ceq:.3e} exceeds {RESIDUAL_TOL:.0e} x scale"
                 )
-            sigma, gap = _sigma_and_rank_gap(A_B.T * y[None, :])
-            metrics["case_b_sigma"] = sigma
-            metrics["case_b_rank_gap"] = gap
-            if sigma is None or cb.sigma > sigma * (1.0 + SIGMA_RTOL):
-                failures.append(
-                    f"sigma {cb.sigma!r} exceeds the recomputed value {sigma!r}"
-                )
+            try:
+                sigma, gap = _sigma_and_rank_gap(A_B.T * y[None, :])
+            except NumericalFailure as exc:
+                failures.append(f"rank of A_B' diag(y_bar): {exc}")
+            else:
+                metrics["case_b_sigma"] = sigma
+                metrics["case_b_rank_gap"] = gap
+                if sigma is None or cb.sigma > sigma * (1.0 + SIGMA_RTOL):
+                    failures.append(
+                        f"sigma {cb.sigma!r} exceeds the recomputed value {sigma!r}"
+                    )
             if cb.sigma <= 0.0:
                 failures.append("sigma must be positive")
             elif not np.isclose(cb.value, 2.0 / cb.sigma, rtol=1e-13, atol=0.0):
@@ -149,15 +213,17 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
         Q = st.Q
         gram_err = float(np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0))
         metrics["stitch_gram_err"] = gram_err
-        # the stitch basis was cut at rank n - dim(Q); no threshold yet
-        metrics["stitch_rank_gap"] = _sigma_and_rank_gap(A_B, instance.n - Q.shape[1])[1]
         if gram_err > BASIS_TOL:
             failures.append(f"stitch basis is not orthonormal ({gram_err:.3e})")
+        try:
+            metrics["stitch_rank_gap"] = _sigma_and_rank_gap(A_B)[1]
+        except NumericalFailure as exc:
+            failures.append(f"rank of A_B: {exc}")
         lift = Q @ st.z_bar
         null_res = float(np.abs(A_B @ lift).max(initial=0.0))
         metrics["stitch_null_res"] = null_res
         scale_b = max(1.0, float(np.sqrt(np.sum(A_B * A_B))))
-        if null_res > CENTER_TOL * scale_b * max(1.0, euclidean_norm(lift)):
+        if null_res > RESIDUAL_TOL * scale_b * max(1.0, euclidean_norm(lift)):
             failures.append(
                 f"stitch witness leaves the null space of A_B ({null_res:.3e})"
             )

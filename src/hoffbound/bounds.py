@@ -155,7 +155,6 @@ def bound_case_b(
     A_B: np.ndarray,
     cfg: SolverConfig | None = None,
     y_start: np.ndarray | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> CaseBBound:
     """Certified bound for the tight-row block via the analytic center.
 
@@ -174,7 +173,7 @@ def bound_case_b(
 
     ac = solve_analytic_center(A_B, cfg, y_start=y_start)
     weighted = A_B.T * ac.y[None, :]
-    sigma = smallest_positive_singular_value(weighted, rank_tol)
+    sigma = smallest_positive_singular_value(weighted)
     if sigma is None:
         raise NumericalFailure(
             "weighted tight block has no positive singular value above the "
@@ -187,7 +186,6 @@ def bound_stitch(
     A_B: np.ndarray,
     A_N: np.ndarray,
     cfg: SolverConfig | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> StitchBound:
     """Certified restriction factor tying the block bounds together.
 
@@ -203,7 +201,7 @@ def bound_stitch(
     if A_N.shape[0] == 0:
         raise ValueError("the slack set must be nonempty")
 
-    Q = orthonormal_null_basis(A_B, rank_tol).Q
+    Q = orthonormal_null_basis(A_B)
     sol = solve_min_norm_qp(row_normalize(A_N) @ Q, cfg)
     return StitchBound(
         value=1.0 + 2.0 * sol.norm,
@@ -213,11 +211,15 @@ def bound_stitch(
     )
 
 
-def bound_h0(
-    instance: ProblemInstance,
-    cfg: SolverConfig | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> BoundReport:
+def _timed(timings: dict[str, float], key: str, fn, *args, **kwargs):
+    """Call ``fn`` and record its wall time under ``timings[key]``."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    timings[key] = time.perf_counter() - t0
+    return out
+
+
+def bound_h0(instance: ProblemInstance, cfg: SolverConfig | None = None) -> BoundReport:
     """Certified upper bound on H0(A) with all intermediate certificates.
 
     The tight/slack partition decides the branch: a zero matrix is 0 by
@@ -225,6 +227,12 @@ def bound_h0(
     the general case multiplies the restriction factor by the larger block
     bound.  Every certificate the branch used is kept on the report so an
     independent audit can recheck the claim with matrix-vector products.
+
+    Raises
+    ------
+    NumericalFailure
+        Among the typed errors of the components: when a numerical rank
+        falls in the ambiguous band of ``numerics.numerical_rank``.
     """
     cfg = cfg or SolverConfig()
     timings: dict[str, float] = {}
@@ -233,58 +241,33 @@ def bound_h0(
     diagnostics = {
         "feas_tol": cfg.feas_tol,
         "opt_tol": cfg.opt_tol,
-        "rank_tol": rank_tol,
+        "rank_tol": DEFAULT_RANK_TOL,
         "m": instance.m,
         "n": instance.n,
         "frobenius_scale": instance.frobenius_scale,
         "timings": timings,
     }
 
+    cert = case_n = case_b = stitch = None
     if instance.is_zero:
-        timings["total_s"] = time.perf_counter() - t0
-        return BoundReport(
-            total=0.0,
-            branch="zero",
-            partition=None,
-            case_n=None,
-            case_b=None,
-            stitch=None,
-            diagnostics=diagnostics,
-        )
-
-    t1 = time.perf_counter()
-    cert = compute_partition(instance, cfg)
-    timings["partition_s"] = time.perf_counter() - t1
-
-    A = instance.A
-    A_B = A[list(cert.B)]
-    A_N = A[list(cert.N)]
-
-    case_n = case_b = stitch = None
-    if not cert.N:
-        t1 = time.perf_counter()
-        case_b = bound_case_b(A_B, cfg, y_start=cert.y_hat, rank_tol=rank_tol)
-        timings["case_b_s"] = time.perf_counter() - t1
-        total = case_b.value
-        branch = "case_B"
-    elif not cert.B:
-        t1 = time.perf_counter()
-        case_n = bound_case_n(A_N, cfg)
-        timings["case_n_s"] = time.perf_counter() - t1
-        total = case_n.value
-        branch = "case_N"
+        total, branch = 0.0, "zero"
     else:
-        t1 = time.perf_counter()
-        case_n = bound_case_n(A_N, cfg)
-        timings["case_n_s"] = time.perf_counter() - t1
-        t1 = time.perf_counter()
-        case_b = bound_case_b(A_B, cfg, y_start=cert.y_hat, rank_tol=rank_tol)
-        timings["case_b_s"] = time.perf_counter() - t1
-        t1 = time.perf_counter()
-        stitch = bound_stitch(A_B, A_N, cfg, rank_tol=rank_tol)
-        timings["stitch_s"] = time.perf_counter() - t1
-        total = stitch.value * max(case_n.value, case_b.value)
-        branch = "general"
+        cert = _timed(timings, "partition_s", compute_partition, instance, cfg)
+        A_B = instance.A[list(cert.B)]
+        A_N = instance.A[list(cert.N)]
+        if cert.N:
+            case_n = _timed(timings, "case_n_s", bound_case_n, A_N, cfg)
+        if cert.B:
+            case_b = _timed(
+                timings, "case_b_s", bound_case_b, A_B, cfg, y_start=cert.y_hat
+            )
+        if cert.N and cert.B:
+            stitch = _timed(timings, "stitch_s", bound_stitch, A_B, A_N, cfg)
+            total, branch = stitch.value * max(case_n.value, case_b.value), "general"
+        elif cert.N:
+            total, branch = case_n.value, "case_N"
+        else:
+            total, branch = case_b.value, "case_B"
 
     timings["total_s"] = time.perf_counter() - t0
     return BoundReport(

@@ -15,7 +15,7 @@ import sys
 
 from .bounds import bound_h0
 from .core import HoffboundError, ProblemInstance
-from .io import RunConfig, canonical_report_json, load_matrix, report_to_dict
+from .io import canonical_report_json, load_matrix, report_to_dict
 from .oracle import lower_bound_monte_carlo
 from .solvers import SolverConfig
 
@@ -76,28 +76,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(config: RunConfig, canonical: bool = False) -> int:
-    """Execute one run described by ``config``; returns the exit code."""
-    A = load_matrix(config.matrix_path, config.fmt)
+def run(args: argparse.Namespace) -> int:
+    """Execute the run described by parsed ``compute`` arguments; returns
+    the exit code."""
+    if args.samples < 0:
+        raise ValueError("--samples must be at least 0")
+    A = load_matrix(args.input, args.format)
     instance = ProblemInstance.from_matrix(A)
-    cfg = SolverConfig(feas_tol=config.feas_tol, opt_tol=config.opt_tol)
+    cfg = SolverConfig(feas_tol=args.feas_tol, opt_tol=args.opt_tol)
 
     report = bound_h0(instance, cfg)
     oracle = None
-    if not config.skip_oracle and config.num_samples > 0:
+    if not args.skip_oracle and args.samples > 0:
         x_hat = report.partition.x_hat if report.partition is not None else None
         oracle = lower_bound_monte_carlo(
-            instance,
-            num_samples=config.num_samples,
-            seed=config.seed,
-            x_hat=x_hat,
-            cfg=cfg,
+            instance, num_samples=args.samples, seed=args.seed, x_hat=x_hat
         )
 
     payload = report_to_dict(report, oracle, sandwich_rtol=SANDWICH_RTOL)
 
-    if config.output == "json":
-        if canonical:
+    if args.output == "json":
+        if args.canonical:
             print(canonical_report_json(payload))
         else:
             print(json.dumps(payload, indent=2, sort_keys=True))
@@ -141,17 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            matrix_path=args.input,
-            fmt=args.format,
-            num_samples=args.samples,
-            seed=args.seed,
-            feas_tol=args.feas_tol,
-            opt_tol=args.opt_tol,
-            output=args.output,
-            skip_oracle=args.skip_oracle,
-        )
-        return run(config, canonical=args.canonical)
+        return run(args)
     except (HoffboundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -10,6 +10,7 @@ monotonicity: ``|y| <= |z|`` entrywise implies ``||y|| <= ||z||``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import numpy.typing as npt
@@ -64,43 +65,41 @@ class ProblemInstance:
     Attributes
     ----------
     A : ndarray, shape (m, n)
-        Dense row-major matrix; read-only after construction.
-    m, n : int
-        Row and column counts, both at least 1.
-    frobenius_scale : float
-        Cached ``||A||_F``; relative tolerances are measured against
-        ``max(1, frobenius_scale)``.
+        Dense row-major matrix of finite reals, at least 1x1; read-only
+        after construction.
     """
 
     A: np.ndarray
-    m: int
-    n: int
-    frobenius_scale: float
 
     def __post_init__(self) -> None:
+        if self.A.ndim != 2:
+            raise ValueError(f"expected a 2-d matrix, got ndim={self.A.ndim}")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"matrix must be at least 1x1, got {self.m}x{self.n}")
-        if self.A.shape != (self.m, self.n):
-            raise ValueError(
-                f"shape mismatch: A is {self.A.shape}, declared {(self.m, self.n)}"
-            )
         if not np.isfinite(self.A).all():
             raise ValueError("matrix entries must be finite")
-        fro = float(np.linalg.norm(self.A))
-        if abs(fro - self.frobenius_scale) > 1e-14 * max(1.0, fro):
-            raise ValueError(
-                f"frobenius_scale {self.frobenius_scale!r} inconsistent with matrix ({fro!r})"
-            )
 
     @classmethod
     def from_matrix(cls, A: npt.ArrayLike) -> "ProblemInstance":
         """Build an instance from any 2-d array-like of finite reals."""
         arr = np.array(A, dtype=float, order="C", copy=True)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-d matrix, got ndim={arr.ndim}")
         arr.flags.writeable = False
-        m, n = arr.shape
-        return cls(A=arr, m=m, n=n, frobenius_scale=float(np.linalg.norm(arr)))
+        return cls(A=arr)
+
+    @property
+    def m(self) -> int:
+        """Row count."""
+        return self.A.shape[0]
+
+    @property
+    def n(self) -> int:
+        """Column count."""
+        return self.A.shape[1]
+
+    @cached_property
+    def frobenius_scale(self) -> float:
+        """``||A||_F``, computed once."""
+        return float(np.linalg.norm(self.A))
 
     @property
     def is_zero(self) -> bool:

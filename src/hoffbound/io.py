@@ -1,4 +1,4 @@
-"""Matrix loading, run configuration, and report serialization.
+"""Matrix loading and report serialization.
 
 Input formats are a deliberately small set: delimited text (CSV) and the
 Matrix Market exchange format, real or integer entries only.  Parse errors
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -27,7 +26,6 @@ from .oracle import OracleResult
 __all__ = [
     "DimensionError",
     "ParseError",
-    "RunConfig",
     "UnsupportedFormat",
     "canonical_report_json",
     "load_matrix",
@@ -49,28 +47,6 @@ class DimensionError(ParseError):
 
 class UnsupportedFormat(ParseError):
     """The file is recognized but uses an unsupported variant."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings for one end-to-end run."""
-
-    matrix_path: str
-    fmt: str = "auto"
-    num_samples: int = 64
-    seed: int = 0
-    feas_tol: float = 1e-9
-    opt_tol: float = 1e-8
-    output: str = "text"
-    skip_oracle: bool = False
-
-    def __post_init__(self) -> None:
-        if self.fmt not in ("auto", "csv", "mtx"):
-            raise ValueError(f"fmt must be auto, csv, or mtx, got {self.fmt!r}")
-        if self.output not in ("text", "json"):
-            raise ValueError(f"output must be text or json, got {self.output!r}")
-        if self.num_samples < 0:
-            raise ValueError("num_samples must be nonnegative")
 
 
 def load_matrix(path: str | Path, fmt: str = "auto") -> np.ndarray:

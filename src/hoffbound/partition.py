@@ -15,15 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HoffboundError, ProblemInstance, euclidean_norm, relative_scale
+from .core import HoffboundError, ProblemInstance, euclidean_norm
 from .solvers import SolverConfig, solve_partition_lp
 
 __all__ = [
     "AmbiguousIndex",
     "PartitionCertificate",
-    "PartitionCheck",
     "compute_partition",
-    "verify_partition",
 ]
 
 T_MIN = 1e-9
@@ -116,7 +114,7 @@ def compute_partition(
     b_mask, n_mask, bad = _classify(sol.y, sol.s, sol.t)
 
     if sol.t < T_MIN or bad.size:
-        tight = cfg.tightened(100.0)
+        tight = SolverConfig(feas_tol=cfg.feas_tol / 100.0, opt_tol=cfg.opt_tol / 100.0)
         sol = solve_partition_lp(instance, tight)
         b_mask, n_mask, bad = _classify(sol.y, sol.s, sol.t)
         if sol.t < T_MIN:
@@ -166,76 +164,3 @@ def compute_partition(
         min_y_hat=min_y,
         residuals=residuals,
     )
-
-
-@dataclass(frozen=True)
-class PartitionCheck:
-    """Outcome of an independent recheck of a partition certificate."""
-
-    ok: bool
-    failures: tuple[str, ...]
-    metrics: dict
-
-
-def verify_partition(
-    instance: ProblemInstance,
-    cert: PartitionCertificate,
-    tol: float = 1e-8,
-) -> PartitionCheck:
-    """Recheck a partition certificate using only matrix-vector products.
-
-    No solver is invoked: the checks are index bookkeeping, norms, and sign
-    conditions on the stored witnesses, so they share nothing with the LP
-    that produced the certificate.
-    """
-    A = instance.A
-    m = instance.m
-    failures: list[str] = []
-    metrics: dict = {}
-    scale = relative_scale(instance.frobenius_scale)
-
-    union = sorted(cert.B + cert.N)
-    if union != list(range(m)):
-        failures.append("B and N do not partition the row indices")
-    if list(cert.B) != sorted(cert.B) or list(cert.N) != sorted(cert.N):
-        failures.append("index tuples are not sorted")
-
-    A_B = A[list(cert.B)]
-    A_N = A[list(cert.N)]
-
-    if cert.N:
-        nrm = euclidean_norm(cert.x_hat)
-        metrics["x_hat_norm"] = nrm
-        if abs(nrm - 1.0) > 1e-10:
-            failures.append(f"x_hat norm {nrm!r} is not 1")
-        slack = -(A_N @ cert.x_hat)
-        metrics["min_slack_N"] = float(slack.min())
-        if slack.min() <= 0.0:
-            failures.append("x_hat is not strictly slack on every row of N")
-        tight = float(np.abs(A_B @ cert.x_hat).max(initial=0.0))
-        metrics["tight_rows_inf"] = tight
-        if tight > tol * scale:
-            failures.append(f"A_B x_hat residual {tight:.3e} exceeds budget")
-    else:
-        if euclidean_norm(cert.x_hat) != 0.0:
-            failures.append("x_hat must be zero when N is empty")
-
-    if cert.B:
-        if cert.y_hat.shape != (len(cert.B),):
-            failures.append("y_hat length does not match B")
-        else:
-            metrics["min_y_hat"] = float(cert.y_hat.min())
-            if cert.y_hat.min() <= 0.0:
-                failures.append("y_hat is not strictly positive")
-            ssum = float(cert.y_hat.sum())
-            metrics["y_hat_sum_err"] = abs(ssum - 1.0)
-            if abs(ssum - 1.0) > 1e-10:
-                failures.append(f"y_hat sums to {ssum!r}, not 1")
-            ceq = float(np.abs(A_B.T @ cert.y_hat).max(initial=0.0))
-            metrics["center_eq_inf"] = ceq
-            if ceq > tol * scale:
-                failures.append(f"A_B' y_hat residual {ceq:.3e} exceeds budget")
-    elif cert.y_hat.size:
-        failures.append("y_hat must be empty when B is empty")
-
-    return PartitionCheck(ok=not failures, failures=tuple(failures), metrics=metrics)

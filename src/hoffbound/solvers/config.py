@@ -7,11 +7,15 @@ from dataclasses import dataclass
 from ..core import HoffboundError
 
 __all__ = [
+    "MAX_ITERS",
     "InfeasibleQP",
     "NoInteriorPoint",
     "SolverConfig",
     "SolverStall",
 ]
+
+# Iteration cap of the interior-point method and of the center's Newton.
+MAX_ITERS = 500
 
 
 class SolverStall(HoffboundError):
@@ -34,20 +38,9 @@ class SolverConfig:
 
     feas_tol: float = 1e-9
     opt_tol: float = 1e-8
-    max_iters: int = 500
 
     def __post_init__(self) -> None:
         for name in ("feas_tol", "opt_tol"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-
-    def tightened(self, factor: float = 100.0) -> "SolverConfig":
-        """Copy with feasibility/optimality tolerances tightened by ``factor``."""
-        return SolverConfig(
-            feas_tol=self.feas_tol / factor,
-            opt_tol=self.opt_tol / factor,
-            max_iters=self.max_iters,
-        )

@@ -31,6 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from ..numerics import NumericalFailure
+from .config import MAX_ITERS
 
 __all__ = ["IPMResult", "solve_qp_ipm"]
 
@@ -97,7 +98,6 @@ def solve_qp_ipm(
     cone: np.ndarray,
     feas_tol: float = 1e-9,
     opt_tol: float = 1e-8,
-    max_iters: int = 500,
 ) -> IPMResult:
     """Run the predictor-corrector iteration to the requested tolerances.
 
@@ -116,13 +116,12 @@ def solve_qp_ipm(
         are free.
     feas_tol, opt_tol : float
         Relative primal/dual feasibility and complementarity targets.
-    max_iters : int
-        Iteration cap; hitting it returns status ``"stalled"``.
 
     Returns
     -------
     IPMResult
-        Final iterate, with status ``"converged"`` or ``"stalled"``.
+        Final iterate, with status ``"converged"``, or ``"stalled"`` (also
+        at the ``MAX_ITERS`` cap).
     """
     N = c.shape[0]
     M = f.shape[0]
@@ -150,7 +149,7 @@ def solve_qp_ipm(
     K[:N, N:] = E.T
     K[N:, :N] = E
 
-    for it in range(max_iters):
+    for it in range(MAX_ITERS):
         Pv = P @ v
         r_d = Pv + c - E.T @ lam - z
         r_p = f - E @ v

@@ -26,7 +26,7 @@ import scipy.optimize
 
 from ..core import ProblemInstance, euclidean_norm, relative_scale
 from ..numerics import NumericalFailure, orthonormal_null_basis, row_norms
-from .config import InfeasibleQP, NoInteriorPoint, SolverConfig, SolverStall
+from .config import MAX_ITERS, InfeasibleQP, NoInteriorPoint, SolverConfig, SolverStall
 from .ipm import solve_qp_ipm
 
 __all__ = [
@@ -61,14 +61,14 @@ def _barrier_newton(
         If the reduced gradient stays above ``opt_tol`` at the iteration cap
         or a line search finds no decrease.
     """
-    W = orthonormal_null_basis(E).Q
+    W = orthonormal_null_basis(E)
     if W.shape[1] == 0:
         return v, 0.0, 0
 
     w = np.ones(v.shape[0])  # unit barrier weights; phi sums through a dot
     converged = False
     it = 0
-    for it in range(cfg.max_iters):
+    for it in range(MAX_ITERS):
         inv = 1.0 / v
         g = W.T @ -inv
         if euclidean_norm(g) <= cfg.opt_tol:
@@ -249,7 +249,6 @@ def solve_partition_lp(
         cone,
         feas_tol=cfg.feas_tol / 10.0,
         opt_tol=cfg.opt_tol / 10.0,
-        max_iters=cfg.max_iters,
     )
     if res.status != "converged":
         raise SolverStall(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hoffbound.audit
-from hoffbound import audit_report, bound_h0
+from hoffbound import NumericalFailure, audit_report, bound_h0, lower_bound_monte_carlo
 
 from helpers import gaussian_matrix, instance, planted_mixed_matrix
 
@@ -121,3 +121,34 @@ def test_audit_metrics_expose_branch_quantities():
     res8 = audit_report(inst8, bound_h0(inst8))
     assert res8.ok
     assert 1e12 < res8.metrics["stitch_rank_gap"] < np.inf
+
+
+def _eps_block(eps):
+    # all four rows tight; A_B' diag(y_bar) has singular values ~ 1 and ~ eps
+    return np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, eps], [0.0, -eps]])
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-8])
+def test_counted_small_singular_value_is_certified(eps):
+    inst = instance(_eps_block(eps))
+    rep = bound_h0(inst)
+    res = audit_report(inst, rep)
+    assert res.ok, res.failures
+    assert res.metrics["case_b_sigma"] == rep.case_b.sigma
+    low = lower_bound_monte_carlo(inst, num_samples=16, seed=0,
+                                  x_hat=rep.partition.x_hat)
+    assert low.lower_bound <= rep.total
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-12])
+def test_singular_value_in_the_ambiguous_band_raises(eps):
+    # cutting eps as zero would certify 5.657 where H0 is at least 1 / eps
+    with pytest.raises(NumericalFailure, match="ambiguous band"):
+        bound_h0(instance(_eps_block(eps)))
+
+
+def test_audit_records_an_ambiguous_rank_as_a_failure():
+    rep = bound_h0(instance(_eps_block(1e-6)))
+    res = audit_report(instance(_eps_block(1e-12)), rep)
+    assert not res.ok
+    assert any("ambiguous band" in f for f in res.failures)

@@ -102,6 +102,16 @@ def test_missing_input_exits_with_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_invalid_compute_arguments_exit_with_error(csv_path, capsys):
+    rc = cli.main(["compute", "--input", csv_path, "--samples", "-1"])
+    assert rc == cli.EXIT_ERROR
+    assert "--samples must be at least 0" in capsys.readouterr().err
+    for flag, value in (("--output", "xml"), ("--format", "bogus")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compute", "--input", csv_path, flag, value])
+        assert exc.value.code == 2
+
+
 def test_corrupt_input_exits_with_error(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("1,junk\n")

@@ -10,7 +10,6 @@ from hoffbound import (
     DimensionError,
     OracleResult,
     ParseError,
-    RunConfig,
     UnsupportedFormat,
     bound_h0,
     canonical_report_json,
@@ -152,18 +151,6 @@ def test_explicit_format_overrides_extension(tmp_path):
 def test_parse_error_hierarchy():
     assert issubclass(DimensionError, ParseError)
     assert issubclass(UnsupportedFormat, ParseError)
-
-
-# --- run configuration -----------------------------------------------------------
-
-def test_run_config_validation():
-    RunConfig(matrix_path="m.csv")  # defaults are valid
-    with pytest.raises(ValueError):
-        RunConfig(matrix_path="m.csv", num_samples=-1)
-    with pytest.raises(ValueError):
-        RunConfig(matrix_path="m.csv", output="xml")
-    with pytest.raises(ValueError):
-        RunConfig(matrix_path="m.csv", fmt="bogus")
 
 
 # --- report payloads ---------------------------------------------------------------

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+import hoffbound.numerics
 from hoffbound import (
     DegenerateRow,
     HoffboundError,
-    NullBasis,
     NumericalFailure,
     orthonormal_null_basis,
     row_normalize,
@@ -17,42 +17,50 @@ INV_SQRT2 = 0.7071067811865476
 
 
 def test_null_basis_of_full_rank_matrix_is_empty():
-    nb = orthonormal_null_basis(np.eye(2))
-    assert nb.Q.shape[1] == 0
-    assert nb.Q.shape == (2, 0)
+    Q = orthonormal_null_basis(np.eye(2))
+    assert Q.shape[1] == 0
+    assert Q.shape == (2, 0)
 
 
 def test_null_basis_of_rank_one_row():
-    nb = orthonormal_null_basis(np.array([[1.0, -1.0]]))
-    assert nb.Q.shape[1] == 1
+    Q = orthonormal_null_basis(np.array([[1.0, -1.0]]))
+    assert Q.shape[1] == 1
     # direction is (1,1)/sqrt(2) up to sign
-    assert abs(abs(nb.Q.ravel() @ np.array([INV_SQRT2, INV_SQRT2])) - 1.0) < 1e-12
+    assert abs(abs(Q.ravel() @ np.array([INV_SQRT2, INV_SQRT2])) - 1.0) < 1e-12
 
 
 def test_null_basis_of_zero_matrix_is_identity():
-    nb = orthonormal_null_basis(np.zeros((2, 3)))
-    assert nb.Q.shape[1] == 3
-    assert np.allclose(nb.Q, np.eye(3))
+    Q = orthonormal_null_basis(np.zeros((2, 3)))
+    assert Q.shape[1] == 3
+    assert np.allclose(Q, np.eye(3))
 
 
 def test_null_basis_random_matrix_properties():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((6, 4)) @ rng.standard_normal((4, 7))
-    nb = orthonormal_null_basis(A)
-    assert nb.Q.shape[1] == 7 - np.linalg.matrix_rank(A)
-    assert np.max(np.abs(A @ nb.Q)) < 1e-10 * np.linalg.norm(A)
-    assert np.max(np.abs(nb.Q.T @ nb.Q - np.eye(nb.Q.shape[1]))) < 1e-12
+    Q = orthonormal_null_basis(A)
+    assert Q.shape[1] == 7 - np.linalg.matrix_rank(A)
+    assert np.max(np.abs(A @ Q)) < 1e-10 * np.linalg.norm(A)
+    assert np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1]))) < 1e-12
 
 
 def test_null_basis_rank_tolerance_is_relative():
-    # the 1e-12 singular value sits below the relative threshold
-    nb = orthonormal_null_basis(np.diag([1.0, 1e-12]))
-    assert nb.Q.shape[1] == 1
+    # below 1e-13 x sigma_max: rounding noise, a null direction
+    assert orthonormal_null_basis(np.diag([1.0, 1e-17])).shape[1] == 1
+    # above 1e-9 x sigma_max: counted in the rank
+    assert orthonormal_null_basis(np.diag([1.0, 1e-8])).shape[1] == 0
+    # in between: neither, so the rank cannot be decided
+    with pytest.raises(NumericalFailure, match="ambiguous band"):
+        orthonormal_null_basis(np.diag([1.0, 1e-12]))
 
 
-def test_null_basis_rejects_non_orthonormal_columns():
-    with pytest.raises(NumericalFailure):
-        NullBasis(Q=np.array([[1.0], [1.0]]))
+def test_null_basis_rejects_non_orthonormal_columns(monkeypatch):
+    def skewed_svd(M, full_matrices):
+        return np.eye(1), np.ones(1), np.array([[1.0, 0.0], [1.0, 1.0]])
+
+    monkeypatch.setattr(hoffbound.numerics, "_svd", skewed_svd)
+    with pytest.raises(NumericalFailure, match="orthonormality"):
+        orthonormal_null_basis(np.array([[1.0, 0.0]]))
 
 
 def test_sigma_plus_of_zero_matrix_is_none():
@@ -67,8 +75,10 @@ def test_sigma_plus_known_values():
 
 
 def test_sigma_plus_skips_singular_values_below_relative_threshold():
-    got = smallest_positive_singular_value(np.diag([1.0, 1e-12]))
+    got = smallest_positive_singular_value(np.diag([1.0, 1e-17]))
     assert got == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(NumericalFailure, match="ambiguous band"):
+        smallest_positive_singular_value(np.diag([1.0, 1e-12]))
 
 
 def test_row_normalize_units_and_inverse_norms():

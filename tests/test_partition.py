@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+import hoffbound.partition
 from hoffbound import (
     AmbiguousIndex,
     HoffboundError,
     PartitionCertificate,
+    SolverConfig,
     compute_partition,
     verify_partition,
 )
@@ -110,6 +112,23 @@ def test_ambiguous_index_carries_row_indices():
     err = AmbiguousIndex("cannot classify", indices=(3, 7))
     assert isinstance(err, HoffboundError)
     assert err.indices == (3, 7)
+
+
+def test_untrusted_margin_is_retried_100x_tighter(monkeypatch):
+    real = hoffbound.partition.solve_partition_lp
+    seen = []
+
+    def first_margin_zero(inst, cfg):
+        seen.append(cfg)
+        sol = real(inst, cfg)
+        return dataclasses.replace(sol, t=0.0) if len(seen) == 1 else sol
+
+    monkeypatch.setattr(hoffbound.partition, "solve_partition_lp", first_margin_zero)
+    cert = compute_partition(instance(C4), SolverConfig())
+    assert (cert.B, cert.N) == ((0, 1), (2,))
+    assert len(seen) == 2
+    assert seen[1].feas_tol == pytest.approx(1e-11, rel=1e-12)
+    assert seen[1].opt_tol == pytest.approx(1e-10, rel=1e-12)
 
 
 def test_partition_covers_all_rows_on_random_instances():

@@ -34,7 +34,6 @@ def test_config_defaults():
     cfg = SolverConfig()
     assert cfg.feas_tol == 1e-9
     assert cfg.opt_tol == 1e-8
-    assert cfg.max_iters == 500
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -42,18 +41,10 @@ def test_config_defaults():
     {"feas_tol": 0.0},
     {"feas_tol": 2.0},
     {"opt_tol": 0.0},
-    {"max_iters": 0},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
-
-
-def test_config_tightened_divides_tolerances():
-    cfg = SolverConfig().tightened(100.0)
-    assert cfg.feas_tol == pytest.approx(1e-11, rel=1e-12)
-    assert cfg.opt_tol == pytest.approx(1e-10, rel=1e-12)
-    assert cfg.max_iters == 500
 
 
 # --- engines ------------------------------------------------------------------
