@@ -22,8 +22,18 @@ __all__ = ["AuditResult", "audit_report", "verify_partition"]
 
 MARGIN_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
+SUM_TOL = 1e-12
 BASIS_TOL = 1e-10
 SIGMA_RTOL = 1e-12
+
+# The components each branch combines: the total is the stitch factor (1
+# without a stitch) times the larger block bound present (0 without one).
+_BRANCH_COMPONENTS = {
+    "zero": (),
+    "case_N": ("case_n",),
+    "case_B": ("case_b",),
+    "general": ("case_n", "case_b", "stitch"),
+}
 
 
 @dataclass(frozen=True)
@@ -44,11 +54,53 @@ def _sigma_and_rank_gap(M: np.ndarray) -> tuple[float | None, float]:
     r = 0.  Raises ``NumericalFailure`` when the rank is ambiguous.
     """
     s = np.linalg.svd(M, full_matrices=False)[1]
-    r = numerical_rank(s, float(np.linalg.norm(M)))
+    r = numerical_rank(s)
     if r == 0:
         return None, math.inf
     gap = float(s[r - 1] / s[r]) if r < s.size and s[r] > 0.0 else math.inf
     return float(s[r - 1]), gap
+
+
+def _check_weights(y: np.ndarray, A_B: np.ndarray, name: str,
+                   keys: tuple[str, str, str], metrics: dict) -> list[str]:
+    """Failures of the weights ``y`` on the rows of ``A_B``: each is positive,
+    they sum to 1 within ``SUM_TOL``, and ``||A_B' y||_inf`` is at most
+    ``RESIDUAL_TOL ||A_B||_F``.  ``keys`` name the three recorded metrics."""
+    min_key, sum_key, eq_key = keys
+    failures = []
+    metrics[min_key] = float(y.min())
+    if y.min() <= 0.0:
+        failures.append(f"{name} is not strictly positive")
+    metrics[sum_key] = sum_err = abs(float(y.sum()) - 1.0)
+    if sum_err > SUM_TOL:
+        failures.append(f"{name} sums to 1 only within {sum_err!r}")
+    metrics[eq_key] = ceq = float(np.abs(A_B.T @ y).max(initial=0.0))
+    if ceq > RESIDUAL_TOL * np.linalg.norm(A_B):
+        failures.append(f"A_B' {name} residual {ceq:.3e} exceeds budget")
+    return failures
+
+
+def _check_unit_margin(Gz: np.ndarray, name: str, key: str, metrics: dict) -> list[str]:
+    """Failure unless the product ``G z`` of a deep-point witness has
+    ``min(G z) >= 1 - MARGIN_TOL`` (infinite with no rows), recorded as ``key``."""
+    metrics[key] = margin = float(Gz.min()) if Gz.size else math.inf
+    return [f"{name} margin {margin!r} is below 1"] if margin < 1.0 - MARGIN_TOL else []
+
+
+def _check_branch(report: BoundReport) -> list[str]:
+    """Failure unless the report carries exactly its branch's components and
+    ``total`` equals their product formula bit for bit."""
+    parts = _BRANCH_COMPONENTS.get(report.branch)
+    if parts is None:
+        return [f"unknown branch {report.branch!r}"]
+    present = tuple(k for k in ("case_n", "case_b", "stitch") if getattr(report, k))
+    if present != parts:
+        return [f"{report.branch} branch carries {present}, not {parts}"]
+    blocks = [c.value for c in (report.case_n, report.case_b) if c is not None]
+    factor = 1.0 if report.stitch is None else report.stitch.value
+    if report.total != factor * max(blocks, default=0.0):
+        return [f"{report.branch} branch arithmetic mismatch"]
+    return []
 
 
 def verify_partition(
@@ -58,15 +110,14 @@ def verify_partition(
 
     No solver is invoked: the checks are index bookkeeping, norms, and sign
     conditions on the stored witnesses (exact cover of the row indices,
-    ``A_N x_hat < 0`` with ``A_B x_hat = 0``, and ``y_hat > 0`` summing to 1
-    with ``A_B' y_hat = 0``), so they share nothing with the LP that
-    produced the certificate.  Residuals may reach ``RESIDUAL_TOL`` times
-    ``max(1, ||A||_F)``.
+    ``A_N x_hat < 0`` with ``A_B x_hat = 0`` for a unit ``x_hat``, and the
+    weights check on ``y_hat``: positive, summing to 1 within ``SUM_TOL``,
+    with ``A_B' y_hat = 0``), so they share nothing with the LP that produced
+    the certificate.  Both residuals may reach ``RESIDUAL_TOL ||A_B||_F``.
     """
     A = instance.A
     failures: list[str] = []
     metrics: dict = {}
-    budget = RESIDUAL_TOL * instance.scale
 
     union = sorted(cert.B + cert.N)
     if union != list(range(instance.m)):
@@ -88,27 +139,17 @@ def verify_partition(
             failures.append("x_hat is not strictly slack on every row of N")
         tight = float(np.abs(A_B @ cert.x_hat).max(initial=0.0))
         metrics["tight_rows_inf"] = tight
-        if tight > budget:
+        if tight > RESIDUAL_TOL * np.linalg.norm(A_B):
             failures.append(f"A_B x_hat residual {tight:.3e} exceeds budget")
-    else:
-        if euclidean_norm(cert.x_hat) != 0.0:
-            failures.append("x_hat must be zero when N is empty")
+    elif euclidean_norm(cert.x_hat) != 0.0:
+        failures.append("x_hat must be zero when N is empty")
 
     if cert.B:
         if cert.y_hat.shape != (len(cert.B),):
             failures.append("y_hat length does not match B")
         else:
-            metrics["min_y_hat"] = float(cert.y_hat.min())
-            if cert.y_hat.min() <= 0.0:
-                failures.append("y_hat is not strictly positive")
-            ssum = float(cert.y_hat.sum())
-            metrics["y_hat_sum_err"] = abs(ssum - 1.0)
-            if abs(ssum - 1.0) > 1e-10:
-                failures.append(f"y_hat sums to {ssum!r}, not 1")
-            ceq = float(np.abs(A_B.T @ cert.y_hat).max(initial=0.0))
-            metrics["center_eq_inf"] = ceq
-            if ceq > budget:
-                failures.append(f"A_B' y_hat residual {ceq:.3e} exceeds budget")
+            keys = ("min_y_hat", "y_hat_sum_err", "center_eq_inf")
+            failures += _check_weights(cert.y_hat, A_B, "y_hat", keys, metrics)
     elif cert.y_hat.size:
         failures.append("y_hat must be empty when B is empty")
 
@@ -118,28 +159,26 @@ def verify_partition(
 def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     """Recheck every certificate a bound report relies on.
 
-    Checks, per branch: the partition certificate passes
-    ``verify_partition``; the slack-block witness satisfies A_N x_bar >= 1
-    and its norm equals the reported value; the tight-block witness is
-    strictly positive, sums to 1, and annihilates A_B' to within
-    ``RESIDUAL_TOL`` times the block scale; ``sigma`` exceeds the smallest
+    A zero branch needs a zero matrix.  Otherwise: the partition certificate
+    passes ``verify_partition``; the slack-block witness has unit margin on
+    A_N and its norm is the reported value; the tight-block witness passes
+    the weights check of ``y_hat``, and ``sigma`` exceeds the smallest
     singular value of A_B' diag(y_bar) that the rank rule counts by at most
-    ``SIGMA_RTOL`` relative; the stitching witness has unit margin through
-    the recomputed row scaling and an orthonormal basis; and the total
-    equals the branch arithmetic bit for bit.  A rank that falls in
-    the rule's ambiguous band is recorded as a failure, not raised.
+    ``SIGMA_RTOL`` relative; the stitching witness lies in null(A_B) within
+    ``RESIDUAL_TOL ||A_B||_F ||Q z_bar||``, on an orthonormal basis, with unit
+    margin through the recomputed row scaling.  Finally the report carries
+    exactly its branch's components, and their product formula gives the
+    total bit for bit.  Every budget is relative to the matrix it checks.  A
+    rank in the rule's ambiguous band is recorded as a failure, not raised.
     """
     A = instance.A
     failures: list[str] = []
     metrics: dict = {}
-
     if report.branch == "zero":
-        if float(np.abs(A).max(initial=0.0)) != 0.0:
+        if np.any(A):
             failures.append("branch is 'zero' but the matrix has a nonzero entry")
-        if report.total != 0.0:
-            failures.append(f"zero branch must report total 0, got {report.total!r}")
+        failures += _check_branch(report)
         return AuditResult(ok=not failures, failures=tuple(failures), metrics=metrics)
-
     cert = report.partition
     if cert is None:
         return AuditResult(
@@ -150,16 +189,13 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     check = verify_partition(instance, cert)
     failures.extend(check.failures)
     metrics.update(check.metrics)
-
     A_B = A[list(cert.B)]
     A_N = A[list(cert.N)]
 
     if report.case_n is not None:
         cn = report.case_n
-        margin = float((A_N @ cn.x_bar).min()) if cert.N else np.inf
-        metrics["case_n_margin"] = margin
-        if margin < 1.0 - MARGIN_TOL:
-            failures.append(f"slack-block witness margin {margin!r} is below 1")
+        failures += _check_unit_margin(
+            A_N @ cn.x_bar, "slack-block witness", "case_n_margin", metrics)
         nrm = euclidean_norm(cn.x_bar)
         metrics["case_n_norm"] = nrm
         if not np.isclose(nrm, cn.value, rtol=1e-13, atol=0.0):
@@ -173,25 +209,13 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
         if y.shape != (len(cert.B),):
             failures.append("tight-block witness length does not match B")
         elif cb.sigma is None:
-            if float(np.abs(A_B).max(initial=0.0)) != 0.0:
+            if np.any(A_B):
                 failures.append("sigma is missing for a nonzero tight block")
             if cb.value != 0.0:
                 failures.append("zero tight block must report value 0")
         else:
-            metrics["case_b_min_y"] = float(y.min())
-            if y.min() <= 0.0:
-                failures.append("tight-block witness is not strictly positive")
-            sum_err = abs(float(y.sum()) - 1.0)
-            metrics["case_b_sum_err"] = sum_err
-            if sum_err > 1e-12:
-                failures.append(f"tight-block witness sums to 1 within {sum_err!r}")
-            scale = max(1.0, float(np.sqrt(np.sum(A_B * A_B))))
-            ceq = float(np.abs(A_B.T @ y).max(initial=0.0))
-            metrics["case_b_eq_inf"] = ceq
-            if ceq > RESIDUAL_TOL * scale:
-                failures.append(
-                    f"A_B' y_bar residual {ceq:.3e} exceeds {RESIDUAL_TOL:.0e} x scale"
-                )
+            keys = ("case_b_min_y", "case_b_sum_err", "case_b_eq_inf")
+            failures += _check_weights(y, A_B, "y_bar", keys, metrics)
             try:
                 sigma, gap = _sigma_and_rank_gap(A_B.T * y[None, :])
             except NumericalFailure as exc:
@@ -222,8 +246,7 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
         lift = Q @ st.z_bar
         null_res = float(np.abs(A_B @ lift).max(initial=0.0))
         metrics["stitch_null_res"] = null_res
-        scale_b = max(1.0, float(np.sqrt(np.sum(A_B * A_B))))
-        if null_res > RESIDUAL_TOL * scale_b * max(1.0, euclidean_norm(lift)):
+        if null_res > RESIDUAL_TOL * np.linalg.norm(A_B) * euclidean_norm(lift):
             failures.append(
                 f"stitch witness leaves the null space of A_B ({null_res:.3e})"
             )
@@ -231,33 +254,11 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
         if np.any(norms <= 0.0):
             failures.append("a slack row is identically zero")
         else:
-            margin = float(((A_N @ lift) / norms).min())
-            metrics["stitch_margin"] = margin
-            if margin < 1.0 - MARGIN_TOL:
-                failures.append(f"stitch witness margin {margin!r} is below 1")
+            failures += _check_unit_margin(
+                (A_N @ lift) / norms, "stitch witness", "stitch_margin", metrics)
         expect = 1.0 + 2.0 * euclidean_norm(st.z_bar)
         if not np.isclose(st.value, expect, rtol=1e-13, atol=0.0):
             failures.append("stitch value does not equal 1 + 2 ||z_bar||")
 
-    total = report.total
-    if report.branch == "case_N":
-        exact = report.case_n is not None and total == report.case_n.value
-        present = report.case_b is None and report.stitch is None
-        if not (exact and present):
-            failures.append("case_N branch arithmetic mismatch")
-    elif report.branch == "case_B":
-        exact = report.case_b is not None and total == report.case_b.value
-        present = report.case_n is None and report.stitch is None
-        if not (exact and present):
-            failures.append("case_B branch arithmetic mismatch")
-    elif report.branch == "general":
-        if report.case_n is None or report.case_b is None or report.stitch is None:
-            failures.append("general branch is missing a component")
-        elif total != report.stitch.value * max(
-            report.case_n.value, report.case_b.value
-        ):
-            failures.append("general branch arithmetic mismatch")
-    else:
-        failures.append(f"unknown branch {report.branch!r}")
-
+    failures += _check_branch(report)
     return AuditResult(ok=not failures, failures=tuple(failures), metrics=metrics)

@@ -93,12 +93,12 @@ class StitchBound:
 
     ``Q`` is the orthonormal null-space basis of A_B the certificate lives
     in; auditors recompute D from the rows of A_N and check the margin of
-    Q z_bar directly.
+    Q z_bar directly.  ``Q`` is not serialized into the JSON report.
     """
 
     value: float
     z_bar: np.ndarray
-    Q: np.ndarray
+    Q: np.ndarray = field(metadata={"json": False})
     min_margin: float
 
     def __post_init__(self) -> None:
@@ -123,18 +123,6 @@ class BoundReport:
     case_b: CaseBBound | None
     stitch: StitchBound | None
     diagnostics: dict = field(default_factory=dict)
-
-    def recomputed_total(self) -> float:
-        """Re-derive ``total`` from the components; must match bit for bit."""
-        if self.branch == "zero":
-            return 0.0
-        if self.branch == "case_N":
-            return self.case_n.value
-        if self.branch == "case_B":
-            return self.case_b.value
-        if self.branch == "general":
-            return self.stitch.value * max(self.case_n.value, self.case_b.value)
-        raise ValueError(f"unknown branch {self.branch!r}")
 
 
 def bound_case_n(A_N: np.ndarray, cfg: SolverConfig | None = None) -> CaseNBound:
@@ -176,8 +164,8 @@ def bound_case_b(
     sigma = smallest_positive_singular_value(weighted)
     if sigma is None:
         raise NumericalFailure(
-            "weighted tight block has no positive singular value above the "
-            "rank tolerance; the center is too unbalanced to certify"
+            "weighted tight block A_B' diag(y_bar) is numerically zero; "
+            "sigma cannot be certified"
         )
     return CaseBBound(value=2.0 / sigma, y_bar=ac.y.copy(), sigma=sigma)
 

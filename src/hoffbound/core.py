@@ -21,7 +21,6 @@ __all__ = [
     "ZERO_MATRIX_FLOOR",
     "euclidean_norm",
     "pos_part_inf_norm",
-    "relative_scale",
 ]
 
 # Frobenius norms at or below this are treated as the zero matrix, for which
@@ -51,11 +50,6 @@ def euclidean_norm(v: npt.ArrayLike) -> float:
     if v.size == 0:
         return 0.0
     return float(np.linalg.norm(v))
-
-
-def relative_scale(frobenius_scale: float) -> float:
-    """Reference scale ``max(1, ||A||_F)`` used by every relative tolerance."""
-    return max(1.0, frobenius_scale)
 
 
 @dataclass(frozen=True)
@@ -105,11 +99,6 @@ class ProblemInstance:
     def is_zero(self) -> bool:
         """True when ``A`` is the zero matrix (cone is all of R^n)."""
         return self.frobenius_scale <= ZERO_MATRIX_FLOOR
-
-    @property
-    def scale(self) -> float:
-        """``max(1, ||A||_F)``, the reference for relative tolerances."""
-        return relative_scale(self.frobenius_scale)
 
     def residual_violation(self, u: npt.ArrayLike) -> float:
         """Sup-norm distance from ``A u`` to the nonpositive orthant."""

@@ -13,6 +13,7 @@ is byte-identical across repeated runs with the same inputs and seed.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 from typing import Any
@@ -225,14 +226,6 @@ def save_matrix_csv(path: str | Path, A: np.ndarray) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def _float_or_none(x: float | None) -> float | None:
-    return None if x is None else float(x)
-
-
-def _vector(v: np.ndarray | None) -> list[float] | None:
-    return None if v is None else [float(x) for x in np.asarray(v).ravel()]
-
-
 def report_to_dict(
     report: BoundReport,
     oracle: OracleResult | None = None,
@@ -240,85 +233,54 @@ def report_to_dict(
 ) -> dict[str, Any]:
     """JSON-ready payload for a bound report and optional oracle result.
 
+    The partition, the bound components and the oracle result are serialized
+    field by field from their dataclasses, without the fields marked
+    ``metadata={"json": False}`` (the stitch's basis ``Q``).
     When an oracle result is attached, the sandwich block records whether
     the sampled lower bound stays below the certified total within the
     relative tolerance.
     """
-    cert = report.partition
-    partition = None
-    if cert is not None:
-        partition = {
-            "B": list(cert.B),
-            "N": list(cert.N),
-            "t": float(cert.t),
-            "x_hat": _vector(cert.x_hat),
-            "y_hat": _vector(cert.y_hat),
-            "min_slack_N": _float_or_none(cert.min_slack_N),
-            "min_y_hat": _float_or_none(cert.min_y_hat),
-            "residuals": _jsonable(cert.residuals),
-        }
-
-    bounds: dict[str, Any] = {
-        "case_N": None,
-        "case_B": None,
-        "stitch": None,
-        "total": float(report.total),
-    }
-    if report.case_n is not None:
-        bounds["case_N"] = {
-            "value": float(report.case_n.value),
-            "x_bar": _vector(report.case_n.x_bar),
-            "min_margin": float(report.case_n.min_margin),
-        }
-    if report.case_b is not None:
-        bounds["case_B"] = {
-            "value": float(report.case_b.value),
-            "y_bar": _vector(report.case_b.y_bar),
-            "sigma": _float_or_none(report.case_b.sigma),
-        }
-    if report.stitch is not None:
-        bounds["stitch"] = {
-            "value": float(report.stitch.value),
-            "z_bar": _vector(report.stitch.z_bar),
-            "min_margin": float(report.stitch.min_margin),
-        }
-
-    oracle_block = None
     sandwich = None
     if oracle is not None:
-        oracle_block = {
-            "lower_bound": float(oracle.lower_bound),
-            "best_u": _vector(oracle.best_u),
-            "samples_used": int(oracle.samples_used),
-            "skipped": int(oracle.skipped),
-            "seed": int(oracle.seed),
-        }
         slack = report.total + sandwich_rtol * (1.0 + report.total)
         sandwich = {
-            "ok": bool(oracle.lower_bound <= slack),
-            "upper": float(report.total),
-            "lower": float(oracle.lower_bound),
-            "tolerance": float(slack - report.total),
+            "ok": oracle.lower_bound <= slack,
+            "upper": report.total,
+            "lower": oracle.lower_bound,
+            "tolerance": slack - report.total,
         }
-
-    return {
+    return _jsonable({
         "version": REPORT_VERSION,
         "branch": report.branch,
-        "partition": partition,
-        "bounds": bounds,
-        "oracle": oracle_block,
+        "partition": report.partition,
+        "bounds": {
+            "case_N": report.case_n,
+            "case_B": report.case_b,
+            "stitch": report.stitch,
+            "total": report.total,
+        },
+        "oracle": oracle,
         "sandwich": sandwich,
-        "diagnostics": _jsonable(report.diagnostics),
-    }
+        "diagnostics": report.diagnostics,
+    })
 
 
 def _jsonable(obj: Any) -> Any:
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: _jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if f.metadata.get("json", True)
+        }
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.ravel()]
+    # bool before int: bool is an int subclass
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-from .core import HoffboundError, relative_scale
+from .core import ZERO_MATRIX_FLOOR, HoffboundError
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -27,9 +27,9 @@ __all__ = [
 ]
 
 # Relative numerical-rank threshold: singular values at or below
-# DEFAULT_RANK_TOL * sigma_max are treated as zero.  For matrices whose
-# largest singular value is itself negligible against the absolute scale
-# max(1, ||.||_F), the whole matrix is treated as zero.
+# DEFAULT_RANK_TOL * sigma_max are treated as zero.  There is no absolute
+# floor besides the zero-matrix one, so a rank does not change when the
+# matrix is scaled.
 DEFAULT_RANK_TOL = 1e-9
 
 # Lower edge of the ambiguous band: a singular value cut as zero must lie at
@@ -55,13 +55,13 @@ def _svd(M: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray, np
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 
 
-def numerical_rank(s: np.ndarray, frobenius: float) -> int:
+def numerical_rank(s: np.ndarray) -> int:
     """Numerical rank from the descending singular values ``s`` of a matrix.
 
-    The rank counts the ``s_i > DEFAULT_RANK_TOL * s_max``; it is 0 when
-    ``s_max <= DEFAULT_RANK_TOL * max(1, frobenius)``, with ``frobenius`` the
-    matrix's Frobenius norm.  This is the only place the package decides a
-    numerical rank.
+    The rank counts the ``s_i > DEFAULT_RANK_TOL * s_max``, a purely
+    relative rule, so ``c M`` has the rank of ``M``; it is 0 only when
+    ``s_max <= core.ZERO_MATRIX_FLOOR``.  This is the only place the package
+    decides a numerical rank.
 
     Raises
     ------
@@ -72,7 +72,7 @@ def numerical_rank(s: np.ndarray, frobenius: float) -> int:
         unsound.
     """
     sigma_max = float(s[0]) if s.size else 0.0
-    if sigma_max <= DEFAULT_RANK_TOL * relative_scale(frobenius):
+    if sigma_max <= ZERO_MATRIX_FLOOR:
         return 0
     rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * sigma_max))
     if rank < s.size and s[rank] > RANK_BAND * sigma_max:
@@ -105,7 +105,7 @@ def orthonormal_null_basis(A_B: npt.ArrayLike) -> np.ndarray:
         return np.eye(n)
 
     _, s, Vh = _svd(A_B, full_matrices=True)
-    rank = numerical_rank(s, float(np.linalg.norm(A_B)))
+    rank = numerical_rank(s)
     if rank == 0:
         return np.eye(n)
     Q = np.ascontiguousarray(Vh[rank:].T)
@@ -128,7 +128,7 @@ def smallest_positive_singular_value(M: npt.ArrayLike) -> float | None:
     if M.ndim != 2 or M.size == 0:
         raise ValueError("expected a nonempty 2-d matrix")
     s = _svd(M, full_matrices=False)[1]
-    rank = numerical_rank(s, float(np.linalg.norm(M)))
+    rank = numerical_rank(s)
     return float(s[rank - 1]) if rank else None
 
 

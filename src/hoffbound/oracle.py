@@ -52,15 +52,15 @@ def ratio_at(instance: ProblemInstance, u: np.ndarray) -> float:
     """Lower-bound ratio dist_2(u, P) / max row violation at one point.
 
     Points with no meaningful violation contribute 0: the violation floor is
-    relative to both the matrix scale and ``||u||``, so feasible points are
-    screened out without a projection.  The numerator is the certified
+    ``1e-12 ||A||_F ||u||``, so feasible points are screened out without a
+    projection at any scale of A or u.  The numerator is the certified
     distance underestimate from the projection's multipliers, valid for any
     mu >= 0, so an NNLS fit that stops early can only make the reported ratio
     smaller, never unsound; a fit that fails raises ``SolverStall``.
     """
     u = np.asarray(u, dtype=float)
     viol = pos_part_inf_norm(instance.A @ u)
-    floor = _VIOLATION_FLOOR * instance.scale * max(1.0, euclidean_norm(u))
+    floor = _VIOLATION_FLOOR * instance.frobenius_scale * euclidean_norm(u)
     if viol <= floor:
         return 0.0
     proj = project_onto_cone(instance, u)

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from ..core import ProblemInstance, euclidean_norm, relative_scale
+from ..core import ProblemInstance, euclidean_norm
 from ..numerics import NumericalFailure, orthonormal_null_basis, row_norms
 from .config import MAX_ITERS, InfeasibleQP, NoInteriorPoint, SolverConfig, SolverStall
 from .ipm import solve_qp_ipm
@@ -263,7 +263,6 @@ def solve_partition_lp(
     t = float(v[it])
 
     A_orig = instance.A
-    scale = relative_scale(instance.frobenius_scale)
     residuals = {
         "dual_eq_inf": float(np.abs(A_orig.T @ y).max(initial=0.0)),
         "primal_eq_inf": float(np.abs(A_orig @ x + s).max(initial=0.0)),
@@ -271,7 +270,8 @@ def solve_partition_lp(
         "coupling_violation": max(0.0, t - float((y + s).min())),
         "nonneg_violation": max(0.0, -float(min(y.min(), s.min(), t))),
     }
-    budget = cfg.feas_tol * scale
+    # max(1, ||A||_F): the residuals mix units of A with unitless sums
+    budget = cfg.feas_tol * max(1.0, instance.frobenius_scale)
     worst = max(
         residuals["dual_eq_inf"],
         residuals["primal_eq_inf"],

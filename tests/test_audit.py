@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import hoffbound.audit
-from hoffbound import NumericalFailure, audit_report, bound_h0, lower_bound_monte_carlo
+from hoffbound import (
+    NumericalFailure,
+    audit_report,
+    bound_h0,
+    lower_bound_monte_carlo,
+    smallest_positive_singular_value,
+)
 
 from helpers import gaussian_matrix, instance, planted_mixed_matrix
 
@@ -152,3 +158,23 @@ def test_audit_records_an_ambiguous_rank_as_a_failure():
     res = audit_report(instance(_eps_block(1e-12)), rep)
     assert not res.ok
     assert any("ambiguous band" in f for f in res.failures)
+
+
+def test_audit_budget_scales_with_the_tight_block():
+    # off the slice, y_bar = (0.9, 0.1) leaves A_B' y_bar = 8e-9, inside an
+    # absolute budget of 1e-8; with sigma and the total redone consistently
+    # it would certify 6.63e8 where the honest total is 8.49e8
+    c = 1e-8
+    inst = instance(c * C4)
+    rep = bound_h0(inst)
+    assert audit_report(inst, rep).ok
+    y = np.array([0.9, 0.1])
+    sigma = smallest_positive_singular_value(c * C4[:2].T * y[None, :])
+    bad_case_b = dataclasses.replace(rep.case_b, y_bar=y, sigma=sigma,
+                                     value=2.0 / sigma)
+    total = rep.stitch.value * max(rep.case_n.value, bad_case_b.value)
+    assert total * c == pytest.approx(6.626, rel=1e-3)
+    assert rep.total * c == pytest.approx(8.485, rel=1e-3)
+    res = audit_report(inst, dataclasses.replace(rep, case_b=bad_case_b, total=total))
+    assert not res.ok
+    assert any("A_B' y_bar residual" in f for f in res.failures)

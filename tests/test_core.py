@@ -68,10 +68,8 @@ def test_scales():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
     inst = ProblemInstance.from_matrix(A)
     assert inst.frobenius_scale == np.linalg.norm(A)
-    assert inst.scale == max(1.0, np.linalg.norm(A))
     zero = ProblemInstance.from_matrix(np.zeros((2, 2)))
     assert zero.frobenius_scale == 0.0
-    assert zero.scale == 1.0
 
 
 def test_residual_violation_matches_positive_part():

@@ -17,6 +17,7 @@ from hoffbound import (
 from helpers import gaussian_matrix, instance
 
 SQRT5 = 2.23606797749979
+C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
 def test_ratio_at_known_direction():
@@ -140,6 +141,14 @@ def test_monte_carlo_respects_certified_totals():
         x_hat = rep.partition.x_hat if rep.partition is not None else None
         res = lower_bound_monte_carlo(inst, num_samples=8, seed=seed, x_hat=x_hat)
         assert res.lower_bound <= rep.total + 1e-6 * (1 + rep.total)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-14])
+def test_screening_floor_scales_with_the_matrix(c):
+    # a floor of 1e-12 max(1, ||A||_F) once screened out every candidate
+    low = lower_bound_monte_carlo(instance(c * C4), num_samples=8, seed=0)
+    assert low.lower_bound * c == pytest.approx(math.sqrt(2.0), rel=1e-9)
+    assert low.skipped < low.samples_used
 
 
 def test_closed_form_values():

@@ -225,7 +225,7 @@ def test_projection_feasibility_and_lower_bound():
         inst = instance(A)
         u = rng.standard_normal(4) * 3.0
         res = project_onto_cone(inst, u)
-        assert res.feas_violation <= 1e-8 * inst.scale
+        assert res.feas_violation <= 1e-8 * max(1.0, inst.frobenius_scale)
         assert res.distance_lower <= res.distance + 1e-12
 
 
@@ -259,7 +259,7 @@ def test_projection_refits_when_nnls_ends_outside_the_cone(seed):
     rng = np.random.default_rng(seed)
     for _ in range(20):
         res = project_onto_cone(inst, rng.standard_normal(inst.n))
-        assert res.feas_violation <= 1e-8 * inst.scale
+        assert res.feas_violation <= 1e-8 * max(1.0, inst.frobenius_scale)
         assert res.distance_lower == pytest.approx(res.distance, rel=1e-8)
 
 
@@ -267,7 +267,7 @@ def _check_projection(A, u_seed):
     inst = instance(A)
     u = np.random.default_rng([u_seed, 1]).standard_normal(inst.n)
     res = project_onto_cone(inst, u)
-    assert res.feas_violation <= 1e-8 * inst.scale
+    assert res.feas_violation <= 1e-8 * max(1.0, inst.frobenius_scale)
     assert res.distance_lower <= res.distance
     # Moreau: the multipliers' certificate meets the primal distance
     assert res.distance_lower == pytest.approx(res.distance, rel=1e-8)
@@ -339,4 +339,4 @@ def test_partition_lp_residuals_and_cap():
         assert sol.t > 0.0
         for key in ("dual_eq_inf", "primal_eq_inf", "normalization",
                     "coupling_violation", "nonneg_violation"):
-            assert sol.residuals[key] <= 1e-7 * inst.scale
+            assert sol.residuals[key] <= 1e-7 * max(1.0, inst.frobenius_scale)

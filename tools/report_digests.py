@@ -4,7 +4,8 @@ For each case of ``perfbench/workloads.make_cases`` (workloads ``suite``,
 ``ladder`` and ``tall``, seeds 0 and 1) this runs the benchmark's pipeline:
 ``bound_h0``, the audit, and the sampling oracle wherever the workload runs
 it.  It prints one line per case: workload, seed, case name, the sha256 of
-the canonical JSON report and the audit verdict (or the error raised).
+the canonical JSON report, the audit verdict and the sha256 of the audit
+metrics as sorted JSON (or the error raised).
 The package is imported from this checkout's ``src``.  Run it in two
 checkouts and ``diff`` the outputs:
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -34,6 +36,10 @@ def _load_workloads():
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main() -> int:
@@ -59,8 +65,8 @@ def main() -> int:
                 except HoffboundError as exc:
                     print(workload, seed, case.name, f"raised {type(exc).__name__}")
                     continue
-                ok = audit_report(inst, report).ok
-                verdict = "audit-ok" if ok else "audit-FAILED"
+                audit = audit_report(inst, report)
+                verdict = "audit-ok" if audit.ok else "audit-FAILED"
                 oracle = None
                 if case.oracle_seed is not None:
                     x_hat = None if report.partition is None else report.partition.x_hat
@@ -71,8 +77,9 @@ def main() -> int:
                 text = canonical_report_json(
                     report_to_dict(report, oracle, sandwich_rtol=SANDWICH_RTOL)
                 )
-                digest = hashlib.sha256(text.encode()).hexdigest()
-                print(workload, seed, case.name, digest, verdict)
+                metrics = json.dumps(audit.metrics, sort_keys=True)
+                print(workload, seed, case.name, _sha256(text), verdict,
+                      _sha256(metrics))
     return 0
 
 
