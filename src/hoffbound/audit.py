@@ -66,6 +66,8 @@ def _check_weights(y: np.ndarray, A_B: np.ndarray, name: str,
     """Failures of the weights ``y`` on the rows of ``A_B``: each is positive,
     they sum to 1 within ``SUM_TOL``, and ``||A_B' y||_inf`` is at most
     ``RESIDUAL_TOL ||A_B||_F``.  ``keys`` name the three recorded metrics."""
+    if y.size == 0:
+        return [f"{name} is empty"]
     min_key, sum_key, eq_key = keys
     failures = []
     metrics[min_key] = float(y.min())
@@ -103,6 +105,10 @@ def _check_branch(report: BoundReport) -> list[str]:
     return []
 
 
+def _rows_in_range(instance: ProblemInstance, cert: PartitionCertificate) -> bool:
+    return all(0 <= i < instance.m for i in cert.B + cert.N)
+
+
 def verify_partition(
     instance: ProblemInstance, cert: PartitionCertificate
 ) -> AuditResult:
@@ -114,10 +120,14 @@ def verify_partition(
     weights check on ``y_hat``: positive, summing to 1 within ``SUM_TOL``,
     with ``A_B' y_hat = 0``), so they share nothing with the LP that produced
     the certificate.  Both residuals may reach ``RESIDUAL_TOL ||A_B||_F``.
+    A row index out of range is recorded and stops the recheck.
     """
     A = instance.A
     failures: list[str] = []
     metrics: dict = {}
+    if not _rows_in_range(instance, cert):
+        return AuditResult(ok=False, failures=("a row index is out of range",),
+                           metrics=metrics)
 
     union = sorted(cert.B + cert.N)
     if union != list(range(instance.m)):
@@ -169,7 +179,8 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     margin through the recomputed row scaling.  Finally the report carries
     exactly its branch's components, and their product formula gives the
     total bit for bit.  Every budget is relative to the matrix it checks.  A
-    rank in the rule's ambiguous band is recorded as a failure, not raised.
+    rank in the rule's ambiguous band, a row index out of range and an empty
+    weight vector are recorded as failures, not raised.
     """
     A = instance.A
     failures: list[str] = []
@@ -187,6 +198,8 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
             metrics=metrics,
         )
     check = verify_partition(instance, cert)
+    if not _rows_in_range(instance, cert):
+        return check
     failures.extend(check.failures)
     metrics.update(check.metrics)
     A_B = A[list(cert.B)]

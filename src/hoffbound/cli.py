@@ -120,6 +120,8 @@ def _print_text(payload: dict) -> None:
         print(f"tight rows B: {part['B']}")
         print(f"slack rows N: {part['N']}")
         print(f"margin t: {part['t']:.6e}")
+        retry = ", retried at 100x tighter tolerances" if part["retried"] else ""
+        print(f"partition LP: {part['lp_iterations']} iterations{retry}")
     for key, label in (("case_N", "slack-block bound"),
                        ("case_B", "tight-block bound"),
                        ("stitch", "restriction factor")):

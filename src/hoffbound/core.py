@@ -99,7 +99,3 @@ class ProblemInstance:
     def is_zero(self) -> bool:
         """True when ``A`` is the zero matrix (cone is all of R^n)."""
         return self.frobenius_scale <= ZERO_MATRIX_FLOOR
-
-    def residual_violation(self, u: npt.ArrayLike) -> float:
-        """Sup-norm distance from ``A u`` to the nonpositive orthant."""
-        return pos_part_inf_norm(self.A @ np.asarray(u, dtype=float))

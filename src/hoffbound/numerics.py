@@ -23,6 +23,7 @@ __all__ = [
     "orthonormal_null_basis",
     "row_norms",
     "row_normalize",
+    "row_space_basis",
     "smallest_positive_singular_value",
 ]
 
@@ -115,6 +116,17 @@ def orthonormal_null_basis(A_B: npt.ArrayLike) -> np.ndarray:
             f"null basis lost orthonormality (gram error {gram_err:.3e})"
         )
     return Q
+
+
+def row_space_basis(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis ``V`` of shape ``(n, r)`` of the row space of ``A``.
+
+    The columns are the right singular vectors whose singular values
+    ``numerical_rank`` counts, so ``A V`` has full column rank ``r``.
+    Raises ``NumericalFailure`` when the rank falls in the ambiguous band.
+    """
+    _, s, Vh = _svd(A, full_matrices=False)
+    return np.ascontiguousarray(Vh[: numerical_rank(s)].T)
 
 
 def smallest_positive_singular_value(M: npt.ArrayLike) -> float | None:

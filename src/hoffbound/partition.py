@@ -57,6 +57,11 @@ class PartitionCertificate:
         Smallest component of y_hat; None when B is empty.
     residuals : dict
         Witness residuals plus the raw LP residuals, for auditing.
+    lp_iterations : int
+        Interior-point steps of the partition LP, over both solves when
+        the retry ran.
+    retried : bool
+        Whether the LP was solved a second time at 100x tighter tolerances.
     """
 
     B: tuple[int, ...]
@@ -67,16 +72,14 @@ class PartitionCertificate:
     min_slack_N: float | None
     min_y_hat: float | None
     residuals: dict = field(default_factory=dict)
+    lp_iterations: int = 0
+    retried: bool = False
 
     def __post_init__(self) -> None:
         if set(self.B) & set(self.N):
             raise ValueError("B and N must be disjoint")
         self.x_hat.setflags(write=False)
         self.y_hat.setflags(write=False)
-
-    @property
-    def m(self) -> int:
-        return len(self.B) + len(self.N)
 
 
 def _classify(
@@ -111,11 +114,14 @@ def compute_partition(
     """
     cfg = cfg or SolverConfig()
     sol = solve_partition_lp(instance, cfg)
+    lp_iterations = sol.iterations
     b_mask, n_mask, bad = _classify(sol.y, sol.s, sol.t)
 
-    if sol.t < T_MIN or bad.size:
+    retried = sol.t < T_MIN or bool(bad.size)
+    if retried:
         tight = SolverConfig(feas_tol=cfg.feas_tol / 100.0, opt_tol=cfg.opt_tol / 100.0)
         sol = solve_partition_lp(instance, tight)
+        lp_iterations += sol.iterations
         b_mask, n_mask, bad = _classify(sol.y, sol.s, sol.t)
         if sol.t < T_MIN:
             raise AmbiguousIndex(
@@ -163,4 +169,6 @@ def compute_partition(
         min_slack_N=min_slack,
         min_y_hat=min_y,
         residuals=residuals,
+        lp_iterations=lp_iterations,
+        retried=retried,
     )

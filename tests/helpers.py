@@ -5,9 +5,15 @@ matrices.  The degenerate family cycles five shapes of rank deficiency
 and row duplication that exercise the partition and stitching paths.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from hoffbound import ProblemInstance
+
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def gaussian_matrix(seed: int, max_m: int = 20, max_n: int = 10) -> np.ndarray:
@@ -73,3 +79,23 @@ def planted_mixed_split(seed: int, m: int, n: int) -> tuple[np.ndarray, np.ndarr
 
 def instance(A) -> ProblemInstance:
     return ProblemInstance.from_matrix(np.asarray(A, dtype=float))
+
+
+def benchmark_matrix(workload: str, seed: int, name: str) -> np.ndarray:
+    """The matrix of one case of the benchmark's ``make_cases``.
+
+    ``perfbench/workloads.py`` is loaded in place and never written to: no
+    bytecode cache is left next to it.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    # dataclasses resolve the module's annotations through sys.modules
+    sys.modules[spec.name] = module
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+        del sys.modules[spec.name]
+    return next(c.A for c in module.make_cases(workload, seed) if c.name == name)

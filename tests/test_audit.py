@@ -8,6 +8,7 @@ import pytest
 
 import hoffbound.audit
 from hoffbound import (
+    CaseBBound,
     NumericalFailure,
     audit_report,
     bound_h0,
@@ -178,3 +179,22 @@ def test_audit_budget_scales_with_the_tight_block():
     res = audit_report(inst, dataclasses.replace(rep, case_b=bad_case_b, total=total))
     assert not res.ok
     assert any("A_B' y_bar residual" in f for f in res.failures)
+
+
+def test_audit_records_a_row_index_out_of_range():
+    inst = instance(-np.eye(3))
+    rep = bound_h0(inst)
+    bad_cert = dataclasses.replace(rep.partition, N=(0, 1, 3))
+    res = audit_report(inst, dataclasses.replace(rep, partition=bad_cert))
+    assert not res.ok
+    assert res.failures == ("a row index is out of range",)
+
+
+def test_audit_records_an_empty_tight_block_witness():
+    # B is empty on -eye(3); a tight-block component there has nothing to weigh
+    inst = instance(-np.eye(3))
+    rep = bound_h0(inst)
+    case_b = CaseBBound(value=1.0, y_bar=np.zeros(0), sigma=2.0)
+    res = audit_report(inst, dataclasses.replace(rep, case_b=case_b))
+    assert not res.ok
+    assert "y_bar is empty" in res.failures

@@ -70,10 +70,3 @@ def test_scales():
     assert inst.frobenius_scale == np.linalg.norm(A)
     zero = ProblemInstance.from_matrix(np.zeros((2, 2)))
     assert zero.frobenius_scale == 0.0
-
-
-def test_residual_violation_matches_positive_part():
-    inst = ProblemInstance.from_matrix(-np.eye(5))
-    assert inst.residual_violation(np.ones(5)) == 0.0
-    assert inst.residual_violation(-np.ones(5)) == 1.0
-    assert inst.residual_violation(np.array([1.0, -2.0, 1.0, 1.0, 1.0])) == 2.0

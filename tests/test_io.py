@@ -169,6 +169,13 @@ def test_payload_shape_and_schema_for_each_branch():
                                     "oracle", "sandwich", "diagnostics"}
 
 
+def test_canonical_payload_carries_the_partition_lp_work():
+    rep = bound_h0(instance(-np.eye(3)))
+    part = json.loads(canonical_report_json(report_to_dict(rep)))["partition"]
+    assert part["lp_iterations"] == rep.partition.lp_iterations > 0
+    assert part["retried"] is False
+
+
 def test_payload_without_oracle_has_null_sandwich():
     rep = bound_h0(instance(-np.eye(3)))
     payload = report_to_dict(rep)

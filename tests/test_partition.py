@@ -123,12 +123,18 @@ def test_untrusted_margin_is_retried_100x_tighter(monkeypatch):
         sol = real(inst, cfg)
         return dataclasses.replace(sol, t=0.0) if len(seen) == 1 else sol
 
+    plain = compute_partition(instance(C4), SolverConfig())
+    assert not plain.retried
+    assert plain.lp_iterations == real(instance(C4), SolverConfig()).iterations > 0
     monkeypatch.setattr(hoffbound.partition, "solve_partition_lp", first_margin_zero)
     cert = compute_partition(instance(C4), SolverConfig())
     assert (cert.B, cert.N) == ((0, 1), (2,))
     assert len(seen) == 2
     assert seen[1].feas_tol == pytest.approx(1e-11, rel=1e-12)
     assert seen[1].opt_tol == pytest.approx(1e-10, rel=1e-12)
+    # the retry shows in the certificate, and so in the JSON report
+    assert cert.retried
+    assert cert.lp_iterations > plain.lp_iterations
 
 
 def test_partition_covers_all_rows_on_random_instances():

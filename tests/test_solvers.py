@@ -1,4 +1,4 @@
-"""Solver configuration, the two engines, and the four optimization programs."""
+"""Solver configuration, the partition LP's engine, and the four optimization programs."""
 
 import numpy as np
 import pytest
@@ -17,9 +17,12 @@ from hoffbound import (
     solve_min_norm_qp,
     solve_partition_lp,
 )
-from hoffbound.solvers.ipm import solve_qp_ipm
+import hoffbound.solvers.ipm
+from hoffbound.audit import verify_partition
+from hoffbound.partition import T_MIN, compute_partition
 
 from helpers import (
+    benchmark_matrix,
     degenerate_matrix,
     gaussian_matrix,
     instance,
@@ -45,24 +48,6 @@ def test_config_defaults():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
-
-
-# --- engines ------------------------------------------------------------------
-
-def test_bound_constrained_qp():
-    # min 0.5 ||v||^2 - v_0 + 0.5 v_1 over v >= 0: optimum at e_0, with a
-    # strictly positive multiplier on the inactive coordinate
-    res = solve_qp_ipm(np.eye(2), np.array([-1.0, 0.5]), np.zeros((0, 2)),
-                       np.zeros(0), np.array([False, True]))
-    assert res.status == "converged"
-    assert np.allclose(res.v, [1.0, 0.0], atol=1e-6)
-
-
-def test_barrier_program_runs_damped_newton():
-    # a zero tight block leaves the probability simplex in R^2, whose
-    # analytic center is (1/2, 1/2)
-    sol = solve_analytic_center(np.zeros((2, 1)))
-    assert np.allclose(sol.y, [0.5, 0.5], atol=1e-9)
 
 
 # --- minimum-norm margin QP -------------------------------------------------
@@ -130,6 +115,13 @@ def test_min_norm_qp_infeasible_inputs():
 
 
 # --- analytic center ---------------------------------------------------------
+
+def test_barrier_program_runs_damped_newton():
+    # a zero tight block leaves the probability simplex in R^2, whose
+    # analytic center is (1/2, 1/2)
+    sol = solve_analytic_center(np.zeros((2, 1)))
+    assert np.allclose(sol.y, [0.5, 0.5], atol=1e-9)
+
 
 def test_analytic_center_opposing_rows():
     sol = solve_analytic_center(np.array([[1.0], [-1.0]]))
@@ -340,3 +332,74 @@ def test_partition_lp_residuals_and_cap():
         for key in ("dual_eq_inf", "primal_eq_inf", "normalization",
                     "coupling_violation", "nonneg_violation"):
             assert sol.residuals[key] <= 1e-7 * max(1.0, inst.frobenius_scale)
+
+
+def _check_lp(inst, sol):
+    budget = SolverConfig().feas_tol * max(1.0, inst.frobenius_scale)
+    for key in ("dual_eq_inf", "primal_eq_inf", "normalization", "nonneg_violation"):
+        assert sol.residuals[key] <= budget, key
+    assert 0.0 < sol.t <= 1.0 / inst.m + 1e-9
+
+
+def test_partition_lp_on_a_rank_deficient_rotated_matrix():
+    # suite degenerate-8 at seed 1: opposing row pairs a, b, -a, -b rotated
+    # off the axes, so A (4 x 5, rank 2) has no exactly zero column; its
+    # null directions of x leave the Newton system singular unless the LP
+    # is solved in row-space coordinates
+    A = benchmark_matrix("suite", 1, "degenerate-8")
+    assert A.shape == (4, 5) and np.linalg.matrix_rank(A) == 2
+    inst = instance(A)
+    sol = solve_partition_lp(inst)
+    _check_lp(inst, sol)
+    cert = compute_partition(inst)
+    assert (cert.B, cert.N) == ((0, 1, 2, 3), ())
+    assert verify_partition(inst, cert).ok
+
+
+def test_partition_lp_with_a_zero_column_and_zero_rows():
+    A = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                  [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+    inst = instance(A)
+    _check_lp(inst, solve_partition_lp(inst))
+    cert = compute_partition(inst)
+    assert (cert.B, cert.N) == ((0, 1, 2, 4), (3,))
+    assert verify_partition(inst, cert).ok
+    # with every row zero the row space is empty (r = 0): y is uniform and
+    # the margin is 1/m
+    zero = instance(np.zeros((3, 2)))
+    sol = solve_partition_lp(zero)
+    _check_lp(zero, sol)
+    assert np.allclose(sol.y, 1.0 / 3.0, atol=1e-9)
+    assert sol.t == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("m, n", [(800, 80), (1600, 100)])
+def test_partition_recovers_planted_split_at_scale(m, n):
+    A, slack = planted_mixed_split(7, m, n)
+    inst = instance(A)
+    cert = compute_partition(inst)
+    assert cert.N == tuple(int(i) for i in np.flatnonzero(slack))
+    assert cert.B == tuple(int(i) for i in np.flatnonzero(~slack))
+    assert cert.t >= T_MIN
+    assert verify_partition(inst, cert).ok
+
+
+def test_partition_lp_converges_where_the_weights_span_sixteen_decades(monkeypatch):
+    # every row of this 18 x 8 Gaussian matrix is tight and the optimal
+    # margin is 4.3e-6; near the optimum the slacks s reach 1e-16 while
+    # their duals grow to 1e4, and a dual step formed from F du loses the
+    # dual residual unless the refinement corrects it directly
+    spans = []
+    newton = hoffbound.solvers.ipm._Newton
+
+    def recording(N, colsum, D):
+        spans.append(float(D.max() / D.min()))
+        return newton(N, colsum, D)
+
+    monkeypatch.setattr(hoffbound.solvers.ipm, "_Newton", recording)
+    inst = instance(benchmark_matrix("suite", 1, "gaussian-94"))
+    sol = solve_partition_lp(inst)
+    _check_lp(inst, sol)
+    assert max(spans) > 1e16
+    assert sol.t == pytest.approx(4.3148e-6, rel=1e-4)
+    assert np.all(sol.y >= 0.5 * sol.t)

@@ -42,7 +42,14 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def main() -> int:
+def iter_reports():
+    """Run the pipeline on every case, in order.
+
+    Yields ``(workload, seed, case name, report, audit, oracle, text)``:
+    the bound report, its audit, the oracle result (None where the workload
+    skips the oracle) and the canonical JSON of the report.  When
+    ``bound_h0`` raises, ``report`` is the exception and the rest are None.
+    """
     workloads = _load_workloads()
     sys.path.insert(0, str(ROOT / "src"))
     from hoffbound import (
@@ -63,10 +70,9 @@ def main() -> int:
                 try:
                     report = bound_h0(inst)
                 except HoffboundError as exc:
-                    print(workload, seed, case.name, f"raised {type(exc).__name__}")
+                    yield workload, seed, case.name, exc, None, None, None
                     continue
                 audit = audit_report(inst, report)
-                verdict = "audit-ok" if audit.ok else "audit-FAILED"
                 oracle = None
                 if case.oracle_seed is not None:
                     x_hat = None if report.partition is None else report.partition.x_hat
@@ -77,9 +83,17 @@ def main() -> int:
                 text = canonical_report_json(
                     report_to_dict(report, oracle, sandwich_rtol=SANDWICH_RTOL)
                 )
-                metrics = json.dumps(audit.metrics, sort_keys=True)
-                print(workload, seed, case.name, _sha256(text), verdict,
-                      _sha256(metrics))
+                yield workload, seed, case.name, report, audit, oracle, text
+
+
+def main() -> int:
+    for workload, seed, name, report, audit, _, text in iter_reports():
+        if audit is None:
+            print(workload, seed, name, f"raised {type(report).__name__}")
+            continue
+        verdict = "audit-ok" if audit.ok else "audit-FAILED"
+        metrics = json.dumps(audit.metrics, sort_keys=True)
+        print(workload, seed, name, _sha256(text), verdict, _sha256(metrics))
     return 0
 
 
