@@ -139,17 +139,15 @@ def bound_case_n(A_N: np.ndarray, cfg: SolverConfig | None = None) -> CaseNBound
     return CaseNBound(value=sol.norm, x_bar=sol.z.copy(), min_margin=sol.min_margin)
 
 
-def bound_case_b(
-    A_B: np.ndarray,
-    cfg: SolverConfig | None = None,
-    y_start: np.ndarray | None = None,
-) -> CaseBBound:
+def bound_case_b(A_B: np.ndarray, cfg: SolverConfig | None = None) -> CaseBBound:
     """Certified bound for the tight-row block via the analytic center.
 
     The center y_bar maximizes the product of the dual weights on the slice
     {y > 0 : A_B' y = 0, sum(y) = 1}; weighting the rows of A_B by it and
     reading off the smallest positive singular value yields the bound
-    2 / sigma.  An identically zero block returns 0 by convention.
+    2 / sigma.  The center is computed from A_B alone, by Newton on its
+    unconstrained dual (``solve_analytic_center``), which needs no starting
+    point on the slice.  An identically zero block returns 0 by convention.
     """
     cfg = cfg or SolverConfig()
     A_B = np.asarray(A_B, dtype=float)
@@ -159,7 +157,7 @@ def bound_case_b(
     if float(np.abs(A_B).max(initial=0.0)) == 0.0:
         return CaseBBound(value=0.0, y_bar=np.full(p, 1.0 / p), sigma=None)
 
-    ac = solve_analytic_center(A_B, cfg, y_start=y_start)
+    ac = solve_analytic_center(A_B, cfg)
     weighted = A_B.T * ac.y[None, :]
     sigma = smallest_positive_singular_value(weighted)
     if sigma is None:
@@ -246,9 +244,7 @@ def bound_h0(instance: ProblemInstance, cfg: SolverConfig | None = None) -> Boun
         if cert.N:
             case_n = _timed(timings, "case_n_s", bound_case_n, A_N, cfg)
         if cert.B:
-            case_b = _timed(
-                timings, "case_b_s", bound_case_b, A_B, cfg, y_start=cert.y_hat
-            )
+            case_b = _timed(timings, "case_b_s", bound_case_b, A_B, cfg)
         if cert.N and cert.B:
             stitch = _timed(timings, "stitch_s", bound_stitch, A_B, A_N, cfg)
             total, branch = stitch.value * max(case_n.value, case_b.value), "general"

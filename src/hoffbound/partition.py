@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import HoffboundError, ProblemInstance, euclidean_norm
+from .numerics import row_norms
 from .solvers import SolverConfig, solve_partition_lp
 
 __all__ = [
@@ -104,7 +105,9 @@ def compute_partition(
     classifies every row, with a wide safety band between the camps; an
     interior-point solution is well inside the band once the duality gap is
     below t/2.  A failed classification is retried once at 100x tighter
-    tolerances before giving up.
+    tolerances before giving up.  The witnesses x_hat and y_hat are the
+    LP's x and y_B, each put back on its subspace of the tight block by one
+    least-squares correction and then normalized.
 
     Raises
     ------
@@ -137,20 +140,30 @@ def compute_partition(
 
     B = tuple(int(i) for i in np.flatnonzero(b_mask))
     N = tuple(int(i) for i in np.flatnonzero(n_mask))
-    A = instance.A
+    A_B = instance.A[list(B)]
+    A_N = instance.A[list(N)]
 
+    # The LP leaves small slack s_B on the tight rows and small mass y_N on
+    # the slack rows, which the witnesses on the tight block alone would
+    # inherit as residuals of A_B x and A_B' y.  One least-squares
+    # correction each, in units of the largest tight row, puts x back in
+    # null(A_B) and y_B back on the slice {A_B' y = 0, 1'y = 1}.
+    scale = float(row_norms(A_B).max(initial=0.0))
+    W = A_B / scale if scale > 1e-300 else A_B
     if N:
-        x_hat = sol.x / euclidean_norm(sol.x)
+        x = sol.x - np.linalg.lstsq(W, W @ sol.x, rcond=None)[0]
+        x_hat = x / euclidean_norm(x)
     else:
         x_hat = np.zeros(instance.n)
     if B:
         yB = sol.y[list(B)]
+        E = np.vstack([W.T, np.ones(len(B))])
+        residual = np.append(W.T @ yB, yB.sum() - 1.0)
+        yB = yB - np.linalg.lstsq(E, residual, rcond=None)[0]
         y_hat = yB / yB.sum()
     else:
         y_hat = np.zeros(0)
 
-    A_B = A[list(B)]
-    A_N = A[list(N)]
     min_slack = float((-(A_N @ x_hat)).min()) if N else None
     min_y = float(y_hat.min()) if B else None
 

@@ -10,8 +10,8 @@ Four operations are exposed, each calling its engine directly:
   program), with exact feasibility after restoration and a certified
   duality gap.
 * ``solve_analytic_center``: log-barrier center of ``{y > 0 : A_B' y = 0,
-  sum(y) = 1}`` by damped Newton on the affine slice, started from a hint, the
-  slice's minimum-norm point, or the partition LP of A_B.
+  sum(y) = 1}`` by Newton on its unconstrained dual, in the row space of A_B,
+  started from the uniform point.
 * ``project_onto_cone``: Euclidean projection onto ``{x : A x <= 0}`` by one
   nonnegative least-squares fit against the rows of A.
 """
@@ -27,7 +27,8 @@ import scipy.optimize
 from ..core import ProblemInstance, euclidean_norm
 from ..numerics import (
     NumericalFailure,
-    orthonormal_null_basis,
+    numerical_rank,
+    orthonormal_null_basis,  # unused here; the benchmark's tracer hooks it
     row_norms,
     row_space_basis,
 )
@@ -45,133 +46,7 @@ __all__ = [
     "solve_partition_lp",
 ]
 
-_POS_FLOOR = 1e-12
 _FIT_TOL = 1e-10
-
-
-def _barrier_newton(
-    E: np.ndarray, v: np.ndarray, cfg: SolverConfig
-) -> tuple[np.ndarray, float, int]:
-    """Damped Newton for min -sum log v_i over {E v' = E v, v' > 0}.
-
-    Starts from the strictly positive point ``v`` and runs in the exact
-    affine parametrization v + W q with W an orthonormal null-space basis of
-    E, so equality feasibility is preserved to rounding error regardless of
-    step length.  Returns the center, the norm of the reduced gradient
-    there, and the iteration count.
-
-    Raises
-    ------
-    SolverStall
-        If the reduced gradient stays above ``opt_tol`` at the iteration cap
-        or a line search finds no decrease.
-    """
-    W = orthonormal_null_basis(E)
-    if W.shape[1] == 0:
-        return v, 0.0, 0
-
-    w = np.ones(v.shape[0])  # unit barrier weights; phi sums through a dot
-    converged = False
-    it = 0
-    for it in range(MAX_ITERS):
-        inv = 1.0 / v
-        g = W.T @ -inv
-        if euclidean_norm(g) <= cfg.opt_tol:
-            converged = True
-            break
-
-        B = W * inv[:, None]
-        H = B.T @ B
-        dq = _solve_spd(H, -g)
-        dv = W @ dq
-
-        alpha = 1.0
-        neg = dv < 0.0
-        if np.any(neg):
-            alpha = min(1.0, 0.99 * float(np.min(-v[neg] / dv[neg])))
-        phi0 = -float(w @ np.log(v))
-        slope = float(g @ dq)
-        # Once the Newton decrement drops below the evaluation noise of phi,
-        # a sufficient-decrease test can only reject; the boundary-capped
-        # step is safe there, so take it without backtracking.
-        if -slope <= 1e-9 * max(1.0, abs(phi0)):
-            v = v + alpha * dv
-            continue
-        for _ in range(60):
-            v_new = v + alpha * dv
-            if np.all(v_new > 0.0):
-                phi = -float(w @ np.log(v_new))
-                if phi <= phi0 + 1e-4 * alpha * slope:
-                    break
-            alpha *= 0.5
-        else:
-            break
-        v = v_new
-
-    if not converged:
-        raise SolverStall("analytic center Newton did not converge (stalled)")
-    return v, euclidean_norm(W.T @ -(1.0 / v)), it
-
-
-def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve with a short jitter escalation on breakdown."""
-    jitter = 0.0
-    scale = float(np.abs(H).max(initial=1.0))
-    for _ in range(4):
-        try:
-            cho = scipy.linalg.cho_factor(
-                H + jitter * np.eye(H.shape[0]), check_finite=False
-            )
-            return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            jitter = max(jitter * 100.0, 1e-14 * scale)
-    raise NumericalFailure("barrier Hessian factorization failed")
-
-
-def _positive_slice_point(
-    A_B: np.ndarray,
-    E: np.ndarray,
-    f: np.ndarray,
-    y0: np.ndarray | None,
-    cfg: SolverConfig,
-) -> np.ndarray:
-    """Strictly positive point on the slice {E y = f} = {A_B' y = 0, sum(y) = 1}.
-
-    Tried in turn, each on the slice (projected there if need be) and held
-    to a positivity floor: the hint ``y0``, the minimum-norm point of the
-    slice, then the ``y`` of the partition LP of A_B.  That ``y`` is at least the
-    LP's margin t > 0 on every row exactly when the slice has a strictly
-    positive point (Stiemke's lemma).
-
-    Raises
-    ------
-    NoInteriorPoint
-        If no candidate clears the floor.
-    SolverStall
-        If the partition LP does not converge.
-    """
-    e_max = max(1.0, float(np.abs(E).max(initial=0.0)))
-
-    def project(v: np.ndarray) -> np.ndarray:
-        corr, *_ = np.linalg.lstsq(E, E @ v - f, rcond=None)
-        return v - corr
-
-    def positive(v: np.ndarray) -> bool:
-        v_max = max(1.0, float(np.abs(v).max(initial=0.0)))
-        on_slice = float(np.abs(E @ v - f).max(initial=0.0)) <= 1e-10 * e_max * v_max
-        return v.min(initial=np.inf) > _POS_FLOOR * v_max and on_slice
-
-    if y0 is not None:
-        v = project(np.asarray(y0, dtype=float))
-        if positive(v):
-            return v
-    v, *_ = np.linalg.lstsq(E, f, rcond=None)
-    if positive(v):
-        return v
-    v = project(solve_partition_lp(ProblemInstance.from_matrix(A_B), cfg).y)
-    if positive(v):
-        return v
-    raise NoInteriorPoint("no strictly positive point on the equality slice was found")
 
 
 @dataclass(frozen=True)
@@ -410,7 +285,11 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
 
 @dataclass(frozen=True)
 class AnalyticCenterSolution:
-    """Analytic center of ``{y > 0 : A_B' y = 0, sum(y) = 1}``."""
+    """Analytic center of ``{y > 0 : A_B' y = 0, sum(y) = 1}``.
+
+    ``grad_norm`` is the final equality residual ``||(A_B' y, 1'y - 1)||``,
+    in units of the largest row norm, before ``y`` is scaled to sum 1.
+    """
 
     y: np.ndarray
     grad_norm: float
@@ -418,33 +297,52 @@ class AnalyticCenterSolution:
 
 
 def solve_analytic_center(
-    A_B: np.ndarray,
-    cfg: SolverConfig | None = None,
-    y_start: np.ndarray | None = None,
+    A_B: np.ndarray, cfg: SolverConfig | None = None
 ) -> AnalyticCenterSolution:
     """Log-barrier center of the dual slice attached to the tight rows.
 
-    Parameters
-    ----------
-    A_B : ndarray of shape (p, n)
-        Rows of A indexed by the tight set B.
-    cfg : SolverConfig, optional
-        Accuracy knobs; defaults are shared with the rest of the pipeline.
-    y_start : ndarray of shape (p,), optional
-        Strictly positive hint on the slice (projected onto it before use).
-        Without a usable hint the partition LP of A_B locates one.
+    The center maximizes ``sum(log y)`` over ``{y > 0 : A_B' y = 0,
+    1'y = 1}``.  Its Lagrange dual is the unconstrained program
+
+        min over (mu, nu) of  nu - sum_i log(nu + a_i' mu),
+
+    whose minimizer gives the center as ``y_i = 1 / (nu + a_i' mu)``; the
+    gradient, ``(-A_B' y, 1 - 1'y)``, is the slice's equality residual.
+    Only ``A_B mu`` matters, so ``mu = V w`` with V the row-space basis of
+    A_B (``numerics.row_space_basis``).  With ``N = [A_B V, 1]`` the
+    variable is ``z = (w, nu)``, ``y = 1 / (N z)``, and the Hessian is
+    ``N' diag(y)^2 N = R'R`` for the R of a QR of ``diag(y) N``, so each
+    Newton step is two triangular solves and works with the condition
+    number of N, not its square.  Newton starts from ``z = (0, p)``, the
+    uniform y.
+
+    The objective is self-concordant, so no line search is needed: the
+    damped step ``dz / (1 + lam)``, lam the Newton decrement, stays in the
+    domain and lowers the objective by a fixed amount while ``lam > 1/4``,
+    and the full step converges quadratically after that.  Newton stops one
+    step after ``lam <= opt_tol``; to first order lam bounds the relative
+    distance of each ``y_i`` from the center.  A decrement below 1 proves
+    that a minimizer exists (Nesterov, Introductory Lectures on Convex
+    Optimization, 2004, sec. 4.1).  On an unbounded dual the decrement
+    settles at 1, where rounding can dip below it, so the test for a
+    minimizer is that a full step was ever taken.
 
     Raises
     ------
     NoInteriorPoint
-        If the slice has no strictly positive point.
+        If the slice has no strictly positive point: ``N`` is rank deficient
+        (then ``1 = A_B mu`` for some mu, and ``1'y = mu'A_B'y = 0`` on the
+        slice), or no full step was taken by the iteration cap or before
+        rounding pushed the iterate out of the domain (the dual is unbounded
+        below, as for ``[[1], [0]]``).
     SolverStall
-        If the partition LP run as phase one does not converge, or Newton
-        fails to drive the reduced gradient below ``opt_tol``.
+        If a full step was taken but ``lam`` stays above ``opt_tol``.
+    NumericalFailure
+        If a rank falls in the ambiguous band of the rank rule.
     """
     cfg = cfg or SolverConfig()
     A_B = np.asarray(A_B, dtype=float)
-    p, n = A_B.shape
+    p = A_B.shape[0]
     if p == 0:
         raise ValueError("the tight set must be nonempty")
 
@@ -454,15 +352,44 @@ def solve_analytic_center(
     s = float(row_norms(A_B).max())
     if s > 1e-300:
         A_B = A_B / s
+    V = row_space_basis(A_B)
+    r = V.shape[1]
+    M = A_B @ V
+    N = np.concatenate([M, np.ones((p, 1))], axis=1)
+    # The columns of M are orthogonal (M = U S from the SVD of A_B), so the
+    # rank rule sees only the ones direction once all columns have unit norm.
+    U = np.concatenate([M / row_norms(M.T), np.full((p, 1), p**-0.5)], axis=1)
+    if numerical_rank(np.linalg.svd(U, compute_uv=False)) <= r:
+        raise NoInteriorPoint("1 lies in the range of A_B, so the slice is empty")
 
-    E = np.concatenate([A_B.T, np.ones((1, p))], axis=0)
-    f = np.zeros(n + 1)
-    f[-1] = 1.0
-    y0 = _positive_slice_point(A_B, E, f, y_start, cfg)
-    y, grad_norm, iterations = _barrier_newton(E, y0, cfg)
-    if y.min(initial=np.inf) <= 0.0:
-        raise NoInteriorPoint("analytic center iterate left the positive orthant")
-    return AnalyticCenterSolution(y=y / y.sum(), grad_norm=grad_norm, iterations=iterations)
+    e = np.zeros(r + 1)
+    e[r] = 1.0
+    z = p * e
+    y = np.full(p, 1.0 / p)
+    full_step = False
+    for it in range(1, MAX_ITERS + 1):
+        g = N.T @ y - e
+        R = np.linalg.qr(y[:, None] * N, mode="r")
+        w = scipy.linalg.solve_triangular(R, g, trans="T", check_finite=False)
+        lam = euclidean_norm(w)
+        full_step = full_step or lam <= 0.25
+        dz = scipy.linalg.solve_triangular(R, w, check_finite=False)
+        z = z + (dz if lam <= 0.25 else dz / (1.0 + lam))
+        Nz = N @ z
+        if not np.all(Nz > 0.0):
+            break  # only rounding leaves the domain, as z runs off to infinity
+        y = 1.0 / Nz
+        if lam <= cfg.opt_tol:
+            return AnalyticCenterSolution(
+                y=y / y.sum(), grad_norm=euclidean_norm(N.T @ y - e), iterations=it
+            )
+
+    if not full_step:
+        raise NoInteriorPoint(
+            "the slice has no strictly positive point: the decrement of the "
+            "center's dual never fell to 1/4"
+        )
+    raise SolverStall(f"analytic center Newton stalled at decrement {lam:.3e}")
 
 
 @dataclass(frozen=True)

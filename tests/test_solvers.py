@@ -1,5 +1,7 @@
 """Solver configuration, the partition LP's engine, and the four optimization programs."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,20 +151,52 @@ def test_analytic_center_requires_rows():
         solve_analytic_center(np.zeros((0, 2)))
 
 
-def test_analytic_center_phase_one_reaches_the_hinted_center():
-    # the slice's minimum-norm point has y_0 = -0.047, so without a hint the
-    # start comes from the partition LP of the block
+def test_analytic_center_where_the_slice_min_norm_point_is_not_positive():
+    # the slice's minimum-norm point has y_0 = -0.047; Newton on the dual
+    # starts from the uniform point and never needs a point on the slice
     A = np.array([[10.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]]).T
-    hinted = solve_analytic_center(A, y_start=np.array([0.04, 0.34, 0.34] + [0.04] * 7))
     sol = solve_analytic_center(A)
-    assert np.allclose(sol.y, hinted.y, rtol=0.0, atol=1e-9)
+    assert sol.y.min() > 0.0
+    assert sol.y.sum() == pytest.approx(1.0, abs=1e-15)
     assert np.abs(A.T @ sol.y).max() <= 1e-12
+    assert sol.grad_norm <= 1e-12
+    # optimality: 1/y = nu + a_i mu for some (mu, nu)
+    _assert_in_range(np.column_stack([A, np.ones(10)]), 1.0 / sol.y, 1e-12)
 
 
 def test_analytic_center_empty_slice():
-    # y_0 + y_1 = 0 with y > 0 and sum y = 1 has no interior point
-    with pytest.raises(NoInteriorPoint):
-        solve_analytic_center(np.array([[1.0], [1.0]]))
+    # y_0 + y_1 = 0 (1 in the range of A) and y_0 = 0 (an unbounded dual)
+    # leave no interior point with sum y = 1; neither case may warn
+    for A in ([[1.0], [1.0]], [[1.0], [0.0]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoInteriorPoint):
+                solve_analytic_center(np.array(A))
+
+
+def _assert_in_range(K, b, rtol):
+    coef = np.linalg.lstsq(K, b, rcond=None)[0]
+    assert np.linalg.norm(K @ coef - b) <= rtol * np.linalg.norm(b)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), k=st.integers(1, 10),
+       dup=st.integers(0, 6))
+def test_analytic_center_on_scaled_tight_blocks(seed, n, k, dup):
+    # +-r row pairs and signed duplicates, every row with its own scale in
+    # 1e+-4: the slice always has a positive point
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((k, n))
+    signs = rng.choice([-1.0, 1.0], size=(dup, 1))
+    rows = np.vstack([R, -R, signs * R[rng.integers(0, k, size=dup)]])
+    A = rows * 10.0 ** rng.uniform(-4.0, 4.0, size=(rows.shape[0], 1))
+    y = solve_analytic_center(A).y
+    assert y.min() > 0.0
+    assert y.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(A.T @ y).max() <= 1e-8 * np.linalg.norm(A)  # the audit's budget
+    _assert_in_range(np.column_stack([A, np.ones(y.size)]), 1.0 / y, 1e-8)
+    perm = rng.permutation(y.size)
+    assert np.allclose(solve_analytic_center(A[perm]).y, y[perm], rtol=1e-6, atol=0.0)
 
 
 # --- cone projection ----------------------------------------------------------
