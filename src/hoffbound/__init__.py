@@ -45,7 +45,6 @@ from .numerics import (
 )
 from .oracle import (
     OracleResult,
-    closed_form_H0,
     directed_candidates,
     lower_bound_monte_carlo,
     ratio_at,
@@ -103,7 +102,6 @@ __all__ = [
     "bound_h0",
     "bound_stitch",
     "canonical_report_json",
-    "closed_form_H0",
     "compute_partition",
     "directed_candidates",
     "euclidean_norm",

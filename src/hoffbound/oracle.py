@@ -17,12 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HoffboundError, ProblemInstance, euclidean_norm, pos_part_inf_norm
-from .numerics import row_norms
 from .solvers import SolverConfig, project_onto_cone
 
 __all__ = [
     "OracleResult",
-    "closed_form_H0",
     "directed_candidates",
     "lower_bound_monte_carlo",
     "ratio_at",
@@ -177,35 +175,3 @@ def lower_bound_monte_carlo(
         skipped=skipped,
         seed=seed,
     )
-
-
-def closed_form_H0(A: np.ndarray) -> float | None:
-    """Exact constant for the few shapes that admit one, else None.
-
-    Supported shapes: the zero matrix (0 by convention), a single nonzero
-    row among zero rows (1 over its Euclidean norm; the distance to a
-    halfspace is the violation over the normal's length, and zero rows
-    change nothing), and a strictly negative diagonal (the cone is the
-    nonnegative orthant; pushing each coordinate to violation 1 costs
-    1/|a_ii| per axis, accumulated in quadrature).
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("A must be a matrix")
-    m, n = A.shape
-
-    if float(np.abs(A).max(initial=0.0)) == 0.0:
-        return 0.0
-
-    norms = row_norms(A)
-    nonzero = np.flatnonzero(norms > 0.0)
-    if nonzero.size == 1:
-        return 1.0 / float(norms[nonzero[0]])
-
-    if m == n:
-        diag = np.diag(A)
-        off = A - np.diag(diag)
-        if np.all(diag < 0.0) and float(np.abs(off).max(initial=0.0)) == 0.0:
-            return float(np.sqrt(np.sum(1.0 / diag**2)))
-
-    return None

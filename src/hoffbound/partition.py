@@ -59,10 +59,7 @@ class PartitionCertificate:
     residuals : dict
         Witness residuals plus the raw LP residuals, for auditing.
     lp_iterations : int
-        Interior-point steps of the partition LP, over both solves when
-        the retry ran.
-    retried : bool
-        Whether the LP was solved a second time at 100x tighter tolerances.
+        Interior-point steps of the partition LP.
     """
 
     B: tuple[int, ...]
@@ -74,24 +71,12 @@ class PartitionCertificate:
     min_y_hat: float | None
     residuals: dict = field(default_factory=dict)
     lp_iterations: int = 0
-    retried: bool = False
 
     def __post_init__(self) -> None:
         if set(self.B) & set(self.N):
             raise ValueError("B and N must be disjoint")
         self.x_hat.setflags(write=False)
         self.y_hat.setflags(write=False)
-
-
-def _classify(
-    y: np.ndarray, s: np.ndarray, t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Threshold split at t/2; returns (tight mask, slack mask, bad indices)."""
-    thr = 0.5 * t
-    b_mask = y >= thr
-    n_mask = s >= thr
-    bad = np.flatnonzero(b_mask == n_mask)
-    return b_mask, n_mask, bad
 
 
 def compute_partition(
@@ -104,39 +89,31 @@ def compute_partition(
     supports are filled to margin at least t.  Thresholding at t/2 therefore
     classifies every row, with a wide safety band between the camps; an
     interior-point solution is well inside the band once the duality gap is
-    below t/2.  A failed classification is retried once at 100x tighter
-    tolerances before giving up.  The witnesses x_hat and y_hat are the
-    LP's x and y_B, each put back on its subspace of the tight block by one
-    least-squares correction and then normalized.
+    below t/2.  The LP is solved once, and a classification that fails is
+    an error.  The witnesses x_hat and y_hat are the LP's x and y_B, each put
+    back on its subspace of the tight block by one least-squares correction
+    and then normalized.
 
     Raises
     ------
     AmbiguousIndex
-        If some row sits on both sides (or neither side) of the threshold
-        after the retry, or the optimal margin is too small to trust.
+        If some row sits on both sides (or neither side) of the threshold,
+        or the optimal margin is too small to trust.
     """
-    cfg = cfg or SolverConfig()
-    sol = solve_partition_lp(instance, cfg)
-    lp_iterations = sol.iterations
-    b_mask, n_mask, bad = _classify(sol.y, sol.s, sol.t)
-
-    retried = sol.t < T_MIN or bool(bad.size)
-    if retried:
-        tight = SolverConfig(feas_tol=cfg.feas_tol / 100.0, opt_tol=cfg.opt_tol / 100.0)
-        sol = solve_partition_lp(instance, tight)
-        lp_iterations += sol.iterations
-        b_mask, n_mask, bad = _classify(sol.y, sol.s, sol.t)
-        if sol.t < T_MIN:
-            raise AmbiguousIndex(
-                f"optimal margin t={sol.t:.3e} is below {T_MIN:.0e}; "
-                "the partition cannot be certified"
-            )
-        if bad.size:
-            raise AmbiguousIndex(
-                f"rows {bad.tolist()} could not be classified"
-                " as tight or slack",
-                indices=tuple(int(i) for i in bad),
-            )
+    sol = solve_partition_lp(instance, cfg or SolverConfig())
+    if sol.t < T_MIN:
+        raise AmbiguousIndex(
+            f"optimal margin t={sol.t:.3e} is below {T_MIN:.0e}; "
+            "the partition cannot be certified"
+        )
+    b_mask = sol.y >= 0.5 * sol.t
+    n_mask = sol.s >= 0.5 * sol.t
+    bad = np.flatnonzero(b_mask == n_mask)
+    if bad.size:
+        raise AmbiguousIndex(
+            f"rows {bad.tolist()} could not be classified as tight or slack",
+            indices=tuple(int(i) for i in bad),
+        )
 
     B = tuple(int(i) for i in np.flatnonzero(b_mask))
     N = tuple(int(i) for i in np.flatnonzero(n_mask))
@@ -182,6 +159,5 @@ def compute_partition(
         min_slack_N=min_slack,
         min_y_hat=min_y,
         residuals=residuals,
-        lp_iterations=lp_iterations,
-        retried=retried,
+        lp_iterations=sol.iterations,
     )

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from hoffbound import ProblemInstance
+from hoffbound.numerics import row_norms
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -75,6 +76,38 @@ def planted_mixed_split(seed: int, m: int, n: int) -> tuple[np.ndarray, np.ndarr
     slack = G - rng.uniform(0.2, 1.0, size=(G.shape[0], 1)) * d[None, :]
     order = rng.permutation(m)
     return np.vstack([R, -R, slack])[order], order >= 2 * pairs
+
+
+def closed_form_H0(A: np.ndarray) -> float | None:
+    """Exact constant for the few shapes that admit one, else None.
+
+    Supported shapes: the zero matrix (0 by convention), a single nonzero
+    row among zero rows (1 over its Euclidean norm; the distance to a
+    halfspace is the violation over the normal's length, and zero rows
+    change nothing), and a strictly negative diagonal (the cone is the
+    nonnegative orthant; pushing each coordinate to violation 1 costs
+    1/|a_ii| per axis, accumulated in quadrature).
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ValueError("A must be a matrix")
+    m, n = A.shape
+
+    if float(np.abs(A).max(initial=0.0)) == 0.0:
+        return 0.0
+
+    norms = row_norms(A)
+    nonzero = np.flatnonzero(norms > 0.0)
+    if nonzero.size == 1:
+        return 1.0 / float(norms[nonzero[0]])
+
+    if m == n:
+        diag = np.diag(A)
+        off = A - np.diag(diag)
+        if np.all(diag < 0.0) and float(np.abs(off).max(initial=0.0)) == 0.0:
+            return float(np.sqrt(np.sum(1.0 / diag**2)))
+
+    return None
 
 
 def instance(A) -> ProblemInstance:

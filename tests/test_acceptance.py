@@ -15,12 +15,11 @@ from hoffbound import (
     audit_report,
     bound_h0,
     canonical_report_json,
-    closed_form_H0,
     lower_bound_monte_carlo,
     report_to_dict,
 )
 
-from helpers import degenerate_matrix, gaussian_matrix, instance
+from helpers import closed_form_H0, degenerate_matrix, gaussian_matrix, instance
 
 SQRT5 = 2.23606797749979
 TWO_SQRT2 = 2.8284271247461903

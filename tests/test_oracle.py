@@ -7,14 +7,13 @@ import pytest
 
 from hoffbound import (
     bound_h0,
-    closed_form_H0,
     compute_partition,
     directed_candidates,
     lower_bound_monte_carlo,
     ratio_at,
 )
 
-from helpers import gaussian_matrix, instance
+from helpers import closed_form_H0, gaussian_matrix, instance
 
 SQRT5 = 2.23606797749979
 C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
