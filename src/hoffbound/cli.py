@@ -130,8 +130,12 @@ def _print_text(payload: dict) -> None:
     print(f"total upper bound: {bounds['total']:.12g}")
     oracle = payload["oracle"]
     if oracle is not None:
+        projected = oracle["samples_used"] - oracle["screened_feasible"] \
+            - oracle["pruned"] - oracle["failed"]
         print(f"sampled lower bound: {oracle['lower_bound']:.12g} "
-              f"({oracle['samples_used']} candidates, seed {oracle['seed']})")
+              f"({oracle['samples_used']} candidates: {projected} projected, "
+              f"{oracle['pruned']} pruned, {oracle['screened_feasible']} "
+              f"screened feasible, {oracle['failed']} failed; seed {oracle['seed']})")
         sandwich = payload["sandwich"]
         verdict = "consistent" if sandwich["ok"] else "VIOLATED"
         print(f"sandwich check: {verdict}")

@@ -53,6 +53,8 @@ class UnsupportedFormat(ParseError):
     """The file is recognized but uses an unsupported variant."""
 
 
+_MTX_BANNER = b"%%MatrixMarket"
+
 # scipy's Matrix Market errors that mean the body does not fit the size line
 _MTX_SIZE_ERRORS = (
     ("index out of bounds", "index out of range"),
@@ -76,10 +78,11 @@ def load_matrix(path: str | Path, fmt: str = "auto") -> np.ndarray:
             fmt = "mtx"
         else:
             try:
-                head = path.open("r").readline()
+                with path.open("rb") as handle:
+                    head = handle.read(len(_MTX_BANNER))
             except OSError as exc:
                 raise ParseError(f"{path}: {exc}") from exc
-            fmt = "mtx" if head.startswith("%%MatrixMarket") else "csv"
+            fmt = "mtx" if head == _MTX_BANNER else "csv"
     if fmt == "csv":
         return _load_csv(path)
     if fmt == "mtx":
@@ -95,28 +98,31 @@ def _load_csv(path: Path) -> np.ndarray:
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     with handle:
-        for lineno, record in enumerate(csv.reader(handle), start=1):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            if record[0].lstrip().startswith("#"):
-                continue
-            parsed = []
-            for colno, cell in enumerate(record, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: line {lineno}, column {colno}: "
-                        f"could not parse {cell.strip()!r} as a number"
-                    ) from None
-            if width is None:
-                width = len(parsed)
-            elif len(parsed) != width:
-                raise DimensionError(
-                    f"{path}: line {lineno} has {len(parsed)} fields, "
-                    f"expected {width}"
-                )
-            rows.append(parsed)
+        try:
+            for lineno, record in enumerate(csv.reader(handle), start=1):
+                if not record or all(not cell.strip() for cell in record):
+                    continue
+                if record[0].lstrip().startswith("#"):
+                    continue
+                parsed = []
+                for colno, cell in enumerate(record, start=1):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: line {lineno}, column {colno}: "
+                            f"could not parse {cell.strip()!r} as a number"
+                        ) from None
+                if width is None:
+                    width = len(parsed)
+                elif len(parsed) != width:
+                    raise DimensionError(
+                        f"{path}: line {lineno} has {len(parsed)} fields, "
+                        f"expected {width}"
+                    )
+                rows.append(parsed)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not a text file ({exc.reason})") from None
     if not rows:
         raise ParseError(f"{path}: no data rows found")
     return np.asarray(rows, dtype=float)

@@ -29,16 +29,27 @@ __all__ = [
 _VIOLATION_FLOOR = 1e-12
 _MAX_BASE = 64
 _MAX_PAIR_VECTORS = 128
+# relative slack on a candidate's cap before it is pruned (see the Notes of
+# lower_bound_monte_carlo for why it multiplies the cap, not the best ratio)
+_CAP_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best ratio found by sampling, with the witness that achieved it."""
+    """Best ratio found by sampling, with the witness that achieved it.
+
+    Of the ``samples_used`` candidates, ``pruned`` were never evaluated
+    because their cap could not beat the best ratio, ``screened_feasible``
+    were scored 0 by ``ratio_at`` without a projection, ``failed`` raised in
+    their projection, and the rest were projected.
+    """
 
     lower_bound: float
     best_u: np.ndarray | None
     samples_used: int
-    skipped: int
+    screened_feasible: int
+    pruned: int
+    failed: int
     seed: int
 
     def __post_init__(self) -> None:
@@ -138,6 +149,33 @@ def lower_bound_monte_carlo(
     OracleResult
         ``lower_bound`` is 0 when no candidate produced a violation (for a
         zero matrix the cone is everything and no point has one).
+
+    Notes
+    -----
+    Candidates are evaluated best-bound-first and the loop stops once none
+    can win.  With ``viol(u) = max_i (A u)_i^+`` from one product over all
+    candidates, each gets the cap ``||u|| / viol(u)`` (0 when viol(u) = 0).
+    The cap bounds ``ratio_at(u)``: it is 0, or ``d(u) / viol(u)`` where the
+    certified distance bound ``d(u) <= dist(u, P) <= ||u||`` because P
+    contains 0.  A stable sort orders the candidates by cap, highest first,
+    ties in candidate order.  The loop stops at the first candidate with
+    ``cap (1 + 1e-9) <= best``.  Every later candidate v has
+    ``cap(v) <= cap``, so ``ratio_at(v) <= cap(v) (1 + 1e-9) <= best``, and
+    since ``best`` is replaced only by a strictly larger ratio, no later
+    candidate can change it.  Hence ``lower_bound`` is the maximum of
+    ``ratio_at`` over all candidates, exactly what evaluating every one of
+    them gives, and ``best_u`` can differ from that only among candidates
+    tied at the maximum.
+
+    The factor ``1 + 1e-9`` covers rounding: ``d(u)`` can exceed ``||u||``
+    by an ulp, and ``ratio_at`` recomputes the violation with its own
+    product, which can differ from the batched one in the last bits.  The
+    margin must enlarge the cap; written as ``cap <= best (1 + 1e-9)`` the
+    test would prune a candidate whose cap lies a hair above ``best``, and
+    such a candidate can still win by an ulp.  A candidate with viol(u) = 0
+    in the batched product is scored 0 by ``ratio_at`` too: the two products
+    differ by at most about ``n 2.2e-16 ||A||_F ||u||``, below its screening
+    floor ``1e-12 ||A||_F ||u||`` for n up to about 4,500.
     """
     if num_samples < 0:
         raise ValueError("num_samples must be nonnegative")
@@ -152,26 +190,38 @@ def lower_bound_monte_carlo(
             u = u / nrm
         candidates.append(u)
 
+    U = np.array(candidates, dtype=float).reshape(len(candidates), n)
+    viol = np.max(U @ instance.A.T, axis=1, initial=0.0)
+    cap = np.zeros(len(candidates))
+    np.divide(np.linalg.norm(U, axis=1), viol, out=cap, where=viol > 0.0)
+    order = np.argsort(-cap, kind="stable")
+
     best = 0.0
     best_u: np.ndarray | None = None
-    skipped = 0
-    for u in candidates:
+    screened = failed = 0
+    evaluated = len(candidates)
+    for rank, k in enumerate(order):
+        if cap[k] * (1.0 + _CAP_MARGIN) <= best:
+            evaluated = rank
+            break
+        u = candidates[k]
         try:
             r = ratio_at(instance, u)
         except HoffboundError:
             # a candidate whose projection fails costs a sample, not the run
-            skipped += 1
+            failed += 1
             continue
         if r == 0.0:
-            skipped += 1
-            continue
-        if r > best:
+            screened += 1
+        elif r > best:
             best = r
             best_u = u
     return OracleResult(
         lower_bound=best,
         best_u=None if best_u is None else best_u.copy(),
         samples_used=len(candidates),
-        skipped=skipped,
+        screened_feasible=screened,
+        pruned=len(candidates) - evaluated,
+        failed=failed,
         seed=seed,
     )

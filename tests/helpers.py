@@ -115,7 +115,12 @@ def instance(A) -> ProblemInstance:
 
 
 def benchmark_matrix(workload: str, seed: int, name: str) -> np.ndarray:
-    """The matrix of one case of the benchmark's ``make_cases``.
+    """The matrix of one case of the benchmark's ``make_cases``."""
+    return benchmark_case(workload, seed, name).A
+
+
+def benchmark_case(workload: str, seed: int, name: str):
+    """One case of the benchmark's ``make_cases``: name, matrix, oracle seed.
 
     ``perfbench/workloads.py`` is loaded in place and never written to: no
     bytecode cache is left next to it.
@@ -131,4 +136,4 @@ def benchmark_matrix(workload: str, seed: int, name: str) -> np.ndarray:
     finally:
         sys.dont_write_bytecode = saved
         del sys.modules[spec.name]
-    return next(c.A for c in module.make_cases(workload, seed) if c.name == name)
+    return next(c for c in module.make_cases(workload, seed) if c.name == name)

@@ -123,7 +123,8 @@ def test_corrupt_input_exits_with_error(tmp_path, capsys):
 def test_sandwich_violation_exit_code(csv_path, capsys, monkeypatch):
     def inflated(inst, num_samples, seed, *, x_hat=None, cfg=None):
         return OracleResult(lower_bound=1e9, best_u=None,
-                            samples_used=1, skipped=0, seed=seed)
+                            samples_used=1, screened_feasible=0, pruned=0,
+                            failed=0, seed=seed)
 
     monkeypatch.setattr(cli, "lower_bound_monte_carlo", inflated)
     rc = cli.main(["compute", "--input", csv_path, "--samples", "1"])

@@ -1,5 +1,6 @@
 """Matrix file parsing, report payloads, canonical JSON."""
 
+import bz2
 import gzip
 import json
 
@@ -167,6 +168,15 @@ def test_auto_detection_sniffs_contents(tmp_path):
     assert load_matrix(p2).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
+def test_auto_detection_rejects_binary_files(tmp_path):
+    p = tmp_path / "m.mtx.bz2"
+    with bz2.open(p, "wt") as handle:
+        handle.write("%%MatrixMarket matrix array real general\n1 2\n3\n4\n")
+    with pytest.raises(ParseError, match="not a text file"):
+        load_matrix(p)
+    assert load_matrix(p, fmt="mtx").tolist() == [[3.0, 4.0]]
+
+
 def test_explicit_mtx_format_reads_gzip(tmp_path):
     p = tmp_path / "m.mtx.gz"
     with gzip.open(p, "wt") as handle:
@@ -220,7 +230,8 @@ def test_sandwich_block_flags_violations():
     inst = instance(-np.eye(3))
     rep = bound_h0(inst)
     fake = OracleResult(lower_bound=rep.total + 1.0, best_u=None,
-                        samples_used=1, skipped=0, seed=0)
+                        samples_used=1, screened_feasible=0, pruned=0,
+                        failed=0, seed=0)
     payload = report_to_dict(rep, fake)
     assert payload["sandwich"]["ok"] is False
     honest = lower_bound_monte_carlo(inst, num_samples=4, seed=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hoffbound import (
+    HoffboundError,
     bound_h0,
     compute_partition,
     directed_candidates,
@@ -13,10 +14,27 @@ from hoffbound import (
     ratio_at,
 )
 
-from helpers import closed_form_H0, gaussian_matrix, instance
+from helpers import (
+    benchmark_case,
+    closed_form_H0,
+    degenerate_matrix,
+    gaussian_matrix,
+    instance,
+    planted_mixed_matrix,
+)
 
 SQRT5 = 2.23606797749979
 C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+
+
+def _all_candidates(inst, num_samples, seed, x_hat=None):
+    """Every candidate the oracle draws, in order: the directed family, then
+    the unit Philox draws."""
+    cands = directed_candidates(inst, x_hat)
+    for k in range(num_samples):
+        u = np.random.Generator(np.random.Philox(key=[seed, k])).standard_normal(inst.n)
+        cands.append(u / np.linalg.norm(u))
+    return cands
 
 
 def test_ratio_at_known_direction():
@@ -77,7 +95,8 @@ def test_monte_carlo_is_seed_deterministic():
     b = lower_bound_monte_carlo(inst, num_samples=12, seed=4)
     assert a.lower_bound == b.lower_bound
     assert np.array_equal(a.best_u, b.best_u)
-    assert a.samples_used == b.samples_used and a.skipped == b.skipped
+    assert (a.samples_used, a.screened_feasible, a.pruned, a.failed) == \
+        (b.samples_used, b.screened_feasible, b.pruned, b.failed)
     assert a.seed == 4
 
 
@@ -86,7 +105,8 @@ def test_monte_carlo_counts_directed_plus_random():
     cands = directed_candidates(inst)
     res = lower_bound_monte_carlo(inst, num_samples=8, seed=3)
     assert res.samples_used == len(cands) + 8
-    assert 0 <= res.skipped <= res.samples_used
+    counts = (res.screened_feasible, res.pruned, res.failed)
+    assert min(counts) >= 0 and sum(counts) <= res.samples_used
 
 
 def test_monte_carlo_best_u_achieves_the_bound():
@@ -104,11 +124,17 @@ def test_monte_carlo_skips_failed_projections(monkeypatch):
         raise SolverStall("projection did not converge")
 
     monkeypatch.setattr(oracle_mod, "ratio_at", always_fails)
-    res = oracle_mod.lower_bound_monte_carlo(instance(-np.eye(3)),
-                                             num_samples=4, seed=0)
+    inst = instance(-np.eye(3))
+    res = oracle_mod.lower_bound_monte_carlo(inst, num_samples=4, seed=0)
     assert res.lower_bound == 0.0
     assert res.best_u is None
-    assert res.skipped == res.samples_used
+    # every violating candidate is tried and fails; the feasible ones are
+    # pruned, since their cap of 0 cannot beat a best of 0
+    violating = sum(float((inst.A @ u).max()) > 0.0
+                    for u in _all_candidates(inst, 4, 0))
+    assert 0 < violating < res.samples_used
+    assert (res.failed, res.pruned, res.screened_feasible) == \
+        (violating, res.samples_used - violating, 0)
 
 
 def test_nnls_iteration_cap_skips_candidates(monkeypatch):
@@ -130,7 +156,8 @@ def test_nnls_iteration_cap_skips_candidates(monkeypatch):
         ratio_at(inst, -np.ones(3))
     res = lower_bound_monte_carlo(inst, num_samples=4, seed=0)
     assert res.lower_bound == 0.0
-    assert res.skipped == res.samples_used
+    assert res.failed > 0 and res.screened_feasible == 0
+    assert res.failed + res.pruned == res.samples_used
 
 
 def test_monte_carlo_respects_certified_totals():
@@ -147,7 +174,46 @@ def test_screening_floor_scales_with_the_matrix(c):
     # a floor of 1e-12 max(1, ||A||_F) once screened out every candidate
     low = lower_bound_monte_carlo(instance(c * C4), num_samples=8, seed=0)
     assert low.lower_bound * c == pytest.approx(math.sqrt(2.0), rel=1e-9)
-    assert low.skipped < low.samples_used
+    assert low.screened_feasible + low.pruned + low.failed < low.samples_used
+
+
+def _exhaustive(inst, cands):
+    ratios = []
+    for u in cands:
+        try:
+            ratios.append(ratio_at(inst, u))
+        except HoffboundError:
+            ratios.append(0.0)
+    return ratios
+
+
+def _pruning_cases():
+    for seed in range(4):
+        yield pytest.param(gaussian_matrix(900 + seed), seed, id=f"gaussian-{seed}")
+    for seed in range(5):
+        yield pytest.param(degenerate_matrix(910 + seed), seed, id=f"degenerate-{seed}")
+    for seed, (m, n) in enumerate([(30, 8), (60, 10)]):
+        yield pytest.param(planted_mixed_matrix(920 + seed, m, n), seed,
+                           id=f"planted-{m}x{n}")
+    # the benchmark case where a margin on best's side loses the last bit
+    case = benchmark_case("suite", 1, "gaussian-26")
+    yield pytest.param(case.A, case.oracle_seed, id="suite-1-gaussian-26")
+
+
+@pytest.mark.parametrize("A, seed", list(_pruning_cases()))
+def test_pruning_matches_the_exhaustive_maximum(A, seed):
+    inst = instance(A)
+    part = bound_h0(inst).partition
+    x_hat = None if part is None else part.x_hat
+    res = lower_bound_monte_carlo(inst, num_samples=16, seed=seed, x_hat=x_hat)
+    cands = _all_candidates(inst, 16, seed, x_hat)
+    ratios = _exhaustive(inst, cands)
+    assert res.samples_used == len(cands)
+    assert res.lower_bound == max(ratios)
+    if res.lower_bound > 0.0:
+        winners = [u for u, r in zip(cands, ratios) if r == res.lower_bound]
+        assert any(np.array_equal(res.best_u, u) for u in winners)
+    assert res.pruned > 0
 
 
 def test_closed_form_values():
