@@ -23,6 +23,7 @@ from .bounds import (
 from .core import (
     HoffboundError,
     ProblemInstance,
+    ScaleOutOfRange,
     euclidean_norm,
     pos_part_inf_norm,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "PartitionLPSolution",
     "ProblemInstance",
     "ProjectionResult",
+    "ScaleOutOfRange",
     "SolverConfig",
     "SolverStall",
     "StitchBound",

@@ -18,18 +18,35 @@ import numpy.typing as npt
 __all__ = [
     "HoffboundError",
     "ProblemInstance",
+    "ScaleOutOfRange",
     "ZERO_MATRIX_FLOOR",
     "euclidean_norm",
     "pos_part_inf_norm",
+    "row_norms",
 ]
 
 # Frobenius norms at or below this are treated as the zero matrix, for which
 # the homogeneous Hoffman constant is 0 by convention.
 ZERO_MATRIX_FLOOR = 1e-300
 
+# Smallest Frobenius norm whose square is a normal double.  Norms are formed
+# from unscaled sums of squares, so below it they lose digits to subnormal
+# rounding, and near 1e-162 they underflow to 0.
+_MIN_SCALE = float(np.sqrt(np.finfo(float).tiny))
+
 
 class HoffboundError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class ScaleOutOfRange(HoffboundError, ValueError):
+    """The matrix is too large or too small for its norms to be formed.
+
+    Norms are square roots of unscaled sums of squares: above ~1e154 the sum
+    overflows to inf, and below ~1e-154 it loses digits and then underflows
+    to 0.  Either way every scale-relative test downstream is void, so such
+    a matrix is rejected rather than certified.
+    """
 
 
 def pos_part_inf_norm(v: npt.ArrayLike) -> float:
@@ -45,11 +62,21 @@ def pos_part_inf_norm(v: npt.ArrayLike) -> float:
 
 
 def euclidean_norm(v: npt.ArrayLike) -> float:
-    """Euclidean norm with overflow-safe scaling (delegates to BLAS nrm2)."""
+    """Euclidean norm ``sqrt(v . v)``, as ``np.linalg.norm`` computes it.
+
+    The squares are summed unscaled, so the result overflows to inf when an
+    entry exceeds ~1e154 (``[1e200, 1e200]`` gives inf) and underflows to 0
+    when every entry is below ~1e-162.
+    """
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         return 0.0
     return float(np.linalg.norm(v))
+
+
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-d array."""
+    return np.sqrt(np.sum(X * X, axis=1))
 
 
 @dataclass(frozen=True)
@@ -61,6 +88,14 @@ class ProblemInstance:
     A : ndarray, shape (m, n)
         Dense row-major matrix of finite reals, at least 1x1; read-only
         after construction.
+
+    Raises
+    ------
+    ScaleOutOfRange
+        If ``||A||_F`` overflows, or if ``A`` has an entry above
+        ``ZERO_MATRIX_FLOOR`` in magnitude and ``||A||_F`` lies below
+        ~1.5e-154, where its square is no longer a normal double.  A matrix
+        whose entries are all at or below the floor is the zero matrix.
     """
 
     A: np.ndarray
@@ -72,6 +107,19 @@ class ProblemInstance:
             raise ValueError(f"matrix must be at least 1x1, got {self.m}x{self.n}")
         if not np.isfinite(self.A).all():
             raise ValueError("matrix entries must be finite")
+        with np.errstate(over="ignore"):  # an overflow raises below
+            scale = self.frobenius_scale
+        if not np.isfinite(scale):
+            raise ScaleOutOfRange(
+                "the Frobenius norm of the matrix overflows; rescale it by a "
+                "power of two (H0(c A) = H0(A) / c)"
+            )
+        if scale < _MIN_SCALE and np.abs(self.A).max() > ZERO_MATRIX_FLOOR:
+            raise ScaleOutOfRange(
+                f"the Frobenius norm of the matrix ({scale:.3e}) is too small "
+                "to be formed accurately; rescale it by a power of two "
+                "(H0(c A) = H0(A) / c)"
+            )
 
     @classmethod
     def from_matrix(cls, A: npt.ArrayLike) -> "ProblemInstance":
@@ -94,6 +142,17 @@ class ProblemInstance:
     def frobenius_scale(self) -> float:
         """``||A||_F``, computed once."""
         return float(np.linalg.norm(self.A))
+
+    @cached_property
+    def unit_rows(self) -> np.ndarray:
+        """The nonzero rows of ``A`` scaled to unit Euclidean norm, computed
+        once and read-only.  Rows of norm at or below 1e-300 are dropped, so
+        the result may have no rows."""
+        norms = row_norms(self.A)
+        keep = norms > 1e-300
+        rows = self.A[keep] / norms[keep, None]
+        rows.flags.writeable = False
+        return rows
 
     @property
     def is_zero(self) -> bool:

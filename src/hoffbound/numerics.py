@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-from .core import ZERO_MATRIX_FLOOR, HoffboundError
+from .core import ZERO_MATRIX_FLOOR, HoffboundError, row_norms
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -142,11 +142,6 @@ def smallest_positive_singular_value(M: npt.ArrayLike) -> float | None:
     s = _svd(M, full_matrices=False)[1]
     rank = numerical_rank(s)
     return float(s[rank - 1]) if rank else None
-
-
-def row_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-d array."""
-    return np.sqrt(np.sum(X * X, axis=1))
 
 
 def row_normalize(A_N: npt.ArrayLike) -> np.ndarray:

@@ -76,45 +76,77 @@ def ratio_at(instance: ProblemInstance, u: np.ndarray) -> float:
     return proj.distance_lower / viol
 
 
+def _norms(C: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``C``, rounded as ``euclidean_norm``
+    rounds it: each row's ``c . c`` is one dot product, as in
+    ``np.linalg.norm`` of a vector, whereas ``np.linalg.norm(C, axis=1)``
+    sums the squares in another order and can differ by an ulp."""
+    return np.sqrt((C[:, None, :] @ C[:, :, None])[:, 0, 0])
+
+
+def _unit(C: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``C`` whose norm exceeds ``floor`` divided by that norm, and
+    the boolean mask of those rows."""
+    norms = _norms(C)
+    keep = norms > floor
+    return C[keep] / norms[keep, None], keep
+
+
 def directed_candidates(
     instance: ProblemInstance, x_hat: np.ndarray | None = None
-) -> list[np.ndarray]:
-    """Deterministic unit candidates aimed at the cone boundary.
+) -> np.ndarray:
+    """Deterministic unit candidates aimed at the cone boundary, one per row.
 
-    The base family holds the negated normalized rows of A (the steepest
-    single-row violation directions) and, when supplied, the negated
-    interior witness of the slack rows.  All pairwise sums and differences
-    of base members are appended in index order, capped to keep the family
-    small; the combinations matter because the best ratio often lives where
-    two constraints interact rather than along a single row normal.
+    The base family holds the negated normalized nonzero rows among the
+    first 64 of A (the steepest single-row violation directions) and, when
+    supplied, the negated normalized interior witness of the slack rows.
+    Then come the sum and the difference of each pair ``i < j`` of base
+    members, in index order, each normalized and kept when its norm exceeds
+    1e-8; the combinations matter because the best ratio often lives where
+    two constraints interact rather than along a single row normal.  The
+    cap of 128 pair vectors is checked before each pair, so a pair that
+    starts at 127 adds both of its vectors and the family can hold 129.
+
+    Returns
+    -------
+    ndarray, shape (k, n)
+        The base members, then the pair vectors.
     """
-    A = instance.A
-    base: list[np.ndarray] = []
-    for i in range(min(instance.m, _MAX_BASE)):
-        nrm = euclidean_norm(A[i])
-        if nrm > 1e-300:
-            base.append(-A[i] / nrm)
+    rows = instance.A[:_MAX_BASE]
     if x_hat is not None:
-        x_hat = np.asarray(x_hat, dtype=float)
-        nrm = euclidean_norm(x_hat)
-        if nrm > 1e-300:
-            base.append(-x_hat / nrm)
+        rows = np.vstack([rows, np.asarray(x_hat, dtype=float).reshape(1, instance.n)])
+    base = _unit(-rows, 1e-300)[0]
 
-    out = list(base)
-    emitted = 0
-    for i in range(len(base)):
-        if emitted >= _MAX_PAIR_VECTORS:
-            break
-        for j in range(i + 1, len(base)):
-            if emitted >= _MAX_PAIR_VECTORS:
-                break
-            for sign in (1.0, -1.0):
-                combo = base[i] + sign * base[j]
-                nrm = euclidean_norm(combo)
-                if nrm > 1e-8:
-                    out.append(combo / nrm)
-                    emitted += 1
-    return out
+    # Unit a, b have |a + b|^2 + |a - b|^2 = 4, so every pair adds at least
+    # one vector and the cap is reached within its first 128 pairs.
+    i, j = np.triu_indices(len(base), k=1)
+    i, j = i[:_MAX_PAIR_VECTORS], j[:_MAX_PAIR_VECTORS]
+    pairs = np.stack([base[i] + base[j], base[i] - base[j]], axis=1)
+    pairs, keep = _unit(pairs.reshape(-1, instance.n), 1e-8)
+    per_pair = keep.reshape(-1, 2).sum(axis=1)
+    emitted_before = np.cumsum(per_pair) - per_pair
+    open_pairs = np.repeat(emitted_before < _MAX_PAIR_VECTORS, 2)[keep]
+    return np.vstack([base, pairs[open_pairs]])
+
+
+def _gaussian_draws(seed: int, out: np.ndarray) -> None:
+    """Fill row k of ``out`` with a unit Gaussian direction from the Philox
+    stream keyed by ``(seed mod 2^64, k)``.
+
+    One bit generator serves every row: before row k its state is reset to
+    that of ``Philox(key=[seed mod 2^64, k])``, so the rows equal fresh
+    generators' draws without building one per row.
+    """
+    bitgen = np.random.Philox(key=[seed % 2**64, 0])
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # zero counter, empty buffer
+    key = state["state"]["key"]
+    for k in range(len(out)):
+        key[1] = k
+        bitgen.state = state
+        gen.standard_normal(out=out[k])
+    norms = _norms(out)
+    np.divide(out, norms[:, None], out=out, where=norms[:, None] > 1e-300)
 
 
 def lower_bound_monte_carlo(
@@ -135,8 +167,8 @@ def lower_bound_monte_carlo(
         Number of Gaussian draws appended to the directed family.
     seed : int
         Stream seed.  Draw k is generated from a counter-based generator
-        keyed by (seed, k), so results are bit-reproducible for a given
-        seed and sample count regardless of evaluation order.
+        keyed by (seed mod 2^64, k), so results are bit-reproducible for a
+        given seed and sample count regardless of evaluation order.
     x_hat : ndarray, optional
         Interior witness from the row partition; its negation is a strong
         candidate because it violates every slack row at once.
@@ -179,32 +211,25 @@ def lower_bound_monte_carlo(
     """
     if num_samples < 0:
         raise ValueError("num_samples must be nonnegative")
-    n = instance.n
+    directed = directed_candidates(instance, x_hat)
+    U = np.empty((len(directed) + num_samples, instance.n))
+    U[: len(directed)] = directed
+    _gaussian_draws(seed, U[len(directed):])
 
-    candidates = directed_candidates(instance, x_hat)
-    for k in range(num_samples):
-        gen = np.random.Generator(np.random.Philox(key=[seed % 2**64, k]))
-        u = gen.standard_normal(n)
-        nrm = euclidean_norm(u)
-        if nrm > 1e-300:
-            u = u / nrm
-        candidates.append(u)
-
-    U = np.array(candidates, dtype=float).reshape(len(candidates), n)
     viol = np.max(U @ instance.A.T, axis=1, initial=0.0)
-    cap = np.zeros(len(candidates))
+    cap = np.zeros(len(U))
     np.divide(np.linalg.norm(U, axis=1), viol, out=cap, where=viol > 0.0)
     order = np.argsort(-cap, kind="stable")
 
     best = 0.0
     best_u: np.ndarray | None = None
     screened = failed = 0
-    evaluated = len(candidates)
+    evaluated = len(U)
     for rank, k in enumerate(order):
         if cap[k] * (1.0 + _CAP_MARGIN) <= best:
             evaluated = rank
             break
-        u = candidates[k]
+        u = U[k]
         try:
             r = ratio_at(instance, u)
         except HoffboundError:
@@ -219,9 +244,9 @@ def lower_bound_monte_carlo(
     return OracleResult(
         lower_bound=best,
         best_u=None if best_u is None else best_u.copy(),
-        samples_used=len(candidates),
+        samples_used=len(U),
         screened_feasible=screened,
-        pruned=len(candidates) - evaluated,
+        pruned=len(U) - evaluated,
         failed=failed,
         seed=seed,
     )

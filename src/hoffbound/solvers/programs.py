@@ -432,15 +432,13 @@ def project_onto_cone(instance: ProblemInstance, u: np.ndarray) -> ProjectionRes
                                 distance_lower=0.0, feas_violation=0.0)
 
     # Positive row scalings leave the cone unchanged, so the constraints are
-    # row-normalized for conditioning and identically zero rows are dropped.
+    # the instance's unit rows, for conditioning, with zero rows dropped.
     # With no rows left the cone is the whole space; the fit must not run,
     # since scipy's nnls aborts the process on a matrix with no columns.
-    norms = row_norms(instance.A)
-    keep = norms > 1e-300
-    if not np.any(keep):
+    Aw = instance.unit_rows
+    if Aw.shape[0] == 0:
         return ProjectionResult(point=u.copy(), distance=0.0,
                                 distance_lower=0.0, feas_violation=0.0)
-    Aw = instance.A[keep] / norms[keep, None]
     u_hat = u / unorm
     mu = _nnls(Aw.T, u_hat)
 

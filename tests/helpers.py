@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hoffbound import ProblemInstance
+from hoffbound import ProblemInstance, euclidean_norm
 from hoffbound.numerics import row_norms
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -108,6 +108,35 @@ def closed_form_H0(A: np.ndarray) -> float | None:
             return float(np.sqrt(np.sum(1.0 / diag**2)))
 
     return None
+
+
+def directed_candidates_loop(A: np.ndarray, x_hat: np.ndarray | None = None) -> list[np.ndarray]:
+    """Reference directed family, one vector at a time.
+
+    The family as ``hoffbound.directed_candidates`` defined it when it was a
+    loop: the negated unit rows among the first 64 of A, the negated unit
+    ``x_hat``, then the unit sum and difference of each pair ``i < j`` with
+    norm above 1e-8, in index order, with the cap of 128 pair vectors
+    checked before each pair.  Each norm is one ``euclidean_norm`` call.
+    """
+    base = []
+    for v in list(A[:64]) + ([] if x_hat is None else [np.asarray(x_hat, dtype=float)]):
+        nrm = euclidean_norm(v)
+        if nrm > 1e-300:
+            base.append(-v / nrm)
+    out = list(base)
+    emitted = 0
+    for i in range(len(base)):
+        for j in range(i + 1, len(base)):
+            if emitted >= 128:
+                return out
+            for sign in (1.0, -1.0):
+                combo = base[i] + sign * base[j]
+                nrm = euclidean_norm(combo)
+                if nrm > 1e-8:
+                    out.append(combo / nrm)
+                    emitted += 1
+    return out
 
 
 def instance(A) -> ProblemInstance:

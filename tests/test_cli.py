@@ -120,6 +120,14 @@ def test_corrupt_input_exits_with_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_matrix_whose_norm_overflows_exits_with_error(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    save_matrix_csv(path, 1e160 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]))
+    rc = cli.main(["compute", "--input", str(path)])
+    assert rc == cli.EXIT_ERROR
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_sandwich_violation_exit_code(csv_path, capsys, monkeypatch):
     def inflated(inst, num_samples, seed, *, x_hat=None, cfg=None):
         return OracleResult(lower_bound=1e9, best_u=None,

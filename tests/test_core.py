@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from hoffbound import (
+    HoffboundError,
     ProblemInstance,
+    ScaleOutOfRange,
+    audit_report,
+    bound_h0,
     euclidean_norm,
     pos_part_inf_norm,
 )
+
+C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
 def test_pos_part_inf_norm_picks_largest_positive_entry():
@@ -70,3 +76,37 @@ def test_scales():
     assert inst.frobenius_scale == np.linalg.norm(A)
     zero = ProblemInstance.from_matrix(np.zeros((2, 2)))
     assert zero.frobenius_scale == 0.0
+
+
+def test_unit_rows_drop_zero_rows_and_are_computed_once():
+    inst = ProblemInstance.from_matrix(np.array([[3.0, 4.0], [0.0, 0.0], [0.0, -2.0]]))
+    assert np.array_equal(inst.unit_rows, [[0.6, 0.8], [0.0, -1.0]])
+    assert inst.unit_rows is inst.unit_rows
+    with pytest.raises(ValueError):
+        inst.unit_rows[0, 0] = 1.0
+    assert ProblemInstance.from_matrix(np.zeros((2, 3))).unit_rows.shape == (0, 3)
+
+
+@pytest.mark.parametrize("c", [1e155, 1e160, 1e300])
+def test_matrix_whose_norm_overflows_is_rejected(c):
+    # ||A||_F = inf once made every row tight and the audit accept it
+    with pytest.raises(ScaleOutOfRange, match="overflows"):
+        ProblemInstance.from_matrix(c * C4)
+    assert issubclass(ScaleOutOfRange, HoffboundError)
+
+
+@pytest.mark.parametrize("c", [1e-156, 1e-170])
+def test_matrix_whose_norm_underflows_is_rejected(c):
+    # at 1e-170 ||A||_F = 0 once reported the zero matrix with total 0
+    with pytest.raises(ScaleOutOfRange, match="too small"):
+        ProblemInstance.from_matrix(c * C4)
+
+
+@pytest.mark.parametrize("c", [1e150, 1e-150])
+def test_matrix_near_the_scale_limits_certifies(c):
+    ref = bound_h0(ProblemInstance.from_matrix(C4))
+    inst = ProblemInstance.from_matrix(c * C4)
+    rep = bound_h0(inst)
+    assert audit_report(inst, rep).ok
+    assert (rep.partition.B, rep.partition.N) == (ref.partition.B, ref.partition.N)
+    assert rep.total * c == pytest.approx(ref.total, rel=1e-12)

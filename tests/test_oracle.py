@@ -18,6 +18,7 @@ from helpers import (
     benchmark_case,
     closed_form_H0,
     degenerate_matrix,
+    directed_candidates_loop,
     gaussian_matrix,
     instance,
     planted_mixed_matrix,
@@ -30,7 +31,7 @@ C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 def _all_candidates(inst, num_samples, seed, x_hat=None):
     """Every candidate the oracle draws, in order: the directed family, then
     the unit Philox draws."""
-    cands = directed_candidates(inst, x_hat)
+    cands = list(directed_candidates(inst, x_hat))
     for k in range(num_samples):
         u = np.random.Generator(np.random.Philox(key=[seed, k])).standard_normal(inst.n)
         cands.append(u / np.linalg.norm(u))
@@ -87,6 +88,54 @@ def test_directed_candidates_are_capped_on_large_instances():
     inst = instance(rng.standard_normal((80, 3)))
     cands = directed_candidates(inst, x_hat=np.array([1.0, 0.0, 0.0]))
     assert 64 <= len(cands) <= 64 + 1 + 128
+
+
+def _directed_cases():
+    rng = np.random.default_rng(31)
+    for seed in range(4):
+        yield pytest.param(gaussian_matrix(600 + seed), id=f"gaussian-{seed}")
+    half = rng.standard_normal((6, 4))
+    yield pytest.param(np.vstack([half, half, -half]), id="duplicated-rows")
+    zero_rows = rng.standard_normal((9, 3))
+    zero_rows[[0, 4, 8]] = 0.0
+    yield pytest.param(zero_rows, id="zero-rows")
+    yield pytest.param(np.zeros((3, 2)), id="all-zero")
+    yield pytest.param(rng.standard_normal((90, 5)), id="m-above-64")
+    yield pytest.param(rng.standard_normal((7, 1)), id="one-column")
+    # the benchmark case whose family holds 129 pair vectors
+    yield pytest.param(benchmark_case("suite", 1, "degenerate-0").A, id="suite-1-degenerate-0")
+
+
+@pytest.mark.parametrize("A", list(_directed_cases()))
+@pytest.mark.parametrize("witness", ["absent", "zero", "given"])
+def test_directed_candidates_match_the_reference_loop(A, witness):
+    n = A.shape[1]
+    x_hat = {"absent": None, "zero": np.zeros(n),
+             "given": np.linspace(-1.0, 2.0, n)}[witness]
+    got = directed_candidates(instance(A), x_hat)
+    want = directed_candidates_loop(A, x_hat)
+    assert got.shape == (len(want), n)
+    # bitwise, signed zeros included
+    assert got.tobytes() == np.array(want, dtype=float).reshape(-1, n).tobytes()
+
+
+def test_directed_family_can_exceed_the_pair_cap_by_one():
+    inst = instance(benchmark_case("suite", 1, "degenerate-0").A)
+    x_hat = compute_partition(inst).x_hat
+    base = np.count_nonzero(np.linalg.norm(inst.A[:64], axis=1) > 1e-300) + 1
+    assert len(directed_candidates(inst, x_hat)) == base + 129
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 + 3])
+def test_gaussian_draws_follow_the_keyed_philox_stream(seed):
+    from hoffbound.oracle import _gaussian_draws
+
+    n = 6
+    got = np.empty((16, n))
+    _gaussian_draws(seed, got)
+    for k in range(16):
+        u = np.random.Generator(np.random.Philox(key=[seed % 2**64, k])).standard_normal(n)
+        assert got[k].tobytes() == (u / np.linalg.norm(u)).tobytes(), k
 
 
 def test_monte_carlo_is_seed_deterministic():
