@@ -55,7 +55,7 @@ from .partition import (
     PartitionCertificate,
     compute_partition,
 )
-from .solvers import (
+from .solvers.programs import (
     AnalyticCenterSolution,
     InfeasibleQP,
     MinNormSolution,

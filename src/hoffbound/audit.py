@@ -51,7 +51,8 @@ def _sigma_and_rank_gap(M: np.ndarray) -> tuple[float | None, float]:
     Rank rule and SVD call are those of the bound computation, so an honest
     report reproduces its sigma bit for bit.  The gap is ``s_r / s_{r+1}`` at
     numerical rank r (infinite at full rank or r = 0); sigma is None when
-    r = 0.  Raises ``NumericalFailure`` when the rank is ambiguous.
+    r = 0.  Raises ``NumericalFailure`` when the rank is ambiguous and
+    ``LinAlgError`` when the SVD does not converge (as on a NaN entry).
     """
     s = np.linalg.svd(M, full_matrices=False)[1]
     r = numerical_rank(s)
@@ -70,14 +71,15 @@ def _check_weights(y: np.ndarray, A_B: np.ndarray, name: str,
         return [f"{name} is empty"]
     min_key, sum_key, eq_key = keys
     failures = []
+    # Each test is written so that a NaN fails it.
     metrics[min_key] = float(y.min())
-    if y.min() <= 0.0:
+    if not y.min() > 0.0:
         failures.append(f"{name} is not strictly positive")
     metrics[sum_key] = sum_err = abs(float(y.sum()) - 1.0)
-    if sum_err > SUM_TOL:
+    if not sum_err <= SUM_TOL:
         failures.append(f"{name} sums to 1 only within {sum_err!r}")
     metrics[eq_key] = ceq = float(np.abs(A_B.T @ y).max(initial=0.0))
-    if ceq > RESIDUAL_TOL * np.linalg.norm(A_B):
+    if not ceq <= RESIDUAL_TOL * np.linalg.norm(A_B):
         failures.append(f"A_B' {name} residual {ceq:.3e} exceeds budget")
     return failures
 
@@ -86,18 +88,23 @@ def _check_unit_margin(Gz: np.ndarray, name: str, key: str, metrics: dict) -> li
     """Failure unless the product ``G z`` of a deep-point witness has
     ``min(G z) >= 1 - MARGIN_TOL`` (infinite with no rows), recorded as ``key``."""
     metrics[key] = margin = float(Gz.min()) if Gz.size else math.inf
-    return [f"{name} margin {margin!r} is below 1"] if margin < 1.0 - MARGIN_TOL else []
+    return [] if margin >= 1.0 - MARGIN_TOL else [f"{name} margin {margin!r} is below 1"]
 
 
 def _check_branch(report: BoundReport) -> list[str]:
-    """Failure unless the report carries exactly its branch's components and
-    ``total`` equals their product formula bit for bit."""
+    """Failure unless the report carries exactly its branch's components,
+    ``total`` and their values are finite, and ``total`` equals their product
+    formula bit for bit."""
     parts = _BRANCH_COMPONENTS.get(report.branch)
     if parts is None:
         return [f"unknown branch {report.branch!r}"]
     present = tuple(k for k in ("case_n", "case_b", "stitch") if getattr(report, k))
     if present != parts:
         return [f"{report.branch} branch carries {present}, not {parts}"]
+    values = {"total": report.total, **{k: getattr(report, k).value for k in present}}
+    bad = [f"{k} {v!r}" for k, v in values.items() if not math.isfinite(v)]
+    if bad:
+        return [f"non-finite bound: {', '.join(bad)}"]
     blocks = [c.value for c in (report.case_n, report.case_b) if c is not None]
     factor = 1.0 if report.stitch is None else report.stitch.value
     if report.total != factor * max(blocks, default=0.0):
@@ -141,15 +148,15 @@ def verify_partition(
     if cert.N:
         nrm = euclidean_norm(cert.x_hat)
         metrics["x_hat_norm"] = nrm
-        if abs(nrm - 1.0) > 1e-10:
+        if not abs(nrm - 1.0) <= 1e-10:
             failures.append(f"x_hat norm {nrm!r} is not 1")
         slack = -(A_N @ cert.x_hat)
         metrics["min_slack_N"] = float(slack.min())
-        if slack.min() <= 0.0:
+        if not slack.min() > 0.0:
             failures.append("x_hat is not strictly slack on every row of N")
         tight = float(np.abs(A_B @ cert.x_hat).max(initial=0.0))
         metrics["tight_rows_inf"] = tight
-        if tight > RESIDUAL_TOL * np.linalg.norm(A_B):
+        if not tight <= RESIDUAL_TOL * np.linalg.norm(A_B):
             failures.append(f"A_B x_hat residual {tight:.3e} exceeds budget")
     elif euclidean_norm(cert.x_hat) != 0.0:
         failures.append("x_hat must be zero when N is empty")
@@ -178,9 +185,10 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     ``RESIDUAL_TOL ||A_B||_F ||Q z_bar||``, on an orthonormal basis, with unit
     margin through the recomputed row scaling.  Finally the report carries
     exactly its branch's components, and their product formula gives the
-    total bit for bit.  Every budget is relative to the matrix it checks.  A
-    rank in the rule's ambiguous band, a row index out of range and an empty
-    weight vector are recorded as failures, not raised.
+    total bit for bit, and every value is finite.  Every budget is relative
+    to the matrix it checks.  A rank in the rule's ambiguous band, an SVD
+    that does not converge, a row index out of range and an empty weight
+    vector are recorded as failures, not raised.
     """
     A = instance.A
     failures: list[str] = []
@@ -231,7 +239,7 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
             failures += _check_weights(y, A_B, "y_bar", keys, metrics)
             try:
                 sigma, gap = _sigma_and_rank_gap(A_B.T * y[None, :])
-            except NumericalFailure as exc:
+            except (NumericalFailure, np.linalg.LinAlgError) as exc:
                 failures.append(f"rank of A_B' diag(y_bar): {exc}")
             else:
                 metrics["case_b_sigma"] = sigma
@@ -254,7 +262,7 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
             failures.append(f"stitch basis is not orthonormal ({gram_err:.3e})")
         try:
             metrics["stitch_rank_gap"] = _sigma_and_rank_gap(A_B)[1]
-        except NumericalFailure as exc:
+        except (NumericalFailure, np.linalg.LinAlgError) as exc:
             failures.append(f"rank of A_B: {exc}")
         lift = Q @ st.z_bar
         null_res = float(np.abs(A_B @ lift).max(initial=0.0))

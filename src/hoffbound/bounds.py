@@ -40,7 +40,7 @@ from .numerics import (
     smallest_positive_singular_value,
 )
 from .partition import PartitionCertificate, compute_partition
-from .solvers import (
+from .solvers.programs import (
     SolverConfig,
     solve_analytic_center,
     solve_min_norm_qp,

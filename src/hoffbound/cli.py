@@ -17,7 +17,7 @@ from .bounds import bound_h0
 from .core import HoffboundError, ProblemInstance
 from .io import canonical_report_json, load_matrix, report_to_dict
 from .oracle import lower_bound_monte_carlo
-from .solvers import SolverConfig
+from .solvers.programs import SolverConfig
 
 __all__ = ["build_parser", "main", "run"]
 

@@ -19,15 +19,10 @@ __all__ = [
     "HoffboundError",
     "ProblemInstance",
     "ScaleOutOfRange",
-    "ZERO_MATRIX_FLOOR",
     "euclidean_norm",
     "pos_part_inf_norm",
     "row_norms",
 ]
-
-# Frobenius norms at or below this are treated as the zero matrix, for which
-# the homogeneous Hoffman constant is 0 by convention.
-ZERO_MATRIX_FLOOR = 1e-300
 
 # Smallest Frobenius norm whose square is a normal double.  Norms are formed
 # from unscaled sums of squares, so below it they lose digits to subnormal
@@ -92,10 +87,8 @@ class ProblemInstance:
     Raises
     ------
     ScaleOutOfRange
-        If ``||A||_F`` overflows, or if ``A`` has an entry above
-        ``ZERO_MATRIX_FLOOR`` in magnitude and ``||A||_F`` lies below
-        ~1.5e-154, where its square is no longer a normal double.  A matrix
-        whose entries are all at or below the floor is the zero matrix.
+        If ``||A||_F`` overflows, or if ``A`` is nonzero and ``||A||_F`` lies
+        below ~1.5e-154, where its square is no longer a normal double.
     """
 
     A: np.ndarray
@@ -114,7 +107,7 @@ class ProblemInstance:
                 "the Frobenius norm of the matrix overflows; rescale it by a "
                 "power of two (H0(c A) = H0(A) / c)"
             )
-        if scale < _MIN_SCALE and np.abs(self.A).max() > ZERO_MATRIX_FLOOR:
+        if scale < _MIN_SCALE and not self.is_zero:
             raise ScaleOutOfRange(
                 f"the Frobenius norm of the matrix ({scale:.3e}) is too small "
                 "to be formed accurately; rescale it by a power of two "
@@ -156,5 +149,5 @@ class ProblemInstance:
 
     @property
     def is_zero(self) -> bool:
-        """True when ``A`` is the zero matrix (cone is all of R^n)."""
-        return self.frobenius_scale <= ZERO_MATRIX_FLOOR
+        """True when every entry of ``A`` is 0 (cone is all of R^n)."""
+        return not np.any(self.A)

@@ -12,13 +12,14 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-from .core import ZERO_MATRIX_FLOOR, HoffboundError, row_norms
+from .core import HoffboundError, row_norms
 
 __all__ = [
     "DEFAULT_RANK_TOL",
     "DegenerateRow",
     "NumericalFailure",
     "RANK_BAND",
+    "ZERO_MATRIX_FLOOR",
     "numerical_rank",
     "orthonormal_null_basis",
     "row_norms",
@@ -39,6 +40,9 @@ DEFAULT_RANK_TOL = 1e-9
 # rounding noise; a value above the edge may be a real direction, and
 # dropping it would make a bound built on the rank unsound.
 RANK_BAND = 1e-13
+
+# A matrix whose largest singular value is at or below this has rank 0.
+ZERO_MATRIX_FLOOR = 1e-300
 
 
 class NumericalFailure(HoffboundError):
@@ -61,7 +65,7 @@ def numerical_rank(s: np.ndarray) -> int:
 
     The rank counts the ``s_i > DEFAULT_RANK_TOL * s_max``, a purely
     relative rule, so ``c M`` has the rank of ``M``; it is 0 only when
-    ``s_max <= core.ZERO_MATRIX_FLOOR``.  This is the only place the package
+    ``s_max <= ZERO_MATRIX_FLOOR``.  This is the only place the package
     decides a numerical rank.
 
     Raises

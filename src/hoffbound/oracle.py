@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HoffboundError, ProblemInstance, euclidean_norm, pos_part_inf_norm
-from .solvers import SolverConfig, project_onto_cone
+from .solvers.programs import SolverConfig, project_onto_cone
 
 __all__ = [
     "OracleResult",

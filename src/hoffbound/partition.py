@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import HoffboundError, ProblemInstance, euclidean_norm
 from .numerics import row_norms
-from .solvers import SolverConfig, solve_partition_lp
+from .solvers.programs import SolverConfig, solve_partition_lp
 
 __all__ = [
     "AmbiguousIndex",

@@ -41,9 +41,11 @@ import numpy as np
 import scipy.linalg
 
 from ..numerics import NumericalFailure
-from .config import MAX_ITERS
 
-__all__ = ["IPMResult", "solve_qp_ipm"]
+__all__ = ["MAX_ITERS", "IPMResult", "solve_qp_ipm"]
+
+# Iteration cap of the interior-point method and of the center's Newton.
+MAX_ITERS = 500
 
 _DIV_FLOOR = 1e-300
 _STALL_WINDOW = 25

@@ -14,6 +14,9 @@ Four operations are exposed, each calling its engine directly:
   started from the uniform point.
 * ``project_onto_cone``: Euclidean projection onto ``{x : A x <= 0}`` by one
   nonnegative least-squares fit against the rows of A.
+
+``SolverConfig`` holds the tolerances they read, and ``SolverStall``,
+``InfeasibleQP`` and ``NoInteriorPoint`` are the errors they raise.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from ..core import ProblemInstance, euclidean_norm
+from ..core import HoffboundError, ProblemInstance, euclidean_norm
 from ..numerics import (
     NumericalFailure,
     numerical_rank,
@@ -32,14 +35,17 @@ from ..numerics import (
     row_norms,
     row_space_basis,
 )
-from .config import MAX_ITERS, InfeasibleQP, NoInteriorPoint, SolverConfig, SolverStall
-from .ipm import solve_qp_ipm
+from .ipm import MAX_ITERS, solve_qp_ipm
 
 __all__ = [
     "AnalyticCenterSolution",
+    "InfeasibleQP",
     "MinNormSolution",
+    "NoInteriorPoint",
     "PartitionLPSolution",
     "ProjectionResult",
+    "SolverConfig",
+    "SolverStall",
     "project_onto_cone",
     "solve_analytic_center",
     "solve_min_norm_qp",
@@ -47,6 +53,34 @@ __all__ = [
 ]
 
 _FIT_TOL = 1e-10
+
+
+class SolverStall(HoffboundError):
+    """Iteration cap reached before the requested certificates were met."""
+
+
+class InfeasibleQP(HoffboundError):
+    """``{z : G z >= 1}`` is infeasible, or its minimum-norm point is beyond
+    double precision; on a slack block this signals an upstream partition
+    error."""
+
+
+class NoInteriorPoint(HoffboundError):
+    """No strictly positive feasible point was located."""
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Shared accuracy knobs for every solve in the pipeline."""
+
+    feas_tol: float = 1e-9
+    opt_tol: float = 1e-8
+
+    def __post_init__(self) -> None:
+        for name in ("feas_tol", "opt_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
 @dataclass(frozen=True)
@@ -271,9 +305,15 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
     dual_lower = (1.0 - gamma) * (float(u.sum()) / den) ** 2
 
     norm = euclidean_norm(z_best)
+    if not np.isfinite(norm):
+        raise InfeasibleQP(
+            "the minimum-norm point of G z >= 1 is beyond double precision: "
+            "its norm overflows"
+        )
     min_margin = float((G @ z_best).min())
+    # Written so that a NaN gap (inf - inf) fails the test.
     gap = norm**2 - dual_lower
-    if gap > cfg.opt_tol * (1.0 + norm**2):
+    if not gap <= cfg.opt_tol * (1.0 + norm**2):
         raise SolverStall(
             f"certified optimality gap {gap:.3e} is too large for the "
             "requested tolerance"

@@ -198,3 +198,37 @@ def test_audit_records_an_empty_tight_block_witness():
     res = audit_report(inst, dataclasses.replace(rep, case_b=case_b))
     assert not res.ok
     assert "y_bar is empty" in res.failures
+
+
+def test_audit_records_a_nan_weight_and_a_failed_svd():
+    # a NaN in y_bar once escaped as numpy's LinAlgError from the SVD
+    inst = instance(C4)
+    rep = bound_h0(inst)
+    y = rep.case_b.y_bar.copy()
+    y[0] = np.nan
+    bad_case_b = dataclasses.replace(rep.case_b, y_bar=y)
+    res = audit_report(inst, dataclasses.replace(rep, case_b=bad_case_b))
+    assert not res.ok
+    assert "y_bar is not strictly positive" in res.failures
+    assert "rank of A_B' diag(y_bar): SVD did not converge" in res.failures
+
+
+def test_audit_rejects_a_nan_partition_witness():
+    inst = instance(C4)
+    rep = bound_h0(inst)
+    x = np.full_like(rep.partition.x_hat, np.nan)
+    bad_cert = dataclasses.replace(rep.partition, x_hat=x)
+    res = audit_report(inst, dataclasses.replace(rep, partition=bad_cert))
+    assert not res.ok
+    assert "x_hat is not strictly slack on every row of N" in res.failures
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_audit_rejects_a_non_finite_bound(value):
+    # a witness whose norm overflows has value inf, and ||x_bar|| = inf matches it
+    inst = instance(-np.eye(3))
+    rep = bound_h0(inst)
+    bad_case_n = dataclasses.replace(rep.case_n, value=value)
+    res = audit_report(inst, dataclasses.replace(rep, case_n=bad_case_n, total=value))
+    assert not res.ok
+    assert f"non-finite bound: total {value!r}, case_n {value!r}" in res.failures

@@ -128,6 +128,15 @@ def test_matrix_whose_norm_overflows_exits_with_error(tmp_path, capsys):
     assert "overflows" in capsys.readouterr().err
 
 
+def test_tiny_nonzero_matrix_exits_with_error(tmp_path, capsys):
+    # once reported as the zero matrix with a total of 0, though H0 is 1e301
+    path = tmp_path / "tiny.csv"
+    save_matrix_csv(path, np.array([[1e-301]]))
+    rc = cli.main(["compute", "--input", str(path)])
+    assert rc == cli.EXIT_ERROR
+    assert "too small" in capsys.readouterr().err
+
+
 def test_sandwich_violation_exit_code(csv_path, capsys, monkeypatch):
     def inflated(inst, num_samples, seed, *, x_hat=None, cfg=None):
         return OracleResult(lower_bound=1e9, best_u=None,

@@ -116,6 +116,13 @@ def test_min_norm_qp_infeasible_inputs():
         solve_min_norm_qp(np.zeros((0, 3)))
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_min_norm_qp_rejects_a_point_whose_norm_overflows():
+    # z = 1e155 is feasible, but ||z|| is formed as inf
+    with pytest.raises(InfeasibleQP, match="beyond double precision"):
+        solve_min_norm_qp(np.array([[1e-155]]))
+
+
 # --- analytic center ---------------------------------------------------------
 
 def test_barrier_program_runs_damped_newton():
