@@ -7,26 +7,15 @@ The package computes a certified upper bound on
 together with the intermediate certificates (row partition, per-block
 witnesses, restriction factor), an independent audit of those certificates,
 and a Monte Carlo lower-bound oracle for sandwich validation.
+
+Only the entry points and the error classes are exported here.  Every other
+name is imported from the module that defines it, e.g.
+``hoffbound.partition.compute_partition``.
 """
 
-from .audit import AuditResult, audit_report, verify_partition
-from .bounds import (
-    BoundReport,
-    CaseBBound,
-    CaseNBound,
-    StitchBound,
-    bound_case_b,
-    bound_case_n,
-    bound_h0,
-    bound_stitch,
-)
-from .core import (
-    HoffboundError,
-    ProblemInstance,
-    ScaleOutOfRange,
-    euclidean_norm,
-    pos_part_inf_norm,
-)
+from .audit import AuditResult, audit_report
+from .bounds import BoundReport, bound_h0
+from .core import HoffboundError, ProblemInstance, ScaleOutOfRange
 from .io import (
     DimensionError,
     ParseError,
@@ -36,90 +25,28 @@ from .io import (
     report_to_dict,
     save_matrix_csv,
 )
-from .numerics import (
-    DEFAULT_RANK_TOL,
-    DegenerateRow,
-    NumericalFailure,
-    orthonormal_null_basis,
-    row_normalize,
-    smallest_positive_singular_value,
-)
-from .oracle import (
-    OracleResult,
-    directed_candidates,
-    lower_bound_monte_carlo,
-    ratio_at,
-)
-from .partition import (
-    AmbiguousIndex,
-    PartitionCertificate,
-    compute_partition,
-)
+from .numerics import DegenerateRow, NumericalFailure
+from .oracle import OracleResult, lower_bound_monte_carlo
+from .partition import AmbiguousIndex
 from .solvers.programs import (
-    AnalyticCenterSolution,
     InfeasibleQP,
-    MinNormSolution,
     NoInteriorPoint,
-    PartitionLPSolution,
-    ProjectionResult,
     SolverConfig,
     SolverStall,
-    project_onto_cone,
-    solve_analytic_center,
-    solve_min_norm_qp,
-    solve_partition_lp,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousIndex",
-    "AnalyticCenterSolution",
-    "AuditResult",
-    "BoundReport",
-    "CaseBBound",
-    "CaseNBound",
-    "DEFAULT_RANK_TOL",
-    "DegenerateRow",
-    "DimensionError",
-    "HoffboundError",
-    "InfeasibleQP",
-    "MinNormSolution",
-    "NoInteriorPoint",
-    "NumericalFailure",
-    "OracleResult",
-    "ParseError",
-    "PartitionCertificate",
-    "PartitionLPSolution",
-    "ProblemInstance",
-    "ProjectionResult",
-    "ScaleOutOfRange",
-    "SolverConfig",
-    "SolverStall",
-    "StitchBound",
-    "UnsupportedFormat",
-    "audit_report",
-    "bound_case_b",
-    "bound_case_n",
-    "bound_h0",
-    "bound_stitch",
-    "canonical_report_json",
-    "compute_partition",
-    "directed_candidates",
-    "euclidean_norm",
-    "load_matrix",
-    "lower_bound_monte_carlo",
-    "orthonormal_null_basis",
-    "pos_part_inf_norm",
-    "project_onto_cone",
-    "ratio_at",
-    "report_to_dict",
-    "row_normalize",
-    "save_matrix_csv",
-    "smallest_positive_singular_value",
-    "solve_analytic_center",
-    "solve_min_norm_qp",
-    "solve_partition_lp",
-    "verify_partition",
+    "ProblemInstance", "SolverConfig",
+    # pipeline
+    "bound_h0", "BoundReport", "audit_report", "AuditResult",
+    "lower_bound_monte_carlo", "OracleResult",
+    # files and reports
+    "load_matrix", "save_matrix_csv", "report_to_dict", "canonical_report_json",
+    # errors
+    "HoffboundError", "ScaleOutOfRange", "AmbiguousIndex", "NumericalFailure",
+    "DegenerateRow", "SolverStall", "InfeasibleQP", "NoInteriorPoint",
+    "ParseError", "DimensionError", "UnsupportedFormat",
     "__version__",
 ]

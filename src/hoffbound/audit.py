@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .core import ProblemInstance, euclidean_norm
-from .numerics import NumericalFailure, numerical_rank, row_norms
+from .core import ProblemInstance, euclidean_norm, row_norms
+from .numerics import NumericalFailure, numerical_rank
 from .partition import PartitionCertificate
 
 __all__ = ["AuditResult", "audit_report", "verify_partition"]

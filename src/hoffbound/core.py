@@ -19,6 +19,7 @@ __all__ = [
     "HoffboundError",
     "ProblemInstance",
     "ScaleOutOfRange",
+    "ZERO_NORM_FLOOR",
     "euclidean_norm",
     "pos_part_inf_norm",
     "row_norms",
@@ -28,6 +29,10 @@ __all__ = [
 # from unscaled sums of squares, so below it they lose digits to subnormal
 # rounding, and near 1e-162 they underflow to 0.
 _MIN_SCALE = float(np.sqrt(np.finfo(float).tiny))
+
+# A norm (of a vector, a row, or a matrix's largest singular value) at or
+# below this is treated as zero.
+ZERO_NORM_FLOOR = 1e-300
 
 
 class HoffboundError(Exception):
@@ -139,10 +144,10 @@ class ProblemInstance:
     @cached_property
     def unit_rows(self) -> np.ndarray:
         """The nonzero rows of ``A`` scaled to unit Euclidean norm, computed
-        once and read-only.  Rows of norm at or below 1e-300 are dropped, so
-        the result may have no rows."""
+        once and read-only.  Rows of norm at or below ``ZERO_NORM_FLOOR`` are
+        dropped, so the result may have no rows."""
         norms = row_norms(self.A)
-        keep = norms > 1e-300
+        keep = norms > ZERO_NORM_FLOOR
         rows = self.A[keep] / norms[keep, None]
         rows.flags.writeable = False
         return rows

@@ -9,7 +9,7 @@ mismatches raise a dedicated error so callers can distinguish malformed
 files from ragged data.
 
 Serialized reports come in two flavors: the full payload, which includes
-wall-clock timings, and a canonical form with volatile keys stripped, which
+wall-clock timings, and a canonical form with the timings left out, which
 is byte-identical across repeated runs with the same inputs and seed.
 """
 
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 REPORT_VERSION = "1"
-VOLATILE_KEYS = ("timings",)
 
 
 class ParseError(HoffboundError):
@@ -227,20 +226,12 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
-def _strip_volatile(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {
-            k: _strip_volatile(v) for k, v in obj.items() if k not in VOLATILE_KEYS
-        }
-    if isinstance(obj, list):
-        return [_strip_volatile(v) for v in obj]
-    return obj
-
-
 def canonical_report_json(payload: dict[str, Any]) -> str:
-    """Deterministic serialization: volatile keys out, keys sorted.
+    """Deterministic serialization: ``diagnostics["timings"]`` out, keys sorted.
 
     Floats go through Python's shortest round-trip repr, so two payloads
     built from bit-identical numbers serialize to identical bytes.
     """
-    return json.dumps(_strip_volatile(payload), sort_keys=True, separators=(",", ":"))
+    diagnostics = {k: v for k, v in payload["diagnostics"].items() if k != "timings"}
+    payload = {**payload, "diagnostics": diagnostics}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -12,17 +12,15 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-from .core import HoffboundError, row_norms
+from .core import ZERO_NORM_FLOOR, HoffboundError, row_norms
 
 __all__ = [
     "DEFAULT_RANK_TOL",
     "DegenerateRow",
     "NumericalFailure",
     "RANK_BAND",
-    "ZERO_MATRIX_FLOOR",
     "numerical_rank",
     "orthonormal_null_basis",
-    "row_norms",
     "row_normalize",
     "row_space_basis",
     "smallest_positive_singular_value",
@@ -40,9 +38,6 @@ DEFAULT_RANK_TOL = 1e-9
 # rounding noise; a value above the edge may be a real direction, and
 # dropping it would make a bound built on the rank unsound.
 RANK_BAND = 1e-13
-
-# A matrix whose largest singular value is at or below this has rank 0.
-ZERO_MATRIX_FLOOR = 1e-300
 
 
 class NumericalFailure(HoffboundError):
@@ -65,7 +60,7 @@ def numerical_rank(s: np.ndarray) -> int:
 
     The rank counts the ``s_i > DEFAULT_RANK_TOL * s_max``, a purely
     relative rule, so ``c M`` has the rank of ``M``; it is 0 only when
-    ``s_max <= ZERO_MATRIX_FLOOR``.  This is the only place the package
+    ``s_max <= ZERO_NORM_FLOOR``.  This is the only place the package
     decides a numerical rank.
 
     Raises
@@ -77,7 +72,7 @@ def numerical_rank(s: np.ndarray) -> int:
         unsound.
     """
     sigma_max = float(s[0]) if s.size else 0.0
-    if sigma_max <= ZERO_MATRIX_FLOOR:
+    if sigma_max <= ZERO_NORM_FLOOR:
         return 0
     rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * sigma_max))
     if rank < s.size and s[rank] > RANK_BAND * sigma_max:
@@ -159,7 +154,7 @@ def row_normalize(A_N: npt.ArrayLike) -> np.ndarray:
     if A_N.ndim != 2 or A_N.shape[0] == 0:
         raise ValueError("expected a matrix with at least one row")
     norms = row_norms(A_N)
-    if (norms <= 1e-300).any():
+    if (norms <= ZERO_NORM_FLOOR).any():
         bad = int(np.argmin(norms))
         raise DegenerateRow(f"row {bad} has zero norm and cannot be normalized")
     return A_N * (1.0 / norms)[:, None]

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HoffboundError, ProblemInstance, euclidean_norm, pos_part_inf_norm
+from .core import (
+    ZERO_NORM_FLOOR,
+    HoffboundError,
+    ProblemInstance,
+    euclidean_norm,
+    pos_part_inf_norm,
+)
 from .solvers.programs import SolverConfig, project_onto_cone
 
 __all__ = [
@@ -115,7 +121,7 @@ def directed_candidates(
     rows = instance.A[:_MAX_BASE]
     if x_hat is not None:
         rows = np.vstack([rows, np.asarray(x_hat, dtype=float).reshape(1, instance.n)])
-    base = _unit(-rows, 1e-300)[0]
+    base = _unit(-rows, ZERO_NORM_FLOOR)[0]
 
     # Unit a, b have |a + b|^2 + |a - b|^2 = 4, so every pair adds at least
     # one vector and the cap is reached within its first 128 pairs.
@@ -146,7 +152,7 @@ def _gaussian_draws(seed: int, out: np.ndarray) -> None:
         bitgen.state = state
         gen.standard_normal(out=out[k])
     norms = _norms(out)
-    np.divide(out, norms[:, None], out=out, where=norms[:, None] > 1e-300)
+    np.divide(out, norms[:, None], out=out, where=norms[:, None] > ZERO_NORM_FLOOR)
 
 
 def lower_bound_monte_carlo(

@@ -15,8 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HoffboundError, ProblemInstance, euclidean_norm
-from .numerics import row_norms
+from .core import (
+    ZERO_NORM_FLOOR,
+    HoffboundError,
+    ProblemInstance,
+    euclidean_norm,
+    row_norms,
+)
 from .solvers.programs import SolverConfig, solve_partition_lp
 
 __all__ = [
@@ -126,9 +131,11 @@ def compute_partition(
     # correction each, in units of the largest tight row, puts x back in
     # null(A_B) and y_B back on the slice {A_B' y = 0, 1'y = 1}.
     scale = float(row_norms(A_B).max(initial=0.0))
-    W = A_B / scale if scale > 1e-300 else A_B
+    W = A_B / scale if scale > ZERO_NORM_FLOOR else A_B
     if N:
         x = sol.x - np.linalg.lstsq(W, W @ sol.x, rcond=None)[0]
+        # Scaling by a power of two is exact and keeps ||x|| from overflowing.
+        x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
         x_hat = x / euclidean_norm(x)
     else:
         x_hat = np.zeros(instance.n)

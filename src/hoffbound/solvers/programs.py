@@ -27,12 +27,17 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from ..core import HoffboundError, ProblemInstance, euclidean_norm
+from ..core import (
+    ZERO_NORM_FLOOR,
+    HoffboundError,
+    ProblemInstance,
+    euclidean_norm,
+    row_norms,
+)
 from ..numerics import (
     NumericalFailure,
     numerical_rank,
     orthonormal_null_basis,  # unused here; the benchmark's tracer hooks it
-    row_norms,
     row_space_basis,
 )
 from .ipm import MAX_ITERS, solve_qp_ipm
@@ -135,7 +140,7 @@ def solve_partition_lp(
     # (x absorbs the factor), so solve in units of the largest row norm and
     # scale x back afterwards.
     row_scale = float(row_norms(instance.A).max())
-    if row_scale <= 1e-300:
+    if row_scale <= ZERO_NORM_FLOOR:
         row_scale = 1.0
     A = instance.A / row_scale
     V = row_space_basis(A)
@@ -269,8 +274,10 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
     # back by one scalar division, so the fit (and in particular the active
     # set used by the polish) behaves identically for G and alpha G.
     s = float(row_norms(G).max())
-    if s <= 1e-300:
+    if not np.any(G):
         raise InfeasibleQP("a zero matrix cannot reach margin 1")
+    if s <= ZERO_NORM_FLOOR:
+        raise InfeasibleQP(f"the largest row norm of G underflows ({s:.1e}); rescale G")
     Gw = G / s
 
     M = np.concatenate([Gw.T, np.ones((1, k))], axis=0)
@@ -286,38 +293,39 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
             "its minimum-norm point is beyond double precision"
         )
 
-    # Polish: the passive rows define an equality system whose minimum-norm
-    # solution is the exact optimum when the active set is identified.
-    active = u > 0.0
-    if np.any(active):
-        z_pol, *_ = np.linalg.lstsq(Gw[active], np.ones(int(active.sum())), rcond=None)
-        z_pol = _restore_feasibility(G, z_pol / s)
-        if z_pol is not None and euclidean_norm(z_pol) < euclidean_norm(z_best):
-            z_best = z_pol
+    with np.errstate(over="ignore"):  # an overflowing point raises below
+        # Polish: the passive rows define an equality system whose minimum-norm
+        # solution is the exact optimum when the active set is identified.
+        active = u > 0.0
+        if np.any(active):
+            z_pol = np.linalg.lstsq(Gw[active], np.ones(active.sum()), rcond=None)[0]
+            z_pol = _restore_feasibility(G, z_pol / s)
+            if z_pol is not None and euclidean_norm(z_pol) < euclidean_norm(z_best):
+                z_best = z_pol
 
-    # Weak duality: every lam >= 0 gives ||z||^2 >= 1'lam - ||G'lam||^2 / 4.
-    # Along lam = t u the best t gives (1'u)^2 / ||G'u||^2, which needs no
-    # rho (rho = 1 - 1'u cancels as ||z|| grows).  At the optimum the bound
-    # meets ||z||^2, so its rounding error is taken off: gamma bounds the
-    # relative error of each sum and product in it.
-    gamma = (k + d + 2) * np.finfo(float).eps
-    den = euclidean_norm(G.T @ u) + gamma * euclidean_norm(np.abs(G).T @ u)
-    dual_lower = (1.0 - gamma) * (float(u.sum()) / den) ** 2
+        # Weak duality: every lam >= 0 gives ||z||^2 >= 1'lam - ||G'lam||^2 / 4.
+        # Along lam = t u the best t gives (1'u)^2 / ||G'u||^2, which needs no
+        # rho (rho = 1 - 1'u cancels as ||z|| grows).  At the optimum the bound
+        # meets ||z||^2, so its rounding error is taken off: gamma bounds the
+        # relative error of each sum and product in it.
+        gamma = (k + d + 2) * np.finfo(float).eps
+        den = euclidean_norm(G.T @ u) + gamma * euclidean_norm(np.abs(G).T @ u)
+        dual_lower = (1.0 - gamma) * (float(u.sum()) / den) ** 2
 
-    norm = euclidean_norm(z_best)
-    if not np.isfinite(norm):
-        raise InfeasibleQP(
-            "the minimum-norm point of G z >= 1 is beyond double precision: "
-            "its norm overflows"
-        )
-    min_margin = float((G @ z_best).min())
-    # Written so that a NaN gap (inf - inf) fails the test.
-    gap = norm**2 - dual_lower
-    if not gap <= cfg.opt_tol * (1.0 + norm**2):
-        raise SolverStall(
-            f"certified optimality gap {gap:.3e} is too large for the "
-            "requested tolerance"
-        )
+        norm = euclidean_norm(z_best)
+        if not np.isfinite(norm):
+            raise InfeasibleQP(
+                "the minimum-norm point of G z >= 1 is beyond double precision: "
+                "its norm overflows"
+            )
+        min_margin = float((G @ z_best).min())
+        # Written so that a NaN gap (inf - inf) fails the test.
+        gap = norm**2 - dual_lower
+        if not gap <= cfg.opt_tol * (1.0 + norm**2):
+            raise SolverStall(
+                f"certified optimality gap {gap:.3e} is too large for the "
+                "requested tolerance"
+            )
     return MinNormSolution(
         z=z_best, norm=norm, min_margin=min_margin, dual_lower=dual_lower
     )
@@ -390,7 +398,7 @@ def solve_analytic_center(
     # of A_B, so run the iteration in units of the largest row norm; the
     # center then comes out identical for A_B and alpha A_B.
     s = float(row_norms(A_B).max())
-    if s > 1e-300:
+    if s > ZERO_NORM_FLOOR:
         A_B = A_B / s
     V = row_space_basis(A_B)
     r = V.shape[1]
@@ -467,7 +475,7 @@ def project_onto_cone(instance: ProblemInstance, u: np.ndarray) -> ProjectionRes
     if u.shape != (instance.n,):
         raise ValueError(f"u has shape {u.shape}, expected ({instance.n},)")
     unorm = euclidean_norm(u)
-    if unorm <= 1e-300:
+    if unorm <= ZERO_NORM_FLOOR:
         return ProjectionResult(point=np.zeros(instance.n), distance=0.0,
                                 distance_lower=0.0, feas_violation=0.0)
 

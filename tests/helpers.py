@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from hoffbound import ProblemInstance, euclidean_norm
-from hoffbound.numerics import row_norms
+from hoffbound import ProblemInstance
+from hoffbound.core import euclidean_norm, row_norms
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 

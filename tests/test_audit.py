@@ -7,14 +7,9 @@ import numpy as np
 import pytest
 
 import hoffbound.audit
-from hoffbound import (
-    CaseBBound,
-    NumericalFailure,
-    audit_report,
-    bound_h0,
-    lower_bound_monte_carlo,
-    smallest_positive_singular_value,
-)
+from hoffbound import NumericalFailure, audit_report, bound_h0, lower_bound_monte_carlo
+from hoffbound.bounds import CaseBBound
+from hoffbound.numerics import smallest_positive_singular_value
 
 from helpers import gaussian_matrix, instance, planted_mixed_matrix
 

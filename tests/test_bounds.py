@@ -11,12 +11,10 @@ from hoffbound import (
     HoffboundError,
     NumericalFailure,
     audit_report,
-    bound_case_b,
-    bound_case_n,
     bound_h0,
-    bound_stitch,
     lower_bound_monte_carlo,
 )
+from hoffbound.bounds import bound_case_b, bound_case_n, bound_stitch
 
 from helpers import gaussian_matrix, instance, planted_mixed_split
 

@@ -1,5 +1,7 @@
 """Norm primitives and problem-instance container."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,8 @@ from hoffbound import (
     ScaleOutOfRange,
     audit_report,
     bound_h0,
-    euclidean_norm,
-    pos_part_inf_norm,
 )
+from hoffbound.core import euclidean_norm, pos_part_inf_norm
 
 from helpers import gaussian_matrix
 
@@ -128,3 +129,25 @@ def test_matrix_just_above_the_scale_floor_gets_no_infinite_bound():
             continue
         assert np.isfinite(rep.total), seed
         assert audit_report(inst, rep).ok, seed
+
+
+def test_slack_witness_is_unit_where_its_norm_overflows():
+    # ||x|| overflowed before x was normalized, so x_hat came out as zeros
+    inst = ProblemInstance.from_matrix(2e-154 * gaussian_matrix(38))
+    rep = bound_h0(inst)
+    assert rep.branch == "case_N"
+    assert euclidean_norm(rep.partition.x_hat) == pytest.approx(1.0, rel=1e-12)
+    assert audit_report(inst, rep).ok
+
+
+@pytest.mark.parametrize("c", np.geomspace(1.5e-154, 1e-150, 12))
+def test_small_scales_certify_or_raise_without_warnings(c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for seed in range(60):
+            inst = ProblemInstance.from_matrix(c * gaussian_matrix(seed))
+            try:
+                rep = bound_h0(inst)
+            except HoffboundError:
+                continue
+            assert audit_report(inst, rep).ok, seed

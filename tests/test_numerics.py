@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 import hoffbound.numerics
-from hoffbound import (
-    DegenerateRow,
-    HoffboundError,
-    NumericalFailure,
+from hoffbound import DegenerateRow, HoffboundError, NumericalFailure
+from hoffbound.numerics import (
     orthonormal_null_basis,
     row_normalize,
     smallest_positive_singular_value,

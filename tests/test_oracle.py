@@ -5,14 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from hoffbound import (
-    HoffboundError,
-    bound_h0,
-    compute_partition,
-    directed_candidates,
-    lower_bound_monte_carlo,
-    ratio_at,
-)
+from hoffbound import HoffboundError, bound_h0, lower_bound_monte_carlo
+from hoffbound.oracle import directed_candidates, ratio_at
+from hoffbound.partition import compute_partition
 
 from helpers import (
     benchmark_case,

@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 
 import hoffbound.partition
-from hoffbound import (
-    AmbiguousIndex,
-    HoffboundError,
-    PartitionCertificate,
-    SolverConfig,
-    compute_partition,
-    verify_partition,
-)
+from hoffbound import AmbiguousIndex, HoffboundError, SolverConfig
+from hoffbound.audit import verify_partition
+from hoffbound.partition import PartitionCertificate, compute_partition
 
 from helpers import gaussian_matrix, instance
 

@@ -14,14 +14,16 @@ from hoffbound import (
     ProblemInstance,
     SolverConfig,
     SolverStall,
+)
+import hoffbound.solvers.ipm
+from hoffbound.audit import verify_partition
+from hoffbound.partition import T_MIN, compute_partition
+from hoffbound.solvers.programs import (
     project_onto_cone,
     solve_analytic_center,
     solve_min_norm_qp,
     solve_partition_lp,
 )
-import hoffbound.solvers.ipm
-from hoffbound.audit import verify_partition
-from hoffbound.partition import T_MIN, compute_partition
 
 from helpers import (
     benchmark_matrix,
@@ -114,6 +116,15 @@ def test_min_norm_qp_infeasible_inputs():
         solve_min_norm_qp(np.zeros((2, 2)))
     with pytest.raises(InfeasibleQP):
         solve_min_norm_qp(np.zeros((0, 3)))
+
+
+def test_min_norm_qp_tells_an_underflowing_matrix_from_a_zero_one():
+    with pytest.raises(InfeasibleQP, match="zero matrix"):
+        solve_min_norm_qp(np.zeros((1, 1)))
+    # the row norm of 1e-200 underflows to 0, but the matrix is not zero
+    with pytest.raises(InfeasibleQP, match="underflows") as exc:
+        solve_min_norm_qp(np.array([[1e-200]]))
+    assert "zero matrix" not in str(exc.value)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
