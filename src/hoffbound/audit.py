@@ -1,9 +1,12 @@
 """Independent recheck of a bound report's certificates.
 
 Everything here is deliberately primitive: index bookkeeping, matrix-vector
-products, norms, one singular value decomposition, and sign tests on the
+products, norms, singular value decompositions, and sign tests on the
 stored witnesses.  No solver is called, so a report is validated by
-arithmetic that shares nothing with the code that built it.
+arithmetic that shares nothing with the optimization code that built it.
+The one shared piece is the partition's margin rule
+(``partition.slack_margin`` and ``weight_margin``): the partition LP stops
+on it, and the audit applies it again to the stored witnesses.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from .bounds import BoundReport
 from .core import ProblemInstance, euclidean_norm, row_norms
 from .numerics import NumericalFailure, numerical_rank
-from .partition import PartitionCertificate
+from .partition import PartitionCertificate, TightBlock, slack_margin, weight_margin
 
 __all__ = ["AuditResult", "audit_report", "verify_partition"]
 
@@ -62,25 +65,23 @@ def _sigma_and_rank_gap(M: np.ndarray) -> tuple[float | None, float]:
     return float(s[r - 1]), gap
 
 
-def _check_weights(y: np.ndarray, A_B: np.ndarray, name: str,
-                   keys: tuple[str, str, str], metrics: dict) -> list[str]:
-    """Failures of the weights ``y`` on the rows of ``A_B``: each is positive,
-    they sum to 1 within ``SUM_TOL``, and ``||A_B' y||_inf`` is at most
-    ``RESIDUAL_TOL ||A_B||_F``.  ``keys`` name the three recorded metrics."""
+def _check_weights(y: np.ndarray, A_B: np.ndarray, metrics: dict) -> list[str]:
+    """Failures of the tight-block weights ``y_bar`` on the rows of ``A_B``:
+    each is positive, they sum to 1 within ``SUM_TOL``, and
+    ``||A_B' y||_inf`` is at most ``RESIDUAL_TOL ||A_B||_F``."""
     if y.size == 0:
-        return [f"{name} is empty"]
-    min_key, sum_key, eq_key = keys
+        return ["y_bar is empty"]
     failures = []
     # Each test is written so that a NaN fails it.
-    metrics[min_key] = float(y.min())
+    metrics["case_b_min_y"] = float(y.min())
     if not y.min() > 0.0:
-        failures.append(f"{name} is not strictly positive")
-    metrics[sum_key] = sum_err = abs(float(y.sum()) - 1.0)
+        failures.append("y_bar is not strictly positive")
+    metrics["case_b_sum_err"] = sum_err = abs(float(y.sum()) - 1.0)
     if not sum_err <= SUM_TOL:
-        failures.append(f"{name} sums to 1 only within {sum_err!r}")
-    metrics[eq_key] = ceq = float(np.abs(A_B.T @ y).max(initial=0.0))
+        failures.append(f"y_bar sums to 1 only within {sum_err!r}")
+    metrics["case_b_eq_inf"] = ceq = float(np.abs(A_B.T @ y).max(initial=0.0))
     if not ceq <= RESIDUAL_TOL * np.linalg.norm(A_B):
-        failures.append(f"A_B' {name} residual {ceq:.3e} exceeds budget")
+        failures.append(f"A_B' y_bar residual {ceq:.3e} exceeds budget")
     return failures
 
 
@@ -119,15 +120,18 @@ def _rows_in_range(instance: ProblemInstance, cert: PartitionCertificate) -> boo
 def verify_partition(
     instance: ProblemInstance, cert: PartitionCertificate
 ) -> AuditResult:
-    """Recheck a partition certificate using only matrix-vector products.
+    """Recheck a partition certificate using only products, norms and SVDs.
 
-    No solver is invoked: the checks are index bookkeeping, norms, and sign
-    conditions on the stored witnesses (exact cover of the row indices,
-    ``A_N x_hat < 0`` with ``A_B x_hat = 0`` for a unit ``x_hat``, and the
-    weights check on ``y_hat``: positive, summing to 1 within ``SUM_TOL``,
-    with ``A_B' y_hat = 0``), so they share nothing with the LP that produced
-    the certificate.  Both residuals may reach ``RESIDUAL_TOL ||A_B||_F``.
-    A row index out of range is recorded and stops the recheck.
+    No solver is invoked.  The checks are index bookkeeping (exact cover of
+    the row indices, sorted tuples, a unit ``x_hat``, zero or empty
+    witnesses on an empty side) and the margin rule that ended the
+    partition LP, applied to the stored witnesses: ``slack_margin`` of
+    ``x_hat`` on N and ``weight_margin`` of ``y_hat`` on B must be positive.
+    Each margin proves that an exact witness lies next to the stored one,
+    and the two exact witnesses prove that B is the tight set of P and N
+    the slack set (see ``hoffbound.partition``).  A row index out of range
+    is recorded and stops the recheck; a rank in the rule's ambiguous band
+    or an SVD that does not converge is a recorded failure.
     """
     A = instance.A
     failures: list[str] = []
@@ -144,29 +148,39 @@ def verify_partition(
 
     A_B = A[list(cert.B)]
     A_N = A[list(cert.N)]
+    try:
+        block = TightBlock(A_B)
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
+        block = None
+        failures.append(f"rank of A_B: {exc}")
 
     if cert.N:
         nrm = euclidean_norm(cert.x_hat)
         metrics["x_hat_norm"] = nrm
         if not abs(nrm - 1.0) <= 1e-10:
             failures.append(f"x_hat norm {nrm!r} is not 1")
-        slack = -(A_N @ cert.x_hat)
-        metrics["min_slack_N"] = float(slack.min())
-        if not slack.min() > 0.0:
-            failures.append("x_hat is not strictly slack on every row of N")
-        tight = float(np.abs(A_B @ cert.x_hat).max(initial=0.0))
-        metrics["tight_rows_inf"] = tight
-        if not tight <= RESIDUAL_TOL * np.linalg.norm(A_B):
-            failures.append(f"A_B x_hat residual {tight:.3e} exceeds budget")
+        metrics["min_slack_N"] = float((-(A_N @ cert.x_hat)).min())
+        metrics["tight_rows_inf"] = float(np.abs(A_B @ cert.x_hat).max(initial=0.0))
+        # Each margin test is written so that a NaN fails it.
+        if block is not None:
+            metrics["slack_margin"] = margin = slack_margin(block, A_N, cert.x_hat)
+            if not margin > 0.0:
+                failures.append(f"x_hat does not prove N slack (margin {margin!r})")
     elif euclidean_norm(cert.x_hat) != 0.0:
         failures.append("x_hat must be zero when N is empty")
 
     if cert.B:
-        if cert.y_hat.shape != (len(cert.B),):
+        y = cert.y_hat
+        if y.shape != (len(cert.B),):
             failures.append("y_hat length does not match B")
         else:
-            keys = ("min_y_hat", "y_hat_sum_err", "center_eq_inf")
-            failures += _check_weights(cert.y_hat, A_B, "y_hat", keys, metrics)
+            metrics["min_y_hat"] = float(y.min())
+            metrics["y_hat_sum_err"] = abs(float(y.sum()) - 1.0)
+            metrics["center_eq_inf"] = float(np.abs(A_B.T @ y).max(initial=0.0))
+            if block is not None:
+                metrics["weight_margin"] = margin = weight_margin(block, y)
+                if not margin > 0.0:
+                    failures.append(f"y_hat does not prove B tight (margin {margin!r})")
     elif cert.y_hat.size:
         failures.append("y_hat must be empty when B is empty")
 
@@ -235,8 +249,7 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
             if cb.value != 0.0:
                 failures.append("zero tight block must report value 0")
         else:
-            keys = ("case_b_min_y", "case_b_sum_err", "case_b_eq_inf")
-            failures += _check_weights(y, A_B, "y_bar", keys, metrics)
+            failures += _check_weights(y, A_B, metrics)
             try:
                 sigma, gap = _sigma_and_rank_gap(A_B.T * y[None, :])
             except (NumericalFailure, np.linalg.LinAlgError) as exc:

@@ -119,8 +119,8 @@ def _print_text(payload: dict) -> None:
     if part is not None:
         print(f"tight rows B: {part['B']}")
         print(f"slack rows N: {part['N']}")
-        print(f"margin t: {part['t']:.6e}")
-        print(f"partition LP: {part['lp_iterations']} iterations")
+        print(f"margin t of the certified LP iterate: {part['t']:.6e}")
+        print(f"partition LP: {part['lp_iterations']} iterations to the certified split")
     for key, label in (("case_N", "slack-block bound"),
                        ("case_B", "tight-block bound"),
                        ("stitch", "restriction factor")):

@@ -1,36 +1,36 @@
 """Splitting the rows of A into the tight set B and the slack set N.
 
 For the cone P = {x : A x <= 0} every row index lands in exactly one of two
-camps: the tight rows B, satisfied with equality by every point of P that
-matters (a_i' x = 0 on the span of P), and the slack rows N, which admit a
-point of P with strictly negative value.  The split is recovered from one
-self-dual LP whose optimal margin t separates the supports: slack rows get
-s_i >= t through the primal half, tight rows get y_i >= t through the dual
-half, and strict complementarity keeps the two supports disjoint.
+camps: the tight rows B, satisfied with equality by every point of P, and
+the slack rows N, which admit a point of P with strictly negative value.
+The split is read off the iterates of one self-dual LP, whose supports
+separate the camps at the optimum (slack rows get s_i >= t through the
+primal half, tight rows y_i >= t through the dual half).  The LP stops at
+the first iterate whose split ``y_i > s_i`` the margin rule proves: see
+``slack_margin`` and ``weight_margin``, which the audit applies too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    ZERO_NORM_FLOOR,
-    HoffboundError,
-    ProblemInstance,
-    euclidean_norm,
-    row_norms,
-)
+from .core import HoffboundError, ProblemInstance, euclidean_norm, row_norms
+from .numerics import NumericalFailure, numerical_rank
 from .solvers.programs import SolverConfig, solve_partition_lp
 
 __all__ = [
     "AmbiguousIndex",
     "PartitionCertificate",
+    "TightBlock",
     "compute_partition",
+    "slack_margin",
+    "weight_margin",
 ]
 
-T_MIN = 1e-9
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class AmbiguousIndex(HoffboundError):
@@ -50,21 +50,27 @@ class PartitionCertificate:
     B, N : tuple of int
         Sorted zero-based tight and slack row indices; disjoint, covering.
     x_hat : ndarray of shape (n,)
-        Unit-norm interior witness: A_N x_hat < 0 and A_B x_hat = 0.  The
-        zero vector when N is empty.
+        Unit-norm interior witness: A_N x_hat < 0 and A_B x_hat = 0 up to a
+        residual that ``slack_margin`` shows to be harmless.  The zero
+        vector when N is empty.
     y_hat : ndarray of shape (len(B),)
-        Strictly positive dual witness with sum 1 and A_B' y_hat = 0.  Empty
-        when B is empty.
+        Positive dual witness with sum 1 and A_B' y_hat = 0, up to the same
+        kind of residual (``weight_margin``).  Empty when B is empty.
     t : float
-        Optimal support margin of the partition LP.
+        Support margin t of the LP iterate whose split was certified.  That
+        iterate need not be feasible, so t can exceed the LP's optimal
+        margin.
     min_slack_N : float or None
         min over N of -a_i' x_hat; None when N is empty.
     min_y_hat : float or None
         Smallest component of y_hat; None when B is empty.
     residuals : dict
-        Witness residuals plus the raw LP residuals, for auditing.
+        Witness residuals, the margins ``slack_margin`` and
+        ``weight_margin`` of the rule (None on an empty side), and the raw
+        LP residuals of the certified iterate, for auditing.
     lp_iterations : int
-        Interior-point steps of the partition LP.
+        Interior-point steps taken before the certified iterate; 0 when the
+        LP's starting point certifies the split.
     """
 
     B: tuple[int, ...]
@@ -84,77 +90,186 @@ class PartitionCertificate:
         self.y_hat.setflags(write=False)
 
 
+class TightBlock:
+    """The tight rows ``A_B`` in the form the margin rule reads.
+
+    ``W = 2^-e A_B`` is A_B scaled by a power of two (exactly, with the same
+    null space and row space), so that its largest row norm lies in
+    [1/2, 1).  From its SVD: ``V``, an orthonormal basis of the row space,
+    and ``sigma``, the smallest singular value the rank rule counts (inf at
+    rank 0).  ``fro`` is ``||W||_F``.  The slice factors are computed on
+    first use, since only the weight side needs them.
+
+    Raises ``NumericalFailure`` when the rank of A_B falls in the rank
+    rule's ambiguous band, and ``LinAlgError`` when the SVD does not
+    converge (as on a NaN entry).
+    """
+
+    def __init__(self, A_B: np.ndarray) -> None:
+        self.W = W = np.ldexp(A_B, -np.frexp(row_norms(A_B).max(initial=0.0))[1])
+        U, S, Vt = np.linalg.svd(W, full_matrices=False)
+        r = numerical_rank(S)
+        self.V = np.ascontiguousarray(Vt[:r].T)
+        self.sigma = float(S[r - 1]) if r else np.inf
+        self.fro = float(np.linalg.norm(W))
+        # V'W' = S U', of full row rank r
+        self._VW = S[:r, None] * U[:, :r].T
+
+    @cached_property
+    def slice_factors(self) -> tuple[np.ndarray, float]:
+        """Pseudo-inverse of ``E = [V'W'; 1']`` and its smallest singular
+        value ``sigma_E``, 0 when E has more rows than columns."""
+        E = np.vstack([self._VW, np.ones((1, self.W.shape[0]))])
+        P, S_E, Qt = np.linalg.svd(E, full_matrices=False)
+        sigma_E = float(S_E[-1]) if E.shape[0] <= E.shape[1] else 0.0
+        E_pinv = (Qt.T / S_E) @ P.T if sigma_E > 0.0 else np.zeros(E.shape[::-1])
+        return E_pinv, sigma_E
+
+    def project_to_slice(self, y: np.ndarray) -> np.ndarray:
+        """``y - E^+ (E y - e)``, e the last unit vector, rescaled to sum 1:
+        y put on the slice ``{A_B'y = 0, 1'y = 1}``."""
+        E_pinv = self.slice_factors[0]
+        y = y - E_pinv @ np.append(self._VW @ y, y.sum() - 1.0)
+        return y / y.sum()
+
+
+def _gamma(k: int) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)`` for the unit roundoff u."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def slack_margin(block: TightBlock, A_N: np.ndarray, x_hat: np.ndarray) -> float:
+    """Margin by which ``x_hat`` proves every row of ``A_N`` slack on P.
+
+    The rows of A_N are slack when the margin is positive: then an exact
+    ``x*`` with ``A_B x* = 0`` and ``A_N x* < 0`` exists, and x* lies in P.
+    With ``W``, ``sigma`` and ``fro`` of ``block = TightBlock(A_B)``, the
+    point ``x* = x_hat - W^+ W x_hat`` lies in ``null(W) = null(A_B)``, and
+    ``||x_hat - x*|| <= ||W x_hat|| / sigma =: d``.  So
+    ``a_i'x* <= a_i'x_hat + ||a_i|| d`` is negative for each row with
+    ``-a_i'x_hat / ||a_i|| > d``; the margin is
+    ``min_i -a_i'x_hat / ||a_i|| - d``, -inf when a row is zero.
+
+    Rounding: a computed inner product of length n is within
+    ``gamma_{n+2} ||u|| ||v||`` of the exact one, so ``||W x_hat||`` may
+    exceed its computed value by ``gamma fro ||x_hat||`` and each
+    ``a_i'x_hat / ||a_i||`` be off by ``gamma ||x_hat||``.  The margin adds
+    both terms and inflates d by ``1 + gamma`` for the norm and the
+    quotient.  ``sigma`` and the rank are taken as the SVD computes them.
+    """
+    gamma = _gamma(x_hat.size + 2)
+    nx = euclidean_norm(x_hat)
+    norms = row_norms(A_N)
+    if not norms.min() > 0.0:
+        return -np.inf
+    d = (euclidean_norm(block.W @ x_hat) + gamma * block.fro * nx) * (1.0 + gamma)
+    d = d / block.sigma + gamma * nx
+    return float((-(A_N @ x_hat) / norms).min()) * (1.0 - gamma) - d
+
+
+def weight_margin(block: TightBlock, y_hat: np.ndarray) -> float:
+    """Margin by which ``y_hat`` proves every row of ``A_B`` tight on P.
+
+    The rows of A_B are tight when the margin is positive: then an exact
+    ``y* > 0`` with ``A_B'y* = 0`` exists, and for every x in P,
+    ``0 = y*'A_B x = sum_i y*_i a_i'x`` is a sum of nonpositive terms with
+    positive weights, so each ``a_i'x = 0``.  With ``W`` and ``V`` of
+    ``block = TightBlock(A_B)``, ``E = [V'W'; 1']`` has full row rank when
+    its smallest singular value sigma_E is positive, so
+    ``y* = y_hat - E^+ (E y_hat - e)``, with e the last unit vector, solves
+    ``E y* = e``: ``1'y* = 1`` and ``V'W'y* = 0``, and since ``W'y*`` lies in
+    the row space of W, which V spans, ``A_B'y* = 0``.  As V is
+    orthonormal, ``||E y_hat - e|| = ||(W'y_hat, 1'y_hat - 1)||``, so
+    ``||y_hat - y*|| <= ||(W'y_hat, 1'y_hat - 1)|| / sigma_E =: d`` and the
+    margin is ``min y_hat - d`` (-inf when sigma_E is 0).
+
+    Rounding: with ``gamma = gamma_{|B|+2}``, the computed residual norm
+    may fall short of the exact one by ``gamma (fro ||y_hat|| +
+    ||y_hat||_1)``; the margin adds that and inflates d by ``1 + gamma``.
+    ``sigma_E`` and the basis V are taken as the SVD computes them.
+    """
+    sigma_E = block.slice_factors[1]
+    if not sigma_E > 0.0:
+        return -np.inf
+    gamma = _gamma(y_hat.size + 2)
+    res = euclidean_norm(np.append(y_hat @ block.W, y_hat.sum() - 1.0))
+    res += gamma * (block.fro * euclidean_norm(y_hat) + float(np.abs(y_hat).sum()))
+    return float(y_hat.min()) - res * (1.0 + gamma) / sigma_E
+
+
 def compute_partition(
     instance: ProblemInstance, cfg: SolverConfig | None = None
 ) -> PartitionCertificate:
     """Compute the tight/slack row partition with its witnesses.
 
-    Any exactly feasible point of the partition LP has support(y) inside the
-    tight set and support(s) inside the slack set, and at the optimum both
-    supports are filled to margin at least t.  Thresholding at t/2 therefore
-    classifies every row, with a wide safety band between the camps; an
-    interior-point solution is well inside the band once the duality gap is
-    below t/2.  The LP is solved once, and a classification that fails is
-    an error.  The witnesses x_hat and y_hat are the LP's x and y_B, each put
-    back on its subspace of the tight block by one least-squares correction
-    and then normalized.
+    Each iterate of the partition LP is tried as it comes: its split
+    ``B = {i : y_i > s_i}``, its x projected onto ``null(A_B)`` and scaled
+    to unit norm, and its ``y_B`` put on the slice ``{A_B'y = 0, 1'y = 1}``
+    (``TightBlock.project_to_slice``).  The LP stops at the first iterate
+    whose ``slack_margin`` and ``weight_margin`` are positive (an empty side
+    needs none), which proves the split; ``t`` and ``lp_iterations`` are
+    that iterate's.  The SVDs are redone only when B changes.
 
     Raises
     ------
     AmbiguousIndex
-        If some row sits on both sides (or neither side) of the threshold,
-        or the optimal margin is too small to trust.
+        If the LP converges without an iterate whose split is proven.
+    SolverStall
+        If the LP stalls, diverges or reaches its iteration cap first.
     """
-    sol = solve_partition_lp(instance, cfg or SolverConfig())
-    if sol.t < T_MIN:
+    A = instance.A
+    cache: list = [None, None, None]  # the latest B mask, its TightBlock, A_N
+
+    def certify(x, y, s, t):
+        b_mask = y > s
+        key = b_mask.tobytes()
+        if key != cache[0]:
+            try:
+                block = TightBlock(A[b_mask])
+            except (NumericalFailure, np.linalg.LinAlgError):
+                block = None
+            cache[:] = key, block, A[~b_mask]
+        _, block, A_N = cache
+        if block is None:
+            return None
+        x_hat, slack = np.zeros(A.shape[1]), None
+        if A_N.shape[0]:
+            x = x - block.V @ (block.V.T @ x)
+            peak = float(np.abs(x).max())
+            if not peak > 0.0:
+                return None
+            # Scaling by a power of two is exact and keeps ||x|| from overflowing.
+            x = np.ldexp(x, -np.frexp(peak)[1])
+            x_hat = x / euclidean_norm(x)
+            slack = slack_margin(block, A_N, x_hat)
+            if not slack > 0.0:
+                return None
+        y_hat, weight = np.zeros(0), None
+        if block.W.shape[0]:
+            y_hat = block.project_to_slice(y[b_mask])
+            weight = weight_margin(block, y_hat)
+            if not weight > 0.0:
+                return None
+        return b_mask, x_hat, y_hat, slack, weight
+
+    sol = solve_partition_lp(instance, cfg or SolverConfig(), accept=certify)
+    if sol.accepted is None:
         raise AmbiguousIndex(
-            f"optimal margin t={sol.t:.3e} is below {T_MIN:.0e}; "
-            "the partition cannot be certified"
+            f"the partition LP converged after {sol.iterations} iterations "
+            "without an iterate whose split passes the margin rule"
         )
-    b_mask = sol.y >= 0.5 * sol.t
-    n_mask = sol.s >= 0.5 * sol.t
-    bad = np.flatnonzero(b_mask == n_mask)
-    if bad.size:
-        raise AmbiguousIndex(
-            f"rows {bad.tolist()} could not be classified as tight or slack",
-            indices=tuple(int(i) for i in bad),
-        )
+    b_mask, x_hat, y_hat, slack, weight = sol.accepted
 
     B = tuple(int(i) for i in np.flatnonzero(b_mask))
-    N = tuple(int(i) for i in np.flatnonzero(n_mask))
-    A_B = instance.A[list(B)]
-    A_N = instance.A[list(N)]
-
-    # The LP leaves small slack s_B on the tight rows and small mass y_N on
-    # the slack rows, which the witnesses on the tight block alone would
-    # inherit as residuals of A_B x and A_B' y.  One least-squares
-    # correction each, in units of the largest tight row, puts x back in
-    # null(A_B) and y_B back on the slice {A_B' y = 0, 1'y = 1}.
-    scale = float(row_norms(A_B).max(initial=0.0))
-    W = A_B / scale if scale > ZERO_NORM_FLOOR else A_B
-    if N:
-        x = sol.x - np.linalg.lstsq(W, W @ sol.x, rcond=None)[0]
-        # Scaling by a power of two is exact and keeps ||x|| from overflowing.
-        x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
-        x_hat = x / euclidean_norm(x)
-    else:
-        x_hat = np.zeros(instance.n)
-    if B:
-        yB = sol.y[list(B)]
-        E = np.vstack([W.T, np.ones(len(B))])
-        residual = np.append(W.T @ yB, yB.sum() - 1.0)
-        yB = yB - np.linalg.lstsq(E, residual, rcond=None)[0]
-        y_hat = yB / yB.sum()
-    else:
-        y_hat = np.zeros(0)
-
-    min_slack = float((-(A_N @ x_hat)).min()) if N else None
-    min_y = float(y_hat.min()) if B else None
-
+    N = tuple(int(i) for i in np.flatnonzero(~b_mask))
+    A_B = A[b_mask]
+    A_N = A[~b_mask]
     residuals = {
         "t": sol.t,
         "tight_rows_inf": float(np.abs(A_B @ x_hat).max(initial=0.0)),
         "center_eq_inf": float(np.abs(A_B.T @ y_hat).max(initial=0.0)) if B else 0.0,
+        "slack_margin": slack,
+        "weight_margin": weight,
         "lp": dict(sol.residuals),
     }
     return PartitionCertificate(
@@ -163,8 +278,8 @@ def compute_partition(
         x_hat=x_hat,
         y_hat=y_hat,
         t=sol.t,
-        min_slack_N=min_slack,
-        min_y_hat=min_y,
+        min_slack_N=float((-(A_N @ x_hat)).min()) if N else None,
+        min_y_hat=float(y_hat.min()) if B else None,
         residuals=residuals,
         lp_iterations=sol.iterations,
     )

@@ -35,7 +35,10 @@ applied to the slack and dual steps directly.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 import scipy.linalg
@@ -62,7 +65,8 @@ class IPMResult:
 
     ``x`` has the r coordinates of the reduced problem; ``y``, ``s`` and ``t``
     are the multipliers, the slacks and the margin, with ``s > 0`` and
-    ``M x + s`` the primal residual.
+    ``M x + s`` the primal residual.  ``accepted`` is what the accept
+    callable returned at the iterate that stopped the solve, else None.
     """
 
     x: np.ndarray
@@ -71,6 +75,7 @@ class IPMResult:
     t: float
     iterations: int
     status: str
+    accepted: Any = None
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
@@ -135,7 +140,9 @@ class _Newton:
         return du, sol[r1:], V
 
 
-def solve_qp_ipm(feas_tol: float, opt_tol: float, M: np.ndarray) -> IPMResult:
+@np.errstate(over="ignore", invalid="ignore")
+def solve_qp_ipm(feas_tol: float, opt_tol: float, M: np.ndarray,
+                 accept: Callable[..., Any] | None = None) -> IPMResult:
     """Run the predictor-corrector iteration to the requested tolerances.
 
     Parameters
@@ -145,12 +152,19 @@ def solve_qp_ipm(feas_tol: float, opt_tol: float, M: np.ndarray) -> IPMResult:
     M : ndarray of shape (m, r)
         The LP's matrix in row-space coordinates, of full column rank r
         (r = 0 is allowed).
+    accept : callable, optional
+        Called as ``accept(x, y, s, t)`` on every finite iterate, the
+        starting point included, before the convergence test.  The first
+        iterate for which it returns something other than None ends the
+        solve as ``"converged"``, with the return value as ``accepted``.
 
     Returns
     -------
     IPMResult
-        Final iterate, with status ``"converged"``, or ``"stalled"`` (also
-        at the ``MAX_ITERS`` cap).
+        Final iterate, with status ``"converged"``, ``"stalled"`` (also at
+        the ``MAX_ITERS`` cap), or ``"diverged"`` when an iterate overflowed
+        to inf or NaN.  numpy's warnings for that overflow are silenced,
+        since it is detected and ends the solve.
     """
     m, r = M.shape
     r1 = r + 1
@@ -202,6 +216,7 @@ def solve_qp_ipm(feas_tol: float, opt_tol: float, M: np.ndarray) -> IPMResult:
     best_merit = np.inf
     stall_counter = 0
     status = "stalled"
+    found = None
     it = 0
     for it in range(MAX_ITERS):
         t = float(g[3 * m])
@@ -217,6 +232,14 @@ def solve_qp_ipm(feas_tol: float, opt_tol: float, M: np.ndarray) -> IPMResult:
         rel_d = float(np.abs(rd).max()) / 2.0
         gap = mu / (1.0 + t)
 
+        if not math.isfinite(rel_p + rel_d + gap):
+            status = "diverged"
+            break
+        if accept is not None:
+            found = accept(x, g[:m], g[m : 2 * m], t)
+            if found is not None:
+                status = "converged"
+                break
         merit = max(rel_p, rel_d, gap)
         if merit < best_merit:
             if merit < best_merit * _STALL_FACTOR:
@@ -270,4 +293,4 @@ def solve_qp_ipm(feas_tol: float, opt_tol: float, M: np.ndarray) -> IPMResult:
         z = np.maximum(z + a_d * dz, _DIV_FLOOR)
 
     return IPMResult(x=x, y=g[:m].copy(), s=g[m : 2 * m].copy(),
-                     t=float(g[3 * m]), iterations=it, status=status)
+                     t=float(g[3 * m]), iterations=it, status=status, accepted=found)

@@ -62,8 +62,9 @@ def test_audit_rejects_tampered_partition_witness():
     bad_cert = dataclasses.replace(rep.partition, x_hat=-rep.partition.x_hat)
     res = audit_report(inst, dataclasses.replace(rep, partition=bad_cert))
     assert not res.ok
-    assert "x_hat is not strictly slack on every row of N" in res.failures
+    assert any(f.startswith("x_hat does not prove N slack") for f in res.failures)
     assert res.metrics["min_slack_N"] == -1.0
+    assert res.metrics["slack_margin"] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_audit_rejects_tampered_center():
@@ -215,7 +216,7 @@ def test_audit_rejects_a_nan_partition_witness():
     bad_cert = dataclasses.replace(rep.partition, x_hat=x)
     res = audit_report(inst, dataclasses.replace(rep, partition=bad_cert))
     assert not res.ok
-    assert "x_hat is not strictly slack on every row of N" in res.failures
+    assert "x_hat does not prove N slack (margin nan)" in res.failures
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])

@@ -117,7 +117,6 @@ def test_matrix_near_the_scale_limits_certifies(c):
     assert rep.total * c == pytest.approx(ref.total, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_matrix_just_above_the_scale_floor_gets_no_infinite_bound():
     # at 1e-154 the case-N witness norm overflows on 21 of these seeds; 19
     # once returned a total of inf that the audit accepted

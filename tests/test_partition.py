@@ -9,6 +9,7 @@ import hoffbound.partition
 from hoffbound import AmbiguousIndex, HoffboundError, SolverConfig
 from hoffbound.audit import verify_partition
 from hoffbound.partition import PartitionCertificate, compute_partition
+from hoffbound.solvers.programs import solve_partition_lp
 
 from helpers import gaussian_matrix, instance
 
@@ -25,7 +26,10 @@ def test_all_slack_instance():
     assert cert.y_hat.size == 0
     assert cert.min_y_hat is None
     assert cert.min_slack_N == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-8)
-    assert cert.t == pytest.approx(0.2, abs=1e-6)
+    # the LP's starting point certifies the split; its margin variable
+    # exceeds the LP optimum 0.2 (test_solvers pins that)
+    assert cert.lp_iterations == 0
+    assert cert.t == pytest.approx(17.0 / 84.0, rel=1e-12)
 
 
 def test_all_tight_instance():
@@ -36,7 +40,9 @@ def test_all_tight_instance():
     assert np.allclose(cert.y_hat, [0.5, 0.5], atol=1e-8)
     assert np.allclose(cert.x_hat, 0.0)
     assert cert.min_slack_N is None
-    assert cert.t == pytest.approx(0.5, abs=1e-6)
+    # certified at the starting point, whose t is not the optimum 0.5
+    assert cert.lp_iterations == 0
+    assert cert.t == pytest.approx(61.0 / 138.0, rel=1e-12)
 
 
 def test_mixed_instance():
@@ -46,7 +52,9 @@ def test_mixed_instance():
     assert cert.x_hat[0] == pytest.approx(0.0, abs=1e-8)
     assert cert.x_hat[1] == pytest.approx(1.0, abs=1e-8)
     assert np.allclose(cert.y_hat, [0.5, 0.5], atol=1e-8)
-    assert cert.t == pytest.approx(1.0 / 3.0, abs=1e-6)
+    # certified at the starting point, whose t is not the optimum 1/3
+    assert cert.lp_iterations == 0
+    assert cert.t == pytest.approx(43.0 / 136.0, rel=1e-12)
     assert cert.min_slack_N == pytest.approx(1.0, abs=1e-8)
     assert cert.min_y_hat == pytest.approx(0.5, abs=1e-8)
 
@@ -96,6 +104,21 @@ def test_verification_catches_swapped_blocks():
     assert not verify_partition(inst, bad).ok
 
 
+def test_verification_rejects_a_negligible_weight_on_a_slack_row():
+    # row 2 of C4 is strictly slack (x = (0, 1) gives it -1), but filed as
+    # tight with weight 1e-17 the residual A_B' y_hat is 1e-17, far inside
+    # a relative residual budget; no exact positive weights sit that close
+    inst = instance(C4)
+    y = np.array([0.5 - 5e-18, 0.5 - 5e-18, 1e-17])
+    bad = PartitionCertificate(B=(0, 1, 2), N=(), x_hat=np.zeros(2), y_hat=y,
+                               t=0.3, min_slack_N=None, min_y_hat=1e-17)
+    assert np.abs(inst.A.T @ y).max() <= 1e-17
+    check = verify_partition(inst, bad)
+    assert not check.ok
+    assert check.metrics["weight_margin"] < 0.0
+    assert any(msg.startswith("y_hat does not prove B tight") for msg in check.failures)
+
+
 def test_overlapping_blocks_rejected_at_construction():
     with pytest.raises(ValueError):
         PartitionCertificate(B=(0, 1), N=(1, 2), x_hat=np.zeros(2),
@@ -113,14 +136,16 @@ def test_untrusted_margin_raises_after_one_solve(monkeypatch):
     real = hoffbound.partition.solve_partition_lp
     seen = []
 
-    def margin_zero(inst, cfg):
+    def counted(inst, cfg, accept):
         seen.append(cfg)
-        return dataclasses.replace(real(inst, cfg), t=0.0)
+        return real(inst, cfg, accept)
 
+    # the starting point certifies C4; the converged LP takes more steps
     plain = compute_partition(instance(C4), SolverConfig())
-    assert plain.lp_iterations == real(instance(C4), SolverConfig()).iterations > 0
-    monkeypatch.setattr(hoffbound.partition, "solve_partition_lp", margin_zero)
-    with pytest.raises(AmbiguousIndex, match="margin"):
+    assert plain.lp_iterations == 0 < real(instance(C4), SolverConfig()).iterations
+    monkeypatch.setattr(hoffbound.partition, "solve_partition_lp", counted)
+    monkeypatch.setattr(hoffbound.partition, "weight_margin", lambda block, y: 0.0)
+    with pytest.raises(AmbiguousIndex, match="margin rule"):
         compute_partition(instance(C4), SolverConfig())
     assert len(seen) == 1
 
@@ -131,7 +156,12 @@ def test_partition_covers_all_rows_on_random_instances():
         cert = compute_partition(inst)
         assert sorted(cert.B + cert.N) == list(range(inst.m))
         assert verify_partition(inst, cert).ok
-        assert 0.0 < cert.t <= 1.0 / inst.m + 1e-9
+        # the certified split is the converged LP's support split, found
+        # in fewer steps
+        sol = solve_partition_lp(inst)
+        assert cert.B == tuple(np.flatnonzero(sol.y > sol.s))
+        assert cert.lp_iterations < sol.iterations
+        assert cert.t > 0.0
 
 
 def test_partition_is_permutation_equivariant():
