@@ -6,7 +6,9 @@ stored witnesses.  No solver is called, so a report is validated by
 arithmetic that shares nothing with the optimization code that built it.
 The one shared piece is the partition's margin rule
 (``partition.slack_margin`` and ``weight_margin``): the partition LP stops
-on it, and the audit applies it again to the stored witnesses.
+on it, and the audit applies it again to the stored witnesses, on its own
+``numerics.TightBlock`` of the instance's rows A_B (never the report's),
+which also gives the stitch check the rank gap of A_B.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 from .bounds import BoundReport
 from .core import ProblemInstance, euclidean_norm, row_norms
-from .numerics import NumericalFailure, numerical_rank
-from .partition import PartitionCertificate, TightBlock, slack_margin, weight_margin
+from .numerics import NumericalFailure, TightBlock, numerical_rank
+from .partition import PartitionCertificate, slack_margin, weight_margin
 
 __all__ = ["AuditResult", "audit_report", "verify_partition"]
 
@@ -46,23 +48,6 @@ class AuditResult:
     ok: bool
     failures: tuple[str, ...]
     metrics: dict
-
-
-def _sigma_and_rank_gap(M: np.ndarray) -> tuple[float | None, float]:
-    """Smallest singular value of M that the rank rule counts, and the gap.
-
-    Rank rule and SVD call are those of the bound computation, so an honest
-    report reproduces its sigma bit for bit.  The gap is ``s_r / s_{r+1}`` at
-    numerical rank r (infinite at full rank or r = 0); sigma is None when
-    r = 0.  Raises ``NumericalFailure`` when the rank is ambiguous and
-    ``LinAlgError`` when the SVD does not converge (as on a NaN entry).
-    """
-    s = np.linalg.svd(M, full_matrices=False)[1]
-    r = numerical_rank(s)
-    if r == 0:
-        return None, math.inf
-    gap = float(s[r - 1] / s[r]) if r < s.size and s[r] > 0.0 else math.inf
-    return float(s[r - 1]), gap
 
 
 def _check_weights(y: np.ndarray, A_B: np.ndarray, metrics: dict) -> list[str]:
@@ -130,15 +115,24 @@ def verify_partition(
     Each margin proves that an exact witness lies next to the stored one,
     and the two exact witnesses prove that B is the tight set of P and N
     the slack set (see ``hoffbound.partition``).  A row index out of range
-    is recorded and stops the recheck; a rank in the rule's ambiguous band
-    or an SVD that does not converge is a recorded failure.
+    is recorded and stops the recheck; an ``x_hat`` of the wrong length, a
+    rank in the rule's ambiguous band or an SVD that does not converge is a
+    recorded failure.
     """
+    return _verify_partition(instance, cert)[0]
+
+
+def _verify_partition(
+    instance: ProblemInstance, cert: PartitionCertificate
+) -> tuple[AuditResult, TightBlock | None]:
+    """``verify_partition`` with the audit's ``TightBlock`` of A_B, or None
+    where it was not built."""
     A = instance.A
     failures: list[str] = []
     metrics: dict = {}
     if not _rows_in_range(instance, cert):
         return AuditResult(ok=False, failures=("a row index is out of range",),
-                           metrics=metrics)
+                           metrics=metrics), None
 
     union = sorted(cert.B + cert.N)
     if union != list(range(instance.m)):
@@ -150,11 +144,13 @@ def verify_partition(
     A_N = A[list(cert.N)]
     try:
         block = TightBlock(A_B)
-    except (NumericalFailure, np.linalg.LinAlgError) as exc:
+    except NumericalFailure as exc:
         block = None
         failures.append(f"rank of A_B: {exc}")
 
-    if cert.N:
+    if cert.x_hat.shape != (instance.n,):
+        failures.append("x_hat length does not match n")
+    elif cert.N:
         nrm = euclidean_norm(cert.x_hat)
         metrics["x_hat_norm"] = nrm
         if not abs(nrm - 1.0) <= 1e-10:
@@ -184,7 +180,7 @@ def verify_partition(
     elif cert.y_hat.size:
         failures.append("y_hat must be empty when B is empty")
 
-    return AuditResult(ok=not failures, failures=tuple(failures), metrics=metrics)
+    return AuditResult(ok=not failures, failures=tuple(failures), metrics=metrics), block
 
 
 def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
@@ -201,8 +197,9 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     exactly its branch's components, and their product formula gives the
     total bit for bit, and every value is finite.  Every budget is relative
     to the matrix it checks.  A rank in the rule's ambiguous band, an SVD
-    that does not converge, a row index out of range and an empty weight
-    vector are recorded as failures, not raised.
+    that does not converge, a row index out of range, an empty weight
+    vector and a witness of the wrong length are recorded as failures, not
+    raised.
     """
     A = instance.A
     failures: list[str] = []
@@ -219,7 +216,7 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
             failures=("non-zero branch is missing its partition certificate",),
             metrics=metrics,
         )
-    check = verify_partition(instance, cert)
+    check, block = _verify_partition(instance, cert)
     if not _rows_in_range(instance, cert):
         return check
     failures.extend(check.failures)
@@ -229,14 +226,17 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
 
     if report.case_n is not None:
         cn = report.case_n
-        failures += _check_unit_margin(
-            A_N @ cn.x_bar, "slack-block witness", "case_n_margin", metrics)
-        nrm = euclidean_norm(cn.x_bar)
-        metrics["case_n_norm"] = nrm
-        if not np.isclose(nrm, cn.value, rtol=1e-13, atol=0.0):
-            failures.append(
-                f"slack-block value {cn.value!r} does not equal ||x_bar|| {nrm!r}"
-            )
+        if cn.x_bar.shape != (instance.n,):
+            failures.append("slack-block witness length does not match n")
+        else:
+            failures += _check_unit_margin(
+                A_N @ cn.x_bar, "slack-block witness", "case_n_margin", metrics)
+            nrm = euclidean_norm(cn.x_bar)
+            metrics["case_n_norm"] = nrm
+            if not np.isclose(nrm, cn.value, rtol=1e-13, atol=0.0):
+                failures.append(
+                    f"slack-block value {cn.value!r} does not equal ||x_bar|| {nrm!r}"
+                )
 
     if report.case_b is not None:
         cb = report.case_b
@@ -251,12 +251,16 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
         else:
             failures += _check_weights(y, A_B, metrics)
             try:
-                sigma, gap = _sigma_and_rank_gap(A_B.T * y[None, :])
+                # the SVD call and rank rule of bound_case_b: an honest sigma
+                # is reproduced bit for bit
+                s = np.linalg.svd(A_B.T * y[None, :], full_matrices=False)[1]
+                r = numerical_rank(s)
             except (NumericalFailure, np.linalg.LinAlgError) as exc:
                 failures.append(f"rank of A_B' diag(y_bar): {exc}")
             else:
-                metrics["case_b_sigma"] = sigma
-                metrics["case_b_rank_gap"] = gap
+                metrics["case_b_sigma"] = sigma = float(s[r - 1]) if r else None
+                metrics["case_b_rank_gap"] = (
+                    float(s[r - 1] / s[r]) if 0 < r < s.size and s[r] > 0.0 else math.inf)
                 if sigma is None or cb.sigma > sigma * (1.0 + SIGMA_RTOL):
                     failures.append(
                         f"sigma {cb.sigma!r} exceeds the recomputed value {sigma!r}"
@@ -266,17 +270,18 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
             elif not np.isclose(cb.value, 2.0 / cb.sigma, rtol=1e-13, atol=0.0):
                 failures.append("tight-block value does not equal 2 / sigma")
 
-    if report.stitch is not None:
-        st = report.stitch
+    st = report.stitch
+    if st is not None and (st.Q.ndim != 2 or st.Q.shape[0] != instance.n
+                           or st.z_bar.shape != (st.Q.shape[1],)):
+        failures.append("stitch witness length does not match its basis")
+    elif st is not None:
         Q = st.Q
         gram_err = float(np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0))
         metrics["stitch_gram_err"] = gram_err
         if gram_err > BASIS_TOL:
             failures.append(f"stitch basis is not orthonormal ({gram_err:.3e})")
-        try:
-            metrics["stitch_rank_gap"] = _sigma_and_rank_gap(A_B)[1]
-        except (NumericalFailure, np.linalg.LinAlgError) as exc:
-            failures.append(f"rank of A_B: {exc}")
+        if block is not None:
+            metrics["stitch_rank_gap"] = block.rank_gap
         lift = Q @ st.z_bar
         null_res = float(np.abs(A_B @ lift).max(initial=0.0))
         metrics["stitch_null_res"] = null_res

@@ -21,7 +21,9 @@ partition (B, N):
 
 The total is the restriction factor times the larger of the two row-block
 bounds, degenerating to the single available component when one side of the
-partition is empty.
+partition is empty.  A_B is factored once, by the partition
+(``PartitionCertificate.block``): the center works in its row space and Q is
+its null basis, the complement of the row space the split was proven on.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from .core import ProblemInstance, euclidean_norm
 from .numerics import (
     DEFAULT_RANK_TOL,
     NumericalFailure,
-    orthonormal_null_basis,
+    TightBlock,
+    orthonormal_null_basis,  # unused here; the benchmark's tracer hooks it
     row_normalize,
     smallest_positive_singular_value,
 )
@@ -139,25 +142,25 @@ def bound_case_n(A_N: np.ndarray, cfg: SolverConfig | None = None) -> CaseNBound
     return CaseNBound(value=sol.norm, x_bar=sol.z.copy(), min_margin=sol.min_margin)
 
 
-def bound_case_b(A_B: np.ndarray, cfg: SolverConfig | None = None) -> CaseBBound:
-    """Certified bound for the tight-row block via the analytic center.
+def bound_case_b(block: TightBlock, cfg: SolverConfig | None = None) -> CaseBBound:
+    """Certified bound for the tight rows of ``block`` via the analytic center.
 
     The center y_bar maximizes the product of the dual weights on the slice
     {y > 0 : A_B' y = 0, sum(y) = 1}; weighting the rows of A_B by it and
     reading off the smallest positive singular value yields the bound
-    2 / sigma.  The center is computed from A_B alone, by Newton on its
+    2 / sigma.  The center is computed from the block alone, by Newton on its
     unconstrained dual (``solve_analytic_center``), which needs no starting
     point on the slice.  An identically zero block returns 0 by convention.
     """
     cfg = cfg or SolverConfig()
-    A_B = np.asarray(A_B, dtype=float)
+    A_B = block.A_B
     p = A_B.shape[0]
     if p == 0:
         raise ValueError("the tight set must be nonempty")
-    if float(np.abs(A_B).max(initial=0.0)) == 0.0:
+    if block.rank == 0:  # A_B is identically zero
         return CaseBBound(value=0.0, y_bar=np.full(p, 1.0 / p), sigma=None)
 
-    ac = solve_analytic_center(A_B, cfg)
+    ac = solve_analytic_center(block, cfg)
     weighted = A_B.T * ac.y[None, :]
     sigma = smallest_positive_singular_value(weighted)
     if sigma is None:
@@ -169,30 +172,28 @@ def bound_case_b(A_B: np.ndarray, cfg: SolverConfig | None = None) -> CaseBBound
 
 
 def bound_stitch(
-    A_B: np.ndarray,
+    block: TightBlock,
     A_N: np.ndarray,
     cfg: SolverConfig | None = None,
 ) -> StitchBound:
     """Certified restriction factor tying the block bounds together.
 
-    Within L = null(A_B) the slack rows are normalized to unit length and a
-    deep point z_bar with D A_N Q z_bar >= 1 is computed; 1 + 2 ||z_bar||
-    bounds how much distances can grow when passing from the subspace to the
-    cone cut out of it.  The factor is invariant to the choice of
-    orthonormal basis Q.
+    Within L = null(A_B), spanned by the null basis Q of ``block``, the
+    slack rows are normalized to unit length and a deep point z_bar with
+    D A_N Q z_bar >= 1 is computed; 1 + 2 ||z_bar|| bounds how much
+    distances can grow when passing from the subspace to the cone cut out
+    of it.  The factor is invariant to the choice of orthonormal basis Q.
     """
     cfg = cfg or SolverConfig()
-    A_B = np.asarray(A_B, dtype=float)
     A_N = np.asarray(A_N, dtype=float)
     if A_N.shape[0] == 0:
         raise ValueError("the slack set must be nonempty")
 
-    Q = orthonormal_null_basis(A_B)
-    sol = solve_min_norm_qp(row_normalize(A_N) @ Q, cfg)
+    sol = solve_min_norm_qp(row_normalize(A_N) @ block.Q, cfg)
     return StitchBound(
         value=1.0 + 2.0 * sol.norm,
         z_bar=sol.z.copy(),
-        Q=np.array(Q),
+        Q=np.array(block.Q),
         min_margin=sol.min_margin,
     )
 
@@ -239,14 +240,13 @@ def bound_h0(instance: ProblemInstance, cfg: SolverConfig | None = None) -> Boun
         total, branch = 0.0, "zero"
     else:
         cert = _timed(timings, "partition_s", compute_partition, instance, cfg)
-        A_B = instance.A[list(cert.B)]
         A_N = instance.A[list(cert.N)]
         if cert.N:
             case_n = _timed(timings, "case_n_s", bound_case_n, A_N, cfg)
         if cert.B:
-            case_b = _timed(timings, "case_b_s", bound_case_b, A_B, cfg)
+            case_b = _timed(timings, "case_b_s", bound_case_b, cert.block, cfg)
         if cert.N and cert.B:
-            stitch = _timed(timings, "stitch_s", bound_stitch, A_B, A_N, cfg)
+            stitch = _timed(timings, "stitch_s", bound_stitch, cert.block, A_N, cfg)
             total, branch = stitch.value * max(case_n.value, case_b.value), "general"
         elif cert.N:
             total, branch = case_n.value, "case_N"

@@ -1,13 +1,16 @@
-"""Dense linear-algebra kernels: the numerical-rank rule, null-space bases,
-positive singular values, row normalization.
+"""Dense linear-algebra kernels: the numerical-rank rule, the factored tight
+rows, null-space bases, positive singular values, row normalization.
 
 All factorizations are SVD-based.  At the target sizes (a few thousand rows
 at most) the reliability of a full SVD outweighs its cost, and the quality of
 the orthonormal null-space basis gates the validity of the subspace/cone
-stitching bound downstream.
+stitching bound downstream.  The tight rows are factored once per report,
+in ``TightBlock``.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import numpy.typing as npt
@@ -19,6 +22,7 @@ __all__ = [
     "DegenerateRow",
     "NumericalFailure",
     "RANK_BAND",
+    "TightBlock",
     "numerical_rank",
     "orthonormal_null_basis",
     "row_normalize",
@@ -84,37 +88,71 @@ def numerical_rank(s: np.ndarray) -> int:
     return rank
 
 
-def orthonormal_null_basis(A_B: npt.ArrayLike) -> np.ndarray:
-    """Orthonormal basis ``Q`` of the numerical null space ``{x : A_B x = 0}``.
+class TightBlock:
+    """The tight rows ``A_B``, factored by one SVD for every use downstream.
 
-    ``Q`` has shape ``(n, k)`` with ``Q^T Q = I``; the null directions are
-    those ``numerical_rank`` cuts.  A matrix with zero rows, or of numerical
-    rank 0, yields the identity.  Deterministic for a fixed input.
-
-    Raises
-    ------
-    NumericalFailure
-        If the SVD fails, the rank falls in the ambiguous band, or the basis
-        is not orthonormal.
+    ``W = 2^-e A_B`` is A_B scaled by a power of two (exactly, with the same
+    row and null spaces) so that its largest row norm lies in [1/2, 1).
+    From ``W = U S Vt`` at the rank r of ``numerical_rank``: the row-space
+    basis ``V``, ``WV = W V = U S``, ``sigma = s_r`` (inf at r = 0),
+    ``rank_gap = s_r / s_{r+1}`` (inf at full rank or r = 0) and, on first
+    use, the null basis ``Q``; Vt is complete (taken with full_matrices
+    when there are fewer rows than columns).  ``fro`` is ``||W||_F``.
+    Raises ``NumericalFailure`` when the SVD fails or the rank falls in the
+    rule's ambiguous band.
     """
+
+    def __init__(self, A_B: np.ndarray) -> None:
+        self.A_B = A_B
+        self.W = W = np.ldexp(A_B, -np.frexp(row_norms(A_B).max(initial=0.0))[1])
+        U, S, self._Vt = _svd(W, full_matrices=W.shape[0] < W.shape[1])
+        self.rank = r = numerical_rank(S)
+        self.V = np.ascontiguousarray(self._Vt[:r].T)
+        self.WV = U[:, :r] * S[:r]
+        self.sigma = float(S[r - 1]) if r else np.inf
+        self.rank_gap = float(S[r - 1] / S[r]) if 0 < r < S.size and S[r] > 0.0 else np.inf
+        self.fro = float(np.linalg.norm(W))
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """Orthonormal basis ``(n, n - r)`` of ``null(A_B)``, the identity at
+        r = 0; ``NumericalFailure`` if ``Q'Q`` is off I by more than 1e-10."""
+        if self.rank == 0:
+            return np.eye(self.W.shape[1])
+        Q = np.ascontiguousarray(self._Vt[self.rank:].T)
+        gram_err = float(np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0))
+        if gram_err > 1e-10:
+            raise NumericalFailure(
+                f"null basis lost orthonormality (gram error {gram_err:.3e})"
+            )
+        return Q
+
+    @cached_property
+    def slice_factors(self) -> tuple[np.ndarray, float]:
+        """Pseudo-inverse of ``E = [V'W'; 1']`` and its smallest singular
+        value ``sigma_E``, 0 when E has more rows than columns."""
+        E = np.vstack([self.WV.T, np.ones((1, self.W.shape[0]))])
+        P, S_E, Qt = np.linalg.svd(E, full_matrices=False)
+        sigma_E = float(S_E[-1]) if E.shape[0] <= E.shape[1] else 0.0
+        E_pinv = (Qt.T / S_E) @ P.T if sigma_E > 0.0 else np.zeros(E.shape[::-1])
+        return E_pinv, sigma_E
+
+    def project_to_slice(self, y: np.ndarray) -> np.ndarray:
+        """``y - E^+ (E y - e)``, e the last unit vector, rescaled to sum 1:
+        y put on the slice ``{A_B'y = 0, 1'y = 1}``."""
+        E_pinv = self.slice_factors[0]
+        y = y - E_pinv @ np.append(y @ self.WV, y.sum() - 1.0)
+        return y / y.sum()
+
+
+def orthonormal_null_basis(A_B: npt.ArrayLike) -> np.ndarray:
+    """Orthonormal basis ``Q`` of the numerical null space ``{x : A_B x = 0}``,
+    ``TightBlock(A_B).Q``: the identity for no rows or rank 0.  Raises
+    ``NumericalFailure`` like ``TightBlock`` and ``TightBlock.Q``."""
     A_B = np.asarray(A_B, dtype=float)
     if A_B.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    rows, n = A_B.shape
-    if rows == 0:
-        return np.eye(n)
-
-    _, s, Vh = _svd(A_B, full_matrices=True)
-    rank = numerical_rank(s)
-    if rank == 0:
-        return np.eye(n)
-    Q = np.ascontiguousarray(Vh[rank:].T)
-    gram_err = float(np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0))
-    if gram_err > 1e-10:
-        raise NumericalFailure(
-            f"null basis lost orthonormality (gram error {gram_err:.3e})"
-        )
-    return Q
+    return TightBlock(A_B).Q
 
 
 def row_space_basis(A: np.ndarray) -> np.ndarray:

@@ -13,18 +13,16 @@ the first iterate whose split ``y_i > s_i`` the margin rule proves: see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .core import HoffboundError, ProblemInstance, euclidean_norm, row_norms
-from .numerics import NumericalFailure, numerical_rank
+from .numerics import NumericalFailure, TightBlock
 from .solvers.programs import SolverConfig, solve_partition_lp
 
 __all__ = [
     "AmbiguousIndex",
     "PartitionCertificate",
-    "TightBlock",
     "compute_partition",
     "slack_margin",
     "weight_margin",
@@ -71,6 +69,9 @@ class PartitionCertificate:
     lp_iterations : int
         Interior-point steps taken before the certified iterate; 0 when the
         LP's starting point certifies the split.
+    block : TightBlock or None
+        A_B factored as the split was proven on it, for the bounds to reuse.
+        Not serialized; None on a certificate built by hand.
     """
 
     B: tuple[int, ...]
@@ -82,55 +83,13 @@ class PartitionCertificate:
     min_y_hat: float | None
     residuals: dict = field(default_factory=dict)
     lp_iterations: int = 0
+    block: TightBlock | None = field(default=None, repr=False, metadata={"json": False})
 
     def __post_init__(self) -> None:
         if set(self.B) & set(self.N):
             raise ValueError("B and N must be disjoint")
         self.x_hat.setflags(write=False)
         self.y_hat.setflags(write=False)
-
-
-class TightBlock:
-    """The tight rows ``A_B`` in the form the margin rule reads.
-
-    ``W = 2^-e A_B`` is A_B scaled by a power of two (exactly, with the same
-    null space and row space), so that its largest row norm lies in
-    [1/2, 1).  From its SVD: ``V``, an orthonormal basis of the row space,
-    and ``sigma``, the smallest singular value the rank rule counts (inf at
-    rank 0).  ``fro`` is ``||W||_F``.  The slice factors are computed on
-    first use, since only the weight side needs them.
-
-    Raises ``NumericalFailure`` when the rank of A_B falls in the rank
-    rule's ambiguous band, and ``LinAlgError`` when the SVD does not
-    converge (as on a NaN entry).
-    """
-
-    def __init__(self, A_B: np.ndarray) -> None:
-        self.W = W = np.ldexp(A_B, -np.frexp(row_norms(A_B).max(initial=0.0))[1])
-        U, S, Vt = np.linalg.svd(W, full_matrices=False)
-        r = numerical_rank(S)
-        self.V = np.ascontiguousarray(Vt[:r].T)
-        self.sigma = float(S[r - 1]) if r else np.inf
-        self.fro = float(np.linalg.norm(W))
-        # V'W' = S U', of full row rank r
-        self._VW = S[:r, None] * U[:, :r].T
-
-    @cached_property
-    def slice_factors(self) -> tuple[np.ndarray, float]:
-        """Pseudo-inverse of ``E = [V'W'; 1']`` and its smallest singular
-        value ``sigma_E``, 0 when E has more rows than columns."""
-        E = np.vstack([self._VW, np.ones((1, self.W.shape[0]))])
-        P, S_E, Qt = np.linalg.svd(E, full_matrices=False)
-        sigma_E = float(S_E[-1]) if E.shape[0] <= E.shape[1] else 0.0
-        E_pinv = (Qt.T / S_E) @ P.T if sigma_E > 0.0 else np.zeros(E.shape[::-1])
-        return E_pinv, sigma_E
-
-    def project_to_slice(self, y: np.ndarray) -> np.ndarray:
-        """``y - E^+ (E y - e)``, e the last unit vector, rescaled to sum 1:
-        y put on the slice ``{A_B'y = 0, 1'y = 1}``."""
-        E_pinv = self.slice_factors[0]
-        y = y - E_pinv @ np.append(self._VW @ y, y.sum() - 1.0)
-        return y / y.sum()
 
 
 def _gamma(k: int) -> float:
@@ -226,7 +185,7 @@ def compute_partition(
         if key != cache[0]:
             try:
                 block = TightBlock(A[b_mask])
-            except (NumericalFailure, np.linalg.LinAlgError):
+            except NumericalFailure:
                 block = None
             cache[:] = key, block, A[~b_mask]
         _, block, A_N = cache
@@ -250,7 +209,7 @@ def compute_partition(
             weight = weight_margin(block, y_hat)
             if not weight > 0.0:
                 return None
-        return b_mask, x_hat, y_hat, slack, weight
+        return b_mask, block, x_hat, y_hat, slack, weight
 
     sol = solve_partition_lp(instance, cfg or SolverConfig(), accept=certify)
     if sol.accepted is None:
@@ -258,11 +217,11 @@ def compute_partition(
             f"the partition LP converged after {sol.iterations} iterations "
             "without an iterate whose split passes the margin rule"
         )
-    b_mask, x_hat, y_hat, slack, weight = sol.accepted
+    b_mask, block, x_hat, y_hat, slack, weight = sol.accepted
 
     B = tuple(int(i) for i in np.flatnonzero(b_mask))
     N = tuple(int(i) for i in np.flatnonzero(~b_mask))
-    A_B = A[b_mask]
+    A_B = block.A_B
     A_N = A[~b_mask]
     residuals = {
         "t": sol.t,
@@ -282,4 +241,5 @@ def compute_partition(
         min_y_hat=float(y_hat.min()) if B else None,
         residuals=residuals,
         lp_iterations=sol.iterations,
+        block=block,
     )

@@ -10,8 +10,8 @@ Four operations are exposed, each calling its engine directly:
   program), with exact feasibility after restoration and a certified
   duality gap.
 * ``solve_analytic_center``: log-barrier center of ``{y > 0 : A_B' y = 0,
-  sum(y) = 1}`` by Newton on its unconstrained dual, in the row space of A_B,
-  started from the uniform point.
+  sum(y) = 1}`` by Newton on its unconstrained dual, in the row space of the
+  partition's ``numerics.TightBlock``, started from the uniform point.
 * ``project_onto_cone``: Euclidean projection onto ``{x : A x <= 0}`` by one
   nonnegative least-squares fit against the rows of A.
 
@@ -38,6 +38,7 @@ from ..core import (
 )
 from ..numerics import (
     NumericalFailure,
+    TightBlock,
     numerical_rank,
     orthonormal_null_basis,  # unused here; the benchmark's tracer hooks it
     row_space_basis,
@@ -340,7 +341,7 @@ class AnalyticCenterSolution:
     """Analytic center of ``{y > 0 : A_B' y = 0, sum(y) = 1}``.
 
     ``grad_norm`` is the final equality residual ``||(A_B' y, 1'y - 1)||``,
-    in units of the largest row norm, before ``y`` is scaled to sum 1.
+    in the units of ``TightBlock.W``, before ``y`` is scaled to sum 1.
     """
 
     y: np.ndarray
@@ -349,7 +350,7 @@ class AnalyticCenterSolution:
 
 
 def solve_analytic_center(
-    A_B: np.ndarray, cfg: SolverConfig | None = None
+    block: TightBlock, cfg: SolverConfig | None = None
 ) -> AnalyticCenterSolution:
     """Log-barrier center of the dual slice attached to the tight rows.
 
@@ -360,8 +361,9 @@ def solve_analytic_center(
 
     whose minimizer gives the center as ``y_i = 1 / (nu + a_i' mu)``; the
     gradient, ``(-A_B' y, 1 - 1'y)``, is the slice's equality residual.
-    Only ``A_B mu`` matters, so ``mu = V w`` with V the row-space basis of
-    A_B (``numerics.row_space_basis``).  With ``N = [A_B V, 1]`` the
+    The slice does not change under scaling, so A_B is the block's ``W``,
+    and only ``W mu`` matters: ``mu = V w`` with V the block's row-space
+    basis.  With ``N = [W V, 1]`` the
     variable is ``z = (w, nu)``, ``y = 1 / (N z)``, and the Hessian is
     ``N' diag(y)^2 N = R'R`` for the R of a QR of ``diag(y) N``, so each
     Newton step is two triangular solves and works with the condition
@@ -393,22 +395,13 @@ def solve_analytic_center(
         If a rank falls in the ambiguous band of the rank rule.
     """
     cfg = cfg or SolverConfig()
-    A_B = np.asarray(A_B, dtype=float)
-    p = A_B.shape[0]
+    M = block.WV
+    p, r = M.shape
     if p == 0:
         raise ValueError("the tight set must be nonempty")
 
-    # The slice {A_B' y = 0, sum(y) = 1} is invariant under uniform scaling
-    # of A_B, so run the iteration in units of the largest row norm; the
-    # center then comes out identical for A_B and alpha A_B.
-    s = float(row_norms(A_B).max())
-    if s > ZERO_NORM_FLOOR:
-        A_B = A_B / s
-    V = row_space_basis(A_B)
-    r = V.shape[1]
-    M = A_B @ V
     N = np.concatenate([M, np.ones((p, 1))], axis=1)
-    # The columns of M are orthogonal (M = U S from the SVD of A_B), so the
+    # The columns of M are orthogonal (M = U S from the SVD of W), so the
     # rank rule sees only the ones direction once all columns have unit norm.
     U = np.concatenate([M / row_norms(M.T), np.full((p, 1), p**-0.5)], axis=1)
     if numerical_rank(np.linalg.svd(U, compute_uv=False)) <= r:

@@ -166,3 +166,29 @@ def benchmark_case(workload: str, seed: int, name: str):
         sys.dont_write_bytecode = saved
         del sys.modules[spec.name]
     return next(c for c in module.make_cases(workload, seed) if c.name == name)
+
+
+def record_svd_inputs(monkeypatch) -> list[np.ndarray]:
+    """Route ``np.linalg.svd`` through a wrapper for the rest of the test;
+    returns the list each call's input matrix is appended to."""
+    inputs: list[np.ndarray] = []
+    svd = np.linalg.svd
+
+    def recording(M, *args, **kwargs):
+        inputs.append(np.array(M))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return inputs
+
+
+def count_scaled_copies(matrices: list[np.ndarray], M: np.ndarray) -> int:
+    """How many of ``matrices`` equal ``c M`` for some scalar ``c > 0``, up
+    to the rounding of the scaling (exact for a power of two)."""
+    k = np.unravel_index(np.argmax(np.abs(M)), M.shape)
+    count = 0
+    for X in matrices:
+        if X.shape == M.shape:
+            c = X[k] / M[k]
+            count += bool(c > 0.0 and np.allclose(X, c * M, rtol=1e-14, atol=0.0))
+    return count

@@ -11,7 +11,13 @@ from hoffbound import NumericalFailure, audit_report, bound_h0, lower_bound_mont
 from hoffbound.bounds import CaseBBound
 from hoffbound.numerics import smallest_positive_singular_value
 
-from helpers import gaussian_matrix, instance, planted_mixed_matrix
+from helpers import (
+    count_scaled_copies,
+    gaussian_matrix,
+    instance,
+    planted_mixed_matrix,
+    record_svd_inputs,
+)
 
 C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 
@@ -96,6 +102,33 @@ def test_audit_rejects_non_orthonormal_stitch_basis():
     bad_stitch = dataclasses.replace(rep.stitch, Q=rep.stitch.Q * 2.0)
     res = audit_report(inst, dataclasses.replace(rep, stitch=bad_stitch))
     assert not res.ok
+
+
+@pytest.mark.parametrize("component, witness, message", [
+    ("partition", "x_hat", "x_hat length does not match n"),
+    ("case_n", "x_bar", "slack-block witness length does not match n"),
+    ("stitch", "z_bar", "stitch witness length does not match its basis"),
+], ids=["x_hat", "x_bar", "z_bar"])
+def test_audit_records_a_witness_of_the_wrong_length(component, witness, message):
+    # each once escaped as numpy's ValueError from a matrix product
+    inst = instance(C4)
+    rep = bound_h0(inst)
+    part = getattr(rep, component)
+    bad = dataclasses.replace(part, **{witness: np.append(getattr(part, witness), 0.0)})
+    res = audit_report(inst, dataclasses.replace(rep, **{component: bad}))
+    assert not res.ok
+    assert message in res.failures
+
+
+def test_audit_factors_the_tight_rows_once(monkeypatch):
+    # verify_partition and the stitch check share the audit's one SVD of A_B
+    inst = instance(planted_mixed_matrix(3, 30, 8))
+    rep = bound_h0(inst)
+    inputs = record_svd_inputs(monkeypatch)
+    res = audit_report(inst, rep)
+    assert rep.branch == "general" and res.ok, res.failures
+    assert count_scaled_copies(inputs, inst.A[list(rep.partition.B)]) == 1
+    assert res.metrics["stitch_rank_gap"] > 1e14
 
 
 def test_audit_rejects_nonzero_total_on_zero_matrix():

@@ -15,8 +15,16 @@ from hoffbound import (
     lower_bound_monte_carlo,
 )
 from hoffbound.bounds import bound_case_b, bound_case_n, bound_stitch
+from hoffbound.numerics import TightBlock
 
-from helpers import gaussian_matrix, instance, planted_mixed_split
+from helpers import (
+    count_scaled_copies,
+    gaussian_matrix,
+    instance,
+    planted_mixed_matrix,
+    planted_mixed_split,
+    record_svd_inputs,
+)
 
 SQRT5 = 2.23606797749979
 TWO_SQRT2 = 2.8284271247461903
@@ -51,14 +59,14 @@ def test_case_n_scale_invariance():
 # --- tight-block bound ----------------------------------------------------
 
 def test_case_b_opposing_rows():
-    res = bound_case_b(np.array([[1.0], [-1.0]]))
+    res = bound_case_b(TightBlock(np.array([[1.0], [-1.0]])))
     assert res.value == pytest.approx(TWO_SQRT2, rel=1e-9)
     assert res.sigma == pytest.approx(np.sqrt(0.5), rel=1e-9)
     assert np.allclose(res.y_bar, [0.5, 0.5], atol=1e-9)
 
 
 def test_case_b_zero_block_contributes_nothing():
-    res = bound_case_b(np.array([[0.0], [0.0]]))
+    res = bound_case_b(TightBlock(np.array([[0.0], [0.0]])))
     assert res.value == 0.0
     assert res.sigma is None
     assert np.allclose(res.y_bar, 0.5)
@@ -68,7 +76,7 @@ def test_case_b_two_orthogonal_opposing_pairs():
     # the center is uniform, so sigma is a quarter of sqrt(10), the singular
     # value of A_B, and the bound is 8 / sqrt(10)
     A_B = np.array([[1.0, 2.0], [-1.0, -2.0], [2.0, -1.0], [-2.0, 1.0]])
-    res = bound_case_b(A_B)
+    res = bound_case_b(TightBlock(A_B))
     assert np.allclose(res.y_bar, 0.25, rtol=0.0, atol=1e-15)
     assert res.sigma == pytest.approx(np.sqrt(10.0) / 4.0, rel=1e-14)
     assert res.value == pytest.approx(8.0 / np.sqrt(10.0), rel=1e-14)
@@ -77,7 +85,7 @@ def test_case_b_two_orthogonal_opposing_pairs():
 # --- stitching bound --------------------------------------------------------
 
 def test_stitch_known_instance():
-    res = bound_stitch(C4[:2], C4[2:])
+    res = bound_stitch(TightBlock(C4[:2]), C4[2:])
     assert res.value == pytest.approx(3.0, rel=1e-9)
     assert np.allclose(np.abs(res.Q.ravel()), [0.0, 1.0], atol=1e-12)
     assert res.min_margin >= 1.0 - 1e-9
@@ -89,7 +97,7 @@ def test_stitch_margins_in_reduced_coordinates():
     A_B = np.vstack([rng.standard_normal(4), -rng.standard_normal(4)])
     A_B[1] = -A_B[0]
     A_N = -np.abs(rng.standard_normal((3, 4))) - 0.3
-    res = bound_stitch(A_B, A_N)
+    res = bound_stitch(TightBlock(A_B), A_N)
     norms = np.linalg.norm(A_N, axis=1)
     margins = (A_N / norms[:, None]) @ (res.Q @ res.z_bar)
     assert np.min(margins) >= 1.0 - 1e-9
@@ -130,6 +138,19 @@ def test_general_branch_component_values():
     assert rep.total == pytest.approx(SIX_SQRT2, rel=1e-9)
     # the combination is literal arithmetic on the stored components
     assert rep.total == rep.stitch.value * max(rep.case_n.value, rep.case_b.value)
+
+
+def test_general_branch_factors_the_tight_rows_once(monkeypatch):
+    # the partition's factorization of A_B feeds the center and the stitch,
+    # so the stitch's null basis is the complement of the certified row space
+    inst = instance(planted_mixed_matrix(3, 30, 8))
+    inputs = record_svd_inputs(monkeypatch)
+    rep = bound_h0(inst)
+    assert rep.branch == "general"
+    assert count_scaled_copies(inputs, inst.A[list(rep.partition.B)]) == 1
+    V, Q = rep.partition.block.V, rep.stitch.Q
+    assert V.shape[1] + Q.shape[1] == inst.n
+    assert np.abs(V.T @ Q).max() <= 1e-15
 
 
 def test_report_diagnostics_carry_run_parameters():

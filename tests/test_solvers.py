@@ -17,6 +17,7 @@ from hoffbound import (
 )
 import hoffbound.solvers.ipm
 from hoffbound.audit import verify_partition
+from hoffbound.numerics import TightBlock
 from hoffbound.partition import compute_partition
 from hoffbound.solvers.programs import (
     project_onto_cone,
@@ -138,41 +139,41 @@ def test_min_norm_qp_rejects_a_point_whose_norm_overflows():
 def test_barrier_program_runs_damped_newton():
     # a zero tight block leaves the probability simplex in R^2, whose
     # analytic center is (1/2, 1/2)
-    sol = solve_analytic_center(np.zeros((2, 1)))
+    sol = solve_analytic_center(TightBlock(np.zeros((2, 1))))
     assert np.allclose(sol.y, [0.5, 0.5], atol=1e-9)
 
 
 def test_analytic_center_opposing_rows():
-    sol = solve_analytic_center(np.array([[1.0], [-1.0]]))
+    sol = solve_analytic_center(TightBlock(np.array([[1.0], [-1.0]])))
     assert np.allclose(sol.y, [0.5, 0.5], atol=1e-10)
     assert sol.y.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_analytic_center_with_free_row():
     # slice {y : y_0 = y_1, sum y = 1} has center (1/3, 1/3, 1/3)
-    sol = solve_analytic_center(np.array([[1.0], [-1.0], [0.0]]))
+    sol = solve_analytic_center(TightBlock(np.array([[1.0], [-1.0], [0.0]])))
     assert np.allclose(sol.y, np.ones(3) / 3.0, atol=1e-10)
     assert sol.grad_norm <= 1e-8
 
 
 def test_analytic_center_scale_invariance():
     A = np.array([[2.0, 1.0], [-2.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
-    a = solve_analytic_center(A)
-    b = solve_analytic_center(700.0 * A)
+    a = solve_analytic_center(TightBlock(A))
+    b = solve_analytic_center(TightBlock(700.0 * A))
     assert np.allclose(a.y, np.full(4, 0.25), atol=1e-9)
     assert np.allclose(a.y, b.y, atol=1e-11)
 
 
 def test_analytic_center_requires_rows():
     with pytest.raises(ValueError):
-        solve_analytic_center(np.zeros((0, 2)))
+        solve_analytic_center(TightBlock(np.zeros((0, 2))))
 
 
 def test_analytic_center_where_the_slice_min_norm_point_is_not_positive():
     # the slice's minimum-norm point has y_0 = -0.047; Newton on the dual
     # starts from the uniform point and never needs a point on the slice
     A = np.array([[10.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]]).T
-    sol = solve_analytic_center(A)
+    sol = solve_analytic_center(TightBlock(A))
     assert sol.y.min() > 0.0
     assert sol.y.sum() == pytest.approx(1.0, abs=1e-15)
     assert np.abs(A.T @ sol.y).max() <= 1e-12
@@ -188,7 +189,7 @@ def test_analytic_center_empty_slice():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NoInteriorPoint):
-                solve_analytic_center(np.array(A))
+                solve_analytic_center(TightBlock(np.array(A)))
 
 
 def _assert_in_range(K, b, rtol):
@@ -207,13 +208,14 @@ def test_analytic_center_on_scaled_tight_blocks(seed, n, k, dup):
     signs = rng.choice([-1.0, 1.0], size=(dup, 1))
     rows = np.vstack([R, -R, signs * R[rng.integers(0, k, size=dup)]])
     A = rows * 10.0 ** rng.uniform(-4.0, 4.0, size=(rows.shape[0], 1))
-    y = solve_analytic_center(A).y
+    y = solve_analytic_center(TightBlock(A)).y
     assert y.min() > 0.0
     assert y.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.abs(A.T @ y).max() <= 1e-8 * np.linalg.norm(A)  # the audit's budget
     _assert_in_range(np.column_stack([A, np.ones(y.size)]), 1.0 / y, 1e-8)
     perm = rng.permutation(y.size)
-    assert np.allclose(solve_analytic_center(A[perm]).y, y[perm], rtol=1e-6, atol=0.0)
+    y_perm = solve_analytic_center(TightBlock(A[perm])).y
+    assert np.allclose(y_perm, y[perm], rtol=1e-6, atol=0.0)
 
 
 # --- cone projection ----------------------------------------------------------

@@ -5,9 +5,9 @@ Over every case of ``perfbench/workloads.make_cases`` (workloads ``suite``,
 ``bound_h0``, the audit, and the sampling oracle wherever the workload runs
 it.  For each case it records the branch, the tight and slack rows B and N,
 the audit verdict, the certified total, the oracle's lower bound, and the
-sha256 of the canonical JSON report and of the audit metrics as sorted JSON
-(or the error raised).  The package is imported from this checkout's
-``src``.
+sha256 of the canonical JSON report, of each of its fields in ``FIELDS``
+and of the audit metrics as sorted JSON (or the error raised).  The package
+is imported from this checkout's ``src``.
 
 Dump each checkout with its own copy of this script, then compare:
 
@@ -15,8 +15,10 @@ Dump each checkout with its own copy of this script, then compare:
     python3 tools/compare_reports.py old.jsonl new.jsonl
 
 The comparison prints how many canonical reports and audit metrics are
-byte-identical, with the cases that differ; a change that moves the floats
-cannot keep them so, and that alone is no failure.  It prints every
+byte-identical, with the cases that differ, and how many cases differ in
+each report field, so a change names the fields it moved from this output;
+a change that moves the floats cannot keep them byte-identical, and that
+alone is no failure.  It prints every
 mismatch and the largest relative differences, and exits 1 unless both
 dumps cover the same cases with the same branches, B/N, errors and audit
 verdicts, every audit passes, totals agree within ``TOTAL_RTOL`` and lower
@@ -36,6 +38,9 @@ WORKLOADS = ("suite", "ladder", "tall")
 SEEDS = (0, 1)
 TOTAL_RTOL = 1e-9
 LOWER_RTOL = 1e-6
+# Fields of the canonical payload digested one by one, as dotted paths.
+FIELDS = ("partition", "bounds.case_N", "bounds.case_B", "bounds.stitch",
+          "oracle", "sandwich", "diagnostics")
 
 
 def _load_workloads():
@@ -53,6 +58,19 @@ def _load_workloads():
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _field_digests(text: str) -> dict[str, str]:
+    """sha256 of each of ``FIELDS`` of a canonical report, as sorted JSON."""
+    payload = json.loads(text)
+    digests = {}
+    for path in FIELDS:
+        value = payload
+        for key in path.split("."):
+            value = value[key]
+        digests[path] = _sha256(json.dumps(value, sort_keys=True,
+                                           separators=(",", ":")))
+    return digests
 
 
 def iter_reports():
@@ -114,6 +132,7 @@ def dump() -> int:
                 total=report.total,
                 lower=None if oracle is None else oracle.lower_bound,
                 report_sha256=_sha256(text),
+                field_sha256=_field_digests(text),
                 audit_sha256=_sha256(json.dumps(audit.metrics, sort_keys=True)),
             )
         print(json.dumps(row, sort_keys=True))
@@ -162,6 +181,11 @@ def compare(old_path: str, new_path: str) -> int:
         print(f"{len(common) - len(differ)} of {len(common)} {label} byte-identical")
         for key in differ:
             print("DIFFERS", field, key)
+    for field in FIELDS:
+        differ = sum(1 for key in common
+                     if old[key].get("field_sha256", {}).get(field)
+                     != new[key].get("field_sha256", {}).get(field))
+        print(f"{differ} of {len(common)} cases differ in {field}")
     for field, (rel, key) in worst.items():
         where = f" at {key}" if key else ""
         print(f"largest relative change in {field}: {rel:.3e}{where}")
