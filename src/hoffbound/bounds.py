@@ -13,17 +13,16 @@ partition (B, N):
   (the sign of x_bar is immaterial; flipping it turns the deep-slack
   certificate into a deep-violation one with the same norm);
 * tight rows: any y_bar > 0 with sum 1 and A_B' y_bar = 0 gives
-  H0(A_B) <= 2 / sigma, where sigma is the smallest positive singular value
-  of A_B' diag(y_bar);
-* stitching: with Q an orthonormal basis of null(A_B) and D the inverse row
-  norms of A_N, any z_bar with D A_N Q z_bar >= 1 bounds the restriction
-  factor by 1 + 2 ||z_bar||_2.
+  H0(A_B) <= 2 / sigma, sigma the smallest singular value of
+  A_B' diag(y_bar) on the row space of A_B (``TightBlock.weighted_sigma``);
+* stitching: with D the inverse row norms of A_N, any w_bar in null(A_B)
+  with D A_N w_bar >= 1 bounds the restriction factor by 1 + 2 ||w_bar||_2.
 
 The total is the restriction factor times the larger of the two row-block
 bounds, degenerating to the single available component when one side of the
 partition is empty.  A_B is factored once, by the partition
-(``PartitionCertificate.block``): the center works in its row space and Q is
-its null basis, the complement of the row space the split was proven on.
+(``PartitionCertificate.block``): the center and sigma use its row space and
+the stitch its null basis Q, the complement of the row space of the split.
 """
 
 from __future__ import annotations
@@ -36,11 +35,10 @@ import numpy as np
 from .core import ProblemInstance, euclidean_norm
 from .numerics import (
     DEFAULT_RANK_TOL,
-    NumericalFailure,
     TightBlock,
     orthonormal_null_basis,  # unused here; the benchmark's tracer hooks it
     row_normalize,
-    smallest_positive_singular_value,
+    smallest_positive_singular_value,  # the same
 )
 from .partition import PartitionCertificate, compute_partition
 from .solvers.programs import (
@@ -77,9 +75,9 @@ class CaseNBound:
 class CaseBBound:
     """Bound on the tight-row block: value = 2 / sigma at the analytic center.
 
-    ``sigma`` is the smallest positive singular value of A_B' diag(y_bar);
-    it is None only for an identically zero tight block, where the bound is
-    0 by the zero-matrix convention.
+    ``sigma`` is ``TightBlock.weighted_sigma(y_bar)``; it is None only for an
+    identically zero tight block, where the bound is 0 by the zero-matrix
+    convention.
     """
 
     value: float
@@ -92,21 +90,19 @@ class CaseBBound:
 
 @dataclass(frozen=True)
 class StitchBound:
-    """Restriction factor: value = 1 + 2 ||z_bar|| with D A_N Q z_bar >= 1.
+    """Restriction factor: value = 1 + 2 ||w_bar|| with w_bar in null(A_B)
+    and D A_N w_bar >= 1, D the inverse row norms of A_N.
 
-    ``Q`` is the orthonormal null-space basis of A_B the certificate lives
-    in; auditors recompute D from the rows of A_N and check the margin of
-    Q z_bar directly.  ``Q`` is not serialized into the JSON report.
+    ``w_bar`` is in the instance's coordinates; ``value`` comes from the fit
+    in the null basis, whose point has the norm of w_bar up to rounding.
     """
 
     value: float
-    z_bar: np.ndarray
-    Q: np.ndarray = field(metadata={"json": False})
+    w_bar: np.ndarray
     min_margin: float
 
     def __post_init__(self) -> None:
-        self.z_bar.setflags(write=False)
-        self.Q.setflags(write=False)
+        self.w_bar.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -146,28 +142,22 @@ def bound_case_b(block: TightBlock, cfg: SolverConfig | None = None) -> CaseBBou
     """Certified bound for the tight rows of ``block`` via the analytic center.
 
     The center y_bar maximizes the product of the dual weights on the slice
-    {y > 0 : A_B' y = 0, sum(y) = 1}; weighting the rows of A_B by it and
-    reading off the smallest positive singular value yields the bound
-    2 / sigma.  The center is computed from the block alone, by Newton on its
-    unconstrained dual (``solve_analytic_center``), which needs no starting
-    point on the slice.  An identically zero block returns 0 by convention.
+    {y > 0 : A_B' y = 0, sum(y) = 1}.  ``sigma = block.weighted_sigma(y_bar)``
+    has ``||diag(y_bar) A_B w|| >= sigma ||w||`` on the row space of A_B,
+    which gives the bound 2 / sigma.  The center is computed from the block
+    alone, by Newton on its unconstrained dual (``solve_analytic_center``),
+    which needs no starting point on the slice.  An identically zero block
+    returns 0 by convention.
     """
     cfg = cfg or SolverConfig()
-    A_B = block.A_B
-    p = A_B.shape[0]
+    p = block.A_B.shape[0]
     if p == 0:
         raise ValueError("the tight set must be nonempty")
     if block.rank == 0:  # A_B is identically zero
         return CaseBBound(value=0.0, y_bar=np.full(p, 1.0 / p), sigma=None)
 
     ac = solve_analytic_center(block, cfg)
-    weighted = A_B.T * ac.y[None, :]
-    sigma = smallest_positive_singular_value(weighted)
-    if sigma is None:
-        raise NumericalFailure(
-            "weighted tight block A_B' diag(y_bar) is numerically zero; "
-            "sigma cannot be certified"
-        )
+    sigma = block.weighted_sigma(ac.y)
     return CaseBBound(value=2.0 / sigma, y_bar=ac.y.copy(), sigma=sigma)
 
 
@@ -179,10 +169,10 @@ def bound_stitch(
     """Certified restriction factor tying the block bounds together.
 
     Within L = null(A_B), spanned by the null basis Q of ``block``, the
-    slack rows are normalized to unit length and a deep point z_bar with
-    D A_N Q z_bar >= 1 is computed; 1 + 2 ||z_bar|| bounds how much
-    distances can grow when passing from the subspace to the cone cut out
-    of it.  The factor is invariant to the choice of orthonormal basis Q.
+    slack rows are normalized to unit length and the minimum-norm z with
+    D A_N Q z >= 1 is computed; w_bar = Q z in L has D A_N w_bar >= 1, and
+    1 + 2 ||w_bar|| (taken as 1 + 2 ||z||) bounds how much distances can grow
+    when passing from the subspace to the cone cut out of it.
     """
     cfg = cfg or SolverConfig()
     A_N = np.asarray(A_N, dtype=float)
@@ -192,8 +182,7 @@ def bound_stitch(
     sol = solve_min_norm_qp(row_normalize(A_N) @ block.Q, cfg)
     return StitchBound(
         value=1.0 + 2.0 * sol.norm,
-        z_bar=sol.z.copy(),
-        Q=np.array(block.Q),
+        w_bar=block.Q @ sol.z,
         min_margin=sol.min_margin,
     )
 

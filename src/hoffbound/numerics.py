@@ -56,7 +56,7 @@ def _svd(M: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray, np
     try:
         return np.linalg.svd(M, full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+        raise NumericalFailure(str(exc)) from exc  # "SVD did not converge"
 
 
 def numerical_rank(s: np.ndarray) -> int:
@@ -104,7 +104,8 @@ class TightBlock:
 
     def __init__(self, A_B: np.ndarray) -> None:
         self.A_B = A_B
-        self.W = W = np.ldexp(A_B, -np.frexp(row_norms(A_B).max(initial=0.0))[1])
+        self.exp = int(np.frexp(row_norms(A_B).max(initial=0.0))[1])
+        self.W = W = np.ldexp(A_B, -self.exp)
         U, S, self._Vt = _svd(W, full_matrices=W.shape[0] < W.shape[1])
         self.rank = r = numerical_rank(S)
         self.V = np.ascontiguousarray(self._Vt[:r].T)
@@ -126,6 +127,14 @@ class TightBlock:
                 f"null basis lost orthonormality (gram error {gram_err:.3e})"
             )
         return Q
+
+    def weighted_sigma(self, y: np.ndarray) -> float:
+        """``sigma = 2^e s_r(diag(y) W V)`` at the block's rank r (0 at r = 0),
+        deciding no rank of its own: ``||diag(y) A_B w|| >= sigma ||w||`` for
+        w in range(V), the inequality the tight-block bound 2 / sigma rests
+        on.  ``NumericalFailure`` if the SVD does not converge (a NaN in y)."""
+        s = _svd(y[:, None] * self.WV, full_matrices=False)[1]
+        return float(np.ldexp(s[-1], self.exp)) if self.rank else 0.0
 
     @cached_property
     def slice_factors(self) -> tuple[np.ndarray, float]:

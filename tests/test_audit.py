@@ -96,19 +96,69 @@ def test_audit_rejects_inflated_sigma():
     assert res.metrics["case_b_sigma"] == rep.case_b.sigma
 
 
-def test_audit_rejects_non_orthonormal_stitch_basis():
+def test_audit_rejects_a_forged_sigma_cut_by_a_second_rank_decision():
+    # all four rows tight, H0 = 1e6; these weights put the second singular
+    # value of A_B' diag(y_bar) at 1.4e-14, so a rank rule run on the
+    # weighted rows cuts it and reads sigma = 0.7071, total 2.83
+    inst = instance(_eps_block(1e-6))
+    rep = bound_h0(inst)
+    assert rep.branch == "case_B" and audit_report(inst, rep).ok
+    y = np.array([0.5 - 1e-8, 0.5 - 1e-8, 1e-8, 1e-8])
+    sigma = smallest_positive_singular_value(inst.A.T * y[None, :])
+    assert sigma == pytest.approx(np.hypot(y[0], y[1]), rel=1e-12)  # 0.7071
+    bad_case_b = dataclasses.replace(rep.case_b, y_bar=y, sigma=sigma, value=2.0 / sigma)
+    bad = dataclasses.replace(rep, case_b=bad_case_b, total=bad_case_b.value)
+    assert bad.total == pytest.approx(2.828, rel=1e-3)
+    res = audit_report(inst, bad)
+    assert not res.ok
+    assert any("exceeds the recomputed value" in f for f in res.failures)
+    assert res.metrics["case_b_sigma"] == pytest.approx(1e-6 * np.hypot(y[2], y[3]), rel=1e-6)
+
+
+@pytest.mark.parametrize("case_b, message", [
+    (CaseBBound(value=1.0, y_bar=np.array([0.5, 0.5]), sigma=2.0),
+     "sigma 2.0 exceeds the recomputed value 0.0"),
+    (CaseBBound(value=1.0, y_bar=np.zeros(0), sigma=2.0),
+     "tight-block witness length does not match B"),
+    (CaseBBound(value=1.0, y_bar=np.full(3, 1.0 / 3.0), sigma=2.0),
+     "tight-block witness length does not match B"),
+], ids=["rank_0", "empty", "wrong_length"])
+def test_audit_records_a_malformed_tight_block_witness(case_b, message):
+    # rows 0 and 1 are zero, so B = (0, 1) and A_B has rank 0
+    inst = instance(np.array([[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]))
+    rep = bound_h0(inst)
+    assert rep.partition.B == (0, 1) and rep.case_b.sigma is None
+    total = rep.stitch.value * max(rep.case_n.value, case_b.value)
+    res = audit_report(inst, dataclasses.replace(rep, case_b=case_b, total=total))
+    assert not res.ok
+    assert message in res.failures
+
+
+def test_audit_rejects_a_stitch_witness_off_the_null_space():
     inst = instance(C4)
     rep = bound_h0(inst)
-    bad_stitch = dataclasses.replace(rep.stitch, Q=rep.stitch.Q * 2.0)
+    w = rep.stitch.w_bar + 1e-3 * np.array([1.0, 0.0])  # along the row space
+    bad_stitch = dataclasses.replace(rep.stitch, w_bar=w)
     res = audit_report(inst, dataclasses.replace(rep, stitch=bad_stitch))
     assert not res.ok
+    assert any(f.startswith("stitch witness leaves the null space") for f in res.failures)
+
+
+def test_audit_rejects_a_halved_stitch_witness():
+    inst = instance(C4)
+    rep = bound_h0(inst)
+    bad_stitch = dataclasses.replace(rep.stitch, w_bar=rep.stitch.w_bar * 0.5)
+    res = audit_report(inst, dataclasses.replace(rep, stitch=bad_stitch))
+    assert not res.ok
+    assert any(f.startswith("stitch witness margin") for f in res.failures)
+    assert res.metrics["stitch_margin"] == pytest.approx(0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("component, witness, message", [
     ("partition", "x_hat", "x_hat length does not match n"),
     ("case_n", "x_bar", "slack-block witness length does not match n"),
-    ("stitch", "z_bar", "stitch witness length does not match its basis"),
-], ids=["x_hat", "x_bar", "z_bar"])
+    ("stitch", "w_bar", "stitch witness length does not match n"),
+], ids=["x_hat", "x_bar", "w_bar"])
 def test_audit_records_a_witness_of_the_wrong_length(component, witness, message):
     # each once escaped as numpy's ValueError from a matrix product
     inst = instance(C4)
@@ -149,7 +199,6 @@ def test_audit_metrics_expose_branch_quantities():
     assert res4.ok
     assert res4.metrics  # general branch records every component check
     assert res4.metrics["case_b_sigma"] == rep4.case_b.sigma
-    assert res4.metrics["case_b_rank_gap"] > 1.0
     # the tight rows of C4 have rank 1 exactly, so nothing is left below s_1
     assert res4.metrics["stitch_rank_gap"] == np.inf
     # planted +-r pairs: rank n - dim(Q), with rounding below it
@@ -239,7 +288,7 @@ def test_audit_records_a_nan_weight_and_a_failed_svd():
     res = audit_report(inst, dataclasses.replace(rep, case_b=bad_case_b))
     assert not res.ok
     assert "y_bar is not strictly positive" in res.failures
-    assert "rank of A_B' diag(y_bar): SVD did not converge" in res.failures
+    assert "sigma of A_B' diag(y_bar): SVD did not converge" in res.failures
 
 
 def test_audit_rejects_a_nan_partition_witness():

@@ -87,9 +87,10 @@ def test_case_b_two_orthogonal_opposing_pairs():
 def test_stitch_known_instance():
     res = bound_stitch(TightBlock(C4[:2]), C4[2:])
     assert res.value == pytest.approx(3.0, rel=1e-9)
-    assert np.allclose(np.abs(res.Q.ravel()), [0.0, 1.0], atol=1e-12)
+    assert np.allclose(res.w_bar, [0.0, -1.0], atol=1e-12)
+    assert np.abs(C4[:2] @ res.w_bar).max() <= 1e-15
     assert res.min_margin >= 1.0 - 1e-9
-    assert res.value == pytest.approx(1.0 + 2.0 * np.linalg.norm(res.z_bar), rel=1e-12)
+    assert res.value == pytest.approx(1.0 + 2.0 * np.linalg.norm(res.w_bar), rel=1e-12)
 
 
 def test_stitch_margins_in_reduced_coordinates():
@@ -99,8 +100,9 @@ def test_stitch_margins_in_reduced_coordinates():
     A_N = -np.abs(rng.standard_normal((3, 4))) - 0.3
     res = bound_stitch(TightBlock(A_B), A_N)
     norms = np.linalg.norm(A_N, axis=1)
-    margins = (A_N / norms[:, None]) @ (res.Q @ res.z_bar)
+    margins = (A_N / norms[:, None]) @ res.w_bar
     assert np.min(margins) >= 1.0 - 1e-9
+    assert np.abs(A_B @ res.w_bar).max() <= 1e-14 * np.linalg.norm(res.w_bar)
 
 
 # --- combined report ----------------------------------------------------------
@@ -148,9 +150,9 @@ def test_general_branch_factors_the_tight_rows_once(monkeypatch):
     rep = bound_h0(inst)
     assert rep.branch == "general"
     assert count_scaled_copies(inputs, inst.A[list(rep.partition.B)]) == 1
-    V, Q = rep.partition.block.V, rep.stitch.Q
-    assert V.shape[1] + Q.shape[1] == inst.n
-    assert np.abs(V.T @ Q).max() <= 1e-15
+    block, w = rep.partition.block, rep.stitch.w_bar
+    assert block.V.shape[1] + block.Q.shape[1] == inst.n
+    assert np.abs(block.V.T @ w).max() <= 1e-15 * np.linalg.norm(w)
 
 
 def test_report_diagnostics_carry_run_parameters():

@@ -6,6 +6,7 @@ import pytest
 import hoffbound.numerics
 from hoffbound import DegenerateRow, HoffboundError, NumericalFailure
 from hoffbound.numerics import (
+    TightBlock,
     orthonormal_null_basis,
     row_normalize,
     smallest_positive_singular_value,
@@ -77,6 +78,20 @@ def test_sigma_plus_skips_singular_values_below_relative_threshold():
     assert got == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(NumericalFailure, match="ambiguous band"):
         smallest_positive_singular_value(np.diag([1.0, 1e-12]))
+
+
+def test_weighted_sigma_is_the_rth_singular_value_of_the_block():
+    # weights spanning 1e8 on rows of norms 3 and 3e-6: s_2 of A_B' diag(y)
+    # is 2e-14 x s_1, so a rank rule run on the weighted rows cuts it
+    A_B = np.array([[3.0, 0.0], [-3.0, 0.0], [0.0, 3e-6], [0.0, -3e-6]])
+    y = np.array([0.5 - 1e-8, 0.5 - 1e-8, 1e-8, 1e-8])
+    block = TightBlock(A_B)
+    assert block.rank == 2
+    s_2 = 3e-6 * np.hypot(y[2], y[3])
+    assert block.weighted_sigma(y) == pytest.approx(s_2, rel=1e-12)
+    cut = smallest_positive_singular_value(A_B.T * y[None, :])
+    assert cut == pytest.approx(3.0 * np.hypot(y[0], y[1]), rel=1e-12)
+    assert TightBlock(np.zeros((2, 2))).weighted_sigma(np.full(2, 0.5)) == 0.0
 
 
 def test_row_normalize_units_and_inverse_norms():

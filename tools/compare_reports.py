@@ -4,12 +4,15 @@ Over every case of ``perfbench/workloads.make_cases`` (workloads ``suite``,
 ``ladder`` and ``tall``, seeds 0 and 1) this runs the benchmark's pipeline:
 ``bound_h0``, the audit, and the sampling oracle wherever the workload runs
 it.  For each case it records the branch, the tight and slack rows B and N,
-the audit verdict, the certified total, the oracle's lower bound, and the
+the audit verdict, the certified total, the case-B ``sigma`` and the stitch
+value (None where the branch has none), the oracle's lower bound, and the
 sha256 of the canonical JSON report, of each of its fields in ``FIELDS``
 and of the audit metrics as sorted JSON (or the error raised).  The package
 is imported from this checkout's ``src``.
 
-Dump each checkout with its own copy of this script, then compare:
+Dump each checkout with a copy of this script placed in it (the same
+version on both sides, so that both dumps carry the same fields), then
+compare:
 
     python3 tools/compare_reports.py --dump > new.jsonl
     python3 tools/compare_reports.py old.jsonl new.jsonl
@@ -18,8 +21,9 @@ The comparison prints how many canonical reports and audit metrics are
 byte-identical, with the cases that differ, and how many cases differ in
 each report field, so a change names the fields it moved from this output;
 a change that moves the floats cannot keep them byte-identical, and that
-alone is no failure.  It prints every
-mismatch and the largest relative differences, and exits 1 unless both
+alone is no failure.  It prints every mismatch and the largest relative
+change of the total, ``sigma``, the stitch value and the lower bound, so a
+change that moves the floats reports by how much, and exits 1 unless both
 dumps cover the same cases with the same branches, B/N, errors and audit
 verdicts, every audit passes, totals agree within ``TOTAL_RTOL`` and lower
 bounds within ``LOWER_RTOL``.
@@ -30,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -130,6 +135,8 @@ def dump() -> int:
                 N=None if part is None else list(part.N),
                 audit_ok=audit.ok,
                 total=report.total,
+                sigma=None if report.case_b is None else report.case_b.sigma,
+                stitch_value=None if report.stitch is None else report.stitch.value,
                 lower=None if oracle is None else oracle.lower_bound,
                 report_sha256=_sha256(text),
                 field_sha256=_field_digests(text),
@@ -157,7 +164,7 @@ def compare(old_path: str, new_path: str) -> int:
     problems = []
     if old.keys() != new.keys():
         problems.append(f"case lists differ: {sorted(old.keys() ^ new.keys())}")
-    worst = {"total": (0.0, None), "lower": (0.0, None)}
+    worst = dict.fromkeys(("total", "sigma", "stitch_value", "lower"), (0.0, None))
     for key in common:
         a, b = old[key], new[key]
         for field in ("error", "branch", "B", "N", "audit_ok"):
@@ -167,7 +174,9 @@ def compare(old_path: str, new_path: str) -> int:
             continue
         if not b["audit_ok"]:
             problems.append(f"{key}: audit fails")
-        for field, tol in (("total", TOTAL_RTOL), ("lower", LOWER_RTOL)):
+        # sigma and the stitch value are reported, not gated
+        for field, tol in (("total", TOTAL_RTOL), ("sigma", math.inf),
+                           ("stitch_value", math.inf), ("lower", LOWER_RTOL)):
             rel = _rel(a.get(field), b.get(field))
             if rel > worst[field][0]:
                 worst[field] = (rel, key)
