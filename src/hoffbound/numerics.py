@@ -4,8 +4,8 @@ rows, null-space bases, positive singular values, row normalization.
 All factorizations are SVD-based.  At the target sizes (a few thousand rows
 at most) the reliability of a full SVD outweighs its cost, and the quality of
 the orthonormal null-space basis gates the validity of the subspace/cone
-stitching bound downstream.  The tight rows are factored once per report,
-in ``TightBlock``.
+stitching bound downstream.  ``TightBlock`` is the one factorization of a
+matrix: of A for the partition LP, and of the tight rows once per report.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "numerical_rank",
     "orthonormal_null_basis",
     "row_normalize",
-    "row_space_basis",
     "smallest_positive_singular_value",
 ]
 
@@ -90,6 +89,7 @@ def numerical_rank(s: np.ndarray) -> int:
 
 class TightBlock:
     """The tight rows ``A_B``, factored by one SVD for every use downstream.
+    The partition LP factors all of A the same way, as ``TightBlock(A)``.
 
     ``W = 2^-e A_B`` is A_B scaled by a power of two (exactly, with the same
     row and null spaces) so that its largest row norm lies in [1/2, 1).
@@ -164,30 +164,19 @@ def orthonormal_null_basis(A_B: npt.ArrayLike) -> np.ndarray:
     return TightBlock(A_B).Q
 
 
-def row_space_basis(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis ``V`` of shape ``(n, r)`` of the row space of ``A``.
-
-    The columns are the right singular vectors whose singular values
-    ``numerical_rank`` counts, so ``A V`` has full column rank ``r``.
-    Raises ``NumericalFailure`` when the rank falls in the ambiguous band.
-    """
-    _, s, Vh = _svd(A, full_matrices=False)
-    return np.ascontiguousarray(Vh[: numerical_rank(s)].T)
-
-
 def smallest_positive_singular_value(M: npt.ArrayLike) -> float | None:
     """Smallest singular value that ``numerical_rank`` counts.
 
-    Returns ``s[r - 1]`` at numerical rank ``r``, or ``None`` when the
-    matrix is numerically zero.  Raises ``NumericalFailure`` when the rank
-    falls in the ambiguous band.
+    Returns ``s[r - 1]`` at numerical rank ``r``, the ``sigma`` of
+    ``TightBlock(M)`` scaled back by its power of two, or ``None`` when the
+    matrix is numerically zero.  Raises ``NumericalFailure`` like
+    ``TightBlock``.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.size == 0:
         raise ValueError("expected a nonempty 2-d matrix")
-    s = _svd(M, full_matrices=False)[1]
-    rank = numerical_rank(s)
-    return float(s[rank - 1]) if rank else None
+    block = TightBlock(M)
+    return float(np.ldexp(block.sigma, block.exp)) if block.rank else None
 
 
 def row_normalize(A_N: npt.ArrayLike) -> np.ndarray:

@@ -167,7 +167,9 @@ def compute_partition(
     (``TightBlock.project_to_slice``).  The LP stops at the first iterate
     whose ``slack_margin`` and ``weight_margin`` are positive (an empty side
     needs none), which proves the split; ``t`` and ``lp_iterations`` are
-    that iterate's.  The SVDs are redone only when B changes.
+    that iterate's.  ``A`` is factored once, as the LP's ``TightBlock``,
+    which is also the certificate's block when every row is tight; the SVDs
+    of any other split are redone only when B changes.
 
     Raises
     ------
@@ -175,18 +177,24 @@ def compute_partition(
         If the LP converges without an iterate whose split is proven.
     SolverStall
         If the LP stalls, diverges or reaches its iteration cap first.
+    NumericalFailure
+        If the rank of A falls in the rank rule's ambiguous band.
     """
     A = instance.A
+    full = TightBlock(A)
     cache: list = [None, None, None]  # the latest B mask, its TightBlock, A_N
 
     def certify(x, y, s, t):
         b_mask = y > s
         key = b_mask.tobytes()
         if key != cache[0]:
-            try:
-                block = TightBlock(A[b_mask])
-            except NumericalFailure:
-                block = None
+            if b_mask.all():
+                block = full
+            else:
+                try:
+                    block = TightBlock(A[b_mask])
+                except NumericalFailure:
+                    block = None
             cache[:] = key, block, A[~b_mask]
         _, block, A_N = cache
         if block is None:
@@ -211,7 +219,7 @@ def compute_partition(
                 return None
         return b_mask, block, x_hat, y_hat, slack, weight
 
-    sol = solve_partition_lp(instance, cfg or SolverConfig(), accept=certify)
+    sol = solve_partition_lp(full, cfg, accept=certify)
     if sol.accepted is None:
         raise AmbiguousIndex(
             f"the partition LP converged after {sol.iterations} iterations "

@@ -4,7 +4,8 @@ Four operations are exposed, each calling its engine directly:
 
 * ``solve_partition_lp``: the self-dual feasibility LP whose optimal support
   splits the rows of A into the tight set B and the slack set N, solved in
-  row-space coordinates by the interior-point method of ``ipm.py``.
+  the row-space coordinates of ``numerics.TightBlock(A)`` by the
+  interior-point method of ``ipm.py``.
 * ``solve_min_norm_qp``: minimum-Euclidean-norm point of ``{z : G z >= 1}``
   by one nonnegative least-squares fit (Lawson & Hanson's least-distance
   program), with exact feasibility after restoration and a certified
@@ -41,7 +42,6 @@ from ..numerics import (
     TightBlock,
     numerical_rank,
     orthonormal_null_basis,  # unused here; the benchmark's tracer hooks it
-    row_space_basis,
 )
 from .ipm import MAX_ITERS, solve_qp_ipm
 
@@ -112,13 +112,13 @@ class PartitionLPSolution:
 
 
 def solve_partition_lp(
-    instance: ProblemInstance,
+    block: TightBlock,
     cfg: SolverConfig | None = None,
     accept: Callable[..., Any] | None = None,
 ) -> PartitionLPSolution:
     """Maximize the support margin t over the self-dual feasibility system.
 
-    The LP is
+    The LP, for the matrix ``A = block.A_B`` (all rows of the instance), is
 
         max t  s.t.  A' y = 0,  A x + s = 0,  y + s >= t 1,
                      1'y + 1's = 1,  y >= 0, s >= 0, t >= 0
@@ -128,12 +128,13 @@ def solve_partition_lp(
     of the underlying homogeneous system makes the optimal t positive, with
     the supports of y and s splitting the rows exactly.
 
-    A enters only through A x and A'y, so the LP is solved for
-    ``M = A V / row_scale``, where V is an orthonormal basis of the row space
-    of A (``numerics.row_space_basis``, rank from the one rank rule) and
-    row_scale the largest row norm; then ``x = V x' / row_scale``.  M has full
-    column rank, which keeps the Newton systems of ``ipm.solve_qp_ipm``
-    nonsingular; their dimension is 2 rank(A) + 2.
+    A enters only through A x and A'y, and the optimal (y, s, t) does not
+    change under uniform positive scaling of A (x absorbs the factor), so
+    the LP is solved for ``M = W V`` with the block's ``W = 2^-e A`` and
+    row-space basis V (rank from the one rank rule); then
+    ``x = 2^-e V x'``, exact in the power of two.  M has full column rank,
+    which keeps the Newton systems of ``ipm.solve_qp_ipm`` nonsingular;
+    their dimension is 2 rank(A) + 2.
 
     Without ``accept`` the solve runs to ``cfg``'s tolerances (each a notch
     tighter).  With it, ``accept(x, y, s, t)`` is called on every iterate,
@@ -145,28 +146,18 @@ def solve_partition_lp(
     ------
     SolverStall
         If the interior-point iteration stalls, diverges or reaches its cap.
-    NumericalFailure
-        If the rank of A falls in the rank rule's ambiguous band.
     """
     cfg = cfg or SolverConfig()
-
-    # The optimal (y, s, t) is invariant under uniform positive scaling of A
-    # (x absorbs the factor), so solve in units of the largest row norm and
-    # scale x back afterwards.
-    row_scale = float(row_norms(instance.A).max())
-    if row_scale <= ZERO_NORM_FLOOR:
-        row_scale = 1.0
-    A = instance.A / row_scale
-    V = row_space_basis(A)
+    V = block.V
 
     def accept_x(x, y, s, t):
-        return accept(V @ x / row_scale, y, s, t)
+        return accept(np.ldexp(V @ x, -block.exp), y, s, t)
 
     # Solve a notch tighter than advertised, so the residuals stay within
     # feas_tol ||A||_F even for matrices of unit scale.  The matrix is the
     # third positional argument because the benchmark's tracer reads the
     # system size off args[2].shape.
-    res = solve_qp_ipm(cfg.feas_tol / 10.0, cfg.opt_tol / 10.0, A @ V,
+    res = solve_qp_ipm(cfg.feas_tol / 10.0, cfg.opt_tol / 10.0, block.W @ V,
                        None if accept is None else accept_x)
     if res.status != "converged":
         raise SolverStall(
@@ -174,13 +165,13 @@ def solve_partition_lp(
             f"{res.iterations} iterations)"
         )
 
-    x = V @ res.x / row_scale
+    x = np.ldexp(V @ res.x, -block.exp)
     y, s, t = res.y, res.s, res.t
 
-    A_orig = instance.A
+    A = block.A_B
     residuals = {
-        "dual_eq_inf": float(np.abs(A_orig.T @ y).max(initial=0.0)),
-        "primal_eq_inf": float(np.abs(A_orig @ x + s).max(initial=0.0)),
+        "dual_eq_inf": float(np.abs(A.T @ y).max(initial=0.0)),
+        "primal_eq_inf": float(np.abs(A @ x + s).max(initial=0.0)),
         "normalization": abs(float(y.sum() + s.sum()) - 1.0),
         "coupling_violation": max(0.0, t - float((y + s).min())),
         "nonneg_violation": max(0.0, -float(min(y.min(), s.min(), t))),

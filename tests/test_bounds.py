@@ -155,6 +155,16 @@ def test_general_branch_factors_the_tight_rows_once(monkeypatch):
     assert np.abs(block.V.T @ w).max() <= 1e-15 * np.linalg.norm(w)
 
 
+def test_case_b_factors_a_once(monkeypatch):
+    # every row is tight, so the partition LP's factorization of A is the
+    # certificate's block: one scaled copy of A goes through the SVD
+    inst = instance(gaussian_matrix(302))
+    inputs = record_svd_inputs(monkeypatch)
+    rep = bound_h0(inst)
+    assert rep.branch == "case_B"
+    assert count_scaled_copies(inputs, inst.A) == 1
+
+
 def test_report_diagnostics_carry_run_parameters():
     rep = bound_h0(instance(C4))
     diag = rep.diagnostics
@@ -227,7 +237,7 @@ def test_scaled_planted_pipeline(shape, seed, k, row_seed):
 def test_rows_scaled_over_eight_decades_give_the_planted_split_or_a_typed_error():
     # 18 x 5 planted mixed matrices with each row scaled by 10^U(-4, 4):
     # every report recovers the planted N and passes the audit, anything
-    # raised is a HoffboundError.  173 of the 400 certify; before the margin
+    # raised is a HoffboundError.  175 of the 400 certify; before the margin
     # rule 57 did, and the partition LP returned a wrong split on 34.
     certified = 0
     for seed in range(20):

@@ -8,6 +8,7 @@ import pytest
 import hoffbound.partition
 from hoffbound import AmbiguousIndex, HoffboundError, SolverConfig
 from hoffbound.audit import verify_partition
+from hoffbound.numerics import TightBlock
 from hoffbound.partition import PartitionCertificate, compute_partition
 from hoffbound.solvers.programs import solve_partition_lp
 
@@ -136,13 +137,13 @@ def test_untrusted_margin_raises_after_one_solve(monkeypatch):
     real = hoffbound.partition.solve_partition_lp
     seen = []
 
-    def counted(inst, cfg, accept):
+    def counted(block, cfg, accept):
         seen.append(cfg)
-        return real(inst, cfg, accept)
+        return real(block, cfg, accept)
 
     # the starting point certifies C4; the converged LP takes more steps
     plain = compute_partition(instance(C4), SolverConfig())
-    assert plain.lp_iterations == 0 < real(instance(C4), SolverConfig()).iterations
+    assert plain.lp_iterations == 0 < real(TightBlock(C4), SolverConfig()).iterations
     monkeypatch.setattr(hoffbound.partition, "solve_partition_lp", counted)
     monkeypatch.setattr(hoffbound.partition, "weight_margin", lambda block, y: 0.0)
     with pytest.raises(AmbiguousIndex, match="margin rule"):
@@ -158,7 +159,7 @@ def test_partition_covers_all_rows_on_random_instances():
         assert verify_partition(inst, cert).ok
         # the certified split is the converged LP's support split, found
         # in fewer steps
-        sol = solve_partition_lp(inst)
+        sol = solve_partition_lp(TightBlock(inst.A))
         assert cert.B == tuple(np.flatnonzero(sol.y > sol.s))
         assert cert.lp_iterations < sol.iterations
         assert cert.t > 0.0

@@ -372,14 +372,14 @@ def test_min_norm_qp_on_planted_slack_blocks(seed, n, m):
     (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]), 1.0 / 3.0),
 ])
 def test_partition_lp_optimal_values(A, t_star):
-    sol = solve_partition_lp(instance(A))
+    sol = solve_partition_lp(TightBlock(A))
     assert sol.t == pytest.approx(t_star, abs=1e-6)
 
 
 def test_partition_lp_residuals_and_cap():
     for seed in range(10):
         inst = instance(gaussian_matrix(100 + seed))
-        sol = solve_partition_lp(inst)
+        sol = solve_partition_lp(TightBlock(inst.A))
         assert sol.t <= 1.0 / inst.m + 1e-9
         assert sol.t > 0.0
         for key in ("dual_eq_inf", "primal_eq_inf", "normalization",
@@ -402,7 +402,7 @@ def test_partition_lp_on_a_rank_deficient_rotated_matrix():
     A = benchmark_matrix("suite", 1, "degenerate-8")
     assert A.shape == (4, 5) and np.linalg.matrix_rank(A) == 2
     inst = instance(A)
-    sol = solve_partition_lp(inst)
+    sol = solve_partition_lp(TightBlock(inst.A))
     _check_lp(inst, sol)
     cert = compute_partition(inst)
     assert (cert.B, cert.N) == ((0, 1, 2, 3), ())
@@ -413,29 +413,29 @@ def test_partition_lp_with_a_zero_column_and_zero_rows():
     A = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
                   [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
     inst = instance(A)
-    _check_lp(inst, solve_partition_lp(inst))
+    _check_lp(inst, solve_partition_lp(TightBlock(inst.A)))
     cert = compute_partition(inst)
     assert (cert.B, cert.N) == ((0, 1, 2, 4), (3,))
     assert verify_partition(inst, cert).ok
     # with every row zero the row space is empty (r = 0): y is uniform and
     # the margin is 1/m
     zero = instance(np.zeros((3, 2)))
-    sol = solve_partition_lp(zero)
+    sol = solve_partition_lp(TightBlock(zero.A))
     _check_lp(zero, sol)
     assert np.allclose(sol.y, 1.0 / 3.0, atol=1e-9)
     assert sol.t == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_partition_lp_whose_iterates_overflow_stalls_without_warnings():
-    # an 18 x 5 planted matrix with rows scaled by 10^U(-4, 4): after 50
+    # an 18 x 5 planted matrix with rows scaled by 10^U(-4, 4): after 73
     # steps the iterates overflow to inf and NaN, the IPM ends as
     # "diverged", and numpy's overflow warnings stay silent
     A, _ = planted_mixed_split(0, 18, 5)
-    A = A * 10.0 ** np.random.default_rng([19, 4]).uniform(-4.0, 4.0, size=(18, 1))
+    A = A * 10.0 ** np.random.default_rng([8, 4]).uniform(-4.0, 4.0, size=(18, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverStall, match="diverged"):
-            solve_partition_lp(instance(A))
+            solve_partition_lp(TightBlock(A))
 
 
 @pytest.mark.parametrize("m, n", [(800, 80), (1600, 100)])
@@ -464,7 +464,7 @@ def test_partition_lp_converges_where_the_weights_span_sixteen_decades(monkeypat
 
     monkeypatch.setattr(hoffbound.solvers.ipm, "_Newton", recording)
     inst = instance(benchmark_matrix("suite", 1, "gaussian-94"))
-    sol = solve_partition_lp(inst)
+    sol = solve_partition_lp(TightBlock(inst.A))
     _check_lp(inst, sol)
     assert max(spans) > 1e16
     assert sol.t == pytest.approx(4.3148e-6, rel=1e-4)

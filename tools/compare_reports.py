@@ -5,7 +5,8 @@ Over every case of ``perfbench/workloads.make_cases`` (workloads ``suite``,
 ``bound_h0``, the audit, and the sampling oracle wherever the workload runs
 it.  For each case it records the branch, the tight and slack rows B and N,
 the audit verdict, the certified total, the case-B ``sigma`` and the stitch
-value (None where the branch has none), the oracle's lower bound, and the
+value (None where the branch has none), the partition's ``lp_iterations``
+and margin ``t`` (None without a partition), the oracle's lower bound, and the
 sha256 of the canonical JSON report, of each of its fields in ``FIELDS``
 and of the audit metrics as sorted JSON (or the error raised).  The package
 is imported from this checkout's ``src``.
@@ -21,9 +22,10 @@ The comparison prints how many canonical reports and audit metrics are
 byte-identical, with the cases that differ, and how many cases differ in
 each report field, so a change names the fields it moved from this output;
 a change that moves the floats cannot keep them byte-identical, and that
-alone is no failure.  It prints every mismatch and the largest relative
-change of the total, ``sigma``, the stitch value and the lower bound, so a
-change that moves the floats reports by how much, and exits 1 unless both
+alone is no failure.  It prints every mismatch, how many cases differ in
+``lp_iterations``, and the largest relative change of the total, ``sigma``,
+the stitch value, ``t`` and the lower bound, so a change that moves the
+floats reports by how much, and exits 1 unless both
 dumps cover the same cases with the same branches, B/N, errors and audit
 verdicts, every audit passes, totals agree within ``TOTAL_RTOL`` and lower
 bounds within ``LOWER_RTOL``.
@@ -137,6 +139,8 @@ def dump() -> int:
                 total=report.total,
                 sigma=None if report.case_b is None else report.case_b.sigma,
                 stitch_value=None if report.stitch is None else report.stitch.value,
+                lp_iterations=None if part is None else part.lp_iterations,
+                t=None if part is None else part.t,
                 lower=None if oracle is None else oracle.lower_bound,
                 report_sha256=_sha256(text),
                 field_sha256=_field_digests(text),
@@ -164,7 +168,7 @@ def compare(old_path: str, new_path: str) -> int:
     problems = []
     if old.keys() != new.keys():
         problems.append(f"case lists differ: {sorted(old.keys() ^ new.keys())}")
-    worst = dict.fromkeys(("total", "sigma", "stitch_value", "lower"), (0.0, None))
+    worst = dict.fromkeys(("total", "sigma", "stitch_value", "t", "lower"), (0.0, None))
     for key in common:
         a, b = old[key], new[key]
         for field in ("error", "branch", "B", "N", "audit_ok"):
@@ -174,9 +178,10 @@ def compare(old_path: str, new_path: str) -> int:
             continue
         if not b["audit_ok"]:
             problems.append(f"{key}: audit fails")
-        # sigma and the stitch value are reported, not gated
+        # sigma, the stitch value and t are reported, not gated
         for field, tol in (("total", TOTAL_RTOL), ("sigma", math.inf),
-                           ("stitch_value", math.inf), ("lower", LOWER_RTOL)):
+                           ("stitch_value", math.inf), ("t", math.inf),
+                           ("lower", LOWER_RTOL)):
             rel = _rel(a.get(field), b.get(field))
             if rel > worst[field][0]:
                 worst[field] = (rel, key)
@@ -195,6 +200,9 @@ def compare(old_path: str, new_path: str) -> int:
                      if old[key].get("field_sha256", {}).get(field)
                      != new[key].get("field_sha256", {}).get(field))
         print(f"{differ} of {len(common)} cases differ in {field}")
+    differ = sum(1 for key in common
+                 if old[key].get("lp_iterations") != new[key].get("lp_iterations"))
+    print(f"{differ} of {len(common)} cases differ in lp_iterations")
     for field, (rel, key) in worst.items():
         where = f" at {key}" if key else ""
         print(f"largest relative change in {field}: {rel:.3e}{where}")
