@@ -27,6 +27,7 @@ from .partition import PartitionCertificate, slack_margin, weight_margin
 __all__ = ["AuditResult", "audit_report", "verify_partition"]
 
 MARGIN_TOL = 1e-9
+UNIT_RTOL = 1e-13
 RESIDUAL_TOL = 1e-8
 SUM_TOL = 1e-12
 SIGMA_RTOL = 1e-12
@@ -70,11 +71,24 @@ def _check_weights(y: np.ndarray, A_B: np.ndarray, metrics: dict) -> list[str]:
     return failures
 
 
-def _check_unit_margin(Gz: np.ndarray, name: str, key: str, metrics: dict) -> list[str]:
-    """Failure unless the product ``G z`` of a deep-point witness has
-    ``min(G z) >= 1 - MARGIN_TOL`` (infinite with no rows), recorded as ``key``."""
+def _check_unit_margin(Gz: np.ndarray, z: np.ndarray, value: float, bound,
+                       name: str, key: str, metrics: dict) -> list[str]:
+    """Failures of a deep-point witness ``z`` with product ``G z``, whose
+    margin ``min(G z)`` (infinite with no rows) is recorded as ``key``.
+
+    A witness of unit margin proves the bound ``bound(||z||)``, and
+    ``z / min(G z)`` has unit margin, so ``z`` proves
+    ``bound(||z|| / min(G z))``.  The claimed ``value`` must be at least
+    that, up to ``UNIT_RTOL`` relative rounding.  The margin must also be 1
+    within ``MARGIN_TOL``, as the report states its witnesses at unit
+    margin; that test alone would let the value fall short by MARGIN_TOL.
+    """
     metrics[key] = margin = float(Gz.min()) if Gz.size else math.inf
-    return [] if margin >= 1.0 - MARGIN_TOL else [f"{name} margin {margin!r} is below 1"]
+    failures = [] if margin >= 1.0 - MARGIN_TOL else [f"{name} margin {margin!r} is below 1"]
+    proven = bound(euclidean_norm(z) / margin) if margin > 0.0 else math.inf
+    if not value >= proven * (1.0 - UNIT_RTOL):
+        failures.append(f"{name} proves {proven!r}, more than the value {value!r}")
+    return failures
 
 
 def _check_branch(report: BoundReport) -> list[str]:
@@ -188,19 +202,21 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
 
     A zero branch needs a zero matrix.  Otherwise: the partition certificate
     passes ``verify_partition``; the slack-block witness has unit margin on
-    A_N and its norm is the reported value; the tight-block witness passes
+    A_N, its norm is the reported value, and ``value >= ||x_bar|| /
+    min(A_N x_bar)`` (``_check_unit_margin``); the tight-block witness passes
     the weights check of ``y_hat``, and ``sigma`` exceeds the audit block's
     ``weighted_sigma(y_bar)`` by at most ``SIGMA_RTOL`` relative, so that
     ``||diag(y_bar) A_B w|| >= sigma ||w||`` (to that rounding) on the row
     space of A_B; the stitching witness w_bar has ``||A_B w_bar||_inf <=
     RESIDUAL_TOL ||A_B||_F ||w_bar||``, unit margin through the recomputed
-    row scaling, and ``value = 1 + 2 ||w_bar||``.  Finally the report carries
-    exactly its branch's components, and their product formula gives the
-    total bit for bit, and every value is finite.  Every budget is relative
-    to the matrix it checks.  A rank in the rule's ambiguous band, an SVD
-    that does not converge, a row index out of range, an empty weight
-    vector and a witness of the wrong length are recorded as failures, not
-    raised.
+    row scaling D, ``value = 1 + 2 ||w_bar||`` and ``value >= 1 + 2 ||w_bar||
+    / min(D A_N w_bar)``.  Both value inequalities hold up to ``UNIT_RTOL``.
+    Finally the report carries exactly its branch's components, and their
+    product formula gives the total bit for bit, and every value is finite.
+    Every budget is relative to the matrix it checks.  A rank in the rule's
+    ambiguous band, an SVD that does not converge, a row index out of range,
+    an empty weight vector and a witness of the wrong length are recorded
+    as failures, not raised.
     """
     A = instance.A
     failures: list[str] = []
@@ -231,7 +247,8 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
             failures.append("slack-block witness length does not match n")
         else:
             failures += _check_unit_margin(
-                A_N @ cn.x_bar, "slack-block witness", "case_n_margin", metrics)
+                A_N @ cn.x_bar, cn.x_bar, cn.value, lambda r: r,
+                "slack-block witness", "case_n_margin", metrics)
             nrm = euclidean_norm(cn.x_bar)
             metrics["case_n_norm"] = nrm
             if not np.isclose(nrm, cn.value, rtol=1e-13, atol=0.0):
@@ -284,7 +301,8 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
             failures.append("a slack row is identically zero")
         else:
             failures += _check_unit_margin(
-                (A_N @ w) / norms, "stitch witness", "stitch_margin", metrics)
+                (A_N @ w) / norms, w, st.value, lambda r: 1.0 + 2.0 * r,
+                "stitch witness", "stitch_margin", metrics)
         expect = 1.0 + 2.0 * euclidean_norm(w)
         if not np.isclose(st.value, expect, rtol=1e-13, atol=0.0):
             failures.append("stitch value does not equal 1 + 2 ||w_bar||")

@@ -3,11 +3,16 @@
 For the cone P = {x : A x <= 0} every row index lands in exactly one of two
 camps: the tight rows B, satisfied with equality by every point of P, and
 the slack rows N, which admit a point of P with strictly negative value.
-The split is read off the iterates of one self-dual LP, whose supports
-separate the camps at the optimum (slack rows get s_i >= t through the
-primal half, tight rows y_i >= t through the dual half).  The LP stops at
-the first iterate whose split ``y_i > s_i`` the margin rule proves: see
-``slack_margin`` and ``weight_margin``, which the audit applies too.
+Most inputs are one-sided, and least-squares witnesses prove them before
+any LP runs: the solution of ``A x = -1`` in least squares shows every row
+slack when it is interior, and its residual, which lies in ``null(A')``,
+shows every row tight when it is positive.  Otherwise the split is read off
+the iterates of one self-dual LP, whose supports separate the camps at the
+optimum (slack rows get s_i >= t through the primal half, tight rows
+y_i >= t through the dual half).  The LP stops at the first iterate whose
+split the margin rule proves: ``y_i > s_i``, or all slack where the
+iterate's x is interior.  Every split is proven by ``slack_margin`` and
+``weight_margin``, which the audit applies too.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ class PartitionCertificate:
     t : float
         Support margin t of the LP iterate whose split was certified.  That
         iterate need not be feasible, so t can exceed the LP's optimal
-        margin.
+        margin.  0 when least-squares witnesses proved the split before the
+        LP ran (every LP iterate has t > 0).
     min_slack_N : float or None
         min over N of -a_i' x_hat; None when N is empty.
     min_y_hat : float or None
@@ -65,10 +71,11 @@ class PartitionCertificate:
     residuals : dict
         Witness residuals, the margins ``slack_margin`` and
         ``weight_margin`` of the rule (None on an empty side), and the raw
-        LP residuals of the certified iterate, for auditing.
+        LP residuals of the certified iterate (empty when the LP did not
+        run), for auditing.
     lp_iterations : int
         Interior-point steps taken before the certified iterate; 0 when the
-        LP's starting point certifies the split.
+        LP's starting point certifies the split or the LP did not run.
     block : TightBlock or None
         A_B factored as the split was proven on it, for the bounds to reuse.
         Not serialized; None on a certificate built by hand.
@@ -161,15 +168,27 @@ def compute_partition(
 ) -> PartitionCertificate:
     """Compute the tight/slack row partition with its witnesses.
 
-    Each iterate of the partition LP is tried as it comes: its split
-    ``B = {i : y_i > s_i}``, its x projected onto ``null(A_B)`` and scaled
-    to unit norm, and its ``y_B`` put on the slice ``{A_B'y = 0, 1'y = 1}``
-    (``TightBlock.project_to_slice``).  The LP stops at the first iterate
-    whose ``slack_margin`` and ``weight_margin`` are positive (an empty side
-    needs none), which proves the split; ``t`` and ``lp_iterations`` are
-    that iterate's.  ``A`` is factored once, as the LP's ``TightBlock``,
-    which is also the certificate's block when every row is tight; the SVDs
-    of any other split are redone only when B changes.
+    A split is tried as a mask with candidate witnesses: x projected onto
+    ``null(A_B)`` and scaled to unit norm, and ``y_B`` put on the slice
+    ``{A_B'y = 0, 1'y = 1}`` (``TightBlock.project_to_slice``).  It is
+    proven when its ``slack_margin`` and ``weight_margin`` are positive (an
+    empty side needs none).
+
+    First the two one-sided splits are tried on least-squares witnesses,
+    read off ``full = TightBlock(A)`` with ``W = U S V'``: ``x_ls = -V c``
+    with ``c = (WV)^+ 1`` solves ``W x = -1`` in least squares, and its
+    residual ``r = 1 + W x_ls = (I - UU')1`` lies in ``null(W')``.  If
+    ``W x_ls < 0``, x_ls is tried for the all-slack split; else if
+    ``r > 0``, r is tried as the weights of the all-tight split.  A split
+    proven here reports ``t = 0``, ``lp_iterations = 0`` and no LP
+    residuals.
+
+    Otherwise each iterate of the partition LP is tried as it comes, with
+    the split ``B = {i : y_i > s_i}``, or the all-slack split when
+    ``A x < 0``.  The LP stops at the first iterate whose split is proven;
+    ``t`` and ``lp_iterations`` are that iterate's.  ``A`` is factored once,
+    as ``full``, which is also the certificate's block when every row is
+    tight; the SVDs of any other split are redone only when B changes.
 
     Raises
     ------
@@ -182,10 +201,10 @@ def compute_partition(
     """
     A = instance.A
     full = TightBlock(A)
+    all_slack = np.zeros(A.shape[0], bool)
     cache: list = [None, None, None]  # the latest B mask, its TightBlock, A_N
 
-    def certify(x, y, s, t):
-        b_mask = y > s
+    def certify(b_mask, x, y):
         key = b_mask.tobytes()
         if key != cache[0]:
             if b_mask.all():
@@ -219,35 +238,55 @@ def compute_partition(
                 return None
         return b_mask, block, x_hat, y_hat, slack, weight
 
-    sol = solve_partition_lp(full, cfg, accept=certify)
-    if sol.accepted is None:
-        raise AmbiguousIndex(
-            f"the partition LP converged after {sol.iterations} iterations "
-            "without an iterate whose split passes the margin rule"
-        )
-    b_mask, block, x_hat, y_hat, slack, weight = sol.accepted
+    def accept(x, y, s, t):
+        # An interior x proves every row slack, whatever y > s says.
+        return certify(all_slack if (A @ x < 0.0).all() else y > s, x, y)
+
+    # x_ls = -V c solves W x = -1 in least squares, with c = (WV)^+ 1: the
+    # columns of WV = U S are orthogonal, so c_k = (WV)'1 / s_k^2.  Its
+    # residual 1 + W x_ls lies in null(W').
+    WV = full.WV
+    c = WV.sum(axis=0) / np.square(WV).sum(axis=0)
+    Wx = -(WV @ c)
+    found = None
+    if (Wx < 0.0).all():
+        found = certify(all_slack, -(full.V @ c), None)
+    elif (1.0 + Wx > 0.0).all():
+        found = certify(~all_slack, None, 1.0 + Wx)
+    if found is not None:
+        t, iterations, lp_residuals = 0.0, 0, {}
+    else:
+        sol = solve_partition_lp(full, cfg, accept=accept)
+        if sol.accepted is None:
+            raise AmbiguousIndex(
+                f"the partition LP converged after {sol.iterations} iterations "
+                "without an iterate whose split passes the margin rule"
+            )
+        found = sol.accepted
+        t, iterations, lp_residuals = sol.t, sol.iterations, dict(sol.residuals)
+    b_mask, block, x_hat, y_hat, slack, weight = found
 
     B = tuple(int(i) for i in np.flatnonzero(b_mask))
     N = tuple(int(i) for i in np.flatnonzero(~b_mask))
     A_B = block.A_B
     A_N = A[~b_mask]
     residuals = {
-        "t": sol.t,
+        "t": t,
         "tight_rows_inf": float(np.abs(A_B @ x_hat).max(initial=0.0)),
         "center_eq_inf": float(np.abs(A_B.T @ y_hat).max(initial=0.0)) if B else 0.0,
         "slack_margin": slack,
         "weight_margin": weight,
-        "lp": dict(sol.residuals),
+        "lp": lp_residuals,
     }
     return PartitionCertificate(
         B=B,
         N=N,
         x_hat=x_hat,
         y_hat=y_hat,
-        t=sol.t,
+        t=t,
         min_slack_N=float((-(A_N @ x_hat)).min()) if N else None,
         min_y_hat=float(y_hat.min()) if B else None,
         residuals=residuals,
-        lp_iterations=sol.iterations,
+        lp_iterations=iterations,
         block=block,
     )

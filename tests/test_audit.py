@@ -154,6 +154,31 @@ def test_audit_rejects_a_halved_stitch_witness():
     assert res.metrics["stitch_margin"] == pytest.approx(0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("A, component, witness, value, name", [
+    (-np.eye(5), "case_n", "x_bar", lambda z: float(np.linalg.norm(z)),
+     "slack-block witness"),
+    (C4, "stitch", "w_bar", lambda z: 1.0 + 2.0 * float(np.linalg.norm(z)),
+     "stitch witness"),
+], ids=["x_bar", "w_bar"])
+def test_audit_rejects_a_witness_shrunk_below_unit_margin(A, component, witness, value,
+                                                         name):
+    # shrunk by 1 - 5e-10, the witness keeps its margin within MARGIN_TOL and
+    # its value is recomputed, but it proves only a value 5e-10 larger
+    inst = instance(A)
+    rep = bound_h0(inst)
+    z = getattr(getattr(rep, component), witness) * (1.0 - 5e-10)
+    bad = dataclasses.replace(getattr(rep, component), **{witness: z, "value": value(z)})
+    bad = dataclasses.replace(rep, **{component: bad})
+    factor = 1.0 if bad.stitch is None else bad.stitch.value
+    bad = dataclasses.replace(bad, total=factor * max(
+        c.value for c in (bad.case_n, bad.case_b) if c is not None))
+    res = audit_report(inst, bad)
+    assert not res.ok
+    assert len(res.failures) == 1
+    assert res.failures[0].startswith(f"{name} proves")
+    assert 1.0 - 1e-9 < res.metrics[f"{component}_margin"] < 1.0
+
+
 @pytest.mark.parametrize("component, witness, message", [
     ("partition", "x_hat", "x_hat length does not match n"),
     ("case_n", "x_bar", "slack-block witness length does not match n"),

@@ -214,9 +214,9 @@ def test_payload_shape_and_schema_for_each_branch():
 
 
 def test_canonical_payload_carries_the_partition_lp_work():
-    # the starting point already certifies -eye(3), so take a matrix whose
-    # split needs interior-point steps
-    rep = bound_h0(instance(gaussian_matrix(208)))
+    # least-squares witnesses prove -eye(3) before the LP, so take a matrix
+    # whose split needs interior-point steps
+    rep = bound_h0(instance(gaussian_matrix(205)))
     part = json.loads(canonical_report_json(report_to_dict(rep)))["partition"]
     assert part["lp_iterations"] == rep.partition.lp_iterations > 0
 

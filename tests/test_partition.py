@@ -4,15 +4,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hoffbound.partition
-from hoffbound import AmbiguousIndex, HoffboundError, SolverConfig
+import hoffbound.solvers.programs
+from hoffbound import AmbiguousIndex, HoffboundError, SolverConfig, audit_report, bound_h0
 from hoffbound.audit import verify_partition
 from hoffbound.numerics import TightBlock
 from hoffbound.partition import PartitionCertificate, compute_partition
 from hoffbound.solvers.programs import solve_partition_lp
 
-from helpers import gaussian_matrix, instance
+from helpers import gaussian_matrix, instance, planted_mixed_split
 
 C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 
@@ -27,10 +30,11 @@ def test_all_slack_instance():
     assert cert.y_hat.size == 0
     assert cert.min_y_hat is None
     assert cert.min_slack_N == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-8)
-    # the LP's starting point certifies the split; its margin variable
-    # exceeds the LP optimum 0.2 (test_solvers pins that)
+    # A has full row rank, so the least-squares solution of A x = -1 is
+    # interior and proves the split before the LP runs
     assert cert.lp_iterations == 0
-    assert cert.t == pytest.approx(17.0 / 84.0, rel=1e-12)
+    assert cert.t == 0.0
+    assert cert.residuals["lp"] == {}
 
 
 def test_all_tight_instance():
@@ -41,9 +45,11 @@ def test_all_tight_instance():
     assert np.allclose(cert.y_hat, [0.5, 0.5], atol=1e-8)
     assert np.allclose(cert.x_hat, 0.0)
     assert cert.min_slack_N is None
-    # certified at the starting point, whose t is not the optimum 0.5
+    # the least-squares residual of A x = -1 is (1, 1), positive weights
+    # that prove the split before the LP runs
     assert cert.lp_iterations == 0
-    assert cert.t == pytest.approx(61.0 / 138.0, rel=1e-12)
+    assert cert.t == 0.0
+    assert cert.residuals["lp"] == {}
 
 
 def test_mixed_instance():
@@ -151,18 +157,34 @@ def test_untrusted_margin_raises_after_one_solve(monkeypatch):
     assert len(seen) == 1
 
 
-def test_partition_covers_all_rows_on_random_instances():
-    for seed in range(12):
-        inst = instance(gaussian_matrix(200 + seed))
+def test_partition_covers_all_rows_on_random_instances(monkeypatch):
+    real = hoffbound.partition.solve_partition_lp
+    ran = []
+
+    def counted(block, cfg, accept):
+        ran.append(block)
+        return real(block, cfg, accept)
+
+    monkeypatch.setattr(hoffbound.partition, "solve_partition_lp", counted)
+    lp_seeds = []
+    for seed in range(200, 212):
+        inst = instance(gaussian_matrix(seed))
+        ran.clear()
         cert = compute_partition(inst)
         assert sorted(cert.B + cert.N) == list(range(inst.m))
         assert verify_partition(inst, cert).ok
         # the certified split is the converged LP's support split, found
         # in fewer steps
-        sol = solve_partition_lp(TightBlock(inst.A))
+        sol = real(TightBlock(inst.A))
         assert cert.B == tuple(np.flatnonzero(sol.y > sol.s))
         assert cert.lp_iterations < sol.iterations
-        assert cert.t > 0.0
+        # every LP iterate has t > 0; a split proven before the LP has 0
+        if ran:
+            lp_seeds.append(seed)
+            assert cert.t > 0.0
+        else:
+            assert cert.t == 0.0 and cert.lp_iterations == 0
+    assert lp_seeds == [205, 209]
 
 
 def test_partition_is_permutation_equivariant():
@@ -173,3 +195,110 @@ def test_partition_is_permutation_equivariant():
     cert_p = compute_partition(instance(A[perm]))
     assert {int(perm[i]) for i in cert_p.B} == set(cert.B)
     assert {int(perm[i]) for i in cert_p.N} == set(cert.N)
+
+
+def test_one_sided_splits_are_proven_without_the_interior_point_method(monkeypatch):
+    # -eye(5) is proven all slack by its least-squares solution of A x = -1,
+    # and this 20 x 10 Gaussian matrix all tight by the residual r > 0
+    def refuse(*args, **kwargs):
+        raise AssertionError("the interior-point method was called")
+
+    monkeypatch.setattr(hoffbound.solvers.programs, "solve_qp_ipm", refuse)
+    for A, branch in ((-np.eye(5), "case_N"), (gaussian_matrix(216), "case_B")):
+        inst = instance(A)
+        rep = bound_h0(inst)
+        assert rep.branch == branch
+        assert rep.partition.lp_iterations == 0 and rep.partition.t == 0.0
+        res = audit_report(inst, rep)
+        assert res.ok, res.failures
+
+
+def _cone_with_interior(seed: int, m: int, n: int, margin: float = 1.0) -> np.ndarray:
+    """Rows ``g_i - c_i d`` with g_i orthogonal to a unit d and c_i > 0, the
+    first at most ``margin``, so that ``A d < 0`` and every row is slack."""
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(n)
+    d /= np.linalg.norm(d)
+    G = rng.standard_normal((m, n))
+    G -= np.outer(G @ d, d)
+    c = rng.uniform(0.05, 1.0, m)
+    c[0] = min(c[0], margin)
+    return G - c[:, None] * d
+
+
+def test_an_all_slack_input_stops_at_its_first_interior_iterate():
+    A = _cone_with_interior(11, 12, 4)
+    full = TightBlock(A)
+    x_ls = np.linalg.lstsq(A, -np.ones(12), rcond=None)[0]
+    assert not (A @ x_ls < 0.0).all()  # so the LP runs
+    first = solve_partition_lp(
+        full, accept=lambda x, y, s, t: True if (A @ x < 0.0).all() else None)
+    # the split y > s is all slack only later, and no earlier iterate's
+    # split could have been proven
+    late = solve_partition_lp(
+        full, accept=lambda x, y, s, t: None if (y > s).any() else True)
+    assert first.iterations < late.iterations
+    cert = compute_partition(instance(A))
+    assert cert.B == ()
+    assert cert.lp_iterations == first.iterations
+    assert cert.t > 0.0
+    assert np.all(A @ cert.x_hat < 0.0)
+
+
+@pytest.mark.parametrize("m, n", [(200, 40), (400, 40)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_planted_mixed_splits_are_left_to_the_lp(m, n, seed):
+    A, slack = planted_mixed_split(seed, m, n)
+    inst = instance(A)
+    cert = compute_partition(inst)
+    assert cert.N == tuple(int(i) for i in np.flatnonzero(slack))
+    assert cert.lp_iterations > 0 and cert.t > 0.0
+    assert cert.residuals["lp"]
+    assert verify_partition(inst, cert).ok
+
+
+class _Deferred(Exception):
+    pass
+
+
+def _defer(block, cfg, accept):
+    raise _Deferred
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(side=st.sampled_from(["slack", "tight", "mixed"]), seed=st.integers(0, 999),
+       n=st.integers(2, 8), extra=st.integers(1, 12), k=st.integers(0, 10),
+       scaled=st.booleans())
+def test_least_squares_witnesses_prove_the_true_side_or_defer(side, seed, n, extra, k,
+                                                             scaled):
+    # One-sided inputs whose margin is 10^-k: slack rows meet a direction d
+    # at -10^-k or more, tight rows carry weights down to 10^-k; mixed
+    # inputs are planted.  With rows scaled by 10^U(-8, 8), the split proven
+    # before the LP is the true one, or the LP is left to decide.
+    rng = np.random.default_rng([seed, 8])
+    m = n + extra
+    if side == "slack":
+        A = _cone_with_interior(seed, m, n, 10.0**-k)
+        truth = ()
+    elif side == "tight":
+        G = rng.standard_normal((m - 1, n))
+        w = rng.uniform(0.0, 1.0, m - 1)
+        w[0] = 10.0**-k
+        A = np.vstack([G, -(w @ G)])
+        truth = tuple(range(m))
+    else:
+        A, slack = planted_mixed_split(seed, 5 * m, n)
+        truth = tuple(int(i) for i in np.flatnonzero(~slack))
+    if scaled:
+        A = A * 10.0 ** rng.uniform(-8.0, 8.0, size=(A.shape[0], 1))
+    inst = instance(A)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hoffbound.partition, "solve_partition_lp", _defer)
+        try:
+            cert = compute_partition(inst)
+        except (_Deferred, HoffboundError):  # left to the LP, or a typed error
+            return
+    assert side != "mixed"
+    assert cert.B == truth
+    assert cert.t == 0.0 and cert.lp_iterations == 0
+    assert verify_partition(inst, cert).ok

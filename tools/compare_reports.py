@@ -23,12 +23,13 @@ byte-identical, with the cases that differ, and how many cases differ in
 each report field, so a change names the fields it moved from this output;
 a change that moves the floats cannot keep them byte-identical, and that
 alone is no failure.  It prints every mismatch, how many cases differ in
-``lp_iterations``, and the largest relative change of the total, ``sigma``,
-the stitch value, ``t`` and the lower bound, so a change that moves the
-floats reports by how much, and exits 1 unless both
-dumps cover the same cases with the same branches, B/N, errors and audit
-verdicts, every audit passes, totals agree within ``TOTAL_RTOL`` and lower
-bounds within ``LOWER_RTOL``.
+``lp_iterations``, how many cases each side proved before the partition LP
+(``t`` = 0), and the largest relative change of the total, ``sigma``, the
+stitch value, ``t`` (over the cases where both sides ran the LP) and the
+lower bound, so a change that moves the floats reports by how much, and
+exits 1 unless both dumps cover the same cases with the same branches, B/N,
+errors and audit verdicts, every audit passes, totals agree within
+``TOTAL_RTOL`` and lower bounds within ``LOWER_RTOL``.
 """
 
 from __future__ import annotations
@@ -162,6 +163,12 @@ def _rel(a: float | None, b: float | None) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300) if a != b else 0.0
 
 
+def _before_lp(row: dict) -> bool:
+    """Whether the case's split was proven before the partition LP ran: every
+    LP iterate has t > 0, and such a split reports t = 0."""
+    return row.get("t") == 0.0
+
+
 def compare(old_path: str, new_path: str) -> int:
     old, new = _load(old_path), _load(new_path)
     common = sorted(old.keys() & new.keys())
@@ -182,6 +189,8 @@ def compare(old_path: str, new_path: str) -> int:
         for field, tol in (("total", TOTAL_RTOL), ("sigma", math.inf),
                            ("stitch_value", math.inf), ("t", math.inf),
                            ("lower", LOWER_RTOL)):
+            if field == "t" and (_before_lp(a) or _before_lp(b)):
+                continue
             rel = _rel(a.get(field), b.get(field))
             if rel > worst[field][0]:
                 worst[field] = (rel, key)
@@ -203,6 +212,9 @@ def compare(old_path: str, new_path: str) -> int:
     differ = sum(1 for key in common
                  if old[key].get("lp_iterations") != new[key].get("lp_iterations"))
     print(f"{differ} of {len(common)} cases differ in lp_iterations")
+    before = [sum(1 for key in common if _before_lp(side[key])) for side in (old, new)]
+    print(f"{before[0]} (old) and {before[1]} (new) of {len(common)} cases "
+          "proven before the partition LP")
     for field, (rel, key) in worst.items():
         where = f" at {key}" if key else ""
         print(f"largest relative change in {field}: {rel:.3e}{where}")
