@@ -218,7 +218,7 @@ def _jsonable(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.ravel()]
+        return obj.ravel().tolist()
     # bool before int: bool is an int subclass
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)

@@ -195,7 +195,8 @@ def compute_partition(
     AmbiguousIndex
         If the LP converges without an iterate whose split is proven.
     SolverStall
-        If the LP stalls, diverges or reaches its iteration cap first.
+        If the LP stalls, diverges, meets a singular Newton system or
+        reaches its iteration cap first.
     NumericalFailure
         If the rank of A falls in the rank rule's ambiguous band.
     """

@@ -24,7 +24,9 @@ eliminating it leaves a symmetric system of dimension ``2r + 2`` in
 ``(dx, dt, -dl)``, built from four weighted Gram products of ``[M, 1]``:
 O(m r^2) flops per step and no array larger than O(m r).  Full column rank
 of ``M`` makes ``F'DF`` positive definite and ``G`` of full row rank, so the
-system is nonsingular without regularization.
+system is nonsingular without regularization; in floating point its LU can
+still meet a zero pivot once ``D`` spans too many decades, and the solve
+then ends at the last iterate with status ``"singular"``.
 
 Near the optimum ``D`` spans more than 16 decades.  A slack step computed
 as ``F du`` then carries rounding that ``D`` amplifies into the dual step,
@@ -162,9 +164,10 @@ def solve_qp_ipm(feas_tol: float, opt_tol: float, M: np.ndarray,
     -------
     IPMResult
         Final iterate, with status ``"converged"``, ``"stalled"`` (also at
-        the ``MAX_ITERS`` cap), or ``"diverged"`` when an iterate overflowed
-        to inf or NaN.  numpy's warnings for that overflow are silenced,
-        since it is detected and ends the solve.
+        the ``MAX_ITERS`` cap), ``"diverged"`` when an iterate overflowed
+        to inf or NaN, or ``"singular"`` when the LU of an iterate's Newton
+        system met a zero pivot.  numpy's warnings for that overflow are
+        silenced, since it is detected and ends the solve.
     """
     m, r = M.shape
     r1 = r + 1
@@ -256,7 +259,11 @@ def solve_qp_ipm(feas_tol: float, opt_tol: float, M: np.ndarray,
 
         D = z / g
         Drg = D * rg
-        newton = _Newton(N, colsum, D)
+        try:
+            newton = _Newton(N, colsum, D)
+        except NumericalFailure:
+            status = "singular"
+            break
 
         def direction(rc: np.ndarray):
             du, nu, V = newton.solve(F_T(rc / g - Drg) - rd, rp)

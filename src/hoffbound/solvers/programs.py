@@ -145,7 +145,8 @@ def solve_partition_lp(
     Raises
     ------
     SolverStall
-        If the interior-point iteration stalls, diverges or reaches its cap.
+        If the interior-point iteration stalls, diverges, meets a singular
+        Newton system or reaches its cap.
     """
     cfg = cfg or SolverConfig()
     V = block.V

@@ -195,6 +195,42 @@ def test_audit_records_a_witness_of_the_wrong_length(component, witness, message
     assert message in res.failures
 
 
+@pytest.mark.parametrize("A, field, change, message", [
+    (C4, "partition.N", lambda N: (), "B and N do not partition the row indices"),
+    (C4, "partition.B", lambda B: B[::-1], "index tuples are not sorted"),
+    (C4, "partition.x_hat", lambda x: 2.0 * x, "x_hat norm "),
+    (np.array([[1.0], [-1.0]]), "partition.x_hat", lambda x: x + 1.0,
+     "x_hat must be zero when N is empty"),
+    (C4, "partition.y_hat", lambda y: np.append(y, 0.0), "y_hat length does not match B"),
+    (-np.eye(3), "partition.y_hat", lambda y: np.ones(1),
+     "y_hat must be empty when B is empty"),
+    (C4, "case_b.y_bar", lambda y: y * (1.0 + 1e-9), "y_bar sums to 1 only within"),
+    (C4, "case_b.y_bar", lambda y: np.array([0.6, 0.4]), "A_B' y_bar residual"),
+    (C4, "case_b.sigma", lambda s: None, "sigma is missing for a nonzero tight block"),
+    (C4, "case_b.sigma", lambda s: -s, "sigma must be positive"),
+    (np.array([[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]), "case_b.value", lambda v: 1.0,
+     "zero tight block must report value 0"),
+    (C4, "case_b.value", lambda v: 1.5 * v, "tight-block value does not equal 2 / sigma"),
+    (C4, "stitch.value", lambda v: v + 1.0, "stitch value does not equal 1 + 2 ||w_bar||"),
+    (C4, "branch", lambda b: "bogus", "unknown branch 'bogus'"),
+], ids=["B_N_cover", "B_unsorted", "x_hat_norm", "x_hat_without_N", "y_hat_length",
+        "y_hat_without_B", "y_bar_sum", "y_bar_residual", "sigma_missing",
+        "sigma_negative", "zero_block_value", "case_b_value", "stitch_value", "branch"])
+def test_audit_names_the_check_a_tampered_field_fails(A, field, change, message):
+    # one field of an honest report changed: its own check records the failure
+    inst = instance(A)
+    rep = bound_h0(inst)
+    assert audit_report(inst, rep).ok
+    component, _, name = field.rpartition(".")
+    owner = getattr(rep, component) if component else rep
+    bad = dataclasses.replace(owner, **{name: change(getattr(owner, name))})
+    if component:
+        bad = dataclasses.replace(rep, **{component: bad})
+    res = audit_report(inst, bad)
+    assert not res.ok
+    assert any(f.startswith(message) for f in res.failures), res.failures
+
+
 def test_audit_factors_the_tight_rows_once(monkeypatch):
     # verify_partition and the stitch check share the audit's one SVD of A_B
     inst = instance(planted_mixed_matrix(3, 30, 8))

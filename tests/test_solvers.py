@@ -14,6 +14,7 @@ from hoffbound import (
     ProblemInstance,
     SolverConfig,
     SolverStall,
+    bound_h0,
 )
 import hoffbound.solvers.ipm
 from hoffbound.audit import verify_partition
@@ -436,6 +437,21 @@ def test_partition_lp_whose_iterates_overflow_stalls_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverStall, match="diverged"):
             solve_partition_lp(TightBlock(A))
+
+
+def test_partition_lp_with_a_singular_newton_system_stalls():
+    # rows scaled by 10^U(-4, 4) from row seed 2: the LU of a late Newton
+    # system meets a zero pivot; the IPM ends as "singular" at its last
+    # (finite, interior) iterate and bound_h0 raises SolverStall
+    A, _ = planted_mixed_split(0, 18, 5)
+    A = A * 10.0 ** np.random.default_rng([2, 4]).uniform(-4.0, 4.0, size=(18, 1))
+    block = TightBlock(A)
+    res = hoffbound.solvers.ipm.solve_qp_ipm(1e-10, 1e-9, block.W @ block.V)
+    assert res.status == "singular"
+    assert res.iterations > 0
+    assert np.isfinite(res.x).all() and (res.y > 0.0).all() and (res.s > 0.0).all()
+    with pytest.raises(SolverStall, match="singular"):
+        bound_h0(instance(A))
 
 
 @pytest.mark.parametrize("m, n", [(800, 80), (1600, 100)])
