@@ -23,6 +23,9 @@ bounds, degenerating to the single available component when one side of the
 partition is empty.  A_B is factored once, by the partition
 (``PartitionCertificate.block``): the center and sigma use its row space and
 the stitch its null basis Q, the complement of the row space of the split.
+A one-sided split proven by the least-distance fit or the analytic center
+hands that solve on (``PartitionCertificate.solution``), so it is not solved
+twice.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from .numerics import (
 )
 from .partition import PartitionCertificate, compute_partition
 from .solvers.programs import (
+    AnalyticCenterSolution,
+    MinNormSolution,
     SolverConfig,
     solve_analytic_center,
     solve_min_norm_qp,
@@ -124,21 +129,31 @@ class BoundReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def bound_case_n(A_N: np.ndarray, cfg: SolverConfig | None = None) -> CaseNBound:
+def bound_case_n(
+    A_N: np.ndarray,
+    cfg: SolverConfig | None = None,
+    fit: MinNormSolution | None = None,
+) -> CaseNBound:
     """Certified bound for the slack-row block via a minimum-norm point.
 
     Any x_bar with A_N x_bar >= 1 componentwise certifies that every unit of
     max-norm violation can be repaired by moving at most ||x_bar|| in
     Euclidean distance, so the minimum-norm such point gives the tightest
-    bound of this family.
+    bound of this family.  ``fit`` is ``solve_min_norm_qp(A_N, cfg)`` when
+    the caller has it already: the partition's least-distance fit, when
+    that fit proved every row slack.
     """
     cfg = cfg or SolverConfig()
     A_N = np.asarray(A_N, dtype=float)
-    sol = solve_min_norm_qp(A_N, cfg)
+    sol = fit if fit is not None else solve_min_norm_qp(A_N, cfg)
     return CaseNBound(value=sol.norm, x_bar=sol.z.copy(), min_margin=sol.min_margin)
 
 
-def bound_case_b(block: TightBlock, cfg: SolverConfig | None = None) -> CaseBBound:
+def bound_case_b(
+    block: TightBlock,
+    cfg: SolverConfig | None = None,
+    center: AnalyticCenterSolution | None = None,
+) -> CaseBBound:
     """Certified bound for the tight rows of ``block`` via the analytic center.
 
     The center y_bar maximizes the product of the dual weights on the slice
@@ -146,8 +161,10 @@ def bound_case_b(block: TightBlock, cfg: SolverConfig | None = None) -> CaseBBou
     has ``||diag(y_bar) A_B w|| >= sigma ||w||`` on the row space of A_B,
     which gives the bound 2 / sigma.  The center is computed from the block
     alone, by Newton on its unconstrained dual (``solve_analytic_center``),
-    which needs no starting point on the slice.  An identically zero block
-    returns 0 by convention.
+    which needs no starting point on the slice; ``center`` is that solve
+    when the caller has it already: the partition's center, when the center
+    proved every row tight.  An identically zero block returns 0 by
+    convention.
     """
     cfg = cfg or SolverConfig()
     p = block.A_B.shape[0]
@@ -156,7 +173,7 @@ def bound_case_b(block: TightBlock, cfg: SolverConfig | None = None) -> CaseBBou
     if block.rank == 0:  # A_B is identically zero
         return CaseBBound(value=0.0, y_bar=np.full(p, 1.0 / p), sigma=None)
 
-    ac = solve_analytic_center(block, cfg)
+    ac = center if center is not None else solve_analytic_center(block, cfg)
     sigma = block.weighted_sigma(ac.y)
     return CaseBBound(value=2.0 / sigma, y_bar=ac.y.copy(), sigma=sigma)
 
@@ -230,10 +247,14 @@ def bound_h0(instance: ProblemInstance, cfg: SolverConfig | None = None) -> Boun
     else:
         cert = _timed(timings, "partition_s", compute_partition, instance, cfg)
         A_N = instance.A[list(cert.N)]
+        # A partition proven by its least-distance fit is all slack, and one
+        # proven by the analytic center all tight: its solution is that
+        # side's solve.
         if cert.N:
-            case_n = _timed(timings, "case_n_s", bound_case_n, A_N, cfg)
+            case_n = _timed(timings, "case_n_s", bound_case_n, A_N, cfg, cert.solution)
         if cert.B:
-            case_b = _timed(timings, "case_b_s", bound_case_b, cert.block, cfg)
+            case_b = _timed(timings, "case_b_s", bound_case_b, cert.block, cfg,
+                            cert.solution)
         if cert.N and cert.B:
             stitch = _timed(timings, "stitch_s", bound_stitch, cert.block, A_N, cfg)
             total, branch = stitch.value * max(case_n.value, case_b.value), "general"

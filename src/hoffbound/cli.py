@@ -119,8 +119,11 @@ def _print_text(payload: dict) -> None:
     if part is not None:
         print(f"tight rows B: {part['B']}")
         print(f"slack rows N: {part['N']}")
-        print(f"margin t of the certified LP iterate: {part['t']:.6e}")
-        print(f"partition LP: {part['lp_iterations']} iterations to the certified split")
+        if part["residuals"]["lp"]:
+            print(f"margin t of the certified LP iterate: {part['t']:.6e}")
+            print(f"partition LP: {part['lp_iterations']} iterations to the certified split")
+        else:
+            print("partition LP: not run, the split was proven before it")
     for key, label in (("case_N", "slack-block bound"),
                        ("case_B", "tight-block bound"),
                        ("stitch", "restriction factor")):

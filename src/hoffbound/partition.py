@@ -3,16 +3,21 @@
 For the cone P = {x : A x <= 0} every row index lands in exactly one of two
 camps: the tight rows B, satisfied with equality by every point of P, and
 the slack rows N, which admit a point of P with strictly negative value.
-Most inputs are one-sided, and least-squares witnesses prove them before
-any LP runs: the solution of ``A x = -1`` in least squares shows every row
-slack when it is interior, and its residual, which lies in ``null(A')``,
-shows every row tight when it is positive.  Otherwise the split is read off
-the iterates of one self-dual LP, whose supports separate the camps at the
-optimum (slack rows get s_i >= t through the primal half, tight rows
-y_i >= t through the dual half).  The LP stops at the first iterate whose
-split the margin rule proves: ``y_i > s_i``, or all slack where the
-iterate's x is interior.  Every split is proven by ``slack_margin`` and
-``weight_margin``, which the audit applies too.
+Most inputs are one-sided, and least-squares witnesses prove most of them
+before any LP runs: the solution of ``A x = -1`` in least squares shows
+every row slack when it is interior, and its residual, which lies in
+``null(A')``, shows every row tight when it is positive.  The rest of the
+one-sided inputs are proven by the witnesses the block bounds compute
+anyway: the least-distance point of ``A z >= 1`` (every row slack), or the
+analytic center of the weight slice once the Farkas weights of an
+infeasible least-distance fit show that the tight rows span the row space
+of A (every row tight).  Otherwise the split is read off the iterates of
+one self-dual LP, whose supports separate the camps at the optimum (slack
+rows get s_i >= t through the primal half, tight rows y_i >= t through the
+dual half).  The LP stops at the first iterate whose split the margin rule
+proves: ``y_i > s_i``, or all slack where the iterate's x is interior.
+Every split is proven by ``slack_margin`` and ``weight_margin``, which the
+audit applies too.
 """
 
 from __future__ import annotations
@@ -23,7 +28,15 @@ import numpy as np
 
 from .core import HoffboundError, ProblemInstance, euclidean_norm, row_norms
 from .numerics import NumericalFailure, TightBlock
-from .solvers.programs import SolverConfig, solve_partition_lp
+from .solvers.programs import (
+    AnalyticCenterSolution,
+    InfeasibleQP,
+    MinNormSolution,
+    SolverConfig,
+    solve_analytic_center,
+    solve_min_norm_qp,
+    solve_partition_lp,
+)
 
 __all__ = [
     "AmbiguousIndex",
@@ -34,6 +47,10 @@ __all__ = [
 ]
 
 _UNIT_ROUNDOFF = 2.0**-53
+
+# Rows whose Farkas weight is at most this fraction of the largest are not
+# counted as proven tight.
+_SUPPORT_CUT = 1e-4
 
 
 class AmbiguousIndex(HoffboundError):
@@ -62,8 +79,9 @@ class PartitionCertificate:
     t : float
         Support margin t of the LP iterate whose split was certified.  That
         iterate need not be feasible, so t can exceed the LP's optimal
-        margin.  0 when least-squares witnesses proved the split before the
-        LP ran (every LP iterate has t > 0).
+        margin.  0 when the split was proven before the LP ran, by
+        least-squares witnesses, the least-distance fit or the analytic
+        center (every LP iterate has t > 0).
     min_slack_N : float or None
         min over N of -a_i' x_hat; None when N is empty.
     min_y_hat : float or None
@@ -75,10 +93,17 @@ class PartitionCertificate:
         run), for auditing.
     lp_iterations : int
         Interior-point steps taken before the certified iterate; 0 when the
-        LP's starting point certifies the split or the LP did not run.
+        LP's starting point certifies the split or the LP did not run (the
+        split proven by least-squares witnesses, the least-distance fit or
+        the analytic center).
     block : TightBlock or None
         A_B factored as the split was proven on it, for the bounds to reuse.
         Not serialized; None on a certificate built by hand.
+    solution : MinNormSolution or AnalyticCenterSolution or None
+        The least-distance fit of all of A that proved every row slack, or
+        the analytic center of ``block`` that proved every row tight, for
+        ``bound_case_n`` or ``bound_case_b`` to reuse.  Not serialized; None
+        when another witness proved the split.
     """
 
     B: tuple[int, ...]
@@ -91,6 +116,8 @@ class PartitionCertificate:
     residuals: dict = field(default_factory=dict)
     lp_iterations: int = 0
     block: TightBlock | None = field(default=None, repr=False, metadata={"json": False})
+    solution: MinNormSolution | AnalyticCenterSolution | None = field(
+        default=None, repr=False, metadata={"json": False})
 
     def __post_init__(self) -> None:
         if set(self.B) & set(self.N):
@@ -179,16 +206,29 @@ def compute_partition(
     with ``c = (WV)^+ 1`` solves ``W x = -1`` in least squares, and its
     residual ``r = 1 + W x_ls = (I - UU')1`` lies in ``null(W')``.  If
     ``W x_ls < 0``, x_ls is tried for the all-slack split; else if
-    ``r > 0``, r is tried as the weights of the all-tight split.  A split
-    proven here reports ``t = 0``, ``lp_iterations = 0`` and no LP
-    residuals.
+    ``r > 0``, r is tried as the weights of the all-tight split.
+
+    Then least-distance fits (``solve_min_norm_qp``) are tried.  The first
+    is on the ``rank(A) + 1`` rows with the largest ``(W x_ls)_i / ||w_i||``,
+    enough for a minimal Farkas certificate (Caratheodory), and is skipped
+    when A has no more rows; if it finds a point, the second is on all of
+    A, and its point ``z`` gives ``x = -z`` for the all-slack split.  If
+    either fit is infeasible, its weights ``u >= 0`` prove the rows with
+    ``u_i > 1e-4 max u`` tight; when those rows have the rank of A, every
+    row lies in their span and is tight, and the analytic center of
+    ``full`` is tried as the weights of the all-tight split.  The fit or
+    center that proves the split is the certificate's ``solution``.  A
+    split proven before the LP reports ``t = 0``, ``lp_iterations = 0`` and
+    no LP residuals.
 
     Otherwise each iterate of the partition LP is tried as it comes, with
     the split ``B = {i : y_i > s_i}``, or the all-slack split when
     ``A x < 0``.  The LP stops at the first iterate whose split is proven;
-    ``t`` and ``lp_iterations`` are that iterate's.  ``A`` is factored once,
-    as ``full``, which is also the certificate's block when every row is
-    tight; the SVDs of any other split are redone only when B changes.
+    ``t`` and ``lp_iterations`` are that iterate's.  The LP runs when the
+    witnesses above fail: on a mixed split, and whenever a fit or the
+    center raises or its witness fails the margin rule.  ``A`` is factored
+    once, as ``full``, which is also the certificate's block when every row
+    is tight; the SVDs of any other split are redone only when B changes.
 
     Raises
     ------
@@ -249,11 +289,13 @@ def compute_partition(
     WV = full.WV
     c = WV.sum(axis=0) / np.square(WV).sum(axis=0)
     Wx = -(WV @ c)
-    found = None
+    found = solution = None
     if (Wx < 0.0).all():
         found = certify(all_slack, -(full.V @ c), None)
     elif (1.0 + Wx > 0.0).all():
         found = certify(~all_slack, None, 1.0 + Wx)
+    if found is None:
+        found, solution = _least_distance(A, full, Wx, certify, cfg)
     if found is not None:
         t, iterations, lp_residuals = 0.0, 0, {}
     else:
@@ -290,4 +332,36 @@ def compute_partition(
         residuals=residuals,
         lp_iterations=iterations,
         block=block,
+        solution=solution,
     )
+
+
+def _least_distance(A, full, Wx, certify, cfg):
+    """The least-distance stage of ``compute_partition``: what ``certify``
+    returned for a one-sided split and the fit or center it was tried on,
+    or ``(None, None)`` to leave the split to the LP."""
+    m, r = A.shape[0], full.rank
+    fits = [np.arange(m)]
+    if m > r + 1:
+        # The rows x_ls leaves least negative, zero rows first.
+        norms = row_norms(full.W)
+        score = np.full(m, np.inf)
+        np.divide(Wx, norms, out=score, where=norms > 0.0)
+        fits.insert(0, np.sort(np.argsort(score)[-(r + 1):]))
+    try:
+        for rows in fits:
+            try:
+                fit = solve_min_norm_qp(A[rows], cfg)
+            except InfeasibleQP as exc:
+                # The rows its weights carry are tight; if they span the row
+                # space of A, so is every row.
+                u = exc.weights
+                if u is None or TightBlock(A[rows[u > _SUPPORT_CUT * u.max()]]).rank != r:
+                    return None, None
+                center = solve_analytic_center(full, cfg)
+                found = certify(np.ones(m, bool), None, center.y)
+                return (found, center) if found is not None else (None, None)
+    except HoffboundError:
+        return None, None
+    found = certify(np.zeros(m, bool), -fit.z, None)
+    return (found, fit) if found is not None else (None, None)

@@ -70,7 +70,16 @@ class SolverStall(HoffboundError):
 class InfeasibleQP(HoffboundError):
     """``{z : G z >= 1}`` is infeasible, or its minimum-norm point is beyond
     double precision; on a slack block this signals an upstream partition
-    error."""
+    error.
+
+    ``weights`` is the fit's ``u >= 0`` on the rows of G when the fit found
+    no point, else None.  On an infeasible system ``G'u`` vanishes and
+    ``1'u = 1`` up to rounding: the Farkas weights that prove it infeasible.
+    """
+
+    def __init__(self, message: str, weights: np.ndarray | None = None):
+        super().__init__(message)
+        self.weights = weights
 
 
 class NoInteriorPoint(HoffboundError):
@@ -251,11 +260,16 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
     deterministic function of the active set, which keeps the result stable
     under row permutations and matrix rescalings.
 
+    The partition calls this too, on all of A (the call ``bound_case_n``
+    makes) and on a few of its rows: a point proves those rows slack, and
+    the fit's weights on an infeasible system prove the rows they carry
+    tight.
+
     Raises
     ------
     InfeasibleQP
         If the system is infeasible, or its minimum-norm point is beyond
-        double precision.
+        double precision; with the fit's weights when it found no point.
     SolverStall
         If the fit does not converge or the certified gap is too large.
     """
@@ -287,7 +301,8 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
     if z_best is None:
         raise InfeasibleQP(
             "no point with G z >= 1 was found: the system is infeasible, or "
-            "its minimum-norm point is beyond double precision"
+            "its minimum-norm point is beyond double precision",
+            weights=u,
         )
 
     with np.errstate(over="ignore"):  # an overflowing point raises below

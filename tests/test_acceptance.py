@@ -213,3 +213,16 @@ def test_criterion_09_determinism(sandwich_suite):
     ok = len(rerun) == len(rows) and mismatches == 0
     _line(9, ok, f"{len(rows)} canonical reports recomputed, "
                  f"{mismatches} byte-level mismatches")
+
+
+def test_the_partition_lp_runs_only_on_mixed_splits(sandwich_suite):
+    # least-squares witnesses and the least-distance stage prove every
+    # one-sided split of the suite; the LP, which leaves residuals on the
+    # certificate, decides exactly the mixed ones
+    rows, _ = sandwich_suite
+    ran = [bool(rep.partition.residuals["lp"]) for _, rep, _, _ in rows]
+    mixed = [bool(rep.partition.B and rep.partition.N) for _, rep, _, _ in rows]
+    print(f"partition LP ran on {sum(ran)} of {len(rows)} suite inputs, "
+          f"{sum(mixed)} of them mixed")
+    assert ran == mixed
+    assert sum(mixed) == 4

@@ -9,6 +9,8 @@ import pytest
 import hoffbound.cli as cli
 from hoffbound import OracleResult, save_matrix_csv
 
+from helpers import planted_mixed_matrix
+
 
 @pytest.fixture
 def csv_path(tmp_path):
@@ -46,6 +48,21 @@ def test_text_output(csv_path, capsys):
     assert "branch:" in out
     assert "total upper bound:" in out
     assert "sandwich check: consistent" in out
+
+
+def test_text_output_says_whether_the_partition_lp_ran(csv_path, tmp_path, capsys):
+    # -eye(3) is proven all slack before the LP; a planted mixed split is not
+    assert cli.main(["compute", "--input", csv_path, "--skip-oracle"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "partition LP: not run, the split was proven before it" in out
+    assert "margin t" not in out
+    path = tmp_path / "mixed.csv"
+    save_matrix_csv(path, planted_mixed_matrix(3, 30, 8))
+    assert cli.main(["compute", "--input", str(path), "--skip-oracle"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "margin t of the certified LP iterate: " in out
+    assert "iterations to the certified split" in out
+    assert "not run" not in out
 
 
 def test_json_output_matches_schema(csv_path, capsys):

@@ -21,7 +21,7 @@ from hoffbound import (
     save_matrix_csv,
 )
 
-from helpers import gaussian_matrix, instance
+from helpers import instance, planted_mixed_matrix
 
 
 def _schema():
@@ -214,9 +214,9 @@ def test_payload_shape_and_schema_for_each_branch():
 
 
 def test_canonical_payload_carries_the_partition_lp_work():
-    # least-squares witnesses prove -eye(3) before the LP, so take a matrix
-    # whose split needs interior-point steps
-    rep = bound_h0(instance(gaussian_matrix(205)))
+    # one-sided splits are proven before the LP, so take a planted mixed
+    # split, whose LP takes interior-point steps
+    rep = bound_h0(instance(planted_mixed_matrix(3, 30, 8)))
     part = json.loads(canonical_report_json(report_to_dict(rep)))["partition"]
     assert part["lp_iterations"] == rep.partition.lp_iterations > 0
 

@@ -7,15 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hoffbound.bounds
 import hoffbound.partition
 import hoffbound.solvers.programs
 from hoffbound import AmbiguousIndex, HoffboundError, SolverConfig, audit_report, bound_h0
 from hoffbound.audit import verify_partition
 from hoffbound.numerics import TightBlock
 from hoffbound.partition import PartitionCertificate, compute_partition
-from hoffbound.solvers.programs import solve_partition_lp
+from hoffbound.solvers.programs import (
+    AnalyticCenterSolution,
+    InfeasibleQP,
+    MinNormSolution,
+    SolverStall,
+    solve_partition_lp,
+)
 
-from helpers import gaussian_matrix, instance, planted_mixed_split
+from helpers import gaussian_matrix, instance, planted_mixed_matrix, planted_mixed_split
 
 C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 
@@ -166,9 +173,11 @@ def test_partition_covers_all_rows_on_random_instances(monkeypatch):
         return real(block, cfg, accept)
 
     monkeypatch.setattr(hoffbound.partition, "solve_partition_lp", counted)
-    lp_seeds = []
-    for seed in range(200, 212):
-        inst = instance(gaussian_matrix(seed))
+    inputs = [(f"gaussian {seed}", gaussian_matrix(seed)) for seed in range(200, 212)]
+    inputs += [(f"mixed {seed}", planted_mixed_matrix(seed, 30, 8)) for seed in range(3)]
+    lp_runs, staged = [], []
+    for name, A in inputs:
+        inst = instance(A)
         ran.clear()
         cert = compute_partition(inst)
         assert sorted(cert.B + cert.N) == list(range(inst.m))
@@ -180,11 +189,16 @@ def test_partition_covers_all_rows_on_random_instances(monkeypatch):
         assert cert.lp_iterations < sol.iterations
         # every LP iterate has t > 0; a split proven before the LP has 0
         if ran:
-            lp_seeds.append(seed)
-            assert cert.t > 0.0
+            lp_runs.append(name)
+            assert cert.t > 0.0 and cert.B and cert.N
         else:
             assert cert.t == 0.0 and cert.lp_iterations == 0
-    assert lp_seeds == [205, 209]
+        if cert.solution is not None:
+            staged.append(name)
+    # the Gaussian inputs are one-sided: 205 and 209, which least-squares
+    # witnesses leave open, are proven by the least-distance stage
+    assert lp_runs == ["mixed 0", "mixed 1", "mixed 2"]
+    assert staged == ["gaussian 205", "gaussian 209"]
 
 
 def test_partition_is_permutation_equivariant():
@@ -226,11 +240,21 @@ def _cone_with_interior(seed: int, m: int, n: int, margin: float = 1.0) -> np.nd
     return G - c[:, None] * d
 
 
-def test_an_all_slack_input_stops_at_its_first_interior_iterate():
+def _no_fit(G, cfg=None):
+    raise InfeasibleQP("forced to defer")
+
+
+def test_an_all_slack_input_stops_at_its_first_interior_iterate(monkeypatch):
     A = _cone_with_interior(11, 12, 4)
     full = TightBlock(A)
     x_ls = np.linalg.lstsq(A, -np.ones(12), rcond=None)[0]
-    assert not (A @ x_ls < 0.0).all()  # so the LP runs
+    assert not (A @ x_ls < 0.0).all()
+    # the least-distance fit proves it before the LP ...
+    cert = compute_partition(instance(A))
+    assert cert.B == () and cert.lp_iterations == 0
+    assert isinstance(cert.solution, MinNormSolution)
+    # ... so the fit is made to defer, and the LP runs
+    monkeypatch.setattr(hoffbound.partition, "solve_min_norm_qp", _no_fit)
     first = solve_partition_lp(
         full, accept=lambda x, y, s, t: True if (A @ x < 0.0).all() else None)
     # the split y > s is all slack only later, and no earlier iterate's
@@ -247,13 +271,77 @@ def test_an_all_slack_input_stops_at_its_first_interior_iterate():
 
 @pytest.mark.parametrize("m, n", [(200, 40), (400, 40)])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_planted_mixed_splits_are_left_to_the_lp(m, n, seed):
+def test_planted_mixed_splits_are_left_to_the_lp(monkeypatch, m, n, seed):
     A, slack = planted_mixed_split(seed, m, n)
     inst = instance(A)
+    log = []
+    _log_solves(monkeypatch, hoffbound.partition, log)
     cert = compute_partition(inst)
+    # one least-distance fit on rank(A) + 1 rows, never on all rows, and
+    # its Farkas weights do not span the row space
+    assert log == [("fit", np.linalg.matrix_rank(A) + 1), ("lp", m)]
     assert cert.N == tuple(int(i) for i in np.flatnonzero(slack))
     assert cert.lp_iterations > 0 and cert.t > 0.0
     assert cert.residuals["lp"]
+    assert verify_partition(inst, cert).ok
+
+
+def _log_solves(monkeypatch, module, log):
+    """Record ``(name, rows)`` for each fit, center and LP ``module`` calls."""
+    for attr, name in (("solve_min_norm_qp", "fit"), ("solve_analytic_center", "center"),
+                       ("solve_partition_lp", "lp")):
+        if hasattr(module, attr):
+            monkeypatch.setattr(module, attr, _logged(getattr(module, attr), name, log))
+
+
+def _logged(fn, name, log):
+    def call(M, *args, **kwargs):
+        log.append((name, (M if isinstance(M, np.ndarray) else M.A_B).shape[0]))
+        return fn(M, *args, **kwargs)
+    return call
+
+
+@pytest.mark.parametrize("seed, branch", [(205, "case_N"), (220, "case_N"),
+                                          (209, "case_B"), (232, "case_B")])
+def test_one_sided_splits_left_open_by_least_squares_reuse_the_block_solve(
+        monkeypatch, seed, branch):
+    # least-squares witnesses leave these open; the least-distance stage
+    # proves them with the fit (case N) or center (case B) that the block
+    # bound then reuses, so it is solved once per bound_h0, and the total is
+    # the one the LP path gives
+    A = gaussian_matrix(seed)
+    m = A.shape[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hoffbound.partition, "solve_min_norm_qp", _no_fit)
+        before = bound_h0(instance(A))
+    assert before.partition.residuals["lp"]  # the LP decided it
+    log, reused = [], []
+    _log_solves(monkeypatch, hoffbound.partition, log)
+    _log_solves(monkeypatch, hoffbound.bounds, reused)
+    rep = bound_h0(instance(A))
+    assert rep.branch == before.branch == branch
+    assert rep.total == before.total
+    assert reused == [] and not [call for call in log if call[0] == "lp"]
+    # a case-B input may also fit all rows, to find the Farkas weights
+    program = "fit" if branch == "case_N" else "center"
+    assert [call for call in log if call[0] == program and call[1] == m] == [(program, m)]
+    assert audit_report(instance(A), rep).ok
+
+
+@pytest.mark.parametrize("seed, program", [(205, "solve_min_norm_qp"),
+                                           (209, "solve_analytic_center")])
+def test_a_failed_fit_or_center_falls_back_to_the_lp(monkeypatch, seed, program):
+    inst = instance(gaussian_matrix(seed))
+    proven = compute_partition(inst)
+    assert proven.solution is not None
+
+    def stall(*args, **kwargs):
+        raise SolverStall("forced")
+
+    monkeypatch.setattr(hoffbound.partition, program, stall)
+    cert = compute_partition(inst)
+    assert (cert.B, cert.N) == (proven.B, proven.N)
+    assert cert.solution is None and cert.t > 0.0 and cert.residuals["lp"]
     assert verify_partition(inst, cert).ok
 
 
@@ -265,16 +353,11 @@ def _defer(block, cfg, accept):
     raise _Deferred
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(side=st.sampled_from(["slack", "tight", "mixed"]), seed=st.integers(0, 999),
-       n=st.integers(2, 8), extra=st.integers(1, 12), k=st.integers(0, 10),
-       scaled=st.booleans())
-def test_least_squares_witnesses_prove_the_true_side_or_defer(side, seed, n, extra, k,
-                                                             scaled):
-    # One-sided inputs whose margin is 10^-k: slack rows meet a direction d
-    # at -10^-k or more, tight rows carry weights down to 10^-k; mixed
-    # inputs are planted.  With rows scaled by 10^U(-8, 8), the split proven
-    # before the LP is the true one, or the LP is left to decide.
+def _sided_input(side, seed, n, extra, k, scaled):
+    """An input of ``n + extra`` rows (5 times that when mixed) and its true
+    B.  One-sided inputs have margin 10^-k: slack rows meet a direction d at
+    -10^-k or more, tight rows carry weights down to 10^-k; mixed inputs are
+    planted.  ``scaled`` multiplies the rows by 10^U(-8, 8)."""
     rng = np.random.default_rng([seed, 8])
     m = n + extra
     if side == "slack":
@@ -291,14 +374,71 @@ def test_least_squares_witnesses_prove_the_true_side_or_defer(side, seed, n, ext
         truth = tuple(int(i) for i in np.flatnonzero(~slack))
     if scaled:
         A = A * 10.0 ** rng.uniform(-8.0, 8.0, size=(A.shape[0], 1))
-    inst = instance(A)
+    return A, truth
+
+
+def _proven_before_the_lp(A):
+    """``compute_partition`` with the LP replaced by a sentinel: the
+    certificate, or None when the split is left to the LP or a typed error
+    is raised."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hoffbound.partition, "solve_partition_lp", _defer)
         try:
-            cert = compute_partition(inst)
-        except (_Deferred, HoffboundError):  # left to the LP, or a typed error
-            return
+            return compute_partition(instance(A))
+        except (_Deferred, HoffboundError):
+            return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(side=st.sampled_from(["slack", "tight", "mixed"]), seed=st.integers(0, 999),
+       n=st.integers(2, 8), extra=st.integers(1, 12), k=st.integers(0, 10),
+       scaled=st.booleans())
+def test_least_squares_witnesses_prove_the_true_side_or_defer(side, seed, n, extra, k,
+                                                             scaled):
+    # With margins down to 1e-10 and rows scaled over 1e+-8, the split proven
+    # before the LP, by least-squares witnesses or by the least-distance
+    # stage, is the true one, or the LP is left to decide
+    A, truth = _sided_input(side, seed, n, extra, k, scaled)
+    cert = _proven_before_the_lp(A)
+    if cert is None:
+        return
     assert side != "mixed"
     assert cert.B == truth
     assert cert.t == 0.0 and cert.lp_iterations == 0
-    assert verify_partition(inst, cert).ok
+    assert verify_partition(instance(A), cert).ok
+    # the stage's witness is the bound's own solve on all of A
+    if isinstance(cert.solution, MinNormSolution):
+        assert side == "slack" and cert.solution.min_margin >= 1.0
+        assert (A @ cert.solution.z >= 1.0).all()
+    elif cert.solution is not None:
+        assert isinstance(cert.solution, AnalyticCenterSolution)
+        assert side == "tight" and (cert.solution.y > 0.0).all()
+        assert cert.block.A_B.shape == A.shape
+
+
+def test_the_least_distance_stage_proves_what_least_squares_leaves_open(monkeypatch):
+    # The generator above, unscaled, on a fixed grid of margins down to
+    # 1e-10: the stage proves every one-sided input whose least-squares
+    # witnesses fail, on the true side, and defers every mixed one
+    real = hoffbound.partition._least_distance
+    reached = []
+
+    def seen(*args):
+        reached.append(True)
+        return real(*args)
+
+    monkeypatch.setattr(hoffbound.partition, "_least_distance", seen)
+    proven = {"slack": 0, "tight": 0}
+    for side in ("slack", "tight", "mixed"):
+        for seed in range(60):
+            A, truth = _sided_input(side, seed, 2 + seed % 7, 1 + seed % 12, seed % 11,
+                                    False)
+            reached.clear()
+            cert = _proven_before_the_lp(A)
+            if side == "mixed":
+                assert cert is None
+            elif reached:
+                assert cert is not None and cert.solution is not None
+                assert cert.B == truth
+                proven[side] += 1
+    assert proven == {"slack": 6, "tight": 5}

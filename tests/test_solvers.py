@@ -120,6 +120,21 @@ def test_min_norm_qp_infeasible_inputs():
         solve_min_norm_qp(np.zeros((0, 3)))
 
 
+def test_an_infeasible_fit_carries_its_farkas_weights():
+    # z >= 1 and -z >= 1 in the first coordinate: u = (1/2, 1/2) has G'u = 0
+    G = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(InfeasibleQP) as exc:
+        solve_min_norm_qp(G)
+    u = exc.value.weights
+    assert u.shape == (2,) and (u >= 0.0).all()
+    assert u.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(G.T @ u) <= 1e-15
+    # errors raised before any fit carry none
+    with pytest.raises(InfeasibleQP) as exc:
+        solve_min_norm_qp(np.zeros((2, 2)))
+    assert exc.value.weights is None
+
+
 def test_min_norm_qp_tells_an_underflowing_matrix_from_a_zero_one():
     with pytest.raises(InfeasibleQP, match="zero matrix"):
         solve_min_norm_qp(np.zeros((1, 1)))
