@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _VIOLATION_FLOOR = 1e-12
+_EPS = float(np.finfo(float).eps)
 _MAX_BASE = 64
 _MAX_PAIR_VECTORS = 128
 # relative slack on a candidate's cap before it is pruned (see the Notes of
@@ -44,9 +45,10 @@ _CAP_MARGIN = 1e-9
 class OracleResult:
     """Best ratio found by sampling, with the witness that achieved it.
 
-    Of the ``samples_used`` candidates, ``pruned`` were never evaluated
-    because their cap could not beat the best ratio, ``screened_feasible``
-    were scored 0 by ``ratio_at`` without a projection, ``failed`` raised in
+    Of the ``samples_used`` candidates, ``pruned`` were never evaluated,
+    because their cap could not beat the best ratio or they repeat, byte for
+    byte, a candidate evaluated before them; ``screened_feasible`` were
+    scored 0 by ``ratio_at`` without a projection, ``failed`` raised in
     their projection, and the rest were projected.
     """
 
@@ -155,6 +157,32 @@ def _gaussian_draws(seed: int, out: np.ndarray) -> None:
     np.divide(out, norms[:, None], out=out, where=norms[:, None] > ZERO_NORM_FLOOR)
 
 
+def _distance_caps(
+    instance: ProblemInstance, U: np.ndarray, x_hat: np.ndarray | None
+) -> np.ndarray:
+    """Upper bounds on ``dist(u, P)`` for the rows u of ``U``: ``||u||``, or
+    ``min(||u||, dist(u, K) + 4 (n + 2) eps ||u||)`` when the interior
+    witness proves the cone K of ``lower_bound_monte_carlo``'s Notes."""
+    norms = np.linalg.norm(U, axis=1)
+    if x_hat is None:
+        return norms
+    gamma = _EPS * (instance.n + 2)
+    x = np.asarray(x_hat, dtype=float).reshape(instance.n)
+    with np.errstate(all="ignore"):  # a zero or non-finite witness gives NaN
+        e = x / euclidean_norm(x)
+        # no rows: P is the whole space, and every cap is 0 anyway
+        sin_t = float((-(instance.unit_rows @ e)).min(initial=1.0))
+    sin_t = sin_t * (1.0 - gamma) - 2.0 * gamma
+    if not sin_t > 0.0:
+        return norms
+    cos_t = np.sqrt(1.0 - sin_t * sin_t)
+    c = U @ e
+    s = _norms(U - c[:, None] * e)
+    dist = np.where(c * cos_t + s * sin_t >= 0.0,
+                    np.maximum(s * cos_t - c * sin_t, 0.0), norms)
+    return np.minimum(norms, dist + 4.0 * gamma * norms)
+
+
 def lower_bound_monte_carlo(
     instance: ProblemInstance,
     num_samples: int = 64,
@@ -177,7 +205,9 @@ def lower_bound_monte_carlo(
         given seed and sample count regardless of evaluation order.
     x_hat : ndarray, optional
         Interior witness from the row partition; its negation is a strong
-        candidate because it violates every slack row at once.
+        candidate because it violates every slack row at once.  When it is
+        strictly interior to P (every nonzero row slack), it also tightens
+        the candidates' caps (see the Notes).
     cfg : SolverConfig, optional
         Ignored: the projections are NNLS fits with no tolerances to set.  It
         is accepted so one configuration can be passed to every stage.
@@ -192,18 +222,47 @@ def lower_bound_monte_carlo(
     -----
     Candidates are evaluated best-bound-first and the loop stops once none
     can win.  With ``viol(u) = max_i (A u)_i^+`` from one product over all
-    candidates, each gets the cap ``||u|| / viol(u)`` (0 when viol(u) = 0).
-    The cap bounds ``ratio_at(u)``: it is 0, or ``d(u) / viol(u)`` where the
-    certified distance bound ``d(u) <= dist(u, P) <= ||u||`` because P
-    contains 0.  A stable sort orders the candidates by cap, highest first,
-    ties in candidate order.  The loop stops at the first candidate with
+    candidates, each gets the cap ``D(u) / viol(u)`` (0 when viol(u) = 0),
+    where ``D(u) >= dist(u, P)`` is ``||u||`` or the witness cone's bound
+    below.  The cap bounds ``ratio_at(u)``: it is 0, or ``d(u) / viol(u)``
+    where the certified distance bound ``d(u) <= dist(u, P) <= D(u)``.  A
+    stable sort orders the candidates by cap, highest first, ties in
+    candidate order.  The loop stops at the first candidate with
     ``cap (1 + 1e-9) <= best``.  Every later candidate v has
     ``cap(v) <= cap``, so ``ratio_at(v) <= cap(v) (1 + 1e-9) <= best``, and
     since ``best`` is replaced only by a strictly larger ratio, no later
-    candidate can change it.  Hence ``lower_bound`` is the maximum of
-    ``ratio_at`` over all candidates, exactly what evaluating every one of
-    them gives, and ``best_u`` can differ from that only among candidates
-    tied at the maximum.
+    candidate can change it.  A candidate whose bytes equal those of one
+    evaluated before it has the same ratio, which cannot replace ``best``
+    either, so it is skipped and counted as pruned.  Hence ``lower_bound``
+    is the maximum of ``ratio_at`` over all candidates, exactly what
+    evaluating every one of them gives, and ``best_u`` can differ from that
+    only among candidates tied at the maximum.
+
+    The witness cone.  P, here the cone of the unit rows ``w_i`` the
+    projections use, contains 0, so ``dist(u, P) <= ||u||``.  With a witness,
+    let ``e = x_hat / ||x_hat||`` and ``delta = min_i -w_i'e``.  The ball of
+    radius delta about e lies in P, since ``w_i'(e + h) <= w_i'e + ||h||``,
+    and so, P being a cone, does the cone K over that ball: the circular
+    cone about e with half-angle ``theta = asin(delta)``.  Hence
+    ``dist(u, P) <= dist(u, K)``.  Write ``c = u'e`` and
+    ``s = ||u - c e||``; u makes the angle phi with e where
+    ``(c, s) = ||u|| (cos phi, sin phi)``.  If ``phi <= theta`` u lies in K;
+    if ``theta < phi < theta + pi/2`` its nearest point in K lies on the
+    boundary ray in the plane of u and e, at distance
+    ``||u|| sin(phi - theta) = s cos(theta) - c sin(theta)``; otherwise it
+    is the apex 0.  The first two cases are
+    ``c cos(theta) + s sin(theta) >= 0``, where the distance is
+    ``max(0, s cos(theta) - c sin(theta))``; the third gives ``||u||``.  So
+    ``D(u) = min(||u||, dist(u, K) + 4 (n + 2) eps ||u||)``.  In floating
+    point ``w_i`` and e have unit norm within ``gamma = (n + 2) eps``, and
+    each computed ``w_i'e`` is within gamma of the exact one, so the
+    computed minimum, times ``1 - gamma``, less ``2 gamma``, is at most the
+    exact ``min_i -w_i'e / (||w_i|| ||e||)``, as in
+    ``partition.slack_margin``; that is the delta used.  The slack
+    ``4 (n + 2) eps ||u||`` covers the rounding in c, s and the closed form,
+    each a few gamma ``||u||``.  When delta is not positive (NaN included,
+    as for the zero witness of an all-tight split, or the witness of a mixed
+    split, which lies on the tight rows' hyperplanes) ``D(u) = ||u||``.
 
     The factor ``1 + 1e-9`` covers rounding: ``d(u)`` can exceed ``||u||``
     by an ulp, and ``ratio_at`` recomputes the violation with its own
@@ -224,18 +283,24 @@ def lower_bound_monte_carlo(
 
     viol = np.max(U @ instance.A.T, axis=1, initial=0.0)
     cap = np.zeros(len(U))
-    np.divide(np.linalg.norm(U, axis=1), viol, out=cap, where=viol > 0.0)
+    np.divide(_distance_caps(instance, U, x_hat), viol, out=cap, where=viol > 0.0)
     order = np.argsort(-cap, kind="stable")
 
     best = 0.0
     best_u: np.ndarray | None = None
-    screened = failed = 0
+    screened = failed = repeats = 0
     evaluated = len(U)
+    seen: set[bytes] = set()
     for rank, k in enumerate(order):
         if cap[k] * (1.0 + _CAP_MARGIN) <= best:
             evaluated = rank
             break
         u = U[k]
+        key = u.tobytes()
+        if key in seen:
+            repeats += 1
+            continue
+        seen.add(key)
         try:
             r = ratio_at(instance, u)
         except HoffboundError:
@@ -252,7 +317,7 @@ def lower_bound_monte_carlo(
         best_u=None if best_u is None else best_u.copy(),
         samples_used=len(U),
         screened_feasible=screened,
-        pruned=len(U) - evaluated,
+        pruned=len(U) - evaluated + repeats,
         failed=failed,
         seed=seed,
     )

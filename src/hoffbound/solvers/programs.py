@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
+from scipy.linalg.lapack import dgeqrf, dtrtrs
 
 from ..core import (
     ZERO_NORM_FLOOR,
@@ -374,7 +374,13 @@ def solve_analytic_center(
     variable is ``z = (w, nu)``, ``y = 1 / (N z)``, and the Hessian is
     ``N' diag(y)^2 N = R'R`` for the R of a QR of ``diag(y) N``, so each
     Newton step is two triangular solves and works with the condition
-    number of N, not its square.  Newton starts from ``z = (0, p)``, the
+    number of N, not its square.  R comes from LAPACK's ``dgeqrf`` and the
+    solves from ``dtrtrs``, called directly: on problems this small the
+    wrappers of ``np.linalg.qr`` and ``scipy.linalg.solve_triangular`` cost
+    several times the factorization.  The solves pass ``R'`` as the lower
+    triangle, the operand order ``solve_triangular`` uses for a C-ordered
+    R, so the iterates are bit-identical to that code's; passing R as upper
+    triangular rounds differently.  Newton starts from ``z = (0, p)``, the
     uniform y.
 
     The objective is self-concordant, so no line search is needed: the
@@ -399,7 +405,8 @@ def solve_analytic_center(
     SolverStall
         If a full step was taken but ``lam`` stays above ``opt_tol``.
     NumericalFailure
-        If a rank falls in the ambiguous band of the rank rule.
+        If a rank falls in the ambiguous band of the rank rule, or R has a
+        zero on its diagonal.
     """
     cfg = cfg or SolverConfig()
     M = block.WV
@@ -418,14 +425,24 @@ def solve_analytic_center(
     e[r] = 1.0
     z = p * e
     y = np.full(p, 1.0 / p)
+    # the optimal workspace, as numpy's QR queries it: a smaller one changes
+    # dgeqrf's blocking past 128 columns, and with it the rounding
+    lwork = int(dgeqrf(N, lwork=-1)[2][0])
     full_step = False
     for it in range(1, MAX_ITERS + 1):
         g = N.T @ y - e
-        R = np.linalg.qr(y[:, None] * N, mode="r")
-        w = scipy.linalg.solve_triangular(R, g, trans="T", check_finite=False)
+        # dtrtrs reads only the lower triangle of L = qr[:r+1].T, which is R'
+        qr = dgeqrf(y[:, None] * N, lwork=lwork)[0]
+        L = qr[: r + 1].T
+        w, info = dtrtrs(L, g, lower=1)
+        if info == 0:
+            dz, info = dtrtrs(L, w, lower=1, trans=1)
+        if info != 0:
+            raise NumericalFailure(
+                f"the center's Newton system is singular (dtrtrs info {info})"
+            )
         lam = euclidean_norm(w)
         full_step = full_step or lam <= 0.25
-        dz = scipy.linalg.solve_triangular(R, w, check_finite=False)
         z = z + (dz if lam <= 0.25 else dz / (1.0 + lam))
         Nz = N @ z
         if not np.all(Nz > 0.0):
@@ -446,7 +463,7 @@ def solve_analytic_center(
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Euclidean projection onto ``{x : A x <= 0}`` with audit residuals.
+    """Euclidean projection onto ``{x : A x <= 0}`` with its distance bounds.
 
     ``distance`` is the primal value ||u - point||, an overestimate of the
     true distance whenever the point is inexact; ``distance_lower`` is a
@@ -457,7 +474,6 @@ class ProjectionResult:
     point: np.ndarray
     distance: float
     distance_lower: float
-    feas_violation: float
 
 
 def project_onto_cone(instance: ProblemInstance, u: np.ndarray) -> ProjectionResult:
@@ -481,7 +497,7 @@ def project_onto_cone(instance: ProblemInstance, u: np.ndarray) -> ProjectionRes
     unorm = euclidean_norm(u)
     if unorm <= ZERO_NORM_FLOOR:
         return ProjectionResult(point=np.zeros(instance.n), distance=0.0,
-                                distance_lower=0.0, feas_violation=0.0)
+                                distance_lower=0.0)
 
     # Positive row scalings leave the cone unchanged, so the constraints are
     # the instance's unit rows, for conditioning, with zero rows dropped.
@@ -489,8 +505,7 @@ def project_onto_cone(instance: ProblemInstance, u: np.ndarray) -> ProjectionRes
     # since scipy's nnls aborts the process on a matrix with no columns.
     Aw = instance.unit_rows
     if Aw.shape[0] == 0:
-        return ProjectionResult(point=u.copy(), distance=0.0,
-                                distance_lower=0.0, feas_violation=0.0)
+        return ProjectionResult(point=u.copy(), distance=0.0, distance_lower=0.0)
     u_hat = u / unorm
     mu = _nnls(Aw.T, u_hat)
 
@@ -502,11 +517,7 @@ def project_onto_cone(instance: ProblemInstance, u: np.ndarray) -> ProjectionRes
     # Any mu >= 0 certifies dist^2 >= 2 mu'(Aw u) - ||Aw' mu||^2.
     lb_sq = 2.0 * float(mu @ (Aw @ u_hat)) - float(polar @ polar)
     dist_lower = float(np.sqrt(max(lb_sq, 0.0))) * unorm
-    feas = max(0.0, float((instance.A @ x).max(initial=0.0)))
     distance = euclidean_norm(u - x)
     return ProjectionResult(
-        point=x,
-        distance=distance,
-        distance_lower=min(dist_lower, distance),
-        feas_violation=feas,
+        point=x, distance=distance, distance_lower=min(dist_lower, distance)
     )

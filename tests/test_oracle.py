@@ -232,24 +232,59 @@ def _exhaustive(inst, cands):
 
 
 def _pruning_cases():
+    # (A, seed, witness): "partition" passes the report's x_hat, "none" no
+    # witness and "nan" a NaN vector
     for seed in range(4):
-        yield pytest.param(gaussian_matrix(900 + seed), seed, id=f"gaussian-{seed}")
+        yield pytest.param(gaussian_matrix(900 + seed), seed, "partition",
+                           id=f"gaussian-{seed}")
     for seed in range(5):
-        yield pytest.param(degenerate_matrix(910 + seed), seed, id=f"degenerate-{seed}")
+        yield pytest.param(degenerate_matrix(910 + seed), seed, "partition",
+                           id=f"degenerate-{seed}")
     for seed, (m, n) in enumerate([(30, 8), (60, 10)]):
-        yield pytest.param(planted_mixed_matrix(920 + seed, m, n), seed,
+        yield pytest.param(planted_mixed_matrix(920 + seed, m, n), seed, "partition",
                            id=f"planted-{m}x{n}")
     # the benchmark case where a margin on best's side loses the last bit
     case = benchmark_case("suite", 1, "gaussian-26")
-    yield pytest.param(case.A, case.oracle_seed, id="suite-1-gaussian-26")
+    yield pytest.param(case.A, case.oracle_seed, "partition", id="suite-1-gaussian-26")
+    # case N: every row slack, so the witness cone tightens the caps
+    rng = np.random.default_rng(930)
+    for m, n in [(3, 6), (5, 8)]:
+        yield pytest.param(rng.standard_normal((m, n)), m, "partition",
+                           id=f"case-n-{m}x{n}")
+    for name in ("gaussian-2", "gaussian-7", "degenerate-14"):
+        case = benchmark_case("suite", 1, name)
+        yield pytest.param(case.A, case.oracle_seed, "partition", id=f"suite-1-{name}")
+    # one column, every row tight: every candidate is +1 or -1
+    case = benchmark_case("suite", 1, "gaussian-0")
+    yield pytest.param(case.A, case.oracle_seed, "partition", id="suite-1-gaussian-0")
+    yield pytest.param(np.array([[1.0], [-2.0], [0.5], [-0.25]]), 3, "partition",
+                       id="one-column")
+    # no cone: the cap falls back to ||u||
+    case = benchmark_case("suite", 1, "degenerate-2")  # the general branch
+    yield pytest.param(case.A, case.oracle_seed, "partition", id="suite-1-degenerate-2")
+    case = benchmark_case("suite", 1, "gaussian-7")
+    yield pytest.param(case.A, case.oracle_seed, "none", id="suite-1-gaussian-7-none")
+    yield pytest.param(case.A, case.oracle_seed, "nan", id="suite-1-gaussian-7-nan")
 
 
-@pytest.mark.parametrize("A, seed", list(_pruning_cases()))
-def test_pruning_matches_the_exhaustive_maximum(A, seed):
+@pytest.mark.parametrize("A, seed, witness", list(_pruning_cases()))
+def test_pruning_matches_the_exhaustive_maximum(A, seed, witness, monkeypatch):
+    import hoffbound.oracle as oracle_mod
+
     inst = instance(A)
     part = bound_h0(inst).partition
-    x_hat = None if part is None else part.x_hat
+    x_hat = {"partition": None if part is None else part.x_hat, "none": None,
+             "nan": np.full(inst.n, np.nan)}[witness]
+    projected = []
+    project = oracle_mod.project_onto_cone
+
+    def recording(instance, u):
+        projected.append(u.tobytes())
+        return project(instance, u)
+
+    monkeypatch.setattr(oracle_mod, "project_onto_cone", recording)
     res = lower_bound_monte_carlo(inst, num_samples=16, seed=seed, x_hat=x_hat)
+    monkeypatch.undo()
     cands = _all_candidates(inst, 16, seed, x_hat)
     ratios = _exhaustive(inst, cands)
     assert res.samples_used == len(cands)
@@ -258,6 +293,21 @@ def test_pruning_matches_the_exhaustive_maximum(A, seed):
         winners = [u for u, r in zip(cands, ratios) if r == res.lower_bound]
         assert any(np.array_equal(res.best_u, u) for u in winners)
     assert res.pruned > 0
+    # each distinct candidate is projected at most once
+    assert len(projected) == len(set(projected))
+    if inst.n == 1:
+        assert len(projected) <= 2 < res.samples_used
+
+    # the witness cone caps some candidates below ||u|| exactly when the
+    # witness is passed and every nonzero row is slack (zero rows are tight)
+    U = np.array(cands)
+    caps = oracle_mod._distance_caps(inst, U, x_hat)
+    norms = np.linalg.norm(U, axis=1)
+    if witness == "partition" and part is not None and not np.any(A[list(part.B)]):
+        assert np.any(caps < norms)
+        assert np.all(caps <= norms)
+    else:
+        assert np.array_equal(caps, norms)
 
 
 def test_closed_form_values():

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from hoffbound import (
 )
 import hoffbound.solvers.ipm
 from hoffbound.audit import verify_partition
-from hoffbound.numerics import TightBlock
+from hoffbound.numerics import NumericalFailure, TightBlock
 from hoffbound.partition import compute_partition
 from hoffbound.solvers.programs import (
     project_onto_cone,
@@ -234,6 +235,76 @@ def test_analytic_center_on_scaled_tight_blocks(seed, n, k, dup):
     assert np.allclose(y_perm, y[perm], rtol=1e-6, atol=0.0)
 
 
+def _reference_center(block, opt_tol):
+    """The center's Newton loop on ``np.linalg.qr`` and
+    ``scipy.linalg.solve_triangular``: ``(y, iterations)``, or None where it
+    leaves the domain or reaches the cap."""
+    M = block.WV
+    p, r = M.shape
+    N = np.concatenate([M, np.ones((p, 1))], axis=1)
+    e = np.zeros(r + 1)
+    e[r] = 1.0
+    z = p * e
+    y = np.full(p, 1.0 / p)
+    for it in range(1, hoffbound.solvers.ipm.MAX_ITERS + 1):
+        g = N.T @ y - e
+        R = np.linalg.qr(y[:, None] * N, mode="r")
+        w = scipy.linalg.solve_triangular(R, g, trans="T", check_finite=False)
+        lam = np.linalg.norm(w)
+        dz = scipy.linalg.solve_triangular(R, w, check_finite=False)
+        z = z + (dz if lam <= 0.25 else dz / (1.0 + lam))
+        Nz = N @ z
+        if not np.all(Nz > 0.0):
+            return None
+        y = 1.0 / Nz
+        if lam <= opt_tol:
+            return y / y.sum(), it
+    return None
+
+
+def _center_blocks():
+    for name in ("gaussian-0", "gaussian-5", "gaussian-52", "gaussian-59",
+                 "degenerate-1", "degenerate-8", "degenerate-16"):
+        yield pytest.param(benchmark_matrix("suite", 1, name), id=f"suite-1-{name}")
+    # G minus its component along a positive y0, so that A'y0 = 0: the slice
+    # has a positive point, and rows are scaled over four decades
+    rng = np.random.default_rng(77)
+    for k in range(24):
+        n = int(rng.integers(1, 13))
+        p = int(rng.integers(n + 1, 61))
+        G = rng.standard_normal((p, n)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(p, 1))
+        y0 = rng.uniform(0.1, 1.0, size=p)
+        A = G - np.outer(y0, y0 @ G) / (y0 @ y0)
+        yield pytest.param(A, id=f"random-{k}-{p}x{n}")
+
+
+@pytest.mark.parametrize("A", list(_center_blocks()))
+def test_analytic_center_is_bit_identical_to_the_wrapped_lapack_loop(A):
+    block = TightBlock(A)
+    sol = solve_analytic_center(block)
+    ref = _reference_center(block, SolverConfig().opt_tol)
+    assert ref is not None
+    assert np.array_equal(sol.y, ref[0])
+    assert sol.iterations == ref[1]
+
+
+def test_analytic_center_with_a_zero_pivot_raises_numerical_failure(monkeypatch):
+    import hoffbound.solvers.programs as programs
+
+    dgeqrf = programs.dgeqrf
+
+    def zero_pivot(a, lwork=None):
+        qr, tau, work, info = dgeqrf(a, lwork=lwork)
+        qr[1, 1] = 0.0
+        return qr, tau, work, info
+
+    block = TightBlock(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
+    assert solve_analytic_center(block).iterations > 0
+    monkeypatch.setattr(programs, "dgeqrf", zero_pivot)
+    with pytest.raises(NumericalFailure):
+        solve_analytic_center(block)
+
+
 # --- cone projection ----------------------------------------------------------
 
 def test_projection_onto_nonpositive_quadrant():
@@ -286,7 +357,7 @@ def test_projection_feasibility_and_lower_bound():
         inst = instance(A)
         u = rng.standard_normal(4) * 3.0
         res = project_onto_cone(inst, u)
-        assert res.feas_violation <= 1e-8 * max(1.0, inst.frobenius_scale)
+        assert (inst.A @ res.point).max(initial=0.0) <= 1e-8 * max(1.0, inst.frobenius_scale)
         assert res.distance_lower <= res.distance + 1e-12
 
 
@@ -320,7 +391,7 @@ def test_projection_refits_when_nnls_ends_outside_the_cone(seed):
     rng = np.random.default_rng(seed)
     for _ in range(20):
         res = project_onto_cone(inst, rng.standard_normal(inst.n))
-        assert res.feas_violation <= 1e-8 * max(1.0, inst.frobenius_scale)
+        assert (inst.A @ res.point).max(initial=0.0) <= 1e-8 * max(1.0, inst.frobenius_scale)
         assert res.distance_lower == pytest.approx(res.distance, rel=1e-8)
 
 
@@ -328,7 +399,7 @@ def _check_projection(A, u_seed):
     inst = instance(A)
     u = np.random.default_rng([u_seed, 1]).standard_normal(inst.n)
     res = project_onto_cone(inst, u)
-    assert res.feas_violation <= 1e-8 * max(1.0, inst.frobenius_scale)
+    assert (inst.A @ res.point).max(initial=0.0) <= 1e-8 * max(1.0, inst.frobenius_scale)
     assert res.distance_lower <= res.distance
     # Moreau: the multipliers' certificate meets the primal distance
     assert res.distance_lower == pytest.approx(res.distance, rel=1e-8)
