@@ -122,16 +122,16 @@ def verify_partition(
     """Recheck a partition certificate using only products, norms and SVDs.
 
     No solver is invoked.  The checks are index bookkeeping (exact cover of
-    the row indices, sorted tuples, a unit ``x_hat``, zero or empty
-    witnesses on an empty side) and the margin rule that ended the
+    the row indices, sorted tuples, a unit ``x_hat``, no ``x_hat`` and an
+    empty ``y_hat`` on an empty side) and the margin rule that ended the
     partition LP, applied to the stored witnesses: ``slack_margin`` of
     ``x_hat`` on N and ``weight_margin`` of ``y_hat`` on B must be positive.
     Each margin proves that an exact witness lies next to the stored one,
     and the two exact witnesses prove that B is the tight set of P and N
     the slack set (see ``hoffbound.partition``).  A row index out of range
-    is recorded and stops the recheck; an ``x_hat`` of the wrong length, a
-    rank in the rule's ambiguous band or an SVD that does not converge is a
-    recorded failure.
+    is recorded and stops the recheck; an ``x_hat`` missing for a nonempty
+    N or of the wrong length, a rank in the rule's ambiguous band or an SVD
+    that does not converge is a recorded failure.
     """
     return _verify_partition(instance, cert)[0]
 
@@ -162,9 +162,14 @@ def _verify_partition(
         block = None
         failures.append(f"rank of A_B: {exc}")
 
-    if cert.x_hat.shape != (instance.n,):
+    if not cert.N:
+        if cert.x_hat is not None:
+            failures.append("x_hat must be None when N is empty")
+    elif cert.x_hat is None:
+        failures.append("x_hat is missing for a nonempty N")
+    elif cert.x_hat.shape != (instance.n,):
         failures.append("x_hat length does not match n")
-    elif cert.N:
+    else:
         nrm = euclidean_norm(cert.x_hat)
         metrics["x_hat_norm"] = nrm
         if not abs(nrm - 1.0) <= 1e-10:
@@ -176,8 +181,6 @@ def _verify_partition(
             metrics["slack_margin"] = margin = slack_margin(block, A_N, cert.x_hat)
             if not margin > 0.0:
                 failures.append(f"x_hat does not prove N slack (margin {margin!r})")
-    elif euclidean_norm(cert.x_hat) != 0.0:
-        failures.append("x_hat must be zero when N is empty")
 
     if cert.B:
         y = cert.y_hat

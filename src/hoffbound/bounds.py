@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemInstance, euclidean_norm
+from .core import ProblemInstance
 from .numerics import (
     DEFAULT_RANK_TOL,
     TightBlock,

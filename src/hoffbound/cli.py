@@ -119,9 +119,10 @@ def _print_text(payload: dict) -> None:
     if part is not None:
         print(f"tight rows B: {part['B']}")
         print(f"slack rows N: {part['N']}")
-        if part["residuals"]["lp"]:
-            print(f"margin t of the certified LP iterate: {part['t']:.6e}")
-            print(f"partition LP: {part['lp_iterations']} iterations to the certified split")
+        lp = part["lp"]
+        if lp is not None:
+            print(f"margin t of the certified LP iterate: {lp['t']:.6e}")
+            print(f"partition LP: {lp['iterations']} iterations to the certified split")
         else:
             print("partition LP: not run, the split was proven before it")
     for key, label in (("case_N", "slack-block bound"),

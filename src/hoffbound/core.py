@@ -21,7 +21,6 @@ __all__ = [
     "ScaleOutOfRange",
     "ZERO_NORM_FLOOR",
     "euclidean_norm",
-    "pos_part_inf_norm",
     "row_norms",
 ]
 
@@ -47,18 +46,6 @@ class ScaleOutOfRange(HoffboundError, ValueError):
     to 0.  Either way every scale-relative test downstream is void, so such
     a matrix is rejected rather than certified.
     """
-
-
-def pos_part_inf_norm(v: npt.ArrayLike) -> float:
-    """Sup norm of the componentwise positive part, ``max(0, max_i v_i)``.
-
-    This equals the sup-norm distance from ``v`` to the nonpositive orthant,
-    which is how constraint violation of ``A x <= 0`` is measured.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
-        return 0.0
-    return float(max(0.0, v.max()))
 
 
 def euclidean_norm(v: npt.ArrayLike) -> float:

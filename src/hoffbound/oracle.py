@@ -21,7 +21,6 @@ from .core import (
     HoffboundError,
     ProblemInstance,
     euclidean_norm,
-    pos_part_inf_norm,
 )
 from .solvers.programs import SolverConfig, project_onto_cone
 
@@ -76,7 +75,8 @@ def ratio_at(instance: ProblemInstance, u: np.ndarray) -> float:
     smaller, never unsound; a fit that fails raises ``SolverStall``.
     """
     u = np.asarray(u, dtype=float)
-    viol = pos_part_inf_norm(instance.A @ u)
+    # the sup-norm distance from A u to the nonpositive orthant
+    viol = float(max(0.0, (instance.A @ u).max()))
     floor = _VIOLATION_FLOOR * instance.frobenius_scale * euclidean_norm(u)
     if viol <= floor:
         return 0.0
@@ -261,8 +261,8 @@ def lower_bound_monte_carlo(
     ``partition.slack_margin``; that is the delta used.  The slack
     ``4 (n + 2) eps ||u||`` covers the rounding in c, s and the closed form,
     each a few gamma ``||u||``.  When delta is not positive (NaN included,
-    as for the zero witness of an all-tight split, or the witness of a mixed
-    split, which lies on the tight rows' hyperplanes) ``D(u) = ||u||``.
+    as for a zero witness, or the witness of a mixed split, which lies on
+    the tight rows' hyperplanes) ``D(u) = ||u||``, as it is without one.
 
     The factor ``1 + 1e-9`` covers rounding: ``d(u)`` can exceed ``||u||``
     by an ulp, and ``ratio_at`` recomputes the violation with its own

@@ -56,10 +56,6 @@ _SUPPORT_CUT = 1e-4
 class AmbiguousIndex(HoffboundError):
     """Rows could not be classified reliably as tight or slack."""
 
-    def __init__(self, message: str, indices: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.indices = indices
-
 
 @dataclass(frozen=True)
 class PartitionCertificate:
@@ -69,33 +65,30 @@ class PartitionCertificate:
     ----------
     B, N : tuple of int
         Sorted zero-based tight and slack row indices; disjoint, covering.
-    x_hat : ndarray of shape (n,)
+    x_hat : ndarray of shape (n,) or None
         Unit-norm interior witness: A_N x_hat < 0 and A_B x_hat = 0 up to a
-        residual that ``slack_margin`` shows to be harmless.  The zero
-        vector when N is empty.
+        residual that ``slack_margin`` shows to be harmless.  None when N
+        is empty.
     y_hat : ndarray of shape (len(B),)
         Positive dual witness with sum 1 and A_B' y_hat = 0, up to the same
         kind of residual (``weight_margin``).  Empty when B is empty.
-    t : float
-        Support margin t of the LP iterate whose split was certified.  That
-        iterate need not be feasible, so t can exceed the LP's optimal
-        margin.  0 when the split was proven before the LP ran, by
-        least-squares witnesses, the least-distance fit or the analytic
-        center (every LP iterate has t > 0).
     min_slack_N : float or None
         min over N of -a_i' x_hat; None when N is empty.
     min_y_hat : float or None
         Smallest component of y_hat; None when B is empty.
     residuals : dict
-        Witness residuals, the margins ``slack_margin`` and
-        ``weight_margin`` of the rule (None on an empty side), and the raw
-        LP residuals of the certified iterate (empty when the LP did not
-        run), for auditing.
-    lp_iterations : int
-        Interior-point steps taken before the certified iterate; 0 when the
-        LP's starting point certifies the split or the LP did not run (the
-        split proven by least-squares witnesses, the least-distance fit or
-        the analytic center).
+        For auditing: ``tight_rows_inf`` (``||A_B x_hat||_inf``) and the
+        margin ``slack_margin`` of x_hat, None when N is empty;
+        ``center_eq_inf`` (``||A_B' y_hat||_inf``) and the margin
+        ``weight_margin`` of y_hat, None when B is empty.
+    lp : dict or None
+        The partition LP's iterate whose split was certified: its support
+        margin ``t`` (that iterate need not be feasible, so t can exceed the
+        LP's optimal margin), the interior-point steps taken before it
+        (``iterations``, 0 when the LP's starting point certifies the
+        split) and its raw LP ``residuals``.  None when the split was proven
+        before the LP ran, by least-squares witnesses, the least-distance
+        fit or the analytic center.
     block : TightBlock or None
         A_B factored as the split was proven on it, for the bounds to reuse.
         Not serialized; None on a certificate built by hand.
@@ -108,13 +101,12 @@ class PartitionCertificate:
 
     B: tuple[int, ...]
     N: tuple[int, ...]
-    x_hat: np.ndarray
+    x_hat: np.ndarray | None
     y_hat: np.ndarray
-    t: float
     min_slack_N: float | None
     min_y_hat: float | None
     residuals: dict = field(default_factory=dict)
-    lp_iterations: int = 0
+    lp: dict | None = None
     block: TightBlock | None = field(default=None, repr=False, metadata={"json": False})
     solution: MinNormSolution | AnalyticCenterSolution | None = field(
         default=None, repr=False, metadata={"json": False})
@@ -122,7 +114,8 @@ class PartitionCertificate:
     def __post_init__(self) -> None:
         if set(self.B) & set(self.N):
             raise ValueError("B and N must be disjoint")
-        self.x_hat.setflags(write=False)
+        if self.x_hat is not None:
+            self.x_hat.setflags(write=False)
         self.y_hat.setflags(write=False)
 
 
@@ -218,13 +211,12 @@ def compute_partition(
     row lies in their span and is tight, and the analytic center of
     ``full`` is tried as the weights of the all-tight split.  The fit or
     center that proves the split is the certificate's ``solution``.  A
-    split proven before the LP reports ``t = 0``, ``lp_iterations = 0`` and
-    no LP residuals.
+    split proven before the LP has ``lp = None``.
 
     Otherwise each iterate of the partition LP is tried as it comes, with
     the split ``B = {i : y_i > s_i}``, or the all-slack split when
-    ``A x < 0``.  The LP stops at the first iterate whose split is proven;
-    ``t`` and ``lp_iterations`` are that iterate's.  The LP runs when the
+    ``A x < 0``.  The LP stops at the first iterate whose split is proven,
+    which the certificate's ``lp`` records.  The LP runs when the
     witnesses above fail: on a mixed split, and whenever a fit or the
     center raises or its witness fails the margin rule.  ``A`` is factored
     once, as ``full``, which is also the certificate's block when every row
@@ -259,7 +251,7 @@ def compute_partition(
         _, block, A_N = cache
         if block is None:
             return None
-        x_hat, slack = np.zeros(A.shape[1]), None
+        x_hat = slack = None
         if A_N.shape[0]:
             x = x - block.V @ (block.V.T @ x)
             peak = float(np.abs(x).max())
@@ -296,9 +288,8 @@ def compute_partition(
         found = certify(~all_slack, None, 1.0 + Wx)
     if found is None:
         found, solution = _least_distance(A, full, Wx, certify, cfg)
-    if found is not None:
-        t, iterations, lp_residuals = 0.0, 0, {}
-    else:
+    lp = None
+    if found is None:
         sol = solve_partition_lp(full, cfg, accept=accept)
         if sol.accepted is None:
             raise AmbiguousIndex(
@@ -306,7 +297,7 @@ def compute_partition(
                 "without an iterate whose split passes the margin rule"
             )
         found = sol.accepted
-        t, iterations, lp_residuals = sol.t, sol.iterations, dict(sol.residuals)
+        lp = {"t": sol.t, "iterations": sol.iterations, "residuals": dict(sol.residuals)}
     b_mask, block, x_hat, y_hat, slack, weight = found
 
     B = tuple(int(i) for i in np.flatnonzero(b_mask))
@@ -314,23 +305,20 @@ def compute_partition(
     A_B = block.A_B
     A_N = A[~b_mask]
     residuals = {
-        "t": t,
-        "tight_rows_inf": float(np.abs(A_B @ x_hat).max(initial=0.0)),
-        "center_eq_inf": float(np.abs(A_B.T @ y_hat).max(initial=0.0)) if B else 0.0,
+        "tight_rows_inf": float(np.abs(A_B @ x_hat).max(initial=0.0)) if N else None,
+        "center_eq_inf": float(np.abs(A_B.T @ y_hat).max(initial=0.0)) if B else None,
         "slack_margin": slack,
         "weight_margin": weight,
-        "lp": lp_residuals,
     }
     return PartitionCertificate(
         B=B,
         N=N,
         x_hat=x_hat,
         y_hat=y_hat,
-        t=t,
         min_slack_N=float((-(A_N @ x_hat)).min()) if N else None,
         min_y_hat=float(y_hat.min()) if B else None,
         residuals=residuals,
-        lp_iterations=iterations,
+        lp=lp,
         block=block,
         solution=solution,
     )

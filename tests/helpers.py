@@ -5,7 +5,9 @@ matrices.  The degenerate family cycles five shapes of rank deficiency
 and row duplication that exercise the partition and stitching paths.
 """
 
+import importlib.resources
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -14,7 +16,11 @@ import numpy as np
 from hoffbound import ProblemInstance
 from hoffbound.core import euclidean_norm, row_norms
 
-WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
+
+# Two tight rows +-e_1 and one slack row -e_2: B = (0, 1), N = (2,).
+C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
 def gaussian_matrix(seed: int, max_m: int = 20, max_n: int = 10) -> np.ndarray:
@@ -149,23 +155,34 @@ def benchmark_matrix(workload: str, seed: int, name: str) -> np.ndarray:
 
 
 def benchmark_case(workload: str, seed: int, name: str):
-    """One case of the benchmark's ``make_cases``: name, matrix, oracle seed.
+    """One case of the benchmark's ``make_cases``: name, matrix, oracle seed."""
+    module = load_file_module("perfbench_workloads", WORKLOADS_PATH)
+    return next(c for c in module.make_cases(workload, seed) if c.name == name)
 
-    ``perfbench/workloads.py`` is loaded in place and never written to: no
-    bytecode cache is left next to it.
+
+def report_schema() -> dict:
+    """The JSON schema shipped with the package for reports."""
+    path = importlib.resources.files("hoffbound") / "schemas" / "report-v1.schema.json"
+    return json.loads(path.read_text())
+
+
+def load_file_module(name: str, path: Path):
+    """Execute the Python file at ``path`` as a module called ``name``.
+
+    The file is read, never written: no bytecode cache is left next to it.
     """
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
     # dataclasses resolve the module's annotations through sys.modules
-    sys.modules[spec.name] = module
+    sys.modules[name] = module
     sys.dont_write_bytecode = True
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = saved
-        del sys.modules[spec.name]
-    return next(c for c in module.make_cases(workload, seed) if c.name == name)
+        del sys.modules[name]
+    return module
 
 
 def record_svd_inputs(monkeypatch) -> list[np.ndarray]:

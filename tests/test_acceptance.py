@@ -19,7 +19,7 @@ from hoffbound import (
     report_to_dict,
 )
 
-from helpers import closed_form_H0, degenerate_matrix, gaussian_matrix, instance
+from helpers import C4, closed_form_H0, degenerate_matrix, gaussian_matrix, instance
 
 SQRT5 = 2.23606797749979
 TWO_SQRT2 = 2.8284271247461903
@@ -28,7 +28,6 @@ SQRT2 = 1.4142135623730951
 
 C2 = np.array([[3.0, 4.0]])
 C3 = np.array([[1.0], [-1.0]])
-C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 
 SUITE_SEEDS = ([("gaussian", 5000 + k) for k in range(100)]
                + [("degenerate", 6000 + k) for k in range(20)])
@@ -220,7 +219,7 @@ def test_the_partition_lp_runs_only_on_mixed_splits(sandwich_suite):
     # one-sided split of the suite; the LP, which leaves residuals on the
     # certificate, decides exactly the mixed ones
     rows, _ = sandwich_suite
-    ran = [bool(rep.partition.residuals["lp"]) for _, rep, _, _ in rows]
+    ran = [rep.partition.lp is not None for _, rep, _, _ in rows]
     mixed = [bool(rep.partition.B and rep.partition.N) for _, rep, _, _ in rows]
     print(f"partition LP ran on {sum(ran)} of {len(rows)} suite inputs, "
           f"{sum(mixed)} of them mixed")

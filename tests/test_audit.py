@@ -12,14 +12,13 @@ from hoffbound.bounds import CaseBBound
 from hoffbound.numerics import smallest_positive_singular_value
 
 from helpers import (
+    C4,
     count_scaled_copies,
     gaussian_matrix,
     instance,
     planted_mixed_matrix,
     record_svd_inputs,
 )
-
-C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
 def test_audit_module_never_imports_solvers():
@@ -199,8 +198,9 @@ def test_audit_records_a_witness_of_the_wrong_length(component, witness, message
     (C4, "partition.N", lambda N: (), "B and N do not partition the row indices"),
     (C4, "partition.B", lambda B: B[::-1], "index tuples are not sorted"),
     (C4, "partition.x_hat", lambda x: 2.0 * x, "x_hat norm "),
-    (np.array([[1.0], [-1.0]]), "partition.x_hat", lambda x: x + 1.0,
-     "x_hat must be zero when N is empty"),
+    (C4, "partition.x_hat", lambda x: None, "x_hat is missing for a nonempty N"),
+    (np.array([[1.0], [-1.0]]), "partition.x_hat", lambda x: np.ones(1),
+     "x_hat must be None when N is empty"),
     (C4, "partition.y_hat", lambda y: np.append(y, 0.0), "y_hat length does not match B"),
     (-np.eye(3), "partition.y_hat", lambda y: np.ones(1),
      "y_hat must be empty when B is empty"),
@@ -213,9 +213,16 @@ def test_audit_records_a_witness_of_the_wrong_length(component, witness, message
     (C4, "case_b.value", lambda v: 1.5 * v, "tight-block value does not equal 2 / sigma"),
     (C4, "stitch.value", lambda v: v + 1.0, "stitch value does not equal 1 + 2 ||w_bar||"),
     (C4, "branch", lambda b: "bogus", "unknown branch 'bogus'"),
-], ids=["B_N_cover", "B_unsorted", "x_hat_norm", "x_hat_without_N", "y_hat_length",
-        "y_hat_without_B", "y_bar_sum", "y_bar_residual", "sigma_missing",
-        "sigma_negative", "zero_block_value", "case_b_value", "stitch_value", "branch"])
+    (C4, "branch", lambda b: "zero", "branch is 'zero' but the matrix has a nonzero entry"),
+    (C4, "partition", lambda p: None, "non-zero branch is missing its partition certificate"),
+    # the zero row of this input is tight; filed as slack, the stitch
+    # check cannot normalize it
+    (np.vstack([C4, np.zeros(2)]), "partition",
+     lambda p: dataclasses.replace(p, B=(0, 1), N=(2, 3)), "a slack row is identically zero"),
+], ids=["B_N_cover", "B_unsorted", "x_hat_norm", "x_hat_missing", "x_hat_without_N",
+        "y_hat_length", "y_hat_without_B", "y_bar_sum", "y_bar_residual", "sigma_missing",
+        "sigma_negative", "zero_block_value", "case_b_value", "stitch_value", "branch",
+        "zero_branch", "partition_missing", "zero_slack_row"])
 def test_audit_names_the_check_a_tampered_field_fails(A, field, change, message):
     # one field of an honest report changed: its own check records the failure
     inst = instance(A)

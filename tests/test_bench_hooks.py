@@ -6,26 +6,9 @@ test installs that tracer, runs the pipeline once, and checks that every hook
 found its attribute and that the spans carry what the per-layer numbers read.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 from hoffbound import ProblemInstance, bound_h0, lower_bound_monte_carlo
 
-from helpers import planted_mixed_matrix
-
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-
-
-def _load_spans(monkeypatch):
-    # perfbench/ is read, never written: no bytecode cache next to spans.py
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses resolve the module's annotations through sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
+from helpers import ROOT, load_file_module, planted_mixed_matrix
 
 
 def _owner(spans, span, programs):
@@ -37,8 +20,8 @@ def _owner(spans, span, programs):
     return None
 
 
-def test_traced_pipeline_resolves_every_hook(monkeypatch):
-    spans_mod = _load_spans(monkeypatch)
+def test_traced_pipeline_resolves_every_hook():
+    spans_mod = load_file_module("perfbench_spans", ROOT / "perfbench" / "spans.py")
     inst = ProblemInstance.from_matrix(planted_mixed_matrix(3, 30, 8))
     tracer = spans_mod.Tracer()
     tracer.install()

@@ -18,6 +18,7 @@ from hoffbound.bounds import bound_case_b, bound_case_n, bound_stitch
 from hoffbound.numerics import TightBlock
 
 from helpers import (
+    C4,
     count_scaled_copies,
     gaussian_matrix,
     instance,
@@ -29,7 +30,6 @@ from helpers import (
 SQRT5 = 2.23606797749979
 TWO_SQRT2 = 2.8284271247461903
 SIX_SQRT2 = 8.485281374238571
-C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
 # --- slack-block bound ---------------------------------------------------
@@ -254,3 +254,10 @@ def test_rows_scaled_over_eight_decades_give_the_planted_split_or_a_typed_error(
             assert res.ok, (seed, row_seed, res.failures)
             certified += 1
     assert certified >= 170
+
+
+def test_block_bounds_reject_an_empty_side():
+    with pytest.raises(ValueError, match="tight set must be nonempty"):
+        bound_case_b(TightBlock(np.zeros((0, 2))))
+    with pytest.raises(ValueError, match="slack set must be nonempty"):
+        bound_stitch(TightBlock(C4[:2]), np.zeros((0, 2)))

@@ -9,7 +9,7 @@ import pytest
 import hoffbound.cli as cli
 from hoffbound import OracleResult, save_matrix_csv
 
-from helpers import planted_mixed_matrix
+from helpers import planted_mixed_matrix, report_schema
 
 
 @pytest.fixture
@@ -17,12 +17,6 @@ def csv_path(tmp_path):
     path = tmp_path / "m.csv"
     save_matrix_csv(path, -np.eye(3))
     return str(path)
-
-
-def _schema():
-    import importlib.resources as ir
-    text = (ir.files("hoffbound") / "schemas" / "report-v1.schema.json").read_text()
-    return json.loads(text)
 
 
 def test_parser_defaults():
@@ -70,7 +64,7 @@ def test_json_output_matches_schema(csv_path, capsys):
                    "--samples", "4"])
     assert rc == cli.EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    jsonschema.validate(payload, _schema())
+    jsonschema.validate(payload, report_schema())
     assert payload["branch"] == "case_N"
     assert payload["sandwich"]["ok"] is True
 

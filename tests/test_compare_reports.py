@@ -5,23 +5,16 @@ audit verdict and the audit metrics.  The comparison gates B/N, totals and
 lower bounds, and names every other leaf that moved.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-TOOL_PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
+from helpers import ROOT, load_file_module
 
 
 @pytest.fixture
-def compare(monkeypatch, tmp_path, capsys):
-    # tools/ is read, never written: no bytecode cache next to the script
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("compare_reports", TOOL_PATH)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+def compare(tmp_path, capsys):
+    tool = load_file_module("compare_reports", ROOT / "tools" / "compare_reports.py")
 
     def run(old_rows, new_rows):
         """Exit code and printed lines of comparing the two dumps."""

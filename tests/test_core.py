@@ -12,21 +12,9 @@ from hoffbound import (
     audit_report,
     bound_h0,
 )
-from hoffbound.core import euclidean_norm, pos_part_inf_norm
+from hoffbound.core import euclidean_norm
 
-from helpers import gaussian_matrix
-
-C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
-
-
-def test_pos_part_inf_norm_picks_largest_positive_entry():
-    assert pos_part_inf_norm(np.array([-1.0, 2.0, -3.0])) == 2.0
-    assert pos_part_inf_norm(np.array([5.0])) == 5.0
-
-
-def test_pos_part_inf_norm_zero_without_violations():
-    assert pos_part_inf_norm(np.array([-4.0, 0.0, -0.5])) == 0.0
-    assert pos_part_inf_norm(np.array([])) == 0.0
+from helpers import C4, gaussian_matrix
 
 
 def test_euclidean_norm():

@@ -21,13 +21,7 @@ from hoffbound import (
     save_matrix_csv,
 )
 
-from helpers import instance, planted_mixed_matrix
-
-
-def _schema():
-    import importlib.resources as ir
-    text = (ir.files("hoffbound") / "schemas" / "report-v1.schema.json").read_text()
-    return json.loads(text)
+from helpers import instance, planted_mixed_matrix, report_schema
 
 
 # --- CSV -------------------------------------------------------------------
@@ -192,6 +186,15 @@ def test_explicit_format_overrides_extension(tmp_path):
         load_matrix(p, fmt="bogus")
 
 
+@pytest.mark.parametrize("name", ["missing", "."], ids=["missing", "directory"])
+def test_auto_detection_of_an_unreadable_file_raises_parse_error(tmp_path, name):
+    # neither has a known extension, so the header is sniffed and cannot be
+    # read
+    p = tmp_path / name
+    with pytest.raises(ParseError, match=str(tmp_path)):
+        load_matrix(p)
+
+
 def test_parse_error_hierarchy():
     assert issubclass(DimensionError, ParseError)
     assert issubclass(UnsupportedFormat, ParseError)
@@ -200,7 +203,7 @@ def test_parse_error_hierarchy():
 # --- report payloads ---------------------------------------------------------------
 
 def test_payload_shape_and_schema_for_each_branch():
-    schema = _schema()
+    schema = report_schema()
     for A in (np.zeros((2, 2)), -np.eye(3), np.array([[1.0], [-1.0]]),
               np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])):
         inst = instance(A)
@@ -218,7 +221,7 @@ def test_canonical_payload_carries_the_partition_lp_work():
     # split, whose LP takes interior-point steps
     rep = bound_h0(instance(planted_mixed_matrix(3, 30, 8)))
     part = json.loads(canonical_report_json(report_to_dict(rep)))["partition"]
-    assert part["lp_iterations"] == rep.partition.lp_iterations > 0
+    assert part["lp"]["iterations"] == rep.partition.lp["iterations"] > 0
 
 
 def test_payload_without_oracle_has_null_sandwich():
@@ -245,7 +248,7 @@ def test_schema_rejects_unknown_keys():
     payload = report_to_dict(rep)
     payload["extra"] = 1
     with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(payload, _schema())
+        jsonschema.validate(payload, report_schema())
 
 
 # --- canonical JSON ------------------------------------------------------------------

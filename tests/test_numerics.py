@@ -108,3 +108,16 @@ def test_row_normalize_rejects_zero_row():
 def test_error_hierarchy():
     assert issubclass(NumericalFailure, HoffboundError)
     assert issubclass(DegenerateRow, HoffboundError)
+
+
+@pytest.mark.parametrize("fn, M", [
+    (orthonormal_null_basis, np.ones(3)),
+    (smallest_positive_singular_value, np.ones(3)),
+    (smallest_positive_singular_value, np.zeros((0, 3))),
+    (row_normalize, np.ones(3)),
+    (row_normalize, np.zeros((0, 3))),
+], ids=["null_basis-1d", "sigma-1d", "sigma-empty", "row_normalize-1d",
+        "row_normalize-no-rows"])
+def test_kernels_reject_a_malformed_matrix(fn, M):
+    with pytest.raises(ValueError, match="expected a"):
+        fn(M)

@@ -10,6 +10,7 @@ from hoffbound.oracle import directed_candidates, ratio_at
 from hoffbound.partition import compute_partition
 
 from helpers import (
+    C4,
     benchmark_case,
     closed_form_H0,
     degenerate_matrix,
@@ -20,7 +21,6 @@ from helpers import (
 )
 
 SQRT5 = 2.23606797749979
-C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
 def _all_candidates(inst, num_samples, seed, x_hat=None):
@@ -324,3 +324,25 @@ def test_closed_form_declines_unsupported_shapes():
     # a positive diagonal entry breaks the negative-diagonal pattern
     assert closed_form_H0(np.array([[2.0, 0.0], [0.0, -3.0]])) is None
     assert closed_form_H0(np.array([[-1.0, 0.5], [0.0, -1.0]])) is None
+
+
+def test_negative_sample_count_is_rejected():
+    with pytest.raises(ValueError, match="num_samples must be nonnegative"):
+        lower_bound_monte_carlo(instance(C4), num_samples=-1)
+
+
+def test_a_draw_below_the_violation_floor_is_screened_without_a_projection(monkeypatch):
+    # row 0 has norm 1e-13, so a draw with u_0, u_1 > 0 violates row 0
+    # alone, by at most 1e-13 ||u||: positive in the batched product, which
+    # gives it a large cap, yet below ratio_at's floor 1e-12 ||A||_F ||u||
+    import hoffbound.oracle as oracle_mod
+
+    inst = instance(np.array([[1e-13, 0.0], [0.0, -1.0]]))
+    projected = []
+    real = oracle_mod.project_onto_cone
+    monkeypatch.setattr(oracle_mod, "project_onto_cone",
+                        lambda i, u: projected.append(u) or real(i, u))
+    res = lower_bound_monte_carlo(inst, num_samples=16, seed=0)
+    assert res.screened_feasible > 0 and res.failed == 0
+    assert len(projected) == res.samples_used - res.screened_feasible - res.pruned
+    assert all(u[0] <= 0.0 or u[1] <= 0.0 for u in projected)

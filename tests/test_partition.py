@@ -13,7 +13,7 @@ import hoffbound.solvers.programs
 from hoffbound import AmbiguousIndex, HoffboundError, SolverConfig, audit_report, bound_h0
 from hoffbound.audit import verify_partition
 from hoffbound.numerics import TightBlock
-from hoffbound.partition import PartitionCertificate, compute_partition
+from hoffbound.partition import PartitionCertificate, compute_partition, slack_margin
 from hoffbound.solvers.programs import (
     AnalyticCenterSolution,
     InfeasibleQP,
@@ -22,9 +22,7 @@ from hoffbound.solvers.programs import (
     solve_partition_lp,
 )
 
-from helpers import gaussian_matrix, instance, planted_mixed_matrix, planted_mixed_split
-
-C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+from helpers import C4, gaussian_matrix, instance, planted_mixed_matrix, planted_mixed_split
 
 
 def test_all_slack_instance():
@@ -39,9 +37,7 @@ def test_all_slack_instance():
     assert cert.min_slack_N == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-8)
     # A has full row rank, so the least-squares solution of A x = -1 is
     # interior and proves the split before the LP runs
-    assert cert.lp_iterations == 0
-    assert cert.t == 0.0
-    assert cert.residuals["lp"] == {}
+    assert cert.lp is None
 
 
 def test_all_tight_instance():
@@ -50,13 +46,11 @@ def test_all_tight_instance():
     assert cert.B == (0, 1)
     assert cert.N == ()
     assert np.allclose(cert.y_hat, [0.5, 0.5], atol=1e-8)
-    assert np.allclose(cert.x_hat, 0.0)
+    assert cert.x_hat is None
     assert cert.min_slack_N is None
     # the least-squares residual of A x = -1 is (1, 1), positive weights
     # that prove the split before the LP runs
-    assert cert.lp_iterations == 0
-    assert cert.t == 0.0
-    assert cert.residuals["lp"] == {}
+    assert cert.lp is None
 
 
 def test_mixed_instance():
@@ -67,8 +61,8 @@ def test_mixed_instance():
     assert cert.x_hat[1] == pytest.approx(1.0, abs=1e-8)
     assert np.allclose(cert.y_hat, [0.5, 0.5], atol=1e-8)
     # certified at the starting point, whose t is not the optimum 1/3
-    assert cert.lp_iterations == 0
-    assert cert.t == pytest.approx(43.0 / 136.0, rel=1e-12)
+    assert cert.lp["iterations"] == 0
+    assert cert.lp["t"] == pytest.approx(43.0 / 136.0, rel=1e-12)
     assert cert.min_slack_N == pytest.approx(1.0, abs=1e-8)
     assert cert.min_y_hat == pytest.approx(0.5, abs=1e-8)
 
@@ -91,7 +85,7 @@ def test_certificates_verify_and_are_frozen():
         if cert.N:
             assert {"min_slack_N", "x_hat_norm"} <= set(check.metrics)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cert.t = 0.0
+            cert.lp = None
 
 
 def test_verification_catches_tampered_multipliers():
@@ -124,8 +118,8 @@ def test_verification_rejects_a_negligible_weight_on_a_slack_row():
     # a relative residual budget; no exact positive weights sit that close
     inst = instance(C4)
     y = np.array([0.5 - 5e-18, 0.5 - 5e-18, 1e-17])
-    bad = PartitionCertificate(B=(0, 1, 2), N=(), x_hat=np.zeros(2), y_hat=y,
-                               t=0.3, min_slack_N=None, min_y_hat=1e-17)
+    bad = PartitionCertificate(B=(0, 1, 2), N=(), x_hat=None, y_hat=y,
+                               min_slack_N=None, min_y_hat=1e-17)
     assert np.abs(inst.A.T @ y).max() <= 1e-17
     check = verify_partition(inst, bad)
     assert not check.ok
@@ -136,14 +130,13 @@ def test_verification_rejects_a_negligible_weight_on_a_slack_row():
 def test_overlapping_blocks_rejected_at_construction():
     with pytest.raises(ValueError):
         PartitionCertificate(B=(0, 1), N=(1, 2), x_hat=np.zeros(2),
-                             y_hat=np.full(2, 0.5), t=0.5,
-                             min_slack_N=None, min_y_hat=None)
+                             y_hat=np.full(2, 0.5), min_slack_N=None, min_y_hat=None)
 
 
-def test_ambiguous_index_carries_row_indices():
-    err = AmbiguousIndex("cannot classify", indices=(3, 7))
+def test_ambiguous_index_is_a_hoffbound_error():
+    err = AmbiguousIndex("cannot classify")
     assert isinstance(err, HoffboundError)
-    assert err.indices == (3, 7)
+    assert str(err) == "cannot classify"
 
 
 def test_untrusted_margin_raises_after_one_solve(monkeypatch):
@@ -156,7 +149,7 @@ def test_untrusted_margin_raises_after_one_solve(monkeypatch):
 
     # the starting point certifies C4; the converged LP takes more steps
     plain = compute_partition(instance(C4), SolverConfig())
-    assert plain.lp_iterations == 0 < real(TightBlock(C4), SolverConfig()).iterations
+    assert plain.lp["iterations"] == 0 < real(TightBlock(C4), SolverConfig()).iterations
     monkeypatch.setattr(hoffbound.partition, "solve_partition_lp", counted)
     monkeypatch.setattr(hoffbound.partition, "weight_margin", lambda block, y: 0.0)
     with pytest.raises(AmbiguousIndex, match="margin rule"):
@@ -186,13 +179,14 @@ def test_partition_covers_all_rows_on_random_instances(monkeypatch):
         # in fewer steps
         sol = real(TightBlock(inst.A))
         assert cert.B == tuple(np.flatnonzero(sol.y > sol.s))
-        assert cert.lp_iterations < sol.iterations
-        # every LP iterate has t > 0; a split proven before the LP has 0
+        # every LP iterate has t > 0; a split proven before the LP has no
+        # LP record
         if ran:
             lp_runs.append(name)
-            assert cert.t > 0.0 and cert.B and cert.N
+            assert cert.lp["t"] > 0.0 and cert.B and cert.N
+            assert cert.lp["iterations"] < sol.iterations
         else:
-            assert cert.t == 0.0 and cert.lp_iterations == 0
+            assert cert.lp is None and sol.iterations > 0
         if cert.solution is not None:
             staged.append(name)
     # the Gaussian inputs are one-sided: 205 and 209, which least-squares
@@ -222,7 +216,7 @@ def test_one_sided_splits_are_proven_without_the_interior_point_method(monkeypat
         inst = instance(A)
         rep = bound_h0(inst)
         assert rep.branch == branch
-        assert rep.partition.lp_iterations == 0 and rep.partition.t == 0.0
+        assert rep.partition.lp is None
         res = audit_report(inst, rep)
         assert res.ok, res.failures
 
@@ -251,7 +245,7 @@ def test_an_all_slack_input_stops_at_its_first_interior_iterate(monkeypatch):
     assert not (A @ x_ls < 0.0).all()
     # the least-distance fit proves it before the LP ...
     cert = compute_partition(instance(A))
-    assert cert.B == () and cert.lp_iterations == 0
+    assert cert.B == () and cert.lp is None
     assert isinstance(cert.solution, MinNormSolution)
     # ... so the fit is made to defer, and the LP runs
     monkeypatch.setattr(hoffbound.partition, "solve_min_norm_qp", _no_fit)
@@ -264,8 +258,8 @@ def test_an_all_slack_input_stops_at_its_first_interior_iterate(monkeypatch):
     assert first.iterations < late.iterations
     cert = compute_partition(instance(A))
     assert cert.B == ()
-    assert cert.lp_iterations == first.iterations
-    assert cert.t > 0.0
+    assert cert.lp["iterations"] == first.iterations
+    assert cert.lp["t"] > 0.0
     assert np.all(A @ cert.x_hat < 0.0)
 
 
@@ -281,8 +275,8 @@ def test_planted_mixed_splits_are_left_to_the_lp(monkeypatch, m, n, seed):
     # its Farkas weights do not span the row space
     assert log == [("fit", np.linalg.matrix_rank(A) + 1), ("lp", m)]
     assert cert.N == tuple(int(i) for i in np.flatnonzero(slack))
-    assert cert.lp_iterations > 0 and cert.t > 0.0
-    assert cert.residuals["lp"]
+    assert cert.lp["iterations"] > 0 and cert.lp["t"] > 0.0
+    assert cert.lp["residuals"]
     assert verify_partition(inst, cert).ok
 
 
@@ -314,7 +308,7 @@ def test_one_sided_splits_left_open_by_least_squares_reuse_the_block_solve(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hoffbound.partition, "solve_min_norm_qp", _no_fit)
         before = bound_h0(instance(A))
-    assert before.partition.residuals["lp"]  # the LP decided it
+    assert before.partition.lp is not None  # the LP decided it
     log, reused = [], []
     _log_solves(monkeypatch, hoffbound.partition, log)
     _log_solves(monkeypatch, hoffbound.bounds, reused)
@@ -341,7 +335,7 @@ def test_a_failed_fit_or_center_falls_back_to_the_lp(monkeypatch, seed, program)
     monkeypatch.setattr(hoffbound.partition, program, stall)
     cert = compute_partition(inst)
     assert (cert.B, cert.N) == (proven.B, proven.N)
-    assert cert.solution is None and cert.t > 0.0 and cert.residuals["lp"]
+    assert cert.solution is None and cert.lp["t"] > 0.0 and cert.lp["residuals"]
     assert verify_partition(inst, cert).ok
 
 
@@ -404,7 +398,7 @@ def test_least_squares_witnesses_prove_the_true_side_or_defer(side, seed, n, ext
         return
     assert side != "mixed"
     assert cert.B == truth
-    assert cert.t == 0.0 and cert.lp_iterations == 0
+    assert cert.lp is None
     assert verify_partition(instance(A), cert).ok
     # the stage's witness is the bound's own solve on all of A
     if isinstance(cert.solution, MinNormSolution):
@@ -442,3 +436,9 @@ def test_the_least_distance_stage_proves_what_least_squares_leaves_open(monkeypa
                 assert cert.B == truth
                 proven[side] += 1
     assert proven == {"slack": 6, "tight": 5}
+
+
+def test_slack_margin_is_minus_infinity_on_a_zero_row():
+    # a zero row is never strictly slack, whatever the witness
+    A_N = np.array([[0.0, -1.0], [0.0, 0.0]])
+    assert slack_margin(TightBlock(C4[:2]), A_N, np.array([0.0, 1.0])) == -np.inf

@@ -571,3 +571,10 @@ def test_partition_lp_converges_where_the_weights_span_sixteen_decades(monkeypat
     assert max(spans) > 1e16
     assert sol.t == pytest.approx(4.3148e-6, rel=1e-4)
     assert np.all(sol.y >= 0.5 * sol.t)
+
+
+def test_min_norm_qp_and_projection_reject_malformed_arguments():
+    with pytest.raises(ValueError, match="G must be a matrix"):
+        solve_min_norm_qp(np.ones(3))
+    with pytest.raises(ValueError, match=r"u has shape \(3,\), expected \(2,\)"):
+        project_onto_cone(instance(np.eye(2)), np.ones(3))
