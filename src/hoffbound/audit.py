@@ -5,11 +5,13 @@ products, norms, singular value decompositions, and sign tests on the
 stored witnesses.  No solver is called, so a report is validated by
 arithmetic that shares nothing with the optimization code that built it.
 The one shared piece is the partition's margin rule
-(``partition.slack_margin`` and ``weight_margin``): the partition LP stops
-on it, and the audit applies it again to the stored witnesses, on its own
-``numerics.TightBlock`` of the instance's rows A_B (never the report's),
-which also gives the case-B check its sigma and the stitch check the rank
-gap of A_B.  No rank is decided outside that block.
+(``partition.slack_margin`` and ``weight_margin``): ``compute_partition``
+proves every split with it, whichever witnesses it tried (the least-squares
+point and residual, the least-distance fit, the analytic center or a
+partition LP iterate), and the audit applies it again to the stored
+witnesses, on its own ``numerics.TightBlock`` of the instance's rows A_B
+(never the report's), which also gives the case-B check its sigma and the
+stitch check the rank gap of A_B.  No rank is decided outside that block.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ SUM_TOL = 1e-12
 SIGMA_RTOL = 1e-12
 
 # The components each branch combines: the total is the stitch factor (1
-# without a stitch) times the larger block bound present (0 without one).
+# without a stitch) times the larger block bound present.
 _BRANCH_COMPONENTS = {
-    "zero": (),
     "case_N": ("case_n",),
     "case_B": ("case_b",),
     "general": ("case_n", "case_b", "stitch"),
@@ -107,7 +108,7 @@ def _check_branch(report: BoundReport) -> list[str]:
         return [f"non-finite bound: {', '.join(bad)}"]
     blocks = [c.value for c in (report.case_n, report.case_b) if c is not None]
     factor = 1.0 if report.stitch is None else report.stitch.value
-    if report.total != factor * max(blocks, default=0.0):
+    if report.total != factor * max(blocks):
         return [f"{report.branch} branch arithmetic mismatch"]
     return []
 
@@ -123,8 +124,8 @@ def verify_partition(
 
     No solver is invoked.  The checks are index bookkeeping (exact cover of
     the row indices, sorted tuples, a unit ``x_hat``, no ``x_hat`` and an
-    empty ``y_hat`` on an empty side) and the margin rule that ended the
-    partition LP, applied to the stored witnesses: ``slack_margin`` of
+    empty ``y_hat`` on an empty side) and the margin rule that proved the
+    split, applied to the stored witnesses: ``slack_margin`` of
     ``x_hat`` on N and ``weight_margin`` of ``y_hat`` on B must be positive.
     Each margin proves that an exact witness lies next to the stored one,
     and the two exact witnesses prove that B is the tight set of P and N
@@ -203,17 +204,18 @@ def _verify_partition(
 def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     """Recheck every certificate a bound report relies on.
 
-    A zero branch needs a zero matrix.  Otherwise: the partition certificate
-    passes ``verify_partition``; the slack-block witness has unit margin on
-    A_N, its norm is the reported value, and ``value >= ||x_bar|| /
-    min(A_N x_bar)`` (``_check_unit_margin``); the tight-block witness passes
-    the weights check of ``y_hat``, and ``sigma`` exceeds the audit block's
-    ``weighted_sigma(y_bar)`` by at most ``SIGMA_RTOL`` relative, so that
-    ``||diag(y_bar) A_B w|| >= sigma ||w||`` (to that rounding) on the row
-    space of A_B; the stitching witness w_bar has ``||A_B w_bar||_inf <=
-    RESIDUAL_TOL ||A_B||_F ||w_bar||``, unit margin through the recomputed
-    row scaling D, ``value = 1 + 2 ||w_bar||`` and ``value >= 1 + 2 ||w_bar||
-    / min(D A_N w_bar)``.  Both value inequalities hold up to ``UNIT_RTOL``.
+    The partition certificate passes ``verify_partition``; the slack-block
+    witness has unit margin on A_N, its norm is the reported value, and
+    ``value >= ||x_bar|| / min(A_N x_bar)`` (``_check_unit_margin``); the
+    tight-block weights ``y_bar`` pass ``_check_weights``, and ``sigma``
+    exceeds the audit block's ``weighted_sigma(y_bar)`` by at most
+    ``SIGMA_RTOL`` relative, so that ``||diag(y_bar) A_B w|| >= sigma ||w||``
+    (to that rounding) on the row space of A_B, or, without a sigma, A_B is
+    exactly zero and the value 0; the stitching witness w_bar has
+    ``||A_B w_bar||_inf <= RESIDUAL_TOL ||A_B||_F ||w_bar||``, unit margin
+    through the recomputed row scaling D, ``value = 1 + 2 ||w_bar||`` and
+    ``value >= 1 + 2 ||w_bar|| / min(D A_N w_bar)``.  Both value
+    inequalities hold up to ``UNIT_RTOL``.
     Finally the report carries exactly its branch's components, and their
     product formula gives the total bit for bit, and every value is finite.
     Every budget is relative to the matrix it checks.  A rank in the rule's
@@ -224,16 +226,11 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     A = instance.A
     failures: list[str] = []
     metrics: dict = {}
-    if report.branch == "zero":
-        if np.any(A):
-            failures.append("branch is 'zero' but the matrix has a nonzero entry")
-        failures += _check_branch(report)
-        return AuditResult(ok=not failures, failures=tuple(failures), metrics=metrics)
     cert = report.partition
     if cert is None:
         return AuditResult(
             ok=False,
-            failures=("non-zero branch is missing its partition certificate",),
+            failures=("report is missing its partition certificate",),
             metrics=metrics,
         )
     check, block = _verify_partition(instance, cert)

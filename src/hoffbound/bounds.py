@@ -5,9 +5,8 @@ The target quantity is
     H0(A) = sup over u outside P of dist_2(u, P) / max_i (A u)_i^+
 
 with P = {x : A x <= 0}, the Euclidean norm on inputs, and the max norm on
-row violations.  By convention H0 of a zero matrix is 0.  The bound is
-assembled from three certified components attached to the tight/slack row
-partition (B, N):
+row violations.  The bound is assembled from three certified components
+attached to the tight/slack row partition (B, N):
 
 * slack rows: any x_bar with A_N x_bar >= 1 gives H0(A_N) <= ||x_bar||_2
   (the sign of x_bar is immaterial; flipping it turns the deep-slack
@@ -20,9 +19,11 @@ partition (B, N):
 
 The total is the restriction factor times the larger of the two row-block
 bounds, degenerating to the single available component when one side of the
-partition is empty.  A_B is factored once, by the partition
-(``PartitionCertificate.block``): the center and sigma use its row space and
-the stitch its null basis Q, the complement of the row space of the split.
+partition is empty.  A zero matrix needs no convention: its rows are all
+tight, their block has rank 0, and the tight-block bound is 0.  A_B is
+factored once, by the partition (``PartitionCertificate.block``): the center
+and sigma use its row space and the stitch its null basis Q, the complement
+of the row space of the split.
 A one-sided split proven by the least-distance fit or the analytic center
 hands that solve on (``PartitionCertificate.solution``), so it is not solved
 twice.
@@ -81,8 +82,8 @@ class CaseBBound:
     """Bound on the tight-row block: value = 2 / sigma at the analytic center.
 
     ``sigma`` is ``TightBlock.weighted_sigma(y_bar)``; it is None only for an
-    identically zero tight block, where the bound is 0 by the zero-matrix
-    convention.
+    identically zero tight block, where the bound is 0: zero rows hold at
+    every point and add no error.
     """
 
     value: float
@@ -115,14 +116,14 @@ class BoundReport:
     """Full output of one bounding run.
 
     ``branch`` records which arm of the combination produced ``total``:
-    "zero" (zero matrix, total 0), "case_N" (no tight rows), "case_B" (no
-    slack rows), or "general" (total = stitch * max of the block bounds,
-    evaluated in exactly that floating-point order).
+    "case_N" (no tight rows), "case_B" (no slack rows; a zero matrix is all
+    tight, of rank 0, with total 0), or "general" (total = stitch * max of
+    the block bounds, evaluated in exactly that floating-point order).
     """
 
     total: float
     branch: str
-    partition: PartitionCertificate | None
+    partition: PartitionCertificate
     case_n: CaseNBound | None
     case_b: CaseBBound | None
     stitch: StitchBound | None
@@ -163,8 +164,8 @@ def bound_case_b(
     alone, by Newton on its unconstrained dual (``solve_analytic_center``),
     which needs no starting point on the slice; ``center`` is that solve
     when the caller has it already: the partition's center, when the center
-    proved every row tight.  An identically zero block returns 0 by
-    convention.
+    proved every row tight.  An identically zero block returns 0 with
+    uniform weights.
     """
     cfg = cfg or SolverConfig()
     p = block.A_B.shape[0]
@@ -215,11 +216,11 @@ def _timed(timings: dict[str, float], key: str, fn, *args, **kwargs):
 def bound_h0(instance: ProblemInstance, cfg: SolverConfig | None = None) -> BoundReport:
     """Certified upper bound on H0(A) with all intermediate certificates.
 
-    The tight/slack partition decides the branch: a zero matrix is 0 by
-    convention, a one-sided partition returns its single block bound, and
-    the general case multiplies the restriction factor by the larger block
-    bound.  Every certificate the branch used is kept on the report so an
-    independent audit can recheck the claim with matrix-vector products.
+    The tight/slack partition decides the branch: a one-sided partition
+    returns its single block bound, and the general case multiplies the
+    restriction factor by the larger block bound.  Every certificate the
+    branch used is kept on the report so an independent audit can recheck
+    the claim with matrix-vector products.
 
     Raises
     ------
@@ -241,27 +242,24 @@ def bound_h0(instance: ProblemInstance, cfg: SolverConfig | None = None) -> Boun
         "timings": timings,
     }
 
-    cert = case_n = case_b = stitch = None
-    if instance.is_zero:
-        total, branch = 0.0, "zero"
+    case_n = case_b = stitch = None
+    cert = _timed(timings, "partition_s", compute_partition, instance, cfg)
+    A_N = instance.A[list(cert.N)]
+    # A partition proven by its least-distance fit is all slack, and one
+    # proven by the analytic center all tight: its solution is that side's
+    # solve.
+    if cert.N:
+        case_n = _timed(timings, "case_n_s", bound_case_n, A_N, cfg, cert.solution)
+    if cert.B:
+        case_b = _timed(timings, "case_b_s", bound_case_b, cert.block, cfg,
+                        cert.solution)
+    if cert.N and cert.B:
+        stitch = _timed(timings, "stitch_s", bound_stitch, cert.block, A_N, cfg)
+        total, branch = stitch.value * max(case_n.value, case_b.value), "general"
+    elif cert.N:
+        total, branch = case_n.value, "case_N"
     else:
-        cert = _timed(timings, "partition_s", compute_partition, instance, cfg)
-        A_N = instance.A[list(cert.N)]
-        # A partition proven by its least-distance fit is all slack, and one
-        # proven by the analytic center all tight: its solution is that
-        # side's solve.
-        if cert.N:
-            case_n = _timed(timings, "case_n_s", bound_case_n, A_N, cfg, cert.solution)
-        if cert.B:
-            case_b = _timed(timings, "case_b_s", bound_case_b, cert.block, cfg,
-                            cert.solution)
-        if cert.N and cert.B:
-            stitch = _timed(timings, "stitch_s", bound_stitch, cert.block, A_N, cfg)
-            total, branch = stitch.value * max(case_n.value, case_b.value), "general"
-        elif cert.N:
-            total, branch = case_n.value, "case_N"
-        else:
-            total, branch = case_b.value, "case_B"
+        total, branch = case_b.value, "case_B"
 
     timings["total_s"] = time.perf_counter() - t0
     return BoundReport(

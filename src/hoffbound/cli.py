@@ -88,9 +88,9 @@ def run(args: argparse.Namespace) -> int:
     report = bound_h0(instance, cfg)
     oracle = None
     if not args.skip_oracle and args.samples > 0:
-        x_hat = report.partition.x_hat if report.partition is not None else None
         oracle = lower_bound_monte_carlo(
-            instance, num_samples=args.samples, seed=args.seed, x_hat=x_hat
+            instance, num_samples=args.samples, seed=args.seed,
+            x_hat=report.partition.x_hat,
         )
 
     payload = report_to_dict(report, oracle, sandwich_rtol=SANDWICH_RTOL)
@@ -116,15 +116,14 @@ def _print_text(payload: dict) -> None:
     part = payload["partition"]
     bounds = payload["bounds"]
     print(f"branch: {payload['branch']}")
-    if part is not None:
-        print(f"tight rows B: {part['B']}")
-        print(f"slack rows N: {part['N']}")
-        lp = part["lp"]
-        if lp is not None:
-            print(f"margin t of the certified LP iterate: {lp['t']:.6e}")
-            print(f"partition LP: {lp['iterations']} iterations to the certified split")
-        else:
-            print("partition LP: not run, the split was proven before it")
+    print(f"tight rows B: {part['B']}")
+    print(f"slack rows N: {part['N']}")
+    lp = part["lp"]
+    if lp is not None:
+        print(f"margin t of the certified LP iterate: {lp['t']:.6e}")
+        print(f"partition LP: {lp['iterations']} iterations to the certified split")
+    else:
+        print("partition LP: not run, the split was proven before it")
     for key, label in (("case_N", "slack-block bound"),
                        ("case_B", "tight-block bound"),
                        ("stitch", "restriction factor")):

@@ -99,7 +99,7 @@ class ProblemInstance:
                 "the Frobenius norm of the matrix overflows; rescale it by a "
                 "power of two (H0(c A) = H0(A) / c)"
             )
-        if scale < _MIN_SCALE and not self.is_zero:
+        if scale < _MIN_SCALE and np.any(self.A):
             raise ScaleOutOfRange(
                 f"the Frobenius norm of the matrix ({scale:.3e}) is too small "
                 "to be formed accurately; rescale it by a power of two "
@@ -138,8 +138,3 @@ class ProblemInstance:
         rows = self.A[keep] / norms[keep, None]
         rows.flags.writeable = False
         return rows
-
-    @property
-    def is_zero(self) -> bool:
-        """True when every entry of ``A`` is 0 (cone is all of R^n)."""
-        return not np.any(self.A)

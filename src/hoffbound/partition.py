@@ -331,6 +331,7 @@ def _least_distance(A, full, Wx, certify, cfg):
     m, r = A.shape[0], full.rank
     fits = [np.arange(m)]
     if m > r + 1:
+        # This fit dismisses a tall mixed split without a fit of all of A.
         # The rows x_ls leaves least negative, zero rows first.
         norms = row_norms(full.W)
         score = np.full(m, np.inf)

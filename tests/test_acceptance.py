@@ -41,8 +41,8 @@ def _line(num, ok, detail):
 def _run(A, *, samples, seed):
     inst = instance(A)
     rep = bound_h0(inst)
-    x_hat = rep.partition.x_hat if rep.partition is not None else None
-    orc = lower_bound_monte_carlo(inst, num_samples=samples, seed=seed, x_hat=x_hat)
+    orc = lower_bound_monte_carlo(inst, num_samples=samples, seed=seed,
+                                  x_hat=rep.partition.x_hat)
     return inst, rep, orc
 
 

@@ -18,6 +18,7 @@ from helpers import (
     instance,
     planted_mixed_matrix,
     record_svd_inputs,
+    report_schema,
 )
 
 
@@ -213,8 +214,8 @@ def test_audit_records_a_witness_of_the_wrong_length(component, witness, message
     (C4, "case_b.value", lambda v: 1.5 * v, "tight-block value does not equal 2 / sigma"),
     (C4, "stitch.value", lambda v: v + 1.0, "stitch value does not equal 1 + 2 ||w_bar||"),
     (C4, "branch", lambda b: "bogus", "unknown branch 'bogus'"),
-    (C4, "branch", lambda b: "zero", "branch is 'zero' but the matrix has a nonzero entry"),
-    (C4, "partition", lambda p: None, "non-zero branch is missing its partition certificate"),
+    (C4, "branch", lambda b: "zero", "unknown branch 'zero'"),
+    (C4, "partition", lambda p: None, "report is missing its partition certificate"),
     # the zero row of this input is tight; filed as slack, the stitch
     # check cannot normalize it
     (np.vstack([C4, np.zeros(2)]), "partition",
@@ -236,6 +237,12 @@ def test_audit_names_the_check_a_tampered_field_fails(A, field, change, message)
     res = audit_report(inst, bad)
     assert not res.ok
     assert any(f.startswith(message) for f in res.failures), res.failures
+
+
+def test_schema_branches_are_the_audited_branches():
+    # the report contract and the audit name the same branches
+    branches = report_schema()["properties"]["branch"]["enum"]
+    assert sorted(branches) == sorted(hoffbound.audit._BRANCH_COMPONENTS)
 
 
 def test_audit_factors_the_tight_rows_once(monkeypatch):

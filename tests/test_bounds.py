@@ -1,18 +1,23 @@
 """Component bounds and the combined upper-bound report."""
 
 import functools
+import json
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hoffbound.cli as cli
 from hoffbound import (
     HoffboundError,
     NumericalFailure,
     audit_report,
     bound_h0,
     lower_bound_monte_carlo,
+    report_to_dict,
+    save_matrix_csv,
 )
 from hoffbound.bounds import bound_case_b, bound_case_n, bound_stitch
 from hoffbound.numerics import TightBlock
@@ -25,6 +30,7 @@ from helpers import (
     planted_mixed_matrix,
     planted_mixed_split,
     record_svd_inputs,
+    report_schema,
 )
 
 SQRT5 = 2.23606797749979
@@ -107,12 +113,28 @@ def test_stitch_margins_in_reduced_coordinates():
 
 # --- combined report ----------------------------------------------------------
 
-def test_zero_branch():
-    rep = bound_h0(instance(np.zeros((3, 2))))
-    assert rep.branch == "zero"
-    assert rep.total == 0.0
-    assert rep.partition is None
-    assert rep.case_n is None and rep.case_b is None and rep.stitch is None
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2, 5), (40, 3)],
+                         ids=["1x1", "3x2", "2x5", "40x3"])
+def test_zero_matrix_is_a_certified_rank_zero_case_b(shape, tmp_path, capsys):
+    # every row of a zero matrix is tight: the least-squares residual is
+    # all ones, the weights are uniform, and the rank-0 block bounds by 0
+    inst = instance(np.zeros(shape))
+    rep = bound_h0(inst)
+    assert (rep.branch, rep.total) == ("case_B", 0.0)
+    assert rep.partition.B == tuple(range(shape[0])) and rep.partition.N == ()
+    assert rep.partition.lp is None
+    assert rep.case_b.sigma is None
+    assert rep.case_n is None and rep.stitch is None
+    assert audit_report(inst, rep).ok
+    jsonschema.validate(report_to_dict(rep), report_schema())
+    path = tmp_path / "zero.csv"
+    save_matrix_csv(path, inst.A)
+    assert cli.main(["compute", "--input", str(path), "--samples", "4"]) == cli.EXIT_OK
+    assert "branch: case_B" in capsys.readouterr().out
+    assert cli.main(["compute", "--input", str(path), "--output", "json"]) == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, report_schema())
+    assert payload["bounds"]["total"] == 0.0
 
 
 def test_case_n_branch():
@@ -176,11 +198,10 @@ def test_random_instances_take_consistent_branches():
     for seed in range(10):
         inst = instance(gaussian_matrix(300 + seed))
         rep = bound_h0(inst)
-        assert rep.branch in {"zero", "case_N", "case_B", "general"}
+        assert rep.branch in {"case_N", "case_B", "general"}
         assert rep.total >= 0.0
         assert audit_report(inst, rep).ok
         if rep.branch == "general":
-            assert rep.partition is not None
             assert rep.case_n is not None and rep.case_b is not None
             assert rep.stitch is not None
 

@@ -55,8 +55,8 @@ def test_shape_properties():
 
 
 def test_zero_detection():
-    assert ProblemInstance.from_matrix(np.zeros((2, 2))).is_zero
-    assert not ProblemInstance.from_matrix(-np.eye(3)).is_zero
+    # only an exact zero matrix is exempt from the scale floor
+    assert ProblemInstance.from_matrix(np.zeros((2, 2))).frobenius_scale == 0.0
     # a tiny nonzero entry is not zero: H0([[1e-301]]) is 1e301, and the
     # norm is too small to certify it
     with pytest.raises(ScaleOutOfRange, match="too small"):

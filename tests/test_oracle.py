@@ -208,8 +208,8 @@ def test_monte_carlo_respects_certified_totals():
     for seed in range(8):
         inst = instance(gaussian_matrix(500 + seed))
         rep = bound_h0(inst)
-        x_hat = rep.partition.x_hat if rep.partition is not None else None
-        res = lower_bound_monte_carlo(inst, num_samples=8, seed=seed, x_hat=x_hat)
+        res = lower_bound_monte_carlo(inst, num_samples=8, seed=seed,
+                                      x_hat=rep.partition.x_hat)
         assert res.lower_bound <= rep.total + 1e-6 * (1 + rep.total)
 
 
