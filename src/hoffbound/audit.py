@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .core import ProblemInstance, euclidean_norm, row_norms
+from .core import ProblemInstance, ScaleOutOfRange, euclidean_norm, row_norms
 from .numerics import NumericalFailure, TightBlock
 from .partition import PartitionCertificate, slack_margin, weight_margin
 
@@ -159,7 +159,7 @@ def _verify_partition(
     A_N = A[list(cert.N)]
     try:
         block = TightBlock(A_B)
-    except NumericalFailure as exc:
+    except (NumericalFailure, ScaleOutOfRange) as exc:
         block = None
         failures.append(f"rank of A_B: {exc}")
 

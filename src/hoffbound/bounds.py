@@ -233,7 +233,6 @@ def bound_h0(instance: ProblemInstance, cfg: SolverConfig | None = None) -> Boun
     t0 = time.perf_counter()
 
     diagnostics = {
-        "feas_tol": cfg.feas_tol,
         "opt_tol": cfg.opt_tol,
         "rank_tol": DEFAULT_RANK_TOL,
         "m": instance.m,

@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --output json, print the canonical byte-stable form",
     )
-    compute.add_argument("--feas-tol", type=float, default=1e-9)
     compute.add_argument("--opt-tol", type=float, default=1e-8)
     return parser
 
@@ -83,7 +82,7 @@ def run(args: argparse.Namespace) -> int:
         raise ValueError("--samples must be at least 0")
     A = load_matrix(args.input, args.format)
     instance = ProblemInstance.from_matrix(A)
-    cfg = SolverConfig(feas_tol=args.feas_tol, opt_tol=args.opt_tol)
+    cfg = SolverConfig(opt_tol=args.opt_tol)
 
     report = bound_h0(instance, cfg)
     oracle = None

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 import numpy.typing as npt
 
-from .core import ZERO_NORM_FLOOR, HoffboundError, row_norms
+from .core import ZERO_NORM_FLOOR, HoffboundError, ScaleOutOfRange, row_norms
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -98,20 +98,29 @@ class TightBlock:
     ``rank_gap = s_r / s_{r+1}`` (inf at full rank or r = 0) and, on first
     use, the null basis ``Q``; Vt is complete (taken with full_matrices
     when there are fewer rows than columns).  ``fro`` is ``||W||_F``.
+    Raises ``ScaleOutOfRange`` when a nonzero row's norm underflows to 0
+    (entries below ~1e-162): that row would be scaled and ranked as zero.
     Raises ``NumericalFailure`` when the SVD fails or the rank falls in the
     rule's ambiguous band.
     """
 
     def __init__(self, A_B: np.ndarray) -> None:
         self.A_B = A_B
-        self.exp = int(np.frexp(row_norms(A_B).max(initial=0.0))[1])
+        norms = row_norms(A_B)
+        if not norms.all() and np.any(A_B[norms == 0.0]):
+            raise ScaleOutOfRange(
+                "a nonzero row's norm underflows to 0, so the rank and the "
+                "margins of its block cannot be formed; rescale the row"
+            )
+        self.exp = int(np.frexp(norms.max(initial=0.0))[1])
         self.W = W = np.ldexp(A_B, -self.exp)
         U, S, self._Vt = _svd(W, full_matrices=W.shape[0] < W.shape[1])
         self.rank = r = numerical_rank(S)
         self.V = np.ascontiguousarray(self._Vt[:r].T)
         self.WV = U[:, :r] * S[:r]
         self.sigma = float(S[r - 1]) if r else np.inf
-        self.rank_gap = float(S[r - 1] / S[r]) if 0 < r < S.size and S[r] > 0.0 else np.inf
+        with np.errstate(over="ignore"):  # inf when s_{r+1} is subnormal
+            self.rank_gap = float(S[r - 1] / S[r]) if 0 < r < S.size and S[r] > 0.0 else np.inf
         self.fro = float(np.linalg.norm(W))
 
     @cached_property

@@ -290,14 +290,12 @@ def compute_partition(
         found, solution = _least_distance(A, full, Wx, certify, cfg)
     lp = None
     if found is None:
-        sol = solve_partition_lp(full, cfg, accept=accept)
-        if sol.accepted is None:
+        found, lp = solve_partition_lp(full, accept)
+        if found is None:
             raise AmbiguousIndex(
-                f"the partition LP converged after {sol.iterations} iterations "
+                f"the partition LP converged after {lp['iterations']} iterations "
                 "without an iterate whose split passes the margin rule"
             )
-        found = sol.accepted
-        lp = {"t": sol.t, "iterations": sol.iterations, "residuals": dict(sol.residuals)}
     b_mask, block, x_hat, y_hat, slack, weight = found
 
     B = tuple(int(i) for i in np.flatnonzero(b_mask))

@@ -3,9 +3,9 @@
 Four operations are exposed, each calling its engine directly:
 
 * ``solve_partition_lp``: the self-dual feasibility LP whose optimal support
-  splits the rows of A into the tight set B and the slack set N, solved in
-  the row-space coordinates of ``numerics.TightBlock(A)`` by the
-  interior-point method of ``ipm.py``.
+  splits the rows of A into the tight set B and the slack set N, searched
+  iterate by iterate for a proven split, in the row-space coordinates of
+  ``numerics.TightBlock(A)``, by the interior-point method of ``ipm.py``.
 * ``solve_min_norm_qp``: minimum-Euclidean-norm point of ``{z : G z >= 1}``
   by one nonnegative least-squares fit (Lawson & Hanson's least-distance
   program), with exact feasibility after restoration and a certified
@@ -16,8 +16,9 @@ Four operations are exposed, each calling its engine directly:
 * ``project_onto_cone``: Euclidean projection onto ``{x : A x <= 0}`` by one
   nonnegative least-squares fit against the rows of A.
 
-``SolverConfig`` holds the tolerances they read, and ``SolverStall``,
-``InfeasibleQP`` and ``NoInteriorPoint`` are the errors they raise.
+``SolverConfig`` holds the tolerance that the fit and the center read, and
+``SolverStall``, ``InfeasibleQP`` and ``NoInteriorPoint`` are the errors
+they raise.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ from .ipm import MAX_ITERS, solve_qp_ipm
 __all__ = [
     "AnalyticCenterSolution",
     "InfeasibleQP",
+    "LP_FEAS_TOL",
+    "LP_OPT_TOL",
     "MinNormSolution",
     "NoInteriorPoint",
-    "PartitionLPSolution",
     "ProjectionResult",
     "SolverConfig",
     "SolverStall",
@@ -61,6 +63,12 @@ __all__ = [
 ]
 
 _FIT_TOL = 1e-10
+
+# Where the partition LP gives up: relative residuals at LP_FEAS_TOL and a
+# relative gap at LP_OPT_TOL end the search with no split proven.  No
+# benchmark input reaches them; every LP there ends at a proven split.
+LP_FEAS_TOL = 1e-10
+LP_OPT_TOL = 1e-9
 
 
 class SolverStall(HoffboundError):
@@ -88,44 +96,17 @@ class NoInteriorPoint(HoffboundError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Shared accuracy knobs for every solve in the pipeline."""
+    """Tolerance of the least-distance fit's gap check and the center's stop."""
 
-    feas_tol: float = 1e-9
     opt_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("feas_tol", "opt_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {value}")
+        if not 0.0 < self.opt_tol < 1.0:
+            raise ValueError(f"opt_tol must lie in (0, 1), got {self.opt_tol}")
 
 
-@dataclass(frozen=True)
-class PartitionLPSolution:
-    """Last iterate of the row-partition LP's interior-point solve.
-
-    ``x`` certifies slack rows through ``A x + s = 0``; ``y`` certifies tight
-    rows through ``A' y = 0``; ``t`` is the common support margin;
-    ``iterations`` counts the interior-point steps.  ``accepted`` is what the
-    accept callable returned at the iterate that ended the solve, or None
-    when the solve ran to convergence.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    s: np.ndarray
-    t: float
-    residuals: dict[str, float]
-    iterations: int
-    accepted: Any = None
-
-
-def solve_partition_lp(
-    block: TightBlock,
-    cfg: SolverConfig | None = None,
-    accept: Callable[..., Any] | None = None,
-) -> PartitionLPSolution:
-    """Maximize the support margin t over the self-dual feasibility system.
+def solve_partition_lp(block: TightBlock, accept: Callable[..., Any]) -> tuple[Any, dict]:
+    """Search the iterates of the self-dual feasibility LP for a proven split.
 
     The LP, for the matrix ``A = block.A_B`` (all rows of the instance), is
 
@@ -145,11 +126,13 @@ def solve_partition_lp(
     which keeps the Newton systems of ``ipm.solve_qp_ipm`` nonsingular;
     their dimension is 2 rank(A) + 2.
 
-    Without ``accept`` the solve runs to ``cfg``'s tolerances (each a notch
-    tighter).  With it, ``accept(x, y, s, t)`` is called on every iterate,
-    with x in the coordinates of A, and the first iterate for which it
-    returns something other than None ends the solve; that value is the
-    solution's ``accepted``.
+    ``accept(x, y, s, t)`` is called on every iterate, with x in the
+    coordinates of A, and the first iterate for which it returns something
+    other than None ends the solve.  Returns ``(accepted, lp)``: that return
+    value, or None when the iterates met ``LP_FEAS_TOL`` and ``LP_OPT_TOL``
+    first, and the record of the iterate that ended the solve, its margin
+    ``t``, the interior-point steps before it (``iterations``) and its raw
+    LP ``residuals``.
 
     Raises
     ------
@@ -157,18 +140,14 @@ def solve_partition_lp(
         If the interior-point iteration stalls, diverges, meets a singular
         Newton system or reaches its cap.
     """
-    cfg = cfg or SolverConfig()
     V = block.V
 
     def accept_x(x, y, s, t):
         return accept(np.ldexp(V @ x, -block.exp), y, s, t)
 
-    # Solve a notch tighter than advertised, so the residuals stay within
-    # feas_tol ||A||_F even for matrices of unit scale.  The matrix is the
-    # third positional argument because the benchmark's tracer reads the
-    # system size off args[2].shape.
-    res = solve_qp_ipm(cfg.feas_tol / 10.0, cfg.opt_tol / 10.0, block.W @ V,
-                       None if accept is None else accept_x)
+    # The matrix is the third positional argument because the benchmark's
+    # tracer reads the system size off args[2].shape.
+    res = solve_qp_ipm(LP_FEAS_TOL, LP_OPT_TOL, block.W @ V, accept_x)
     if res.status != "converged":
         raise SolverStall(
             f"partition LP did not converge ({res.status}, "
@@ -177,7 +156,6 @@ def solve_partition_lp(
 
     x = np.ldexp(V @ res.x, -block.exp)
     y, s, t = res.y, res.s, res.t
-
     A = block.A_B
     residuals = {
         "dual_eq_inf": float(np.abs(A.T @ y).max(initial=0.0)),
@@ -186,8 +164,7 @@ def solve_partition_lp(
         "coupling_violation": max(0.0, t - float((y + s).min())),
         "nonneg_violation": max(0.0, -float(min(y.min(), s.min(), t))),
     }
-    return PartitionLPSolution(x=x, y=y, s=s, t=t, residuals=residuals,
-                               iterations=res.iterations, accepted=res.accepted)
+    return res.accepted, {"t": t, "iterations": res.iterations, "residuals": residuals}
 
 
 def _nnls(M: np.ndarray, b: np.ndarray) -> np.ndarray:

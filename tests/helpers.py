@@ -15,6 +15,8 @@ import numpy as np
 
 from hoffbound import ProblemInstance
 from hoffbound.core import euclidean_norm, row_norms
+from hoffbound.numerics import TightBlock
+from hoffbound.solvers.programs import solve_partition_lp
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
@@ -147,6 +149,20 @@ def directed_candidates_loop(A: np.ndarray, x_hat: np.ndarray | None = None) -> 
 
 def instance(A) -> ProblemInstance:
     return ProblemInstance.from_matrix(np.asarray(A, dtype=float))
+
+
+def optimal_lp(A):
+    """The partition LP of A run to its give-up targets by an ``accept``
+    that never accepts: the record of its last iterate, and that iterate's
+    y and s."""
+    last = []
+
+    def never(x, y, s, t):
+        last[:] = y.copy(), s.copy()
+
+    accepted, lp = solve_partition_lp(TightBlock(A), never)
+    assert accepted is None
+    return lp, *last
 
 
 def benchmark_matrix(workload: str, seed: int, name: str) -> np.ndarray:

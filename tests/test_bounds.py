@@ -13,6 +13,7 @@ import hoffbound.cli as cli
 from hoffbound import (
     HoffboundError,
     NumericalFailure,
+    ScaleOutOfRange,
     audit_report,
     bound_h0,
     lower_bound_monte_carlo,
@@ -217,6 +218,21 @@ def test_scaled_down_tight_block_is_certified(c):
     assert rep.branch == "case_B"
     assert rep.total * c == pytest.approx(TWO_SQRT2, rel=1e-12)
     assert audit_report(inst, rep).ok
+
+
+@pytest.mark.parametrize("c", [1e-310, 1e-200])
+def test_tight_rows_whose_norms_underflow_raise(c):
+    # the norms of the tight rows +-c e_1 underflow to 0: their block was
+    # once left unscaled at rank 0, and the general branch returned a total
+    # of 3, though H0 >= 1 / c (pytest turns the RuntimeWarning an overflow
+    # once raised into an error)
+    inst = instance(C4 * [[c], [c], [1.0]])
+    with pytest.raises(ScaleOutOfRange, match="underflows"):
+        bound_h0(inst)
+    # a report claiming that split fails the audit; the audit does not raise
+    res = audit_report(inst, bound_h0(instance(C4)))
+    assert not res.ok
+    assert any(f.startswith("rank of A_B") for f in res.failures)
 
 
 @functools.lru_cache(maxsize=None)

@@ -26,6 +26,8 @@ def test_parser_defaults():
     assert args.format == "auto"
     assert args.output == "text"
     assert not args.skip_oracle
+    assert args.opt_tol == 1e-8
+    assert not hasattr(args, "feas_tol")
 
 
 def test_help_exits_cleanly(capsys):
@@ -117,7 +119,12 @@ def test_invalid_compute_arguments_exit_with_error(csv_path, capsys):
     rc = cli.main(["compute", "--input", csv_path, "--samples", "-1"])
     assert rc == cli.EXIT_ERROR
     assert "--samples must be at least 0" in capsys.readouterr().err
-    for flag, value in (("--output", "xml"), ("--format", "bogus")):
+    rc = cli.main(["compute", "--input", csv_path, "--opt-tol", "0"])
+    assert rc == cli.EXIT_ERROR
+    assert "opt_tol must lie in (0, 1)" in capsys.readouterr().err
+    # the partition LP's give-up targets are constants, not options
+    for flag, value in (("--output", "xml"), ("--format", "bogus"),
+                        ("--feas-tol", "1e-9")):
         with pytest.raises(SystemExit) as exc:
             cli.main(["compute", "--input", csv_path, flag, value])
         assert exc.value.code == 2

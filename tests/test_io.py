@@ -211,6 +211,7 @@ def test_payload_shape_and_schema_for_each_branch():
         orc = lower_bound_monte_carlo(inst, num_samples=4, seed=0)
         for payload in (report_to_dict(rep), report_to_dict(rep, orc)):
             jsonschema.validate(payload, schema)
+            jsonschema.validate(json.loads(canonical_report_json(payload)), schema)
             assert payload["version"] == "1"
             assert set(payload) == {"version", "branch", "partition", "bounds",
                                     "oracle", "sandwich", "diagnostics"}
@@ -248,6 +249,11 @@ def test_schema_rejects_unknown_keys():
     payload = report_to_dict(rep)
     payload["extra"] = 1
     with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(payload, report_schema())
+    # a stale diagnostic, such as the partition LP's former feas_tol
+    payload = report_to_dict(rep)
+    payload["diagnostics"]["feas_tol"] = 1e-9
+    with pytest.raises(jsonschema.ValidationError, match="feas_tol"):
         jsonschema.validate(payload, report_schema())
 
 

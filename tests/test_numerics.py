@@ -78,6 +78,10 @@ def test_sigma_plus_skips_singular_values_below_relative_threshold():
     assert got == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(NumericalFailure, match="ambiguous band"):
         smallest_positive_singular_value(np.diag([1.0, 1e-12]))
+    # a subnormal singular value is cut too; its rank gap overflows to inf
+    # (once with a RuntimeWarning, which pytest turns into an error)
+    block = TightBlock(np.array([[1.0, 1e-310], [-1.0, 0.0]]))
+    assert block.rank == 1 and block.rank_gap == np.inf
 
 
 def test_weighted_sigma_is_the_rth_singular_value_of_the_block():

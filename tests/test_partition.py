@@ -22,7 +22,14 @@ from hoffbound.solvers.programs import (
     solve_partition_lp,
 )
 
-from helpers import C4, gaussian_matrix, instance, planted_mixed_matrix, planted_mixed_split
+from helpers import (
+    C4,
+    gaussian_matrix,
+    instance,
+    optimal_lp,
+    planted_mixed_matrix,
+    planted_mixed_split,
+)
 
 
 def test_all_slack_instance():
@@ -143,13 +150,13 @@ def test_untrusted_margin_raises_after_one_solve(monkeypatch):
     real = hoffbound.partition.solve_partition_lp
     seen = []
 
-    def counted(block, cfg, accept):
-        seen.append(cfg)
-        return real(block, cfg, accept)
+    def counted(block, accept):
+        seen.append(block)
+        return real(block, accept)
 
     # the starting point certifies C4; the converged LP takes more steps
     plain = compute_partition(instance(C4), SolverConfig())
-    assert plain.lp["iterations"] == 0 < real(TightBlock(C4), SolverConfig()).iterations
+    assert plain.lp["iterations"] == 0 < optimal_lp(C4)[0]["iterations"]
     monkeypatch.setattr(hoffbound.partition, "solve_partition_lp", counted)
     monkeypatch.setattr(hoffbound.partition, "weight_margin", lambda block, y: 0.0)
     with pytest.raises(AmbiguousIndex, match="margin rule"):
@@ -161,9 +168,9 @@ def test_partition_covers_all_rows_on_random_instances(monkeypatch):
     real = hoffbound.partition.solve_partition_lp
     ran = []
 
-    def counted(block, cfg, accept):
+    def counted(block, accept):
         ran.append(block)
-        return real(block, cfg, accept)
+        return real(block, accept)
 
     monkeypatch.setattr(hoffbound.partition, "solve_partition_lp", counted)
     inputs = [(f"gaussian {seed}", gaussian_matrix(seed)) for seed in range(200, 212)]
@@ -177,16 +184,16 @@ def test_partition_covers_all_rows_on_random_instances(monkeypatch):
         assert verify_partition(inst, cert).ok
         # the certified split is the converged LP's support split, found
         # in fewer steps
-        sol = real(TightBlock(inst.A))
-        assert cert.B == tuple(np.flatnonzero(sol.y > sol.s))
+        lp, y, s = optimal_lp(inst.A)
+        assert cert.B == tuple(np.flatnonzero(y > s))
         # every LP iterate has t > 0; a split proven before the LP has no
         # LP record
         if ran:
             lp_runs.append(name)
             assert cert.lp["t"] > 0.0 and cert.B and cert.N
-            assert cert.lp["iterations"] < sol.iterations
+            assert cert.lp["iterations"] < lp["iterations"]
         else:
-            assert cert.lp is None and sol.iterations > 0
+            assert cert.lp is None and lp["iterations"] > 0
         if cert.solution is not None:
             staged.append(name)
     # the Gaussian inputs are one-sided: 205 and 209, which least-squares
@@ -249,16 +256,16 @@ def test_an_all_slack_input_stops_at_its_first_interior_iterate(monkeypatch):
     assert isinstance(cert.solution, MinNormSolution)
     # ... so the fit is made to defer, and the LP runs
     monkeypatch.setattr(hoffbound.partition, "solve_min_norm_qp", _no_fit)
-    first = solve_partition_lp(
-        full, accept=lambda x, y, s, t: True if (A @ x < 0.0).all() else None)
+    _, first = solve_partition_lp(
+        full, lambda x, y, s, t: True if (A @ x < 0.0).all() else None)
     # the split y > s is all slack only later, and no earlier iterate's
     # split could have been proven
-    late = solve_partition_lp(
-        full, accept=lambda x, y, s, t: None if (y > s).any() else True)
-    assert first.iterations < late.iterations
+    _, late = solve_partition_lp(
+        full, lambda x, y, s, t: None if (y > s).any() else True)
+    assert first["iterations"] < late["iterations"]
     cert = compute_partition(instance(A))
     assert cert.B == ()
-    assert cert.lp["iterations"] == first.iterations
+    assert cert.lp == first
     assert cert.lp["t"] > 0.0
     assert np.all(A @ cert.x_hat < 0.0)
 
@@ -343,7 +350,7 @@ class _Deferred(Exception):
     pass
 
 
-def _defer(block, cfg, accept):
+def _defer(block, accept):
     raise _Deferred
 
 

@@ -1,5 +1,6 @@
 """Solver configuration, the partition LP's engine, and the four optimization programs."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -22,10 +23,10 @@ from hoffbound.audit import verify_partition
 from hoffbound.numerics import NumericalFailure, TightBlock
 from hoffbound.partition import compute_partition
 from hoffbound.solvers.programs import (
+    LP_FEAS_TOL,
     project_onto_cone,
     solve_analytic_center,
     solve_min_norm_qp,
-    solve_partition_lp,
 )
 
 from helpers import (
@@ -33,6 +34,7 @@ from helpers import (
     degenerate_matrix,
     gaussian_matrix,
     instance,
+    optimal_lp,
     planted_mixed_matrix,
     planted_mixed_split,
 )
@@ -41,19 +43,18 @@ from helpers import (
 # --- configuration ---------------------------------------------------------
 
 def test_config_defaults():
-    cfg = SolverConfig()
-    assert cfg.feas_tol == 1e-9
-    assert cfg.opt_tol == 1e-8
+    assert SolverConfig().opt_tol == 1e-8
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["opt_tol"]
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"feas_tol": -1.0},
-    {"feas_tol": 0.0},
-    {"feas_tol": 2.0},
+    {"opt_tol": -1.0},
     {"opt_tol": 0.0},
+    {"opt_tol": 1.0},
+    {"opt_tol": 2.0},
 ])
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="opt_tol must lie in"):
         SolverConfig(**kwargs)
 
 
@@ -459,26 +460,26 @@ def test_min_norm_qp_on_planted_slack_blocks(seed, n, m):
     (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]), 1.0 / 3.0),
 ])
 def test_partition_lp_optimal_values(A, t_star):
-    sol = solve_partition_lp(TightBlock(A))
-    assert sol.t == pytest.approx(t_star, abs=1e-6)
+    lp, _, _ = optimal_lp(A)
+    assert lp["t"] == pytest.approx(t_star, abs=1e-6)
 
 
 def test_partition_lp_residuals_and_cap():
     for seed in range(10):
         inst = instance(gaussian_matrix(100 + seed))
-        sol = solve_partition_lp(TightBlock(inst.A))
-        assert sol.t <= 1.0 / inst.m + 1e-9
-        assert sol.t > 0.0
+        lp, _, _ = optimal_lp(inst.A)
+        assert lp["t"] <= 1.0 / inst.m + 1e-9
+        assert lp["t"] > 0.0
         for key in ("dual_eq_inf", "primal_eq_inf", "normalization",
                     "coupling_violation", "nonneg_violation"):
-            assert sol.residuals[key] <= 1e-7 * max(1.0, inst.frobenius_scale)
+            assert lp["residuals"][key] <= 1e-7 * max(1.0, inst.frobenius_scale)
 
 
-def _check_lp(inst, sol):
-    budget = SolverConfig().feas_tol * max(1.0, inst.frobenius_scale)
+def _check_lp(inst, lp):
+    budget = LP_FEAS_TOL * 10.0 * max(1.0, inst.frobenius_scale)
     for key in ("dual_eq_inf", "primal_eq_inf", "normalization", "nonneg_violation"):
-        assert sol.residuals[key] <= budget, key
-    assert 0.0 < sol.t <= 1.0 / inst.m + 1e-9
+        assert lp["residuals"][key] <= budget, key
+    assert 0.0 < lp["t"] <= 1.0 / inst.m + 1e-9
 
 
 def test_partition_lp_on_a_rank_deficient_rotated_matrix():
@@ -489,8 +490,7 @@ def test_partition_lp_on_a_rank_deficient_rotated_matrix():
     A = benchmark_matrix("suite", 1, "degenerate-8")
     assert A.shape == (4, 5) and np.linalg.matrix_rank(A) == 2
     inst = instance(A)
-    sol = solve_partition_lp(TightBlock(inst.A))
-    _check_lp(inst, sol)
+    _check_lp(inst, optimal_lp(inst.A)[0])
     cert = compute_partition(inst)
     assert (cert.B, cert.N) == ((0, 1, 2, 3), ())
     assert verify_partition(inst, cert).ok
@@ -500,17 +500,17 @@ def test_partition_lp_with_a_zero_column_and_zero_rows():
     A = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
                   [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
     inst = instance(A)
-    _check_lp(inst, solve_partition_lp(TightBlock(inst.A)))
+    _check_lp(inst, optimal_lp(inst.A)[0])
     cert = compute_partition(inst)
     assert (cert.B, cert.N) == ((0, 1, 2, 4), (3,))
     assert verify_partition(inst, cert).ok
     # with every row zero the row space is empty (r = 0): y is uniform and
     # the margin is 1/m
     zero = instance(np.zeros((3, 2)))
-    sol = solve_partition_lp(TightBlock(zero.A))
-    _check_lp(zero, sol)
-    assert np.allclose(sol.y, 1.0 / 3.0, atol=1e-9)
-    assert sol.t == pytest.approx(1.0 / 3.0, abs=1e-9)
+    lp, y, _ = optimal_lp(zero.A)
+    _check_lp(zero, lp)
+    assert np.allclose(y, 1.0 / 3.0, atol=1e-9)
+    assert lp["t"] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_partition_lp_whose_iterates_overflow_stalls_without_warnings():
@@ -522,7 +522,7 @@ def test_partition_lp_whose_iterates_overflow_stalls_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverStall, match="diverged"):
-            solve_partition_lp(TightBlock(A))
+            optimal_lp(A)
 
 
 def test_partition_lp_with_a_singular_newton_system_stalls():
@@ -566,11 +566,11 @@ def test_partition_lp_converges_where_the_weights_span_sixteen_decades(monkeypat
 
     monkeypatch.setattr(hoffbound.solvers.ipm, "_Newton", recording)
     inst = instance(benchmark_matrix("suite", 1, "gaussian-94"))
-    sol = solve_partition_lp(TightBlock(inst.A))
-    _check_lp(inst, sol)
+    lp, y, _ = optimal_lp(inst.A)
+    _check_lp(inst, lp)
     assert max(spans) > 1e16
-    assert sol.t == pytest.approx(4.3148e-6, rel=1e-4)
-    assert np.all(sol.y >= 0.5 * sol.t)
+    assert lp["t"] == pytest.approx(4.3148e-6, rel=1e-4)
+    assert np.all(y >= 0.5 * lp["t"])
 
 
 def test_min_norm_qp_and_projection_reject_malformed_arguments():

@@ -82,10 +82,9 @@ def dump() -> int:
                     audit = audit_report(inst, report)
                     oracle = None
                     if case.oracle_seed is not None:
-                        x_hat = None if report.partition is None else report.partition.x_hat
                         oracle = lower_bound_monte_carlo(
                             inst, num_samples=workloads.ORACLE_SAMPLES,
-                            seed=case.oracle_seed, x_hat=x_hat,
+                            seed=case.oracle_seed, x_hat=report.partition.x_hat,
                         )
                     payload = report_to_dict(report, oracle, sandwich_rtol=SANDWICH_RTOL)
                     row.update(report=canonical_report_json(payload),
@@ -106,9 +105,9 @@ def _load(path: str) -> dict[tuple, dict]:
                 row["tree"] = {"error": row["error"]}
             else:
                 tree = {**json.loads(row["report"]), "audit": row["audit"]}
-                part = tree["partition"] or {}
-                row.update(tree=tree, branch=tree["branch"], B=part.get("B"),
-                           N=part.get("N"), total=tree["bounds"]["total"],
+                part = tree["partition"]
+                row.update(tree=tree, branch=tree["branch"], B=part["B"],
+                           N=part["N"], total=tree["bounds"]["total"],
                            lower=(tree["oracle"] or {}).get("lower_bound"))
             cases[row["workload"], row["seed"], row["case"]] = row
     return cases
