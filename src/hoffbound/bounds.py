@@ -46,6 +46,7 @@ from .numerics import (
 )
 from .partition import PartitionCertificate, compute_partition
 from .solvers.programs import (
+    OPT_TOL,
     AnalyticCenterSolution,
     MinNormSolution,
     SolverConfig,
@@ -130,30 +131,23 @@ class BoundReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def bound_case_n(
-    A_N: np.ndarray,
-    cfg: SolverConfig | None = None,
-    fit: MinNormSolution | None = None,
-) -> CaseNBound:
+def bound_case_n(A_N: np.ndarray, fit: MinNormSolution | None = None) -> CaseNBound:
     """Certified bound for the slack-row block via a minimum-norm point.
 
     Any x_bar with A_N x_bar >= 1 componentwise certifies that every unit of
     max-norm violation can be repaired by moving at most ||x_bar|| in
     Euclidean distance, so the minimum-norm such point gives the tightest
-    bound of this family.  ``fit`` is ``solve_min_norm_qp(A_N, cfg)`` when
+    bound of this family.  ``fit`` is ``solve_min_norm_qp(A_N)`` when
     the caller has it already: the partition's least-distance fit, when
     that fit proved every row slack.
     """
-    cfg = cfg or SolverConfig()
     A_N = np.asarray(A_N, dtype=float)
-    sol = fit if fit is not None else solve_min_norm_qp(A_N, cfg)
+    sol = fit if fit is not None else solve_min_norm_qp(A_N)
     return CaseNBound(value=sol.norm, x_bar=sol.z.copy(), min_margin=sol.min_margin)
 
 
 def bound_case_b(
-    block: TightBlock,
-    cfg: SolverConfig | None = None,
-    center: AnalyticCenterSolution | None = None,
+    block: TightBlock, center: AnalyticCenterSolution | None = None
 ) -> CaseBBound:
     """Certified bound for the tight rows of ``block`` via the analytic center.
 
@@ -167,23 +161,18 @@ def bound_case_b(
     proved every row tight.  An identically zero block returns 0 with
     uniform weights.
     """
-    cfg = cfg or SolverConfig()
     p = block.A_B.shape[0]
     if p == 0:
         raise ValueError("the tight set must be nonempty")
     if block.rank == 0:  # A_B is identically zero
         return CaseBBound(value=0.0, y_bar=np.full(p, 1.0 / p), sigma=None)
 
-    ac = center if center is not None else solve_analytic_center(block, cfg)
+    ac = center if center is not None else solve_analytic_center(block)
     sigma = block.weighted_sigma(ac.y)
     return CaseBBound(value=2.0 / sigma, y_bar=ac.y.copy(), sigma=sigma)
 
 
-def bound_stitch(
-    block: TightBlock,
-    A_N: np.ndarray,
-    cfg: SolverConfig | None = None,
-) -> StitchBound:
+def bound_stitch(block: TightBlock, A_N: np.ndarray) -> StitchBound:
     """Certified restriction factor tying the block bounds together.
 
     Within L = null(A_B), spanned by the null basis Q of ``block``, the
@@ -192,12 +181,11 @@ def bound_stitch(
     1 + 2 ||w_bar|| (taken as 1 + 2 ||z||) bounds how much distances can grow
     when passing from the subspace to the cone cut out of it.
     """
-    cfg = cfg or SolverConfig()
     A_N = np.asarray(A_N, dtype=float)
     if A_N.shape[0] == 0:
         raise ValueError("the slack set must be nonempty")
 
-    sol = solve_min_norm_qp(row_normalize(A_N) @ block.Q, cfg)
+    sol = solve_min_norm_qp(row_normalize(A_N) @ block.Q)
     return StitchBound(
         value=1.0 + 2.0 * sol.norm,
         w_bar=block.Q @ sol.z,
@@ -222,18 +210,20 @@ def bound_h0(instance: ProblemInstance, cfg: SolverConfig | None = None) -> Boun
     branch used is kept on the report so an independent audit can recheck
     the claim with matrix-vector products.
 
+    ``cfg`` is ignored: no stage has a setting.  It is accepted only because
+    the benchmark's ``perfbench/run.py`` passes a ``SolverConfig()``.
+
     Raises
     ------
     NumericalFailure
         Among the typed errors of the components: when a numerical rank
         falls in the ambiguous band of ``numerics.numerical_rank``.
     """
-    cfg = cfg or SolverConfig()
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
 
     diagnostics = {
-        "opt_tol": cfg.opt_tol,
+        "opt_tol": OPT_TOL,
         "rank_tol": DEFAULT_RANK_TOL,
         "m": instance.m,
         "n": instance.n,
@@ -242,18 +232,17 @@ def bound_h0(instance: ProblemInstance, cfg: SolverConfig | None = None) -> Boun
     }
 
     case_n = case_b = stitch = None
-    cert = _timed(timings, "partition_s", compute_partition, instance, cfg)
+    cert = _timed(timings, "partition_s", compute_partition, instance)
     A_N = instance.A[list(cert.N)]
     # A partition proven by its least-distance fit is all slack, and one
     # proven by the analytic center all tight: its solution is that side's
     # solve.
     if cert.N:
-        case_n = _timed(timings, "case_n_s", bound_case_n, A_N, cfg, cert.solution)
+        case_n = _timed(timings, "case_n_s", bound_case_n, A_N, cert.solution)
     if cert.B:
-        case_b = _timed(timings, "case_b_s", bound_case_b, cert.block, cfg,
-                        cert.solution)
+        case_b = _timed(timings, "case_b_s", bound_case_b, cert.block, cert.solution)
     if cert.N and cert.B:
-        stitch = _timed(timings, "stitch_s", bound_stitch, cert.block, A_N, cfg)
+        stitch = _timed(timings, "stitch_s", bound_stitch, cert.block, A_N)
         total, branch = stitch.value * max(case_n.value, case_b.value), "general"
     elif cert.N:
         total, branch = case_n.value, "case_N"

@@ -2,9 +2,9 @@
 
 ``hoffbound compute --input matrix.csv`` loads a matrix, certifies the upper
 bound, optionally runs the sampling oracle, and prints either a text summary
-or a JSON payload.  Exit codes: 0 on success (including an intentionally
-skipped oracle), 2 when the sampled lower bound contradicts the certified
-upper bound, 1 on input or solver errors.
+or a JSON payload.  Exit codes: 0 on success (including a run with the
+oracle disabled by ``--samples 0``), 2 when the sampled lower bound
+contradicts the certified upper bound, 1 on input or solver errors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .bounds import bound_h0
 from .core import HoffboundError, ProblemInstance
 from .io import canonical_report_json, load_matrix, report_to_dict
 from .oracle import lower_bound_monte_carlo
-from .solvers.programs import SolverConfig
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -56,11 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compute.add_argument("--seed", type=int, default=0, help="oracle seed")
     compute.add_argument(
-        "--skip-oracle",
-        action="store_true",
-        help="skip the sampling lower bound entirely",
-    )
-    compute.add_argument(
         "--output",
         default="text",
         choices=("text", "json"),
@@ -71,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --output json, print the canonical byte-stable form",
     )
-    compute.add_argument("--opt-tol", type=float, default=1e-8)
     return parser
 
 
@@ -82,11 +75,10 @@ def run(args: argparse.Namespace) -> int:
         raise ValueError("--samples must be at least 0")
     A = load_matrix(args.input, args.format)
     instance = ProblemInstance.from_matrix(A)
-    cfg = SolverConfig(opt_tol=args.opt_tol)
 
-    report = bound_h0(instance, cfg)
+    report = bound_h0(instance)
     oracle = None
-    if not args.skip_oracle and args.samples > 0:
+    if args.samples > 0:
         oracle = lower_bound_monte_carlo(
             instance, num_samples=args.samples, seed=args.seed,
             x_hat=report.partition.x_hat,

@@ -210,7 +210,8 @@ def lower_bound_monte_carlo(
         the candidates' caps (see the Notes).
     cfg : SolverConfig, optional
         Ignored: the projections are NNLS fits with no tolerances to set.  It
-        is accepted so one configuration can be passed to every stage.
+        is accepted only because the benchmark's ``perfbench/run.py`` passes
+        a ``SolverConfig()``.
 
     Returns
     -------

@@ -32,7 +32,6 @@ from .solvers.programs import (
     AnalyticCenterSolution,
     InfeasibleQP,
     MinNormSolution,
-    SolverConfig,
     solve_analytic_center,
     solve_min_norm_qp,
     solve_partition_lp,
@@ -183,9 +182,7 @@ def weight_margin(block: TightBlock, y_hat: np.ndarray) -> float:
     return float(y_hat.min()) - res * (1.0 + gamma) / sigma_E
 
 
-def compute_partition(
-    instance: ProblemInstance, cfg: SolverConfig | None = None
-) -> PartitionCertificate:
+def compute_partition(instance: ProblemInstance) -> PartitionCertificate:
     """Compute the tight/slack row partition with its witnesses.
 
     A split is tried as a mask with candidate witnesses: x projected onto
@@ -287,7 +284,7 @@ def compute_partition(
     elif (1.0 + Wx > 0.0).all():
         found = certify(~all_slack, None, 1.0 + Wx)
     if found is None:
-        found, solution = _least_distance(A, full, Wx, certify, cfg)
+        found, solution = _least_distance(A, full, Wx, certify)
     lp = None
     if found is None:
         found, lp = solve_partition_lp(full, accept)
@@ -322,7 +319,7 @@ def compute_partition(
     )
 
 
-def _least_distance(A, full, Wx, certify, cfg):
+def _least_distance(A, full, Wx, certify):
     """The least-distance stage of ``compute_partition``: what ``certify``
     returned for a one-sided split and the fit or center it was tried on,
     or ``(None, None)`` to leave the split to the LP."""
@@ -338,14 +335,14 @@ def _least_distance(A, full, Wx, certify, cfg):
     try:
         for rows in fits:
             try:
-                fit = solve_min_norm_qp(A[rows], cfg)
+                fit = solve_min_norm_qp(A[rows])
             except InfeasibleQP as exc:
                 # The rows its weights carry are tight; if they span the row
                 # space of A, so is every row.
                 u = exc.weights
                 if u is None or TightBlock(A[rows[u > _SUPPORT_CUT * u.max()]]).rank != r:
                     return None, None
-                center = solve_analytic_center(full, cfg)
+                center = solve_analytic_center(full)
                 found = certify(np.ones(m, bool), None, center.y)
                 return (found, center) if found is not None else (None, None)
     except HoffboundError:

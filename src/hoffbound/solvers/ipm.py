@@ -67,8 +67,8 @@ class IPMResult:
 
     ``x`` has the r coordinates of the reduced problem; ``y``, ``s`` and ``t``
     are the multipliers, the slacks and the margin, with ``s > 0`` and
-    ``M x + s`` the primal residual.  ``accepted`` is what the accept
-    callable returned at the iterate that stopped the solve, else None.
+    ``M x + s`` the primal residual.  ``accepted`` is what ``accept``
+    returned at the iterate that stopped the solve, else None.
     """
 
     x: np.ndarray
@@ -77,7 +77,7 @@ class IPMResult:
     t: float
     iterations: int
     status: str
-    accepted: Any = None
+    accepted: Any
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
@@ -143,18 +143,18 @@ class _Newton:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_qp_ipm(feas_tol: float, opt_tol: float, M: np.ndarray,
-                 accept: Callable[..., Any] | None = None) -> IPMResult:
+def solve_qp_ipm(feas_tol: float, gap_tol: float, M: np.ndarray,
+                 accept: Callable[..., Any]) -> IPMResult:
     """Run the predictor-corrector iteration to the requested tolerances.
 
     Parameters
     ----------
-    feas_tol, opt_tol : float
+    feas_tol, gap_tol : float
         Relative primal/dual feasibility and complementarity targets.
     M : ndarray of shape (m, r)
         The LP's matrix in row-space coordinates, of full column rank r
         (r = 0 is allowed).
-    accept : callable, optional
+    accept : callable
         Called as ``accept(x, y, s, t)`` on every finite iterate, the
         starting point included, before the convergence test.  The first
         iterate for which it returns something other than None ends the
@@ -238,11 +238,10 @@ def solve_qp_ipm(feas_tol: float, opt_tol: float, M: np.ndarray,
         if not math.isfinite(rel_p + rel_d + gap):
             status = "diverged"
             break
-        if accept is not None:
-            found = accept(x, g[:m], g[m : 2 * m], t)
-            if found is not None:
-                status = "converged"
-                break
+        found = accept(x, g[:m], g[m : 2 * m], t)
+        if found is not None:
+            status = "converged"
+            break
         merit = max(rel_p, rel_d, gap)
         if merit < best_merit:
             if merit < best_merit * _STALL_FACTOR:
@@ -251,7 +250,7 @@ def solve_qp_ipm(feas_tol: float, opt_tol: float, M: np.ndarray,
         else:
             stall_counter += 1
 
-        if rel_p <= feas_tol and rel_d <= feas_tol and gap <= opt_tol:
+        if rel_p <= feas_tol and rel_d <= feas_tol and gap <= gap_tol:
             status = "converged"
             break
         if stall_counter >= _STALL_WINDOW:

@@ -16,9 +16,9 @@ Four operations are exposed, each calling its engine directly:
 * ``project_onto_cone``: Euclidean projection onto ``{x : A x <= 0}`` by one
   nonnegative least-squares fit against the rows of A.
 
-``SolverConfig`` holds the tolerance that the fit and the center read, and
-``SolverStall``, ``InfeasibleQP`` and ``NoInteriorPoint`` are the errors
-they raise.
+``OPT_TOL`` is the tolerance that the fit's gap check and the center's stop
+read, and ``SolverStall``, ``InfeasibleQP`` and ``NoInteriorPoint`` are the
+errors they raise.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
     "LP_OPT_TOL",
     "MinNormSolution",
     "NoInteriorPoint",
+    "OPT_TOL",
     "ProjectionResult",
     "SolverConfig",
     "SolverStall",
@@ -69,6 +70,10 @@ _FIT_TOL = 1e-10
 # benchmark input reaches them; every LP there ends at a proven split.
 LP_FEAS_TOL = 1e-10
 LP_OPT_TOL = 1e-9
+
+# The least-distance fit's largest certified gap, relative to 1 + ||z||^2,
+# and the analytic center's last Newton decrement.
+OPT_TOL = 1e-8
 
 
 class SolverStall(HoffboundError):
@@ -96,13 +101,12 @@ class NoInteriorPoint(HoffboundError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerance of the least-distance fit's gap check and the center's stop."""
+    """An empty configuration: no solver has a setting.
 
-    opt_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.opt_tol < 1.0:
-            raise ValueError(f"opt_tol must lie in (0, 1), got {self.opt_tol}")
+    It is kept only because the benchmark's ``perfbench/run.py`` builds one
+    and passes it to ``bound_h0`` and ``lower_bound_monte_carlo``, which
+    ignore it.
+    """
 
 
 def solve_partition_lp(block: TightBlock, accept: Callable[..., Any]) -> tuple[Any, dict]:
@@ -223,7 +227,7 @@ def _restore_feasibility(G: np.ndarray, z: np.ndarray) -> np.ndarray | None:
     raise NumericalFailure("feasibility restoration failed to close the margin")
 
 
-def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNormSolution:
+def solve_min_norm_qp(G: np.ndarray) -> MinNormSolution:
     """Minimum-norm point of the polyhedron ``{z : G z >= 1}``.
 
     This is a least-distance program, solved as in Lawson & Hanson (1974,
@@ -250,7 +254,6 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
     SolverStall
         If the fit does not converge or the certified gap is too large.
     """
-    cfg = cfg or SolverConfig()
     G = np.asarray(G, dtype=float)
     if G.ndim != 2:
         raise ValueError("G must be a matrix")
@@ -310,10 +313,9 @@ def solve_min_norm_qp(G: np.ndarray, cfg: SolverConfig | None = None) -> MinNorm
         min_margin = float((G @ z_best).min())
         # Written so that a NaN gap (inf - inf) fails the test.
         gap = norm**2 - dual_lower
-        if not gap <= cfg.opt_tol * (1.0 + norm**2):
+        if not gap <= OPT_TOL * (1.0 + norm**2):
             raise SolverStall(
-                f"certified optimality gap {gap:.3e} is too large for the "
-                "requested tolerance"
+                f"certified optimality gap {gap:.3e} is too large for OPT_TOL"
             )
     return MinNormSolution(
         z=z_best, norm=norm, min_margin=min_margin, dual_lower=dual_lower
@@ -333,9 +335,7 @@ class AnalyticCenterSolution:
     iterations: int
 
 
-def solve_analytic_center(
-    block: TightBlock, cfg: SolverConfig | None = None
-) -> AnalyticCenterSolution:
+def solve_analytic_center(block: TightBlock) -> AnalyticCenterSolution:
     """Log-barrier center of the dual slice attached to the tight rows.
 
     The center maximizes ``sum(log y)`` over ``{y > 0 : A_B' y = 0,
@@ -364,7 +364,7 @@ def solve_analytic_center(
     damped step ``dz / (1 + lam)``, lam the Newton decrement, stays in the
     domain and lowers the objective by a fixed amount while ``lam > 1/4``,
     and the full step converges quadratically after that.  Newton stops one
-    step after ``lam <= opt_tol``; to first order lam bounds the relative
+    step after ``lam <= OPT_TOL``; to first order lam bounds the relative
     distance of each ``y_i`` from the center.  A decrement below 1 proves
     that a minimizer exists (Nesterov, Introductory Lectures on Convex
     Optimization, 2004, sec. 4.1).  On an unbounded dual the decrement
@@ -380,12 +380,11 @@ def solve_analytic_center(
         rounding pushed the iterate out of the domain (the dual is unbounded
         below, as for ``[[1], [0]]``).
     SolverStall
-        If a full step was taken but ``lam`` stays above ``opt_tol``.
+        If a full step was taken but ``lam`` stays above ``OPT_TOL``.
     NumericalFailure
         If a rank falls in the ambiguous band of the rank rule, or R has a
         zero on its diagonal.
     """
-    cfg = cfg or SolverConfig()
     M = block.WV
     p, r = M.shape
     if p == 0:
@@ -425,7 +424,7 @@ def solve_analytic_center(
         if not np.all(Nz > 0.0):
             break  # only rounding leaves the domain, as z runs off to infinity
         y = 1.0 / Nz
-        if lam <= cfg.opt_tol:
+        if lam <= OPT_TOL:
             return AnalyticCenterSolution(
                 y=y / y.sum(), grad_norm=euclidean_norm(N.T @ y - e), iterations=it
             )

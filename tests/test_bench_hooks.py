@@ -4,9 +4,19 @@
 up at call time and reads attributes off their arguments and results.  This
 test installs that tracer, runs the pipeline once, and checks that every hook
 found its attribute and that the spans carry what the per-layer numbers read.
+``perfbench/run.py`` also calls the pipeline in shapes of its own, which must
+keep working and give the plain calls' report.
 """
 
-from hoffbound import ProblemInstance, bound_h0, lower_bound_monte_carlo
+import hoffbound
+import hoffbound.cli as cli
+from hoffbound import (
+    ProblemInstance,
+    bound_h0,
+    canonical_report_json,
+    lower_bound_monte_carlo,
+    report_to_dict,
+)
 
 from helpers import ROOT, load_file_module, planted_mixed_matrix
 
@@ -47,3 +57,21 @@ def test_traced_pipeline_resolves_every_hook():
     assert centers
     assert all(isinstance(s.attrs.get("iters"), int) for s in centers)
     assert any(s.name == "oracle.projection" for s in spans)
+
+
+def test_the_benchmarks_call_shapes_give_the_plain_report():
+    # run.py passes an (empty) SolverConfig to bound_h0 and to the oracle,
+    # and the command line's sandwich tolerance to report_to_dict
+    inst = ProblemInstance.from_matrix(planted_mixed_matrix(3, 30, 8))
+    plain = bound_h0(inst)
+    x_hat = plain.partition.x_hat
+    plain_text = canonical_report_json(report_to_dict(
+        plain, lower_bound_monte_carlo(inst, num_samples=8, seed=0, x_hat=x_hat)))
+
+    cfg = hoffbound.SolverConfig()
+    report = bound_h0(inst, cfg)
+    orc = lower_bound_monte_carlo(inst, num_samples=8, seed=0, x_hat=x_hat, cfg=cfg)
+    payload = report_to_dict(report, orc, sandwich_rtol=cli.SANDWICH_RTOL)
+    text = canonical_report_json(payload)
+    assert report.branch == "general"
+    assert text == plain_text

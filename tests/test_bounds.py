@@ -21,7 +21,8 @@ from hoffbound import (
     save_matrix_csv,
 )
 from hoffbound.bounds import bound_case_b, bound_case_n, bound_stitch
-from hoffbound.numerics import TightBlock
+from hoffbound.numerics import DEFAULT_RANK_TOL, TightBlock
+from hoffbound.solvers.programs import OPT_TOL
 
 from helpers import (
     C4,
@@ -192,6 +193,8 @@ def test_report_diagnostics_carry_run_parameters():
     rep = bound_h0(instance(C4))
     diag = rep.diagnostics
     assert diag["m"] == 3 and diag["n"] == 2
+    # the tolerances are the constants, not settings
+    assert diag["opt_tol"] == OPT_TOL and diag["rank_tol"] == DEFAULT_RANK_TOL
     assert set(diag["timings"]) >= {"partition_s", "total_s"}
 
 
@@ -233,6 +236,22 @@ def test_tight_rows_whose_norms_underflow_raise(c):
     res = audit_report(inst, bound_h0(instance(C4)))
     assert not res.ok
     assert any(f.startswith("rank of A_B") for f in res.failures)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 8: a singular value below the rank rule's band is cut as "
+    "noise, and the audit accepts the bound of the rank-reduced matrix"))
+def test_a_singular_value_below_the_rank_cut_is_not_certified_away():
+    # Both rows are slack: x = (1, -1e15) gives A x = (-9, -1).  At
+    # u = (0, 1) the distance to P is 1 and the violation 1e-14, so
+    # H0 >= 1e14.  The rank rule cuts the 1e-14 singular value, and the
+    # report is case_B with total 2.83, which the audit passes.
+    inst = instance([[1.0, 1e-14], [-1.0, 0.0]])
+    try:
+        rep = bound_h0(inst)
+    except HoffboundError:
+        return
+    assert rep.total >= 0.99e14 or not audit_report(inst, rep).ok
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,9 +25,8 @@ def test_parser_defaults():
     assert args.seed == 0
     assert args.format == "auto"
     assert args.output == "text"
-    assert not args.skip_oracle
-    assert args.opt_tol == 1e-8
-    assert not hasattr(args, "feas_tol")
+    for gone in ("skip_oracle", "opt_tol", "feas_tol"):
+        assert not hasattr(args, gone)
 
 
 def test_help_exits_cleanly(capsys):
@@ -48,13 +47,13 @@ def test_text_output(csv_path, capsys):
 
 def test_text_output_says_whether_the_partition_lp_ran(csv_path, tmp_path, capsys):
     # -eye(3) is proven all slack before the LP; a planted mixed split is not
-    assert cli.main(["compute", "--input", csv_path, "--skip-oracle"]) == cli.EXIT_OK
+    assert cli.main(["compute", "--input", csv_path, "--samples", "0"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "partition LP: not run, the split was proven before it" in out
     assert "margin t" not in out
     path = tmp_path / "mixed.csv"
     save_matrix_csv(path, planted_mixed_matrix(3, 30, 8))
-    assert cli.main(["compute", "--input", str(path), "--skip-oracle"]) == cli.EXIT_OK
+    assert cli.main(["compute", "--input", str(path), "--samples", "0"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "margin t of the certified LP iterate: " in out
     assert "iterations to the certified split" in out
@@ -71,21 +70,13 @@ def test_json_output_matches_schema(csv_path, capsys):
     assert payload["sandwich"]["ok"] is True
 
 
-def test_skip_oracle_omits_sampling(csv_path, capsys):
-    rc = cli.main(["compute", "--input", csv_path, "--output", "json",
-                   "--skip-oracle"])
-    assert rc == cli.EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["oracle"] is None
-    assert payload["sandwich"] is None
-
-
 def test_zero_samples_disables_oracle(csv_path, capsys):
     rc = cli.main(["compute", "--input", csv_path, "--output", "json",
                    "--samples", "0"])
     assert rc == cli.EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["oracle"] is None
+    assert payload["sandwich"] is None
 
 
 def test_canonical_json_is_reproducible(csv_path, capsys):
@@ -119,14 +110,13 @@ def test_invalid_compute_arguments_exit_with_error(csv_path, capsys):
     rc = cli.main(["compute", "--input", csv_path, "--samples", "-1"])
     assert rc == cli.EXIT_ERROR
     assert "--samples must be at least 0" in capsys.readouterr().err
-    rc = cli.main(["compute", "--input", csv_path, "--opt-tol", "0"])
-    assert rc == cli.EXIT_ERROR
-    assert "opt_tol must lie in (0, 1)" in capsys.readouterr().err
-    # the partition LP's give-up targets are constants, not options
-    for flag, value in (("--output", "xml"), ("--format", "bogus"),
-                        ("--feas-tol", "1e-9")):
+    # the tolerances are constants, not options, and --samples 0 is the one
+    # way to skip the oracle
+    for extra in (["--output", "xml"], ["--format", "bogus"],
+                  ["--feas-tol", "1e-9"], ["--opt-tol", "1e-8"],
+                  ["--skip-oracle"]):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["compute", "--input", csv_path, flag, value])
+            cli.main(["compute", "--input", csv_path, *extra])
         assert exc.value.code == 2
 
 

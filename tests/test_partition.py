@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import hoffbound.bounds
 import hoffbound.partition
 import hoffbound.solvers.programs
-from hoffbound import AmbiguousIndex, HoffboundError, SolverConfig, audit_report, bound_h0
+from hoffbound import AmbiguousIndex, HoffboundError, audit_report, bound_h0
 from hoffbound.audit import verify_partition
 from hoffbound.numerics import TightBlock
 from hoffbound.partition import PartitionCertificate, compute_partition, slack_margin
@@ -155,12 +155,12 @@ def test_untrusted_margin_raises_after_one_solve(monkeypatch):
         return real(block, accept)
 
     # the starting point certifies C4; the converged LP takes more steps
-    plain = compute_partition(instance(C4), SolverConfig())
+    plain = compute_partition(instance(C4))
     assert plain.lp["iterations"] == 0 < optimal_lp(C4)[0]["iterations"]
     monkeypatch.setattr(hoffbound.partition, "solve_partition_lp", counted)
     monkeypatch.setattr(hoffbound.partition, "weight_margin", lambda block, y: 0.0)
     with pytest.raises(AmbiguousIndex, match="margin rule"):
-        compute_partition(instance(C4), SolverConfig())
+        compute_partition(instance(C4))
     assert len(seen) == 1
 
 
@@ -241,7 +241,7 @@ def _cone_with_interior(seed: int, m: int, n: int, margin: float = 1.0) -> np.nd
     return G - c[:, None] * d
 
 
-def _no_fit(G, cfg=None):
+def _no_fit(G):
     raise InfeasibleQP("forced to defer")
 
 
