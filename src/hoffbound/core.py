@@ -9,6 +9,7 @@ monotonicity: ``|y| <= |z|`` entrywise implies ``||y|| <= ||z||``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,16 +50,17 @@ class ScaleOutOfRange(HoffboundError, ValueError):
 
 
 def euclidean_norm(v: npt.ArrayLike) -> float:
-    """Euclidean norm ``sqrt(v . v)``, as ``np.linalg.norm`` computes it.
+    """Euclidean norm ``sqrt(v . v)`` of the entries of ``v``, bit for bit
+    ``np.linalg.norm(v)``: the same one dot product over the entries in
+    memory order, without that function's dispatch.  ``np.vdot`` forms it,
+    which unlike ``dot`` raises no warning when the sum overflows.
 
     The squares are summed unscaled, so the result overflows to inf when an
     entry exceeds ~1e154 (``[1e200, 1e200]`` gives inf) and underflows to 0
     when every entry is below ~1e-162.
     """
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
-        return 0.0
-    return float(np.linalg.norm(v))
+    v = np.asarray(v, dtype=float).ravel(order="K")
+    return math.sqrt(np.vdot(v, v))
 
 
 def row_norms(X: np.ndarray) -> np.ndarray:
@@ -138,3 +140,12 @@ class ProblemInstance:
         rows = self.A[keep] / norms[keep, None]
         rows.flags.writeable = False
         return rows
+
+    @cached_property
+    def unit_rows_t(self) -> np.ndarray:
+        """``unit_rows.T`` laid out C-contiguous, computed once and
+        read-only: the operand of the oracle's NNLS fits, which scipy's
+        ``nnls`` would otherwise copy into this layout on every call."""
+        cols = np.ascontiguousarray(self.unit_rows.T)
+        cols.flags.writeable = False
+        return cols

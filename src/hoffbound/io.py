@@ -207,20 +207,30 @@ def report_to_dict(
     })
 
 
+# the types _jsonable returns as they are; most leaves of a report are floats
+_PLAIN = (bool, int, float, str, type(None))
+
+
 def _jsonable(obj: Any) -> Any:
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    kind = type(obj)
+    if kind in _PLAIN:
+        return obj
+    if isinstance(obj, np.ndarray):
+        return obj.ravel().tolist()
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        if all(type(v) is int for v in obj):
+            return list(obj)
+        return [_jsonable(v) for v in obj]
+    if hasattr(kind, "__dataclass_fields__"):
         return {
             f.name: _jsonable(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
             if f.metadata.get("json", True)
         }
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.ravel().tolist()
-    # bool before int: bool is an int subclass
+    # numpy scalars, and subclasses of the plain types; bool before int,
+    # since bool is an int subclass
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):

@@ -38,6 +38,9 @@ _MAX_PAIR_VECTORS = 128
 # relative slack on a candidate's cap before it is pruned (see the Notes of
 # lower_bound_monte_carlo for why it multiplies the cap, not the best ratio)
 _CAP_MARGIN = 1e-9
+# the pairs i < j of the largest base family, in the order directed_candidates
+# combines them; a smaller family takes those with j below its size
+_PAIR_I, _PAIR_J = np.triu_indices(_MAX_BASE + 1, 1)
 
 
 @dataclass(frozen=True)
@@ -127,10 +130,16 @@ def directed_candidates(
 
     # Unit a, b have |a + b|^2 + |a - b|^2 = 4, so every pair adds at least
     # one vector and the cap is reached within its first 128 pairs.
-    i, j = np.triu_indices(len(base), k=1)
-    i, j = i[:_MAX_PAIR_VECTORS], j[:_MAX_PAIR_VECTORS]
-    pairs = np.stack([base[i] + base[j], base[i] - base[j]], axis=1)
+    within = _PAIR_J < len(base)
+    bi = base[_PAIR_I[within][:_MAX_PAIR_VECTORS]]
+    bj = base[_PAIR_J[within][:_MAX_PAIR_VECTORS]]
+    pairs = np.empty((len(bi), 2, instance.n))
+    np.add(bi, bj, out=pairs[:, 0])
+    np.subtract(bi, bj, out=pairs[:, 1])
     pairs, keep = _unit(pairs.reshape(-1, instance.n), 1e-8)
+    if keep[:_MAX_PAIR_VECTORS].all():
+        # the first 64 pairs alone reach the cap, or every pair is kept
+        return np.vstack([base, pairs[:_MAX_PAIR_VECTORS]])
     per_pair = keep.reshape(-1, 2).sum(axis=1)
     emitted_before = np.cumsum(per_pair) - per_pair
     open_pairs = np.repeat(emitted_before < _MAX_PAIR_VECTORS, 2)[keep]

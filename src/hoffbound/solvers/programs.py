@@ -171,8 +171,14 @@ def solve_partition_lp(block: TightBlock, accept: Callable[..., Any]) -> tuple[A
     return res.accepted, {"t": t, "iterations": res.iterations, "residuals": residuals}
 
 
-def _nnls(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _nnls(
+    M: np.ndarray, b: np.ndarray, M_c: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Nonnegative least-squares fit ``argmin_{x >= 0} ||M x - b||``.
+
+    Returns x and the product ``M x``.  ``M_c``, when given, is M laid out
+    C-contiguous, the layout scipy's ``nnls`` would otherwise copy M into;
+    every product is formed with M itself, in M's layout.
 
     On rank-deficient column sets scipy's ``nnls`` can end at a
     non-stationary x without an error, or stop at its iteration cap; either
@@ -185,15 +191,18 @@ def _nnls(M: np.ndarray, b: np.ndarray) -> np.ndarray:
         If the BVLS refit ends non-stationary too.
     """
     try:
-        x, _ = scipy.optimize.nnls(M, b)
+        x, _ = scipy.optimize.nnls(M if M_c is None else M_c, b)
     except RuntimeError:  # the iteration cap
         x = None
-    if x is None or float((M.T @ (b - M @ x)).max()) > _FIT_TOL:
+    else:
+        Mx = M @ x
+    if x is None or float((M.T @ (b - Mx)).max()) > _FIT_TOL:
         fit = scipy.optimize.lsq_linear(M, b, bounds=(0.0, np.inf), method="bvls")
         x = np.maximum(fit.x, 0.0)
-        if float((M.T @ (b - M @ x)).max()) > _FIT_TOL:
+        Mx = M @ x
+        if float((M.T @ (b - Mx)).max()) > _FIT_TOL:
             raise SolverStall("NNLS fit ended non-stationary after a BVLS refit")
-    return x
+    return x, Mx
 
 
 @dataclass(frozen=True)
@@ -274,8 +283,8 @@ def solve_min_norm_qp(G: np.ndarray) -> MinNormSolution:
     M = np.concatenate([Gw.T, np.ones((1, k))], axis=0)
     e = np.zeros(d + 1)
     e[d] = 1.0
-    u = _nnls(M, e)
-    r = M @ u - e
+    u, Mu = _nnls(M, e)
+    r = Mu - e
     rho = -float(r[d])
     z_best = _restore_feasibility(G, r[:d] / (rho * s)) if rho > 0.0 else None
     if z_best is None:
@@ -483,11 +492,10 @@ def project_onto_cone(instance: ProblemInstance, u: np.ndarray) -> ProjectionRes
     if Aw.shape[0] == 0:
         return ProjectionResult(point=u.copy(), distance=0.0, distance_lower=0.0)
     u_hat = u / unorm
-    mu = _nnls(Aw.T, u_hat)
+    mu, polar = _nnls(Aw.T, u_hat, instance.unit_rows_t)
 
-    # Subtracting the rescaled polar part (rather than rescaling u_hat) keeps
-    # an interior point exactly where it is: mu = 0 there.
-    polar = Aw.T @ mu
+    # Subtracting the rescaled polar part ``Aw' mu`` (rather than rescaling
+    # u_hat) keeps an interior point exactly where it is: mu = 0 there.
     x = u - polar * unorm
 
     # Any mu >= 0 certifies dist^2 >= 2 mu'(Aw u) - ||Aw' mu||^2.

@@ -71,3 +71,64 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{module}.{name}" for name in sorted(_unused_imports(path))
                    if (module, name) not in hooked]
     assert unused == []
+
+
+def _private_scipy_names(source):
+    """Dotted scipy names that ``source`` imports or reads through a private
+    component, such as ``scipy.optimize._slsqplib.nnls``."""
+    tree = ast.parse(source)
+    bound = {}  # local name -> the scipy name it stands for
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "scipy":
+                    names.append(a.name)
+                    if a.asname:
+                        bound[a.asname] = a.name
+                    else:
+                        bound["scipy"] = "scipy"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            for a in node.names:
+                names.append(f"{node.module}.{a.name}")
+                bound[a.asname or a.name] = f"{node.module}.{a.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            chain, base = [], node
+            while isinstance(base, ast.Attribute):
+                chain.append(base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                names.append(".".join([bound[base.id], *reversed(chain)]))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names += re.findall(r"\bscipy(?:\.\w+)+", node.value)
+
+    def private(name):
+        return any(p.startswith("_") and not p.endswith("__") for p in name.split(".")[1:])
+
+    return sorted({name for name in names if private(name)})
+
+
+def test_the_guard_finds_private_scipy_names():
+    for source in [
+        "import scipy.optimize._slsqplib",
+        "from scipy.optimize._slsqplib import nnls",
+        "from scipy.optimize import _slsqplib",
+        "import scipy.optimize\nscipy.optimize._slsqplib.nnls(A, b)",
+        "from scipy import optimize as so\nso._nnls.nnls(A, b)",
+        "import importlib\nimportlib.import_module('scipy.optimize._slsqplib')",
+    ]:
+        assert _private_scipy_names(source), source
+    assert _private_scipy_names(
+        "import scipy.optimize\nfrom scipy.linalg.lapack import dgeqrf\n"
+        "scipy.optimize.nnls(A, b)\nscipy.__version__\ndgeqrf(A)"
+    ) == []
+
+
+def test_no_module_uses_a_private_scipy_name():
+    # scipy's private modules change without notice; the public wrappers
+    # (scipy.optimize.nnls above all) are also where the tests patch them
+    found = [f"{path.relative_to(PACKAGE)}: {name}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for name in _private_scipy_names(path.read_text())]
+    assert found == []

@@ -22,6 +22,27 @@ def test_euclidean_norm():
     assert euclidean_norm(np.array([])) == 0.0
 
 
+def test_euclidean_norm_is_bitwise_np_linalg_norm():
+    rng = np.random.default_rng(11)
+    for n in range(71):
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8)
+        assert euclidean_norm(v) == np.linalg.norm(v), n
+        assert euclidean_norm(v[::2]) == np.linalg.norm(v[::2]), n
+        assert type(euclidean_norm(v)) is float
+    for shape in [(7, 5), (1, 9), (33, 2)]:
+        M = rng.standard_normal(shape)
+        for X in (M, np.asfortranarray(M), M.T):
+            assert euclidean_norm(X) == np.linalg.norm(X), shape
+
+
+def test_euclidean_norm_overflows_and_underflows_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert euclidean_norm([1e200, 1e200]) == np.inf
+        assert euclidean_norm([1e-163, -1e-163, 1e-170]) == 0.0
+        assert euclidean_norm([1e-150, 0.0]) == 1e-150
+
+
 def test_from_matrix_requires_2d():
     with pytest.raises(ValueError):
         ProblemInstance.from_matrix(np.array([3.0, 4.0]))
@@ -78,6 +99,21 @@ def test_unit_rows_drop_zero_rows_and_are_computed_once():
     with pytest.raises(ValueError):
         inst.unit_rows[0, 0] = 1.0
     assert ProblemInstance.from_matrix(np.zeros((2, 3))).unit_rows.shape == (0, 3)
+
+
+@pytest.mark.parametrize("A", [
+    [[3.0, 4.0], [0.0, 0.0], [0.0, -2.0]],
+    gaussian_matrix(4),
+    np.zeros((2, 3)),
+], ids=["zero-row", "gaussian", "zero"])
+def test_transposed_unit_rows_are_contiguous_read_only_and_computed_once(A):
+    inst = ProblemInstance.from_matrix(A)
+    cols = inst.unit_rows_t
+    assert cols is inst.unit_rows_t
+    assert cols.flags.c_contiguous
+    assert np.array_equal(cols, inst.unit_rows.T)
+    with pytest.raises(ValueError):
+        cols[...] = 1.0
 
 
 @pytest.mark.parametrize("c", [1e155, 1e160, 1e300])

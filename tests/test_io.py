@@ -1,6 +1,7 @@
 """Matrix file parsing, report payloads, canonical JSON."""
 
 import bz2
+import dataclasses
 import gzip
 import json
 
@@ -20,6 +21,7 @@ from hoffbound import (
     report_to_dict,
     save_matrix_csv,
 )
+from hoffbound.io import _jsonable
 
 from helpers import instance, planted_mixed_matrix, report_schema
 
@@ -289,3 +291,62 @@ def test_canonical_json_round_trips_values():
     rep = bound_h0(instance(-np.eye(3)))
     payload = json.loads(canonical_report_json(report_to_dict(rep)))
     assert payload["bounds"]["total"] == rep.total
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    value: np.float64
+    hidden: np.ndarray = dataclasses.field(metadata={"json": False})
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    indices: tuple
+    flags: dict
+
+
+def test_jsonable_gives_plain_json_values_of_the_same_types():
+    # numpy scalars and tuples of numpy ints take the isinstance chain, plain
+    # values the exact-type fast path; either way every leaf is a plain type
+    obj = {
+        "float": np.float64(0.1),
+        "int": np.int64(-3),
+        "bool": np.bool_(True),
+        "plain": (1.5, 2, False, None, "s"),
+        "ints": (0, 4),
+        "np_ints": (np.int64(1), np.int64(2)),
+        "array": np.arange(4.0).reshape(2, 2),
+        "nested": _Outer(
+            inner=_Inner(value=np.float64(2.5), hidden=np.ones(3)),
+            indices=(np.int64(7),),
+            flags={1: np.bool_(False), (2, 3): [np.float64(1e-300)]},
+        ),
+    }
+    expected = {
+        "float": 0.1,
+        "int": -3,
+        "bool": True,
+        "plain": [1.5, 2, False, None, "s"],
+        "ints": [0, 4],
+        "np_ints": [1, 2],
+        "array": [0.0, 1.0, 2.0, 3.0],
+        "nested": {
+            "inner": {"value": 2.5},
+            "indices": [7],
+            "flags": {"1": False, "(2, 3)": [1e-300]},
+        },
+    }
+    out = _jsonable(obj)
+    assert out == expected
+
+    def types(x):
+        if isinstance(x, dict):
+            return {k: types(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [types(v) for v in x]
+        return type(x)
+
+    assert types(out) == types(expected)
+    assert json.dumps(out, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
