@@ -52,10 +52,10 @@ class AuditResult:
     metrics: dict
 
 
-def _check_weights(y: np.ndarray, A_B: np.ndarray, metrics: dict) -> list[str]:
+def _check_weights(y: np.ndarray, A_B: np.ndarray, fro_B: float, metrics: dict) -> list[str]:
     """Failures of the tight-block weights ``y_bar`` on the rows of ``A_B``:
     each is positive, they sum to 1 within ``SUM_TOL``, and
-    ``||A_B' y||_inf`` is at most ``RESIDUAL_TOL ||A_B||_F``."""
+    ``||A_B' y||_inf`` is at most ``RESIDUAL_TOL fro_B``, ``fro_B = ||A_B||_F``."""
     if y.size == 0:
         return ["y_bar is empty"]
     failures = []
@@ -67,7 +67,7 @@ def _check_weights(y: np.ndarray, A_B: np.ndarray, metrics: dict) -> list[str]:
     if not sum_err <= SUM_TOL:
         failures.append(f"y_bar sums to 1 only within {sum_err!r}")
     metrics["case_b_eq_inf"] = ceq = float(np.abs(A_B.T @ y).max(initial=0.0))
-    if not ceq <= RESIDUAL_TOL * np.linalg.norm(A_B):
+    if not ceq <= RESIDUAL_TOL * fro_B:
         failures.append(f"A_B' y_bar residual {ceq:.3e} exceeds budget")
     return failures
 
@@ -113,8 +113,10 @@ def _check_branch(report: BoundReport) -> list[str]:
     return []
 
 
-def _rows_in_range(instance: ProblemInstance, cert: PartitionCertificate) -> bool:
-    return all(0 <= i < instance.m for i in cert.B + cert.N)
+def _close(a: float, b: float) -> bool:
+    """``np.isclose(a, b, rtol=1e-13, atol=0.0)`` for two floats, without
+    its array dispatch: b must be finite unless a equals it."""
+    return a == b or (abs(a - b) <= 1e-13 * abs(b) and math.isfinite(b))
 
 
 def verify_partition(
@@ -137,20 +139,19 @@ def verify_partition(
     return _verify_partition(instance, cert)[0]
 
 
-def _verify_partition(
-    instance: ProblemInstance, cert: PartitionCertificate
-) -> tuple[AuditResult, TightBlock | None]:
-    """``verify_partition`` with the audit's ``TightBlock`` of A_B, or None
-    where it was not built."""
+def _verify_partition(instance: ProblemInstance, cert: PartitionCertificate):
+    """``verify_partition`` with the audit's ``TightBlock`` of A_B (None
+    where it was not built) and the rows ``A_B`` and ``A_N`` it gathered
+    (None when a row index is out of range)."""
     A = instance.A
     failures: list[str] = []
     metrics: dict = {}
-    if not _rows_in_range(instance, cert):
+    rows = cert.B + cert.N
+    if min(rows, default=0) < 0 or max(rows, default=0) >= instance.m:
         return AuditResult(ok=False, failures=("a row index is out of range",),
-                           metrics=metrics), None
+                           metrics=metrics), None, None, None
 
-    union = sorted(cert.B + cert.N)
-    if union != list(range(instance.m)):
+    if sorted(rows) != list(range(instance.m)):
         failures.append("B and N do not partition the row indices")
     if list(cert.B) != sorted(cert.B) or list(cert.N) != sorted(cert.N):
         failures.append("index tuples are not sorted")
@@ -192,13 +193,18 @@ def _verify_partition(
             metrics["y_hat_sum_err"] = abs(float(y.sum()) - 1.0)
             metrics["center_eq_inf"] = float(np.abs(A_B.T @ y).max(initial=0.0))
             if block is not None:
-                metrics["weight_margin"] = margin = weight_margin(block, y)
-                if not margin > 0.0:
-                    failures.append(f"y_hat does not prove B tight (margin {margin!r})")
+                try:
+                    metrics["weight_margin"] = margin = weight_margin(block, y)
+                except NumericalFailure as exc:
+                    failures.append(f"weight margin of y_hat: {exc}")
+                else:
+                    if not margin > 0.0:
+                        failures.append(f"y_hat does not prove B tight (margin {margin!r})")
     elif cert.y_hat.size:
         failures.append("y_hat must be empty when B is empty")
 
-    return AuditResult(ok=not failures, failures=tuple(failures), metrics=metrics), block
+    check = AuditResult(ok=not failures, failures=tuple(failures), metrics=metrics)
+    return check, block, A_B, A_N
 
 
 def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
@@ -223,7 +229,6 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     an empty weight vector and a witness of the wrong length are recorded
     as failures, not raised.
     """
-    A = instance.A
     failures: list[str] = []
     metrics: dict = {}
     cert = report.partition
@@ -233,13 +238,12 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
             failures=("report is missing its partition certificate",),
             metrics=metrics,
         )
-    check, block = _verify_partition(instance, cert)
-    if not _rows_in_range(instance, cert):
+    check, block, A_B, A_N = _verify_partition(instance, cert)
+    if A_B is None:
         return check
     failures.extend(check.failures)
     metrics.update(check.metrics)
-    A_B = A[list(cert.B)]
-    A_N = A[list(cert.N)]
+    fro_B = euclidean_norm(A_B)
 
     if report.case_n is not None:
         cn = report.case_n
@@ -251,7 +255,7 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
                 "slack-block witness", "case_n_margin", metrics)
             nrm = euclidean_norm(cn.x_bar)
             metrics["case_n_norm"] = nrm
-            if not np.isclose(nrm, cn.value, rtol=1e-13, atol=0.0):
+            if not _close(nrm, cn.value):
                 failures.append(
                     f"slack-block value {cn.value!r} does not equal ||x_bar|| {nrm!r}"
                 )
@@ -267,7 +271,7 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
             if cb.value != 0.0:
                 failures.append("zero tight block must report value 0")
         else:
-            failures += _check_weights(y, A_B, metrics)
+            failures += _check_weights(y, A_B, fro_B, metrics)
             if block is not None:  # else the rank failure of A_B is recorded
                 try:  # bound_case_b's call: an honest sigma is reproduced
                     sigma = block.weighted_sigma(y)
@@ -281,7 +285,7 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
                         )
             if cb.sigma <= 0.0:
                 failures.append("sigma must be positive")
-            elif not np.isclose(cb.value, 2.0 / cb.sigma, rtol=1e-13, atol=0.0):
+            elif not _close(cb.value, 2.0 / cb.sigma):
                 failures.append("tight-block value does not equal 2 / sigma")
 
     st = report.stitch
@@ -292,7 +296,7 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
             metrics["stitch_rank_gap"] = block.rank_gap
         w = st.w_bar
         metrics["stitch_null_res"] = null_res = float(np.abs(A_B @ w).max(initial=0.0))
-        if not null_res <= RESIDUAL_TOL * np.linalg.norm(A_B) * euclidean_norm(w):
+        if not null_res <= RESIDUAL_TOL * fro_B * euclidean_norm(w):
             failures.append(
                 f"stitch witness leaves the null space of A_B ({null_res:.3e})"
             )
@@ -304,7 +308,7 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
                 (A_N @ w) / norms, w, st.value, lambda r: 1.0 + 2.0 * r,
                 "stitch witness", "stitch_margin", metrics)
         expect = 1.0 + 2.0 * euclidean_norm(w)
-        if not np.isclose(st.value, expect, rtol=1e-13, atol=0.0):
+        if not _close(st.value, expect):
             failures.append("stitch value does not equal 1 + 2 ||w_bar||")
 
     failures += _check_branch(report)

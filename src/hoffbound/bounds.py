@@ -233,7 +233,7 @@ def bound_h0(instance: ProblemInstance, cfg: SolverConfig | None = None) -> Boun
 
     case_n = case_b = stitch = None
     cert = _timed(timings, "partition_s", compute_partition, instance)
-    A_N = instance.A[list(cert.N)]
+    A_N = cert.A_N
     # A partition proven by its least-distance fit is all slack, and one
     # proven by the analytic center all tight: its solution is that side's
     # solve.

@@ -65,7 +65,7 @@ def euclidean_norm(v: npt.ArrayLike) -> float:
 
 def row_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a 2-d array."""
-    return np.sqrt(np.sum(X * X, axis=1))
+    return np.sqrt((X * X).sum(axis=1))
 
 
 @dataclass(frozen=True)

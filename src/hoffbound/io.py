@@ -173,9 +173,9 @@ def report_to_dict(
 
     The partition, the bound components and the oracle result are serialized
     field by field from their dataclasses, without the fields marked
-    ``metadata={"json": False}``: the partition's ``block``, which the audit
-    rebuilds from the instance, and its ``solution``, whose point the bound
-    built from it stores.  Every witness a bound rests on is
+    ``metadata={"json": False}``: the partition's ``block`` and ``A_N``,
+    which the audit rebuilds from the instance, and its ``solution``, whose
+    point the bound built from it stores.  Every witness a bound rests on is
     serialized: ``x_hat``, ``y_hat``, ``x_bar``, ``y_bar`` with ``sigma``,
     and the stitch's ``w_bar`` in null(A_B) with ``D A_N w_bar >= 1``.
     When an oracle result is attached, the sandwich block records whether

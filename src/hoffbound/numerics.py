@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 import numpy.typing as npt
 
-from .core import ZERO_NORM_FLOOR, HoffboundError, ScaleOutOfRange, row_norms
+from .core import ZERO_NORM_FLOOR, HoffboundError, ScaleOutOfRange, euclidean_norm, row_norms
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -51,9 +51,10 @@ class DegenerateRow(HoffboundError):
     """A row expected to be nonzero has (numerically) zero norm."""
 
 
-def _svd(M: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _svd(M: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
+    """``np.linalg.svd`` with its ``LinAlgError`` raised as ``NumericalFailure``."""
     try:
-        return np.linalg.svd(M, full_matrices=full_matrices)
+        return np.linalg.svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(str(exc)) from exc  # "SVD did not converge"
 
@@ -97,7 +98,10 @@ class TightBlock:
     basis ``V``, ``WV = W V = U S``, ``sigma = s_r`` (inf at r = 0),
     ``rank_gap = s_r / s_{r+1}`` (inf at full rank or r = 0) and, on first
     use, the null basis ``Q``; Vt is complete (taken with full_matrices
-    when there are fewer rows than columns).  ``fro`` is ``||W||_F``.
+    when there are fewer rows than columns).  ``fro`` is ``||W||_F``.  A
+    block with no rows takes no SVD (rank 0, ``sigma`` and ``rank_gap``
+    inf, ``fro`` 0, ``Q = I``).  ``V``, ``WV`` and ``Q`` are C-contiguous:
+    in another layout, products with them would round differently.
     Raises ``ScaleOutOfRange`` when a nonzero row's norm underflows to 0
     (entries below ~1e-162): that row would be scaled and ranked as zero.
     Raises ``NumericalFailure`` when the SVD fails or the rank falls in the
@@ -106,22 +110,27 @@ class TightBlock:
 
     def __init__(self, A_B: np.ndarray) -> None:
         self.A_B = A_B
+        if not A_B.shape[0]:  # no rows: rank 0 and Q = I, with no SVD
+            self.exp, self.W, self.rank, self.fro = 0, A_B, 0, 0.0
+            self.V, self.WV = np.zeros((A_B.shape[1], 0)), np.zeros((0, 0))
+            self.sigma = self.rank_gap = np.inf
+            return
         norms = row_norms(A_B)
         if not norms.all() and np.any(A_B[norms == 0.0]):
             raise ScaleOutOfRange(
                 "a nonzero row's norm underflows to 0, so the rank and the "
                 "margins of its block cannot be formed; rescale the row"
             )
-        self.exp = int(np.frexp(norms.max(initial=0.0))[1])
+        self.exp = int(np.frexp(norms.max())[1])
         self.W = W = np.ldexp(A_B, -self.exp)
         U, S, self._Vt = _svd(W, full_matrices=W.shape[0] < W.shape[1])
         self.rank = r = numerical_rank(S)
         self.V = np.ascontiguousarray(self._Vt[:r].T)
         self.WV = U[:, :r] * S[:r]
         self.sigma = float(S[r - 1]) if r else np.inf
-        with np.errstate(over="ignore"):  # inf when s_{r+1} is subnormal
-            self.rank_gap = float(S[r - 1] / S[r]) if 0 < r < S.size and S[r] > 0.0 else np.inf
-        self.fro = float(np.linalg.norm(W))
+        # a float division: inf, with no warning, when s_{r+1} is subnormal
+        self.rank_gap = self.sigma / float(S[r]) if 0 < r < S.size and S[r] > 0.0 else np.inf
+        self.fro = euclidean_norm(W)
 
     @cached_property
     def Q(self) -> np.ndarray:
@@ -148,9 +157,10 @@ class TightBlock:
     @cached_property
     def slice_factors(self) -> tuple[np.ndarray, float]:
         """Pseudo-inverse of ``E = [V'W'; 1']`` and its smallest singular
-        value ``sigma_E``, 0 when E has more rows than columns."""
-        E = np.vstack([self.WV.T, np.ones((1, self.W.shape[0]))])
-        P, S_E, Qt = np.linalg.svd(E, full_matrices=False)
+        value ``sigma_E``, 0 when E has more rows than columns;
+        ``NumericalFailure`` if the SVD of E does not converge."""
+        E = np.concatenate([self.WV.T, np.ones((1, self.W.shape[0]))])
+        P, S_E, Qt = _svd(E, full_matrices=False)
         sigma_E = float(S_E[-1]) if E.shape[0] <= E.shape[1] else 0.0
         E_pinv = (Qt.T / S_E) @ P.T if sigma_E > 0.0 else np.zeros(E.shape[::-1])
         return E_pinv, sigma_E
@@ -159,7 +169,7 @@ class TightBlock:
         """``y - E^+ (E y - e)``, e the last unit vector, rescaled to sum 1:
         y put on the slice ``{A_B'y = 0, 1'y = 1}``."""
         E_pinv = self.slice_factors[0]
-        y = y - E_pinv @ np.append(y @ self.WV, y.sum() - 1.0)
+        y = y - E_pinv @ np.concatenate([y @ self.WV, [y.sum() - 1.0]])
         return y / y.sum()
 
 

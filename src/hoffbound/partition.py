@@ -91,6 +91,9 @@ class PartitionCertificate:
     block : TightBlock or None
         A_B factored as the split was proven on it, for the bounds to reuse.
         Not serialized; None on a certificate built by hand.
+    A_N : ndarray of shape (len(N), n) or None
+        The slack rows of A, gathered once for the bounds to reuse.  Not
+        serialized; None on a certificate built by hand.
     solution : MinNormSolution or AnalyticCenterSolution or None
         The least-distance fit of all of A that proved every row slack, or
         the analytic center of ``block`` that proved every row tight, for
@@ -107,6 +110,7 @@ class PartitionCertificate:
     residuals: dict = field(default_factory=dict)
     lp: dict | None = None
     block: TightBlock | None = field(default=None, repr=False, metadata={"json": False})
+    A_N: np.ndarray | None = field(default=None, repr=False, metadata={"json": False})
     solution: MinNormSolution | AnalyticCenterSolution | None = field(
         default=None, repr=False, metadata={"json": False})
 
@@ -171,13 +175,14 @@ def weight_margin(block: TightBlock, y_hat: np.ndarray) -> float:
     Rounding: with ``gamma = gamma_{|B|+2}``, the computed residual norm
     may fall short of the exact one by ``gamma (fro ||y_hat|| +
     ||y_hat||_1)``; the margin adds that and inflates d by ``1 + gamma``.
-    ``sigma_E`` and the basis V are taken as the SVD computes them.
+    ``sigma_E`` and the basis V are taken as the SVD computes them, and an
+    SVD that does not converge raises ``NumericalFailure``.
     """
     sigma_E = block.slice_factors[1]
     if not sigma_E > 0.0:
         return -np.inf
     gamma = _gamma(y_hat.size + 2)
-    res = euclidean_norm(np.append(y_hat @ block.W, y_hat.sum() - 1.0))
+    res = euclidean_norm(np.concatenate([y_hat @ block.W, [y_hat.sum() - 1.0]]))
     res += gamma * (block.fro * euclidean_norm(y_hat) + float(np.abs(y_hat).sum()))
     return float(y_hat.min()) - res * (1.0 + gamma) / sigma_E
 
@@ -266,7 +271,7 @@ def compute_partition(instance: ProblemInstance) -> PartitionCertificate:
             weight = weight_margin(block, y_hat)
             if not weight > 0.0:
                 return None
-        return b_mask, block, x_hat, y_hat, slack, weight
+        return b_mask, block, A_N, x_hat, y_hat, slack, weight
 
     def accept(x, y, s, t):
         # An interior x proves every row slack, whatever y > s says.
@@ -293,12 +298,11 @@ def compute_partition(instance: ProblemInstance) -> PartitionCertificate:
                 f"the partition LP converged after {lp['iterations']} iterations "
                 "without an iterate whose split passes the margin rule"
             )
-    b_mask, block, x_hat, y_hat, slack, weight = found
+    b_mask, block, A_N, x_hat, y_hat, slack, weight = found
 
-    B = tuple(int(i) for i in np.flatnonzero(b_mask))
-    N = tuple(int(i) for i in np.flatnonzero(~b_mask))
+    B = tuple(b_mask.nonzero()[0].tolist())
+    N = tuple((~b_mask).nonzero()[0].tolist())
     A_B = block.A_B
-    A_N = A[~b_mask]
     residuals = {
         "tight_rows_inf": float(np.abs(A_B @ x_hat).max(initial=0.0)) if N else None,
         "center_eq_inf": float(np.abs(A_B.T @ y_hat).max(initial=0.0)) if B else None,
@@ -315,6 +319,7 @@ def compute_partition(instance: ProblemInstance) -> PartitionCertificate:
         residuals=residuals,
         lp=lp,
         block=block,
+        A_N=A_N,
         solution=solution,
     )
 

@@ -41,6 +41,7 @@ from ..core import (
 from ..numerics import (
     NumericalFailure,
     TightBlock,
+    _svd,
     numerical_rank,
     orthonormal_null_basis,  # unused here; the benchmark's tracer hooks it
 )
@@ -223,7 +224,7 @@ class MinNormSolution:
 def _restore_feasibility(G: np.ndarray, z: np.ndarray) -> np.ndarray | None:
     """Scale z so that min(G z) >= 1 holds exactly in floating point."""
     margin = float((G @ z).min())
-    if not np.isfinite(margin) or margin <= 1e-150:
+    if not 1e-150 < margin < np.inf:  # a NaN fails too
         return None
     z = z / margin
     for _ in range(100):
@@ -274,9 +275,9 @@ def solve_min_norm_qp(G: np.ndarray) -> MinNormSolution:
     # back by one scalar division, so the fit (and in particular the active
     # set used by the polish) behaves identically for G and alpha G.
     s = float(row_norms(G).max())
-    if not np.any(G):
-        raise InfeasibleQP("a zero matrix cannot reach margin 1")
     if s <= ZERO_NORM_FLOOR:
+        if not G.any():
+            raise InfeasibleQP("a zero matrix cannot reach margin 1")
         raise InfeasibleQP(f"the largest row norm of G underflows ({s:.1e}); rescale G")
     Gw = G / s
 
@@ -298,7 +299,7 @@ def solve_min_norm_qp(G: np.ndarray) -> MinNormSolution:
         # Polish: the passive rows define an equality system whose minimum-norm
         # solution is the exact optimum when the active set is identified.
         active = u > 0.0
-        if np.any(active):
+        if active.any():
             z_pol = np.linalg.lstsq(Gw[active], np.ones(active.sum()), rcond=None)[0]
             z_pol = _restore_feasibility(G, z_pol / s)
             if z_pol is not None and euclidean_norm(z_pol) < euclidean_norm(z_best):
@@ -391,8 +392,8 @@ def solve_analytic_center(block: TightBlock) -> AnalyticCenterSolution:
     SolverStall
         If a full step was taken but ``lam`` stays above ``OPT_TOL``.
     NumericalFailure
-        If a rank falls in the ambiguous band of the rank rule, or R has a
-        zero on its diagonal.
+        If a rank falls in the ambiguous band of the rank rule, its SVD
+        does not converge, or R has a zero on its diagonal.
     """
     M = block.WV
     p, r = M.shape
@@ -403,7 +404,7 @@ def solve_analytic_center(block: TightBlock) -> AnalyticCenterSolution:
     # The columns of M are orthogonal (M = U S from the SVD of W), so the
     # rank rule sees only the ones direction once all columns have unit norm.
     U = np.concatenate([M / row_norms(M.T), np.full((p, 1), p**-0.5)], axis=1)
-    if numerical_rank(np.linalg.svd(U, compute_uv=False)) <= r:
+    if numerical_rank(_svd(U, compute_uv=False)) <= r:
         raise NoInteriorPoint("1 lies in the range of A_B, so the slice is empty")
 
     e = np.zeros(r + 1)
@@ -415,10 +416,11 @@ def solve_analytic_center(block: TightBlock) -> AnalyticCenterSolution:
     lwork = int(dgeqrf(N, lwork=-1)[2][0])
     full_step = False
     for it in range(1, MAX_ITERS + 1):
-        g = N.T @ y - e
+        g = N.T @ y
+        g -= e
         # dtrtrs reads only the lower triangle of L = qr[:r+1].T, which is R'
         qr = dgeqrf(y[:, None] * N, lwork=lwork)[0]
-        L = qr[: r + 1].T
+        L = np.asfortranarray(qr[: r + 1].T)  # the layout dtrtrs copies L into
         w, info = dtrtrs(L, g, lower=1)
         if info == 0:
             dz, info = dtrtrs(L, w, lower=1, trans=1)
@@ -428,9 +430,9 @@ def solve_analytic_center(block: TightBlock) -> AnalyticCenterSolution:
             )
         lam = euclidean_norm(w)
         full_step = full_step or lam <= 0.25
-        z = z + (dz if lam <= 0.25 else dz / (1.0 + lam))
+        z += dz if lam <= 0.25 else dz / (1.0 + lam)
         Nz = N @ z
-        if not np.all(Nz > 0.0):
+        if not Nz.min() > 0.0:
             break  # only rounding leaves the domain, as z runs off to infinity
         y = 1.0 / Nz
         if lam <= OPT_TOL:

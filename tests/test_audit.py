@@ -2,9 +2,12 @@
 
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hoffbound.audit
 from hoffbound import NumericalFailure, audit_report, bound_h0, lower_bound_monte_carlo
@@ -385,3 +388,17 @@ def test_audit_rejects_a_non_finite_bound(value):
     res = audit_report(inst, dataclasses.replace(rep, case_n=bad_case_n, total=value))
     assert not res.ok
     assert f"non-finite bound: total {value!r}, case_n {value!r}" in res.failures
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(b=_FLOATS, a=_FLOATS, ulps=st.integers(-2000, 2000), near=st.booleans())
+def test_the_audits_value_comparison_is_np_isclose_without_atol(a, b, ulps, near):
+    # near: a is b moved by up to 2000 ulps, across the 1e-13 relative edge
+    # (about 450 ulps)
+    if near and math.isfinite(b):
+        a = b + ulps * math.ulp(b)
+    expect = bool(np.isclose(a, b, rtol=1e-13, atol=0.0))
+    assert hoffbound.audit._close(a, b) is expect

@@ -4,13 +4,23 @@ import numpy as np
 import pytest
 
 import hoffbound.numerics
-from hoffbound import DegenerateRow, HoffboundError, NumericalFailure
+from hoffbound import (
+    DegenerateRow,
+    HoffboundError,
+    NumericalFailure,
+    audit_report,
+    bound_h0,
+)
 from hoffbound.numerics import (
     TightBlock,
     orthonormal_null_basis,
     row_normalize,
     smallest_positive_singular_value,
 )
+from hoffbound.partition import weight_margin
+from hoffbound.solvers.programs import solve_analytic_center
+
+from helpers import instance
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -125,3 +135,93 @@ def test_error_hierarchy():
 def test_kernels_reject_a_malformed_matrix(fn, M):
     with pytest.raises(ValueError, match="expected a"):
         fn(M)
+
+
+_RNG = np.random.default_rng(5)
+
+
+@pytest.mark.parametrize("A_B", [
+    _RNG.standard_normal((9, 4)),
+    _RNG.standard_normal((3, 7)),
+    _RNG.standard_normal((5, 5)),
+    _RNG.standard_normal((8, 2)) @ _RNG.standard_normal((2, 6)),
+    np.zeros((0, 4)),
+], ids=["tall", "wide", "square", "rank-deficient", "empty"])
+def test_tight_block_factors_are_c_contiguous(A_B):
+    # np.concatenate in the center and the IPM inherits these layouts, and a
+    # product in another layout takes another BLAS loop, which rounds
+    # differently
+    block = TightBlock(A_B)
+    m, n = A_B.shape
+    r = block.rank
+    assert r == np.linalg.matrix_rank(A_B)
+    for name, shape in [("V", (n, r)), ("WV", (m, r)), ("Q", (n, n - r))]:
+        factor = getattr(block, name)
+        assert factor.shape == shape, name
+        assert factor.flags["C_CONTIGUOUS"], name
+
+
+def test_an_empty_block_has_rank_zero_without_an_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an empty block needs no SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    block = TightBlock(np.zeros((0, 3)))
+    assert block.rank == 0 and block.exp == 0
+    assert block.sigma == np.inf and block.rank_gap == np.inf
+    assert block.fro == 0.0
+    assert block.V.shape == (3, 0) and block.WV.shape == (0, 0)
+    assert np.array_equal(block.Q, np.eye(3))
+
+
+# its tight rows are the first two: the opposite pair
+_MIXED = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+
+
+def _svd_failing_on(monkeypatch, fails):
+    """Make ``np.linalg.svd`` raise numpy's ``LinAlgError`` on the inputs
+    ``fails(M, kwargs)`` picks, as LAPACK's does when it does not converge."""
+    svd = np.linalg.svd
+
+    def failing(M, *args, **kwargs):
+        if fails(np.asarray(M), kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+
+
+def _slice_matrix(M, kwargs):
+    # E = [V'W'; 1'] of TightBlock.slice_factors, the only input whose last
+    # row is all ones here
+    return M.shape[0] > 1 and bool((M[-1] == 1.0).all())
+
+
+def test_a_failed_slice_svd_is_a_numerical_failure(monkeypatch):
+    block = TightBlock(_MIXED[:2])
+    _svd_failing_on(monkeypatch, _slice_matrix)
+    with pytest.raises(NumericalFailure, match="SVD did not converge"):
+        weight_margin(block, np.array([0.5, 0.5]))
+
+
+def test_a_failed_rank_probe_of_the_center_is_a_numerical_failure(monkeypatch):
+    block = TightBlock(_MIXED[:2])
+    _svd_failing_on(monkeypatch, lambda M, kwargs: kwargs.get("compute_uv") is False)
+    with pytest.raises(NumericalFailure, match="SVD did not converge"):
+        solve_analytic_center(block)
+
+
+def test_a_failed_slice_svd_is_recorded_by_the_audit(monkeypatch):
+    inst = instance(_MIXED)
+    rep = bound_h0(inst)
+    assert rep.partition.B == (0, 1) and audit_report(inst, rep).ok
+    _svd_failing_on(monkeypatch, _slice_matrix)
+    res = audit_report(inst, rep)
+    assert not res.ok
+    assert "weight margin of y_hat: SVD did not converge" in res.failures
+
+
+def test_a_failed_slice_svd_raises_a_typed_error_from_bound_h0(monkeypatch):
+    _svd_failing_on(monkeypatch, _slice_matrix)
+    with pytest.raises(HoffboundError, match="SVD did not converge"):
+        bound_h0(instance(_MIXED))
