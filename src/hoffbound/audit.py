@@ -133,8 +133,8 @@ def verify_partition(
     and the two exact witnesses prove that B is the tight set of P and N
     the slack set (see ``hoffbound.partition``).  A row index out of range
     is recorded and stops the recheck; an ``x_hat`` missing for a nonempty
-    N or of the wrong length, a rank in the rule's ambiguous band or an SVD
-    that does not converge is a recorded failure.
+    N or of the wrong length or an SVD that does not converge is a recorded
+    failure.
     """
     return _verify_partition(instance, cert)[0]
 
@@ -224,10 +224,9 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     inequalities hold up to ``UNIT_RTOL``.
     Finally the report carries exactly its branch's components, and their
     product formula gives the total bit for bit, and every value is finite.
-    Every budget is relative to the matrix it checks.  A rank in the rule's
-    ambiguous band, an SVD that does not converge, a row index out of range,
-    an empty weight vector and a witness of the wrong length are recorded
-    as failures, not raised.
+    Every budget is relative to the matrix it checks.  An SVD that does not
+    converge, a row index out of range, an empty weight vector and a witness
+    of the wrong length are recorded as failures, not raised.
     """
     failures: list[str] = []
     metrics: dict = {}

@@ -38,7 +38,6 @@ import numpy as np
 
 from .core import ProblemInstance
 from .numerics import (
-    DEFAULT_RANK_TOL,
     TightBlock,
     orthonormal_null_basis,  # unused here; the benchmark's tracer hooks it
     row_normalize,
@@ -215,16 +214,16 @@ def bound_h0(instance: ProblemInstance, cfg: SolverConfig | None = None) -> Boun
 
     Raises
     ------
-    NumericalFailure
-        Among the typed errors of the components: when a numerical rank
-        falls in the ambiguous band of ``numerics.numerical_rank``.
+    HoffboundError
+        The typed errors of the components, such as ``AmbiguousIndex``,
+        ``SolverStall``, or ``NumericalFailure`` when an SVD does not
+        converge.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
 
     diagnostics = {
         "opt_tol": OPT_TOL,
-        "rank_tol": DEFAULT_RANK_TOL,
         "m": instance.m,
         "n": instance.n,
         "frobenius_scale": instance.frobenius_scale,

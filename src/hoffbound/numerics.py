@@ -18,10 +18,8 @@ import numpy.typing as npt
 from .core import ZERO_NORM_FLOOR, HoffboundError, ScaleOutOfRange, euclidean_norm, row_norms
 
 __all__ = [
-    "DEFAULT_RANK_TOL",
     "DegenerateRow",
     "NumericalFailure",
-    "RANK_BAND",
     "TightBlock",
     "numerical_rank",
     "orthonormal_null_basis",
@@ -29,18 +27,7 @@ __all__ = [
     "smallest_positive_singular_value",
 ]
 
-# Relative numerical-rank threshold: singular values at or below
-# DEFAULT_RANK_TOL * sigma_max are treated as zero.  There is no absolute
-# floor besides the zero-matrix one, so a rank does not change when the
-# matrix is scaled.
-DEFAULT_RANK_TOL = 1e-9
-
-# Lower edge of the ambiguous band: a singular value cut as zero must lie at
-# or below RANK_BAND * sigma_max.  The largest value cut on the benchmark's
-# 274 reports and 800 of the tests' random matrices is 4.6e-16 * sigma_max,
-# rounding noise; a value above the edge may be a real direction, and
-# dropping it would make a bound built on the rank unsound.
-RANK_BAND = 1e-13
+_EPS = float(np.finfo(float).eps)
 
 
 class NumericalFailure(HoffboundError):
@@ -59,33 +46,21 @@ def _svd(M: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
         raise NumericalFailure(str(exc)) from exc  # "SVD did not converge"
 
 
-def numerical_rank(s: np.ndarray) -> int:
-    """Numerical rank from the descending singular values ``s`` of a matrix.
+def numerical_rank(s: np.ndarray, dim: int) -> int:
+    """Numerical rank from the descending singular values ``s`` of a matrix
+    whose larger side is ``dim``: the count of ``s_i > dim * eps * s_1``, 0
+    when ``s_1 <= ZERO_NORM_FLOOR``.
 
-    The rank counts the ``s_i > DEFAULT_RANK_TOL * s_max``, a purely
-    relative rule, so ``c M`` has the rank of ``M``; it is 0 only when
-    ``s_max <= ZERO_NORM_FLOOR``.  This is the only place the package
+    ``dim * eps * s_1`` is the size of the SVD's backward error (Golub &
+    Van Loan, *Matrix Computations*, sec. 5.4; the default of
+    ``numpy.linalg.matrix_rank``): a value above it is a direction of the
+    input, and a value cut is rounding noise.  The rule is relative, so
+    ``c M`` has the rank of ``M``.  This is the only place the package
     decides a numerical rank.
-
-    Raises
-    ------
-    NumericalFailure
-        If the relative cut drops a singular value above
-        ``RANK_BAND * s_max``: such a value is neither clearly rounding
-        noise nor clearly counted, and any bound built on the rank would be
-        unsound.
     """
-    sigma_max = float(s[0]) if s.size else 0.0
-    if sigma_max <= ZERO_NORM_FLOOR:
+    if not s.size or s[0] <= ZERO_NORM_FLOOR:
         return 0
-    rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * sigma_max))
-    if rank < s.size and s[rank] > RANK_BAND * sigma_max:
-        raise NumericalFailure(
-            f"singular value {s[rank]:.3e} lies in the ambiguous band "
-            f"({RANK_BAND:.0e}, {DEFAULT_RANK_TOL:.0e}] x sigma_max {sigma_max:.3e}; "
-            "the numerical rank cannot be decided"
-        )
-    return rank
+    return int(np.count_nonzero(s > dim * _EPS * s[0]))
 
 
 class TightBlock:
@@ -104,8 +79,7 @@ class TightBlock:
     in another layout, products with them would round differently.
     Raises ``ScaleOutOfRange`` when a nonzero row's norm underflows to 0
     (entries below ~1e-162): that row would be scaled and ranked as zero.
-    Raises ``NumericalFailure`` when the SVD fails or the rank falls in the
-    rule's ambiguous band.
+    Raises ``NumericalFailure`` when the SVD does not converge.
     """
 
     def __init__(self, A_B: np.ndarray) -> None:
@@ -124,7 +98,7 @@ class TightBlock:
         self.exp = int(np.frexp(norms.max())[1])
         self.W = W = np.ldexp(A_B, -self.exp)
         U, S, self._Vt = _svd(W, full_matrices=W.shape[0] < W.shape[1])
-        self.rank = r = numerical_rank(S)
+        self.rank = r = numerical_rank(S, max(W.shape))
         self.V = np.ascontiguousarray(self._Vt[:r].T)
         self.WV = U[:, :r] * S[:r]
         self.sigma = float(S[r - 1]) if r else np.inf

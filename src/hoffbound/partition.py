@@ -232,7 +232,7 @@ def compute_partition(instance: ProblemInstance) -> PartitionCertificate:
         If the LP stalls, diverges, meets a singular Newton system or
         reaches its iteration cap first.
     NumericalFailure
-        If the rank of A falls in the rank rule's ambiguous band.
+        If an SVD of A or of the tight rows does not converge.
     """
     A = instance.A
     full = TightBlock(A)

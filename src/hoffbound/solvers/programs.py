@@ -392,8 +392,8 @@ def solve_analytic_center(block: TightBlock) -> AnalyticCenterSolution:
     SolverStall
         If a full step was taken but ``lam`` stays above ``OPT_TOL``.
     NumericalFailure
-        If a rank falls in the ambiguous band of the rank rule, its SVD
-        does not converge, or R has a zero on its diagonal.
+        If the rank probe's SVD does not converge, or R has a zero on its
+        diagonal.
     """
     M = block.WV
     p, r = M.shape
@@ -404,7 +404,7 @@ def solve_analytic_center(block: TightBlock) -> AnalyticCenterSolution:
     # The columns of M are orthogonal (M = U S from the SVD of W), so the
     # rank rule sees only the ones direction once all columns have unit norm.
     U = np.concatenate([M / row_norms(M.T), np.full((p, 1), p**-0.5)], axis=1)
-    if numerical_rank(_svd(U, compute_uv=False)) <= r:
+    if numerical_rank(_svd(U, compute_uv=False), max(U.shape)) <= r:
         raise NoInteriorPoint("1 lies in the range of A_B, so the slice is empty")
 
     e = np.zeros(r + 1)

@@ -25,6 +25,11 @@ WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
 C4 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
+def eps_block(eps: float) -> np.ndarray:
+    """Four tight rows +-e_1, +-eps e_2: P = {0}, and u = e_2 gives H0 >= 1/eps."""
+    return np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, eps], [0.0, -eps]])
+
+
 def gaussian_matrix(seed: int, max_m: int = 20, max_n: int = 10) -> np.ndarray:
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, max_m + 1))

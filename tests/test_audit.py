@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hoffbound.audit
-from hoffbound import NumericalFailure, audit_report, bound_h0, lower_bound_monte_carlo
+from hoffbound import audit_report, bound_h0, lower_bound_monte_carlo
 from hoffbound.bounds import CaseBBound
 from hoffbound.numerics import smallest_positive_singular_value
 
 from helpers import (
     C4,
     count_scaled_copies,
+    eps_block,
     gaussian_matrix,
     instance,
     planted_mixed_matrix,
@@ -101,13 +102,16 @@ def test_audit_rejects_inflated_sigma():
 
 def test_audit_rejects_a_forged_sigma_cut_by_a_second_rank_decision():
     # all four rows tight, H0 = 1e6; these weights put the second singular
-    # value of A_B' diag(y_bar) at 1.4e-14, so a rank rule run on the
-    # weighted rows cuts it and reads sigma = 0.7071, total 2.83
-    inst = instance(_eps_block(1e-6))
+    # value of A_B' diag(y_bar) at 1.4e-14 of the first, so a rank rule run
+    # on the weighted rows with a cut above that reads sigma = 0.7071,
+    # total 2.83
+    inst = instance(eps_block(1e-6))
     rep = bound_h0(inst)
     assert rep.branch == "case_B" and audit_report(inst, rep).ok
     y = np.array([0.5 - 1e-8, 0.5 - 1e-8, 1e-8, 1e-8])
-    sigma = smallest_positive_singular_value(inst.A.T * y[None, :])
+    s = np.linalg.svd(inst.A.T * y[None, :], compute_uv=False)
+    assert s[1] < 1e-13 * s[0]
+    sigma = float(s[0])  # the forged cut drops s[1]
     assert sigma == pytest.approx(np.hypot(y[0], y[1]), rel=1e-12)  # 0.7071
     bad_case_b = dataclasses.replace(rep.case_b, y_bar=y, sigma=sigma, value=2.0 / sigma)
     bad = dataclasses.replace(rep, case_b=bad_case_b, total=bad_case_b.value)
@@ -286,14 +290,11 @@ def test_audit_metrics_expose_branch_quantities():
     assert 1e12 < res8.metrics["stitch_rank_gap"] < np.inf
 
 
-def _eps_block(eps):
-    # all four rows tight; A_B' diag(y_bar) has singular values ~ 1 and ~ eps
-    return np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, eps], [0.0, -eps]])
-
-
-@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-8])
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-8, 1e-9, 1e-10, 1e-12])
 def test_counted_small_singular_value_is_certified(eps):
-    inst = instance(_eps_block(eps))
+    # A_B' diag(y_bar) has singular values ~ 1 and ~ eps; eps lies above the
+    # rounding noise, so it is counted and the total is 5.657 / eps
+    inst = instance(eps_block(eps))
     rep = bound_h0(inst)
     res = audit_report(inst, rep)
     assert res.ok, res.failures
@@ -301,20 +302,18 @@ def test_counted_small_singular_value_is_certified(eps):
     low = lower_bound_monte_carlo(inst, num_samples=16, seed=0,
                                   x_hat=rep.partition.x_hat)
     assert low.lower_bound <= rep.total
-
-
-@pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-12])
-def test_singular_value_in_the_ambiguous_band_raises(eps):
-    # cutting eps as zero would certify 5.657 where H0 is at least 1 / eps
-    with pytest.raises(NumericalFailure, match="ambiguous band"):
-        bound_h0(instance(_eps_block(eps)))
+    assert rep.total == pytest.approx(4.0 * np.sqrt(2.0) / eps, rel=1e-9)
 
 
 def test_audit_records_an_ambiguous_rank_as_a_failure():
-    rep = bound_h0(instance(_eps_block(1e-6)))
-    res = audit_report(instance(_eps_block(1e-12)), rep)
+    # the report of eps = 1e-6 claims sigma = 3.5e-7 on a block whose second
+    # singular value, counted, gives sigma = 3.5e-13
+    rep = bound_h0(instance(eps_block(1e-6)))
+    res = audit_report(instance(eps_block(1e-12)), rep)
     assert not res.ok
-    assert any("ambiguous band" in f for f in res.failures)
+    assert any("exceeds the recomputed value" in f for f in res.failures)
+    sigma = np.hypot(0.25, 0.25) * 1e-12
+    assert res.metrics["case_b_sigma"] == pytest.approx(sigma, rel=1e-12, abs=0.0)
 
 
 def test_audit_budget_scales_with_the_tight_block():

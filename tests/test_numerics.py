@@ -23,6 +23,7 @@ from hoffbound.solvers.programs import solve_analytic_center
 from helpers import instance
 
 INV_SQRT2 = 0.7071067811865476
+EPS = np.finfo(float).eps
 
 
 def test_null_basis_of_full_rank_matrix_is_empty():
@@ -54,13 +55,16 @@ def test_null_basis_random_matrix_properties():
 
 
 def test_null_basis_rank_tolerance_is_relative():
-    # below 1e-13 x sigma_max: rounding noise, a null direction
-    assert orthonormal_null_basis(np.diag([1.0, 1e-17])).shape[1] == 1
-    # above 1e-9 x sigma_max: counted in the rank
-    assert orthonormal_null_basis(np.diag([1.0, 1e-8])).shape[1] == 0
-    # in between: neither, so the rank cannot be decided
-    with pytest.raises(NumericalFailure, match="ambiguous band"):
-        orthonormal_null_basis(np.diag([1.0, 1e-12]))
+    # the rank counts s_i > max(m, n) eps s_1, at any scale: c diag(1, x),
+    # padded with zeros, has a null direction at x = max(m, n) eps and none
+    # one float above it
+    for shape in ((2, 2), (3, 2), (2, 3)):
+        edge = max(shape) * EPS
+        for c in (2.0**-400, 1.0, 2.0**400):
+            for x, null_dim in ((edge, shape[1] - 1), (np.nextafter(edge, 1.0), shape[1] - 2)):
+                A = np.zeros(shape)
+                A[0, 0], A[1, 1] = c, c * x
+                assert orthonormal_null_basis(A).shape[1] == null_dim, (shape, c, x)
 
 
 def test_null_basis_rejects_non_orthonormal_columns(monkeypatch):
@@ -86,8 +90,10 @@ def test_sigma_plus_known_values():
 def test_sigma_plus_skips_singular_values_below_relative_threshold():
     got = smallest_positive_singular_value(np.diag([1.0, 1e-17]))
     assert got == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(NumericalFailure, match="ambiguous band"):
-        smallest_positive_singular_value(np.diag([1.0, 1e-12]))
+    assert smallest_positive_singular_value(np.diag([1.0, 2.0 * EPS])) == 1.0
+    # above 2 eps, however small, the value is counted
+    for x in (np.nextafter(2.0 * EPS, 1.0), 1e-12):
+        assert smallest_positive_singular_value(np.diag([1.0, x])) == x
     # a subnormal singular value is cut too; its rank gap overflows to inf
     # (once with a RuntimeWarning, which pytest turns into an error)
     block = TightBlock(np.array([[1.0, 1e-310], [-1.0, 0.0]]))
@@ -96,15 +102,17 @@ def test_sigma_plus_skips_singular_values_below_relative_threshold():
 
 def test_weighted_sigma_is_the_rth_singular_value_of_the_block():
     # weights spanning 1e8 on rows of norms 3 and 3e-6: s_2 of A_B' diag(y)
-    # is 2e-14 x s_1, so a rank rule run on the weighted rows cuts it
+    # is 2e-14 x s_1, so a rank rule run on the weighted rows with a cut
+    # above that reads sigma = s_1; sigma is taken at the block's rank
     A_B = np.array([[3.0, 0.0], [-3.0, 0.0], [0.0, 3e-6], [0.0, -3e-6]])
     y = np.array([0.5 - 1e-8, 0.5 - 1e-8, 1e-8, 1e-8])
     block = TightBlock(A_B)
     assert block.rank == 2
     s_2 = 3e-6 * np.hypot(y[2], y[3])
-    assert block.weighted_sigma(y) == pytest.approx(s_2, rel=1e-12)
-    cut = smallest_positive_singular_value(A_B.T * y[None, :])
-    assert cut == pytest.approx(3.0 * np.hypot(y[0], y[1]), rel=1e-12)
+    assert block.weighted_sigma(y) == pytest.approx(s_2, rel=1e-12, abs=0.0)
+    s = np.linalg.svd(A_B.T * y[None, :], compute_uv=False)
+    assert s[1] < 1e-13 * s[0]
+    assert s[0] == pytest.approx(3.0 * np.hypot(y[0], y[1]), rel=1e-12)
     assert TightBlock(np.zeros((2, 2))).weighted_sigma(np.full(2, 0.5)) == 0.0
 
 
