@@ -25,7 +25,7 @@ from .io import (
     report_to_dict,
     save_matrix_csv,
 )
-from .numerics import DegenerateRow, NumericalFailure
+from .numerics import NumericalFailure
 from .oracle import OracleResult, lower_bound_monte_carlo
 from .partition import AmbiguousIndex
 from .solvers.programs import (
@@ -46,7 +46,7 @@ __all__ = [
     "load_matrix", "save_matrix_csv", "report_to_dict", "canonical_report_json",
     # errors
     "HoffboundError", "ScaleOutOfRange", "AmbiguousIndex", "NumericalFailure",
-    "DegenerateRow", "SolverStall", "InfeasibleQP", "NoInteriorPoint",
+    "SolverStall", "InfeasibleQP", "NoInteriorPoint",
     "ParseError", "DimensionError", "UnsupportedFormat",
     "__version__",
 ]

@@ -36,16 +36,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemInstance
+from .core import ProblemInstance, row_norms
 from .numerics import (
     TightBlock,
     orthonormal_null_basis,  # unused here; the benchmark's tracer hooks it
-    row_normalize,
     smallest_positive_singular_value,  # the same
 )
 from .partition import PartitionCertificate, compute_partition
 from .solvers.programs import (
-    OPT_TOL,
     AnalyticCenterSolution,
     MinNormSolution,
     SolverConfig,
@@ -71,7 +69,6 @@ class CaseNBound:
 
     value: float
     x_bar: np.ndarray
-    min_margin: float
 
     def __post_init__(self) -> None:
         self.x_bar.setflags(write=False)
@@ -105,7 +102,6 @@ class StitchBound:
 
     value: float
     w_bar: np.ndarray
-    min_margin: float
 
     def __post_init__(self) -> None:
         self.w_bar.setflags(write=False)
@@ -142,7 +138,7 @@ def bound_case_n(A_N: np.ndarray, fit: MinNormSolution | None = None) -> CaseNBo
     """
     A_N = np.asarray(A_N, dtype=float)
     sol = fit if fit is not None else solve_min_norm_qp(A_N)
-    return CaseNBound(value=sol.norm, x_bar=sol.z.copy(), min_margin=sol.min_margin)
+    return CaseNBound(value=sol.norm, x_bar=sol.z.copy())
 
 
 def bound_case_b(
@@ -178,18 +174,17 @@ def bound_stitch(block: TightBlock, A_N: np.ndarray) -> StitchBound:
     slack rows are normalized to unit length and the minimum-norm z with
     D A_N Q z >= 1 is computed; w_bar = Q z in L has D A_N w_bar >= 1, and
     1 + 2 ||w_bar|| (taken as 1 + 2 ||z||) bounds how much distances can grow
-    when passing from the subspace to the cone cut out of it.
+    when passing from the subspace to the cone cut out of it.  An empty
+    ``A_N``, or one with a zero row, raises ``ValueError``: a slack row
+    proven by ``slack_margin`` is never zero.
     """
     A_N = np.asarray(A_N, dtype=float)
-    if A_N.shape[0] == 0:
-        raise ValueError("the slack set must be nonempty")
+    norms = row_norms(A_N)
+    if A_N.shape[0] == 0 or not norms.min() > 0.0:
+        raise ValueError("the slack set must be nonempty, with no zero row")
 
-    sol = solve_min_norm_qp(row_normalize(A_N) @ block.Q)
-    return StitchBound(
-        value=1.0 + 2.0 * sol.norm,
-        w_bar=block.Q @ sol.z,
-        min_margin=sol.min_margin,
-    )
+    sol = solve_min_norm_qp(A_N * (1.0 / norms)[:, None] @ block.Q)
+    return StitchBound(value=1.0 + 2.0 * sol.norm, w_bar=block.Q @ sol.z)
 
 
 def _timed(timings: dict[str, float], key: str, fn, *args, **kwargs):
@@ -223,7 +218,6 @@ def bound_h0(instance: ProblemInstance, cfg: SolverConfig | None = None) -> Boun
     t0 = time.perf_counter()
 
     diagnostics = {
-        "opt_tol": OPT_TOL,
         "m": instance.m,
         "n": instance.n,
         "frobenius_scale": instance.frobenius_scale,

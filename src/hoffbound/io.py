@@ -179,16 +179,14 @@ def report_to_dict(
     serialized: ``x_hat``, ``y_hat``, ``x_bar``, ``y_bar`` with ``sigma``,
     and the stitch's ``w_bar`` in null(A_B) with ``D A_N w_bar >= 1``.
     When an oracle result is attached, the sandwich block records whether
-    the sampled lower bound stays below the certified total within the
-    relative tolerance.
+    ``oracle.lower_bound`` stays below ``bounds.total`` within the relative
+    tolerance, and that tolerance in absolute terms.
     """
     sandwich = None
     if oracle is not None:
         slack = report.total + sandwich_rtol * (1.0 + report.total)
         sandwich = {
             "ok": oracle.lower_bound <= slack,
-            "upper": report.total,
-            "lower": oracle.lower_bound,
             "tolerance": slack - report.total,
         }
     return _jsonable({

@@ -1,5 +1,5 @@
 """Dense linear-algebra kernels: the numerical-rank rule, the factored tight
-rows, null-space bases, positive singular values, row normalization.
+rows, null-space bases, positive singular values.
 
 All factorizations are SVD-based.  At the target sizes (a few thousand rows
 at most) the reliability of a full SVD outweighs its cost, and the quality of
@@ -18,12 +18,10 @@ import numpy.typing as npt
 from .core import ZERO_NORM_FLOOR, HoffboundError, ScaleOutOfRange, euclidean_norm, row_norms
 
 __all__ = [
-    "DegenerateRow",
     "NumericalFailure",
     "TightBlock",
     "numerical_rank",
     "orthonormal_null_basis",
-    "row_normalize",
     "smallest_positive_singular_value",
 ]
 
@@ -32,10 +30,6 @@ _EPS = float(np.finfo(float).eps)
 
 class NumericalFailure(HoffboundError):
     """A dense factorization failed to converge or produced invalid output."""
-
-
-class DegenerateRow(HoffboundError):
-    """A row expected to be nonzero has (numerically) zero norm."""
 
 
 def _svd(M: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
@@ -170,20 +164,3 @@ def smallest_positive_singular_value(M: npt.ArrayLike) -> float | None:
         raise ValueError("expected a nonempty 2-d matrix")
     block = TightBlock(M)
     return float(np.ldexp(block.sigma, block.exp)) if block.rank else None
-
-
-def row_normalize(A_N: npt.ArrayLike) -> np.ndarray:
-    """Rows of ``A_N`` scaled to unit Euclidean norm, ``D A_N`` with
-    ``D_ii = 1 / ||row_i||_2``.
-
-    Raises ``DegenerateRow`` if any row is numerically zero, which signals a
-    broken partition upstream (strict rows are never zero).
-    """
-    A_N = np.asarray(A_N, dtype=float)
-    if A_N.ndim != 2 or A_N.shape[0] == 0:
-        raise ValueError("expected a matrix with at least one row")
-    norms = row_norms(A_N)
-    if (norms <= ZERO_NORM_FLOOR).any():
-        bad = int(np.argmin(norms))
-        raise DegenerateRow(f"row {bad} has zero norm and cannot be normalized")
-    return A_N * (1.0 / norms)[:, None]

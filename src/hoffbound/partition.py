@@ -71,15 +71,6 @@ class PartitionCertificate:
     y_hat : ndarray of shape (len(B),)
         Positive dual witness with sum 1 and A_B' y_hat = 0, up to the same
         kind of residual (``weight_margin``).  Empty when B is empty.
-    min_slack_N : float or None
-        min over N of -a_i' x_hat; None when N is empty.
-    min_y_hat : float or None
-        Smallest component of y_hat; None when B is empty.
-    residuals : dict
-        For auditing: ``tight_rows_inf`` (``||A_B x_hat||_inf``) and the
-        margin ``slack_margin`` of x_hat, None when N is empty;
-        ``center_eq_inf`` (``||A_B' y_hat||_inf``) and the margin
-        ``weight_margin`` of y_hat, None when B is empty.
     lp : dict or None
         The partition LP's iterate whose split was certified: its support
         margin ``t`` (that iterate need not be feasible, so t can exceed the
@@ -105,9 +96,6 @@ class PartitionCertificate:
     N: tuple[int, ...]
     x_hat: np.ndarray | None
     y_hat: np.ndarray
-    min_slack_N: float | None
-    min_y_hat: float | None
-    residuals: dict = field(default_factory=dict)
     lp: dict | None = None
     block: TightBlock | None = field(default=None, repr=False, metadata={"json": False})
     A_N: np.ndarray | None = field(default=None, repr=False, metadata={"json": False})
@@ -253,7 +241,7 @@ def compute_partition(instance: ProblemInstance) -> PartitionCertificate:
         _, block, A_N = cache
         if block is None:
             return None
-        x_hat = slack = None
+        x_hat = None
         if A_N.shape[0]:
             x = x - block.V @ (block.V.T @ x)
             peak = float(np.abs(x).max())
@@ -262,16 +250,14 @@ def compute_partition(instance: ProblemInstance) -> PartitionCertificate:
             # Scaling by a power of two is exact and keeps ||x|| from overflowing.
             x = np.ldexp(x, -np.frexp(peak)[1])
             x_hat = x / euclidean_norm(x)
-            slack = slack_margin(block, A_N, x_hat)
-            if not slack > 0.0:
+            if not slack_margin(block, A_N, x_hat) > 0.0:
                 return None
-        y_hat, weight = np.zeros(0), None
+        y_hat = np.zeros(0)
         if block.W.shape[0]:
             y_hat = block.project_to_slice(y[b_mask])
-            weight = weight_margin(block, y_hat)
-            if not weight > 0.0:
+            if not weight_margin(block, y_hat) > 0.0:
                 return None
-        return b_mask, block, A_N, x_hat, y_hat, slack, weight
+        return b_mask, block, A_N, x_hat, y_hat
 
     def accept(x, y, s, t):
         # An interior x proves every row slack, whatever y > s says.
@@ -298,25 +284,12 @@ def compute_partition(instance: ProblemInstance) -> PartitionCertificate:
                 f"the partition LP converged after {lp['iterations']} iterations "
                 "without an iterate whose split passes the margin rule"
             )
-    b_mask, block, A_N, x_hat, y_hat, slack, weight = found
-
-    B = tuple(b_mask.nonzero()[0].tolist())
-    N = tuple((~b_mask).nonzero()[0].tolist())
-    A_B = block.A_B
-    residuals = {
-        "tight_rows_inf": float(np.abs(A_B @ x_hat).max(initial=0.0)) if N else None,
-        "center_eq_inf": float(np.abs(A_B.T @ y_hat).max(initial=0.0)) if B else None,
-        "slack_margin": slack,
-        "weight_margin": weight,
-    }
+    b_mask, block, A_N, x_hat, y_hat = found
     return PartitionCertificate(
-        B=B,
-        N=N,
+        B=tuple(b_mask.nonzero()[0].tolist()),
+        N=tuple((~b_mask).nonzero()[0].tolist()),
         x_hat=x_hat,
         y_hat=y_hat,
-        min_slack_N=float((-(A_N @ x_hat)).min()) if N else None,
-        min_y_hat=float(y_hat.min()) if B else None,
-        residuals=residuals,
         lp=lp,
         block=block,
         A_N=A_N,

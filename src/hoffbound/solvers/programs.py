@@ -210,14 +210,13 @@ def _nnls(
 class MinNormSolution:
     """Feasible near-minimal-norm point of ``{z : G z >= 1}``.
 
-    ``min_margin`` is the exact post-restoration value of ``min_i (G z)_i``
-    (never below 1); ``dual_lower`` is a certified lower bound on the optimal
-    squared norm, so ``norm**2 - dual_lower`` bounds the optimality gap.
+    ``min_i (G z)_i`` is at least 1 in floating point; ``dual_lower`` is a
+    certified lower bound on the optimal squared norm, so
+    ``norm**2 - dual_lower`` bounds the optimality gap.
     """
 
     z: np.ndarray
     norm: float
-    min_margin: float
     dual_lower: float
 
 
@@ -320,16 +319,13 @@ def solve_min_norm_qp(G: np.ndarray) -> MinNormSolution:
                 "the minimum-norm point of G z >= 1 is beyond double precision: "
                 "its norm overflows"
             )
-        min_margin = float((G @ z_best).min())
         # Written so that a NaN gap (inf - inf) fails the test.
         gap = norm**2 - dual_lower
         if not gap <= OPT_TOL * (1.0 + norm**2):
             raise SolverStall(
                 f"certified optimality gap {gap:.3e} is too large for OPT_TOL"
             )
-    return MinNormSolution(
-        z=z_best, norm=norm, min_margin=min_margin, dual_lower=dual_lower
-    )
+    return MinNormSolution(z=z_best, norm=norm, dual_lower=dual_lower)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ SURFACE = {
     "lower_bound_monte_carlo", "OracleResult",
     "load_matrix", "save_matrix_csv", "report_to_dict", "canonical_report_json",
     "HoffboundError", "ScaleOutOfRange", "AmbiguousIndex", "NumericalFailure",
-    "DegenerateRow", "SolverStall", "InfeasibleQP", "NoInteriorPoint",
+    "SolverStall", "InfeasibleQP", "NoInteriorPoint",
     "ParseError", "DimensionError", "UnsupportedFormat",
 }
 

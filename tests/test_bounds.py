@@ -22,7 +22,6 @@ from hoffbound import (
 )
 from hoffbound.bounds import bound_case_b, bound_case_n, bound_stitch
 from hoffbound.numerics import TightBlock
-from hoffbound.solvers.programs import OPT_TOL
 
 from helpers import (
     C4,
@@ -46,7 +45,7 @@ SIX_SQRT2 = 8.485281374238571
 def test_case_n_identity_block():
     res = bound_case_n(-np.eye(5))
     assert res.value == pytest.approx(SQRT5, rel=1e-9)
-    assert res.min_margin >= 1.0 - 1e-9
+    assert np.min(-np.eye(5) @ res.x_bar) >= 1.0 - 1e-9
     assert res.value == pytest.approx(np.linalg.norm(res.x_bar), rel=1e-12)
 
 
@@ -98,7 +97,7 @@ def test_stitch_known_instance():
     assert res.value == pytest.approx(3.0, rel=1e-9)
     assert np.allclose(res.w_bar, [0.0, -1.0], atol=1e-12)
     assert np.abs(C4[:2] @ res.w_bar).max() <= 1e-15
-    assert res.min_margin >= 1.0 - 1e-9
+    assert np.min(C4[2:] @ res.w_bar) >= 1.0 - 1e-9
     assert res.value == pytest.approx(1.0 + 2.0 * np.linalg.norm(res.w_bar), rel=1e-12)
 
 
@@ -194,9 +193,8 @@ def test_report_diagnostics_carry_run_parameters():
     rep = bound_h0(instance(C4))
     diag = rep.diagnostics
     assert diag["m"] == 3 and diag["n"] == 2
-    # the tolerance is the constant, not a setting; the rank rule has none
-    assert diag["opt_tol"] == OPT_TOL
-    assert set(diag) == {"opt_tol", "m", "n", "frobenius_scale", "timings"}
+    # no tolerance is a setting, so none is reported
+    assert set(diag) == {"m", "n", "frobenius_scale", "timings"}
     assert set(diag["timings"]) >= {"partition_s", "total_s"}
 
 
@@ -335,3 +333,6 @@ def test_block_bounds_reject_an_empty_side():
         bound_case_b(TightBlock(np.zeros((0, 2))))
     with pytest.raises(ValueError, match="slack set must be nonempty"):
         bound_stitch(TightBlock(C4[:2]), np.zeros((0, 2)))
+    # a zero slack row, which no proven split has, cannot be normalized
+    with pytest.raises(ValueError, match="no zero row"):
+        bound_stitch(TightBlock(C4[:2]), np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -29,12 +29,13 @@ def compare(tmp_path, capsys):
     return run
 
 
-def _row(case, N=(0, 1), total=2.0, x_hat=(0.6, 0.8), audit=None):
+def _row(case, N=(0, 1), total=2.0, x_hat=(0.6, 0.8), audit=None, **extra):
     report = {
         "branch": "case_N",
         "partition": {"B": [], "N": list(N), "x_hat": list(x_hat)},
         "bounds": {"total": total},
         "oracle": {"lower_bound": 1.0},
+        **extra,
     }
     return {"workload": "suite", "seed": 0, "case": case, "audit_ok": True,
             "report": json.dumps(report, sort_keys=True, separators=(",", ":")),
@@ -66,15 +67,19 @@ def test_a_moved_float_leaf_is_named_with_its_relative_change(compare):
 
 
 def test_a_leaf_on_one_side_only_differs(compare):
-    old = [_row("c0"), _row("c1")]
+    # and is told apart from a non-numeric leaf that changed
+    old = [_row("c0"), _row("c1", sandwich={"ok": True, "upper": 2.0})]
     new = [_row("c0", x_hat=(0.6, 0.8, 0.0)),
-           _row("c1", audit={"slack_margin": 0.5, "weight_margin": 1.0})]
+           _row("c1", audit={"slack_margin": 0.5, "weight_margin": 1.0},
+                sandwich={"ok": False})]
     code, lines = compare(old, new)
     assert code == 0
-    assert ("audit.weight_margin: 1 of 2 cases differ, largest relative change "
-            "inf at ('suite', 0, 'c1')") in lines
-    assert ("partition.x_hat: 1 of 2 cases differ, largest relative change "
-            "inf at ('suite', 0, 'c0')") in lines
+    assert lines[3:] == [
+        "audit.weight_margin: added in 1 of 2 cases, first at ('suite', 0, 'c1')",
+        "partition.x_hat: added in 1 of 2 cases, first at ('suite', 0, 'c0')",
+        "sandwich.ok: 1 of 2 cases differ, largest relative change inf at ('suite', 0, 'c1')",
+        "sandwich.upper: removed in 1 of 2 cases, first at ('suite', 0, 'c1')",
+    ]
 
 
 def test_a_total_within_its_tolerance_is_reported_not_gated(compare):

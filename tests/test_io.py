@@ -23,7 +23,7 @@ from hoffbound import (
 )
 from hoffbound.io import _jsonable
 
-from helpers import instance, planted_mixed_matrix, report_schema
+from helpers import C4, instance, planted_mixed_matrix, report_schema
 
 
 # --- CSV -------------------------------------------------------------------
@@ -257,6 +257,31 @@ def test_schema_rejects_unknown_keys():
     payload["diagnostics"]["feas_tol"] = 1e-9
     with pytest.raises(jsonschema.ValidationError, match="feas_tol"):
         jsonschema.validate(payload, report_schema())
+    # the leaves that restated a witness, another field or a constant: a
+    # report in their old shape fails
+    inst = instance(C4)
+    rep = bound_h0(inst)
+    oracle = lower_bound_monte_carlo(inst, num_samples=4, seed=0)
+    jsonschema.validate(report_to_dict(rep, oracle), report_schema())
+    residuals = dict.fromkeys(
+        ["tight_rows_inf", "center_eq_inf", "slack_margin", "weight_margin"], 0.5)
+    for parent, key, value in [
+        (("diagnostics",), "opt_tol", 1e-8),
+        (("partition",), "min_slack_N", 1.0),
+        (("partition",), "min_y_hat", 0.5),
+        (("partition",), "residuals", residuals),
+        (("bounds", "case_N"), "min_margin", 1.0),
+        (("bounds", "stitch"), "min_margin", 1.0),
+        (("sandwich",), "upper", rep.total),
+        (("sandwich",), "lower", oracle.lower_bound),
+    ]:
+        payload = report_to_dict(rep, oracle)
+        node = payload
+        for name in parent:
+            node = node[name]
+        node[key] = value
+        with pytest.raises(jsonschema.ValidationError, match=key):
+            jsonschema.validate(payload, report_schema())
 
 
 # --- canonical JSON ------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Null bases, positive singular values, row scaling."""
+"""Null bases, positive singular values, the factored tight rows."""
 
 import numpy as np
 import pytest
 
 import hoffbound.numerics
 from hoffbound import (
-    DegenerateRow,
     HoffboundError,
     NumericalFailure,
     audit_report,
@@ -14,7 +13,6 @@ from hoffbound import (
 from hoffbound.numerics import (
     TightBlock,
     orthonormal_null_basis,
-    row_normalize,
     smallest_positive_singular_value,
 )
 from hoffbound.partition import weight_margin
@@ -116,30 +114,15 @@ def test_weighted_sigma_is_the_rth_singular_value_of_the_block():
     assert TightBlock(np.zeros((2, 2))).weighted_sigma(np.full(2, 0.5)) == 0.0
 
 
-def test_row_normalize_units_and_inverse_norms():
-    rs = row_normalize(np.array([[3.0, 4.0], [0.0, 2.0]]))
-    assert np.allclose(rs, [[0.6, 0.8], [0.0, 1.0]])
-    assert np.allclose(np.linalg.norm(rs, axis=1), 1.0)
-
-
-def test_row_normalize_rejects_zero_row():
-    with pytest.raises(DegenerateRow):
-        row_normalize(np.array([[1.0, 1.0], [0.0, 0.0]]))
-
-
 def test_error_hierarchy():
     assert issubclass(NumericalFailure, HoffboundError)
-    assert issubclass(DegenerateRow, HoffboundError)
 
 
 @pytest.mark.parametrize("fn, M", [
     (orthonormal_null_basis, np.ones(3)),
     (smallest_positive_singular_value, np.ones(3)),
     (smallest_positive_singular_value, np.zeros((0, 3))),
-    (row_normalize, np.ones(3)),
-    (row_normalize, np.zeros((0, 3))),
-], ids=["null_basis-1d", "sigma-1d", "sigma-empty", "row_normalize-1d",
-        "row_normalize-no-rows"])
+], ids=["null_basis-1d", "sigma-1d", "sigma-empty"])
 def test_kernels_reject_a_malformed_matrix(fn, M):
     with pytest.raises(ValueError, match="expected a"):
         fn(M)

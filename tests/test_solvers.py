@@ -21,7 +21,7 @@ from hoffbound import (
 import hoffbound.solvers.ipm
 from hoffbound.audit import verify_partition
 from hoffbound.numerics import NumericalFailure, TightBlock
-from hoffbound.partition import compute_partition
+from hoffbound.partition import compute_partition, slack_margin, weight_margin
 from hoffbound.solvers.programs import (
     LP_FEAS_TOL,
     OPT_TOL,
@@ -55,10 +55,11 @@ def test_config_defaults():
 
 def test_min_norm_qp_single_row():
     # min ||z|| s.t. 3 z_0 + 4 z_1 >= 1 has solution (0.12, 0.16), norm 0.2
-    sol = solve_min_norm_qp(np.array([[3.0, 4.0]]))
+    G = np.array([[3.0, 4.0]])
+    sol = solve_min_norm_qp(G)
     assert np.allclose(sol.z, [0.12, 0.16], atol=1e-9)
     assert sol.norm == pytest.approx(0.2, abs=1e-9)
-    assert sol.min_margin >= -1e-9
+    assert (G @ sol.z).min() >= 1.0
 
 
 def test_min_norm_qp_identity_rows():
@@ -541,8 +542,8 @@ def test_partition_recovers_planted_split_at_scale(m, n):
     cert = compute_partition(inst)
     assert cert.N == tuple(int(i) for i in np.flatnonzero(slack))
     assert cert.B == tuple(int(i) for i in np.flatnonzero(~slack))
-    assert cert.residuals["slack_margin"] > 0.0
-    assert cert.residuals["weight_margin"] > 0.0
+    assert slack_margin(cert.block, cert.A_N, cert.x_hat) > 0.0
+    assert weight_margin(cert.block, cert.y_hat) > 0.0
     assert verify_partition(inst, cert).ok
 
 

@@ -17,9 +17,10 @@ The comparison prints how many canonical reports and audit metrics are
 byte-identical.  It then walks both reports and both metric dicts leaf by
 leaf and prints one row per field path that moved, with list indices folded
 (``partition.x_hat``, ``audit.slack_margin``): in how many cases it differs,
-its largest relative change and the case where that occurs.  A leaf present
-on one side only, or a non-numeric leaf that changed, counts as a relative
-change of inf.  Moved fields are reported, not gated.  Last come the
+its largest relative change and the case where that occurs.  A non-numeric
+leaf that changed counts as a relative change of inf.  A leaf present on one
+side only prints as ``removed`` or ``added``, with the number of cases and
+the first of them.  Moved fields are reported, not gated.  Last come the
 ``MISMATCH`` lines; the exit code is 1 unless both dumps cover the same
 cases with the same branches, B/N, errors and audit verdicts, every audit
 passes, totals agree within ``TOTAL_RTOL`` and lower bounds within
@@ -138,7 +139,9 @@ def compare(old_path: str, new_path: str) -> int:
     problems = []
     if old.keys() != new.keys():
         problems.append(f"case lists differ: {sorted(old.keys() ^ new.keys())}")
-    moved: dict[str, tuple[int, float, tuple]] = {}
+    # (field path, "changed" | "removed" | "added") -> (cases, largest
+    # relative change, the case where it occurs or the first case)
+    moved: dict[tuple[str, str], tuple[int, float, tuple]] = {}
     for key in common:
         a, b = old[key], new[key]
         for field in ("error", "branch", "B", "N", "audit_ok"):
@@ -153,11 +156,14 @@ def compare(old_path: str, new_path: str) -> int:
                     problems.append(f"{key}: {field} {a.get(field)!r} -> "
                                     f"{b.get(field)!r} (relative {rel:.3e} > {tol:.0e})")
         leaves_a, leaves_b = _leaves(a["tree"]), _leaves(b["tree"])
-        worst: dict[str, float] = {}
+        worst: dict[tuple[str, str], float] = {}
         for path in leaves_a.keys() | leaves_b.keys():
-            rel = _rel(leaves_a.get(path, _MISSING), leaves_b.get(path, _MISSING))
+            leaf_a, leaf_b = leaves_a.get(path, _MISSING), leaves_b.get(path, _MISSING)
+            rel = _rel(leaf_a, leaf_b)
             if rel > 0.0:
-                name = ".".join(k for k in path if isinstance(k, str))
+                kind = ("added" if leaf_a is _MISSING else "removed" if leaf_b is _MISSING
+                        else "changed")
+                name = (".".join(k for k in path if isinstance(k, str)), kind)
                 worst[name] = max(worst.get(name, 0.0), rel)
         for name, rel in worst.items():
             count, top, where = moved.get(name, (0, 0.0, key))
@@ -167,9 +173,12 @@ def compare(old_path: str, new_path: str) -> int:
         same = sum(1 for key in common if json.dumps(old[key].get(field), sort_keys=True)
                    == json.dumps(new[key].get(field), sort_keys=True))
         print(f"{same} of {len(common)} {label} byte-identical")
-    for name, (count, rel, where) in sorted(moved.items()):
-        print(f"{name}: {count} of {len(common)} cases differ, "
-              f"largest relative change {rel:.3e} at {where}")
+    for (name, kind), (count, rel, where) in sorted(moved.items()):
+        if kind == "changed":
+            print(f"{name}: {count} of {len(common)} cases differ, "
+                  f"largest relative change {rel:.3e} at {where}")
+        else:
+            print(f"{name}: {kind} in {count} of {len(common)} cases, first at {where}")
     for line in problems:
         print("MISMATCH", line)
     return 1 if problems else 0
