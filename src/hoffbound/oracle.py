@@ -12,6 +12,9 @@ independent of evaluation order.
 
 from __future__ import annotations
 
+import functools
+import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +41,12 @@ _MAX_PAIR_VECTORS = 128
 # relative slack on a candidate's cap before it is pruned (see the Notes of
 # lower_bound_monte_carlo for why it multiplies the cap, not the best ratio)
 _CAP_MARGIN = 1e-9
-# the pairs i < j of the largest base family, in the order directed_candidates
-# combines them; a smaller family takes those with j below its size
-_PAIR_I, _PAIR_J = np.triu_indices(_MAX_BASE + 1, 1)
+# each thread's Philox bit generator and the Generator drawing from it; a
+# generator shared between threads could have its key reset by one thread
+# between another's reset and draw
+_THREAD = threading.local()
+# a Philox state's zero counter and empty buffer
+_ZEROS = (0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -95,12 +101,66 @@ def _norms(C: np.ndarray) -> np.ndarray:
     return np.sqrt((C[:, None, :] @ C[:, :, None])[:, 0, 0])
 
 
-def _unit(C: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``C`` whose norm exceeds ``floor`` divided by that norm, and
-    the boolean mask of those rows."""
-    norms = _norms(C)
-    keep = norms > floor
-    return C[keep] / norms[keep, None], keep
+@functools.cache
+def _pair_index(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first 128 pairs ``i < j`` of a base family of ``size`` members, in
+    the order of ``np.triu_indices(size, 1)``: ``i`` ascending, then ``j``.
+    Copied out of the full index arrays, so a cached entry holds 2 KB at
+    most."""
+    i, j = (idx[:_MAX_PAIR_VECTORS].copy() for idx in np.triu_indices(size, 1))
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def _directed_family(
+    instance: ProblemInstance, x_hat: np.ndarray | None, extra: int
+) -> tuple[np.ndarray, int]:
+    """The family of ``directed_candidates`` in the first rows of a new
+    array, followed by ``extra`` rows left unfilled; returns the array and
+    the family's length.
+
+    Each stage writes into the array itself: the negated rows and witness,
+    normalized in place; the pair sums and differences right after the
+    base, normalized in place when the first 128 are all kept.
+    """
+    n = instance.n
+    A = instance.A[:_MAX_BASE]
+    rows = len(A) + (x_hat is not None)
+    # room for the pair vectors of the base before zero rows are dropped,
+    # which is at least what the base after it forms
+    buf = np.empty((rows + 2 * min(rows * (rows - 1) // 2, _MAX_PAIR_VECTORS) + extra, n))
+    np.negative(A, out=buf[: len(A)])
+    if x_hat is not None:
+        np.negative(np.asarray(x_hat, dtype=float).reshape(n), out=buf[len(A)])
+    norms = _norms(buf[:rows])
+    keep = norms > ZERO_NORM_FLOOR
+    size = int(np.count_nonzero(keep))
+    if size == rows:
+        np.divide(buf[:rows], norms[:, None], out=buf[:rows])
+    else:
+        buf[:size] = buf[:rows][keep] / norms[keep, None]
+
+    # Unit a, b have |a + b|^2 + |a - b|^2 = 4, so every pair adds at least
+    # one vector and the cap is reached within its first 128 pairs.
+    i, j = _pair_index(size)
+    bi, bj = buf[i], buf[j]
+    pairs = buf[size : size + 2 * len(i)]
+    np.add(bi, bj, out=pairs[0::2])
+    np.subtract(bi, bj, out=pairs[1::2])
+    norms = _norms(pairs)
+    keep = norms > 1e-8
+    if keep[:_MAX_PAIR_VECTORS].all():
+        # the first 64 pairs alone reach the cap, or every pair is kept
+        count = min(len(pairs), _MAX_PAIR_VECTORS)
+        np.divide(pairs[:count], norms[:count, None], out=pairs[:count])
+    else:
+        per_pair = keep.reshape(-1, 2).sum(axis=1)
+        emitted_before = np.cumsum(per_pair) - per_pair
+        take = np.repeat(emitted_before < _MAX_PAIR_VECTORS, 2) & keep
+        count = int(np.count_nonzero(take))
+        pairs[:count] = pairs[take] / norms[take, None]
+    return buf[: size + count + extra], size + count
 
 
 def directed_candidates(
@@ -123,41 +183,31 @@ def directed_candidates(
     ndarray, shape (k, n)
         The base members, then the pair vectors.
     """
-    rows = instance.A[:_MAX_BASE]
-    if x_hat is not None:
-        rows = np.vstack([rows, np.asarray(x_hat, dtype=float).reshape(1, instance.n)])
-    base = _unit(-rows, ZERO_NORM_FLOOR)[0]
-
-    # Unit a, b have |a + b|^2 + |a - b|^2 = 4, so every pair adds at least
-    # one vector and the cap is reached within its first 128 pairs.
-    within = _PAIR_J < len(base)
-    bi = base[_PAIR_I[within][:_MAX_PAIR_VECTORS]]
-    bj = base[_PAIR_J[within][:_MAX_PAIR_VECTORS]]
-    pairs = np.empty((len(bi), 2, instance.n))
-    np.add(bi, bj, out=pairs[:, 0])
-    np.subtract(bi, bj, out=pairs[:, 1])
-    pairs, keep = _unit(pairs.reshape(-1, instance.n), 1e-8)
-    if keep[:_MAX_PAIR_VECTORS].all():
-        # the first 64 pairs alone reach the cap, or every pair is kept
-        return np.vstack([base, pairs[:_MAX_PAIR_VECTORS]])
-    per_pair = keep.reshape(-1, 2).sum(axis=1)
-    emitted_before = np.cumsum(per_pair) - per_pair
-    open_pairs = np.repeat(emitted_before < _MAX_PAIR_VECTORS, 2)[keep]
-    return np.vstack([base, pairs[open_pairs]])
+    return _directed_family(instance, x_hat, 0)[0]
 
 
 def _gaussian_draws(seed: int, out: np.ndarray) -> None:
     """Fill row k of ``out`` with a unit Gaussian direction from the Philox
     stream keyed by ``(seed mod 2^64, k)``.
 
-    One bit generator serves every row: before row k its state is reset to
-    that of ``Philox(key=[seed mod 2^64, k])``, so the rows equal fresh
-    generators' draws without building one per row.
+    The key is a ``np.uint64`` array, so every seed mod 2^64 has its own
+    stream (a list key passes through float64, which maps every negative
+    seed to 0 and merges seeds above 2^63); a numpy integer seed draws what
+    the equal Python integer draws.  Each thread keeps one Philox
+    bit generator and one Generator over it; before row k the bit generator
+    is reset to the state of ``Philox(key=[seed mod 2^64, k])``, zero
+    counter and empty buffer, so the rows equal fresh generators' draws
+    without building one per call or per row.
     """
-    bitgen = np.random.Philox(key=[seed % 2**64, 0])
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state  # zero counter, empty buffer
-    key = state["state"]["key"]
+    try:
+        bitgen, gen = _THREAD.philox
+    except AttributeError:
+        bitgen = np.random.Philox(key=0)
+        gen = np.random.Generator(bitgen)
+        _THREAD.philox = bitgen, gen
+    key = np.array([operator.index(seed) % 2**64, 0], dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+             "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for k in range(len(out)):
         key[1] = k
         bitgen.state = state
@@ -202,6 +252,12 @@ def lower_bound_monte_carlo(
 ) -> OracleResult:
     """Best sampled lower bound on H0(A).
 
+    The candidates are one array built in place: the directed family of
+    ``directed_candidates``, then ``num_samples`` rows that the Gaussian
+    draws fill.  The draws come from the calling thread's own Philox
+    generator, so threads may run the oracle at once and each gets what a
+    run alone gives.
+
     Parameters
     ----------
     instance : ProblemInstance
@@ -210,8 +266,10 @@ def lower_bound_monte_carlo(
         Number of Gaussian draws appended to the directed family.
     seed : int
         Stream seed.  Draw k is generated from a counter-based generator
-        keyed by (seed mod 2^64, k), so results are bit-reproducible for a
-        given seed and sample count regardless of evaluation order.
+        whose key is the ``np.uint64`` pair (seed mod 2^64, k), so results
+        are bit-reproducible for a given seed and sample count regardless
+        of evaluation order or thread, and distinct seeds mod 2^64 (negative
+        ones included) draw distinct streams.
     x_hat : ndarray, optional
         Interior witness from the row partition; its negation is a strong
         candidate because it violates every slack row at once.  When it is
@@ -286,10 +344,8 @@ def lower_bound_monte_carlo(
     """
     if num_samples < 0:
         raise ValueError("num_samples must be nonnegative")
-    directed = directed_candidates(instance, x_hat)
-    U = np.empty((len(directed) + num_samples, instance.n))
-    U[: len(directed)] = directed
-    _gaussian_draws(seed, U[len(directed):])
+    U, family = _directed_family(instance, x_hat, num_samples)
+    _gaussian_draws(seed, U[family:])
 
     viol = np.max(U @ instance.A.T, axis=1, initial=0.0)
     cap = np.zeros(len(U))

@@ -1,6 +1,8 @@
 """Sampled lower bounds: ratio evaluation, directed candidates, closed forms."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -129,8 +131,113 @@ def test_gaussian_draws_follow_the_keyed_philox_stream(seed):
     got = np.empty((16, n))
     _gaussian_draws(seed, got)
     for k in range(16):
-        u = np.random.Generator(np.random.Philox(key=[seed % 2**64, k])).standard_normal(n)
+        key = np.array([seed % 2**64, k], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
         assert got[k].tobytes() == (u / np.linalg.norm(u)).tobytes(), k
+
+
+def test_gaussian_draws_keep_every_seed_apart():
+    # a key built from a list passes through float64: every negative seed
+    # drew what seed 0 draws, and 2^63 + 5 what 2^63 + 6 draws
+    from hoffbound.oracle import _gaussian_draws
+
+    seeds = [-1, 0, 2**63 + 5, 2**63 + 6]
+    draws = []
+    for seed in seeds:
+        out = np.empty((4, 5))
+        _gaussian_draws(seed, out)
+        draws.append(out.tobytes())
+    assert len(set(draws)) == len(seeds)
+
+
+@pytest.mark.parametrize("seed", [np.int64(-1), np.uint64(2**63 + 5), np.int32(7)])
+def test_gaussian_draws_take_numpy_integer_seeds(seed):
+    from hoffbound.oracle import _gaussian_draws
+
+    got, want = np.empty((4, 5)), np.empty((4, 5))
+    _gaussian_draws(seed, got)
+    _gaussian_draws(int(seed), want)
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(TypeError):
+        _gaussian_draws(7.0, got)
+
+
+def _in_threads(targets, timeout=60.0):
+    """Run each callable in its own thread, all started together with a short
+    switch interval, and return their results in order."""
+    barrier = threading.Barrier(len(targets))
+    results = [None] * len(targets)
+
+    def run(i):
+        barrier.wait()
+        results[i] = targets[i]()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(targets))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def test_gaussian_draws_are_per_thread():
+    from hoffbound.oracle import _gaussian_draws
+
+    seeds = [3, 11, 2**63 + 5, 1007]
+
+    def draws(seed):
+        rows = []
+        for _ in range(200):
+            out = np.empty((16, 6))
+            _gaussian_draws(seed, out)
+            rows.append(out.tobytes())
+        return rows
+
+    want = [draws(seed)[0] for seed in seeds]
+    got = _in_threads([lambda seed=seed: draws(seed) for seed in seeds])
+    for seed, rows, ref in zip(seeds, got, want):
+        assert rows == [ref] * len(rows), seed
+
+
+def test_monte_carlo_in_a_worker_thread_matches_the_main_thread():
+    case = benchmark_case("suite", 1, "gaussian-7")
+    inst = instance(case.A)
+    x_hat = bound_h0(inst).partition.x_hat
+
+    def run():
+        res = lower_bound_monte_carlo(inst, num_samples=16, seed=case.oracle_seed, x_hat=x_hat)
+        return (res.lower_bound, res.best_u.tobytes(), res.samples_used,
+                res.screened_feasible, res.pruned, res.failed, res.seed)
+
+    assert _in_threads([run])[0] == run()
+
+
+# suite seed 1 outputs at the commit before the family was built in place:
+# gaussian-7 keeps its first 128 pair vectors, degenerate-0 drops one and
+# holds 129, so each pins one path of the pair stage and the draws after it
+@pytest.mark.parametrize("name, counts, lower_bound, best_u", [
+    ("gaussian-7", (156, 0, 155, 0), 3.239496391974123,
+     "aae37b166d43e33f07e952202c18a6bf1d939633a6cfb3bfdf37a2558869d0bf"
+     "eea9c20ceb0fbfbf80535bf76dbbd73f625cdaeba2e2d1bfdc3b38832d4ec23f"
+     "8356977df2cde13f49fc29ba04fbaebf"),
+    ("degenerate-0", (158, 0, 154, 0), 2.140894707982545,
+     "a0bef8010eade0bf49fc538147fad7bf6bc25d850deddebf970acc0c446ee2bf"
+     "cb53b860b157c3bf"),
+])
+def test_monte_carlo_outputs_are_pinned_on_both_pair_paths(name, counts, lower_bound, best_u):
+    case = benchmark_case("suite", 1, name)
+    inst = instance(case.A)
+    x_hat = bound_h0(inst).partition.x_hat
+    res = lower_bound_monte_carlo(inst, num_samples=16, seed=case.oracle_seed, x_hat=x_hat)
+    assert (res.samples_used, res.screened_feasible, res.pruned, res.failed) == counts
+    assert res.lower_bound == lower_bound
+    assert res.best_u.tobytes().hex() == best_u
 
 
 def test_monte_carlo_is_seed_deterministic():
