@@ -41,12 +41,10 @@ _MAX_PAIR_VECTORS = 128
 # relative slack on a candidate's cap before it is pruned (see the Notes of
 # lower_bound_monte_carlo for why it multiplies the cap, not the best ratio)
 _CAP_MARGIN = 1e-9
-# each thread's Philox bit generator and the Generator drawing from it; a
-# generator shared between threads could have its key reset by one thread
-# between another's reset and draw
+# each thread's Philox bit generator, the Generator drawing from it and its
+# fresh state; a generator shared between threads could have its key reset
+# by one thread between another's reset and draw
 _THREAD = threading.local()
-# a Philox state's zero counter and empty buffer
-_ZEROS = (0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -121,8 +119,9 @@ def _directed_family(
     the family's length.
 
     Each stage writes into the array itself: the negated rows and witness,
-    normalized in place; the pair sums and differences right after the
-    base, normalized in place when the first 128 are all kept.
+    normalized with the zero rows dropped; the pair sums and differences
+    right after the base, normalized in place when the first 128 are all
+    kept.
     """
     n = instance.n
     A = instance.A[:_MAX_BASE]
@@ -136,10 +135,7 @@ def _directed_family(
     norms = _norms(buf[:rows])
     keep = norms > ZERO_NORM_FLOOR
     size = int(np.count_nonzero(keep))
-    if size == rows:
-        np.divide(buf[:rows], norms[:, None], out=buf[:rows])
-    else:
-        buf[:size] = buf[:rows][keep] / norms[keep, None]
+    buf[:size] = buf[:rows][keep] / norms[keep, None]
 
     # Unit a, b have |a + b|^2 + |a - b|^2 = 4, so every pair adds at least
     # one vector and the cap is reached within its first 128 pairs.
@@ -194,20 +190,21 @@ def _gaussian_draws(seed: int, out: np.ndarray) -> None:
     stream (a list key passes through float64, which maps every negative
     seed to 0 and merges seeds above 2^63); a numpy integer seed draws what
     the equal Python integer draws.  Each thread keeps one Philox
-    bit generator and one Generator over it; before row k the bit generator
-    is reset to the state of ``Philox(key=[seed mod 2^64, k])``, zero
-    counter and empty buffer, so the rows equal fresh generators' draws
+    bit generator, one Generator over it and the bit generator's fresh
+    state (zero counter, empty buffer); before row k the bit generator is
+    reset to that state with the key ``(seed mod 2^64, k)``, the state of a
+    new ``Philox`` with that key, so the rows equal fresh generators' draws
     without building one per call or per row.
     """
     try:
-        bitgen, gen = _THREAD.philox
+        bitgen, gen, fresh = _THREAD.philox
     except AttributeError:
         bitgen = np.random.Philox(key=0)
         gen = np.random.Generator(bitgen)
-        _THREAD.philox = bitgen, gen
+        fresh = bitgen.state
+        _THREAD.philox = bitgen, gen, fresh
     key = np.array([operator.index(seed) % 2**64, 0], dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
-             "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state = {**fresh, "state": {**fresh["state"], "key": key}}
     for k in range(len(out)):
         key[1] = k
         bitgen.state = state

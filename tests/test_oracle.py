@@ -30,7 +30,8 @@ def _all_candidates(inst, num_samples, seed, x_hat=None):
     the unit Philox draws."""
     cands = list(directed_candidates(inst, x_hat))
     for k in range(num_samples):
-        u = np.random.Generator(np.random.Philox(key=[seed, k])).standard_normal(inst.n)
+        key = np.array([seed % 2**64, k], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).standard_normal(inst.n)
         cands.append(u / np.linalg.norm(u))
     return cands
 
