@@ -114,9 +114,9 @@ def _check_branch(report: BoundReport) -> list[str]:
 
 
 def _close(a: float, b: float) -> bool:
-    """``np.isclose(a, b, rtol=1e-13, atol=0.0)`` for two floats, without
+    """``np.isclose(a, b, rtol=UNIT_RTOL, atol=0.0)`` for two floats, without
     its array dispatch: b must be finite unless a equals it."""
-    return a == b or (abs(a - b) <= 1e-13 * abs(b) and math.isfinite(b))
+    return a == b or (abs(a - b) <= UNIT_RTOL * abs(b) and math.isfinite(b))
 
 
 def verify_partition(

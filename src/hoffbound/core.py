@@ -17,6 +17,7 @@ import numpy as np
 import numpy.typing as npt
 
 __all__ = [
+    "EPS",
     "HoffboundError",
     "ProblemInstance",
     "ScaleOutOfRange",
@@ -33,6 +34,9 @@ _MIN_SCALE = float(np.sqrt(np.finfo(float).tiny))
 # A norm (of a vector, a row, or a matrix's largest singular value) at or
 # below this is treated as zero.
 ZERO_NORM_FLOOR = 1e-300
+
+# Machine epsilon of a double, 2^-52: twice the unit roundoff.
+EPS = float(np.finfo(float).eps)
 
 
 class HoffboundError(Exception):

@@ -15,7 +15,14 @@ from functools import cached_property
 import numpy as np
 import numpy.typing as npt
 
-from .core import ZERO_NORM_FLOOR, HoffboundError, ScaleOutOfRange, euclidean_norm, row_norms
+from .core import (
+    EPS,
+    ZERO_NORM_FLOOR,
+    HoffboundError,
+    ScaleOutOfRange,
+    euclidean_norm,
+    row_norms,
+)
 
 __all__ = [
     "NumericalFailure",
@@ -24,9 +31,6 @@ __all__ = [
     "orthonormal_null_basis",
     "smallest_positive_singular_value",
 ]
-
-_EPS = float(np.finfo(float).eps)
-
 
 class NumericalFailure(HoffboundError):
     """A dense factorization failed to converge or produced invalid output."""
@@ -54,7 +58,7 @@ def numerical_rank(s: np.ndarray, dim: int) -> int:
     """
     if not s.size or s[0] <= ZERO_NORM_FLOOR:
         return 0
-    return int(np.count_nonzero(s > dim * _EPS * s[0]))
+    return int(np.count_nonzero(s > dim * EPS * s[0]))
 
 
 class TightBlock:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import functools
 import operator
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    EPS,
     ZERO_NORM_FLOOR,
     HoffboundError,
     ProblemInstance,
@@ -35,16 +35,11 @@ __all__ = [
 ]
 
 _VIOLATION_FLOOR = 1e-12
-_EPS = float(np.finfo(float).eps)
 _MAX_BASE = 64
 _MAX_PAIR_VECTORS = 128
 # relative slack on a candidate's cap before it is pruned (see the Notes of
 # lower_bound_monte_carlo for why it multiplies the cap, not the best ratio)
 _CAP_MARGIN = 1e-9
-# each thread's Philox bit generator, the Generator drawing from it and its
-# fresh state; a generator shared between threads could have its key reset
-# by one thread between another's reset and draw
-_THREAD = threading.local()
 
 
 @dataclass(frozen=True)
@@ -183,32 +178,18 @@ def directed_candidates(
 
 
 def _gaussian_draws(seed: int, out: np.ndarray) -> None:
-    """Fill row k of ``out`` with a unit Gaussian direction from the Philox
-    stream keyed by ``(seed mod 2^64, k)``.
+    """Fill the rows of ``out`` with unit Gaussian directions, in order, from
+    one Philox stream keyed by ``seed mod 2^64``.
 
-    The key is a ``np.uint64`` array, so every seed mod 2^64 has its own
-    stream (a list key passes through float64, which maps every negative
-    seed to 0 and merges seeds above 2^63); a numpy integer seed draws what
-    the equal Python integer draws.  Each thread keeps one Philox
-    bit generator, one Generator over it and the bit generator's fresh
-    state (zero counter, empty buffer); before row k the bit generator is
-    reset to that state with the key ``(seed mod 2^64, k)``, the state of a
-    new ``Philox`` with that key, so the rows equal fresh generators' draws
-    without building one per call or per row.
+    The integer key is taken exactly as the key words ``(seed mod 2^64, 0)``
+    (a list key passes through float64, which maps every negative seed to 0
+    and merges seeds above 2^63), so every seed mod 2^64 has its own stream,
+    and a numpy integer seed draws what the equal Python integer draws.  The
+    generator is built per call, so no state is shared between calls or
+    threads, and the first k rows are the same for any number of rows.
     """
-    try:
-        bitgen, gen, fresh = _THREAD.philox
-    except AttributeError:
-        bitgen = np.random.Philox(key=0)
-        gen = np.random.Generator(bitgen)
-        fresh = bitgen.state
-        _THREAD.philox = bitgen, gen, fresh
-    key = np.array([operator.index(seed) % 2**64, 0], dtype=np.uint64)
-    state = {**fresh, "state": {**fresh["state"], "key": key}}
-    for k in range(len(out)):
-        key[1] = k
-        bitgen.state = state
-        gen.standard_normal(out=out[k])
+    gen = np.random.Generator(np.random.Philox(key=operator.index(seed) % 2**64))
+    gen.standard_normal(out=out)
     norms = _norms(out)
     np.divide(out, norms[:, None], out=out, where=norms[:, None] > ZERO_NORM_FLOOR)
 
@@ -222,7 +203,7 @@ def _distance_caps(
     norms = np.linalg.norm(U, axis=1)
     if x_hat is None:
         return norms
-    gamma = _EPS * (instance.n + 2)
+    gamma = EPS * (instance.n + 2)
     x = np.asarray(x_hat, dtype=float).reshape(instance.n)
     with np.errstate(all="ignore"):  # a zero or non-finite witness gives NaN
         e = x / euclidean_norm(x)
@@ -251,9 +232,9 @@ def lower_bound_monte_carlo(
 
     The candidates are one array built in place: the directed family of
     ``directed_candidates``, then ``num_samples`` rows that the Gaussian
-    draws fill.  The draws come from the calling thread's own Philox
-    generator, so threads may run the oracle at once and each gets what a
-    run alone gives.
+    draws fill.  The draws come from a Philox generator built for the call,
+    so threads may run the oracle at once and each gets what a run alone
+    gives.
 
     Parameters
     ----------
@@ -262,11 +243,12 @@ def lower_bound_monte_carlo(
     num_samples : int
         Number of Gaussian draws appended to the directed family.
     seed : int
-        Stream seed.  Draw k is generated from a counter-based generator
-        whose key is the ``np.uint64`` pair (seed mod 2^64, k), so results
-        are bit-reproducible for a given seed and sample count regardless
-        of evaluation order or thread, and distinct seeds mod 2^64 (negative
-        ones included) draw distinct streams.
+        Stream seed.  The draws are the successive Gaussians of one
+        counter-based Philox stream keyed by seed mod 2^64, so results are
+        bit-reproducible for a given seed regardless of evaluation order or
+        thread, the first k draws do not depend on ``num_samples``, and
+        distinct seeds mod 2^64 (negative ones included) draw distinct
+        streams.
     x_hat : ndarray, optional
         Interior witness from the row partition; its negation is a strong
         candidate because it violates every slack row at once.  When it is

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HoffboundError, ProblemInstance, euclidean_norm, row_norms
+from .core import EPS, HoffboundError, ProblemInstance, euclidean_norm, row_norms
 from .numerics import NumericalFailure, TightBlock
 from .solvers.programs import (
     AnalyticCenterSolution,
@@ -44,8 +44,6 @@ __all__ = [
     "slack_margin",
     "weight_margin",
 ]
-
-_UNIT_ROUNDOFF = 2.0**-53
 
 # Rows whose Farkas weight is at most this fraction of the largest are not
 # counted as proven tight.
@@ -112,7 +110,8 @@ class PartitionCertificate:
 
 def _gamma(k: int) -> float:
     """Higham's ``gamma_k = k u / (1 - k u)`` for the unit roundoff u."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    u = EPS / 2
+    return k * u / (1.0 - k * u)
 
 
 def slack_margin(block: TightBlock, A_N: np.ndarray, x_hat: np.ndarray) -> float:
@@ -305,7 +304,11 @@ def _least_distance(A, full, Wx, certify):
     fits = [np.arange(m)]
     if m > r + 1:
         # This fit dismisses a tall mixed split without a fit of all of A.
-        # The rows x_ls leaves least negative, zero rows first.
+        # On all-tight inputs it rarely holds a Farkas support, so all rows
+        # are fit a second time; it stays because a mixed split is the
+        # costly case: at 400x40 it takes 0.2 ms and the fit of all rows
+        # 4.4 ms (2-CPU host, one BLAS thread).  The rows x_ls leaves least
+        # negative, zero rows first.
         norms = row_norms(full.W)
         score = np.full(m, np.inf)
         np.divide(Wx, norms, out=score, where=norms > 0.0)

@@ -32,6 +32,7 @@ import scipy.optimize
 from scipy.linalg.lapack import dgeqrf, dtrtrs
 
 from ..core import (
+    EPS,
     ZERO_NORM_FLOOR,
     HoffboundError,
     ProblemInstance,
@@ -308,8 +309,9 @@ def solve_min_norm_qp(G: np.ndarray) -> MinNormSolution:
         # Along lam = t u the best t gives (1'u)^2 / ||G'u||^2, which needs no
         # rho (rho = 1 - 1'u cancels as ||z|| grows).  At the optimum the bound
         # meets ||z||^2, so its rounding error is taken off: gamma bounds the
-        # relative error of each sum and product in it.
-        gamma = (k + d + 2) * np.finfo(float).eps
+        # relative error of each sum and product in it.  gamma is a numpy
+        # scalar, so the power overflows to inf here rather than raising.
+        gamma = (k + d + 2) * np.float64(EPS)
         den = euclidean_norm(G.T @ u) + gamma * euclidean_norm(np.abs(G).T @ u)
         dual_lower = (1.0 - gamma) * (float(u.sum()) / den) ** 2
 

@@ -59,10 +59,10 @@ def test_a_moved_float_leaf_is_named_with_its_relative_change(compare):
     assert lines[1:] == [
         "1 of 2 canonical reports byte-identical",
         "1 of 2 audit metrics byte-identical",
-        "audit.slack_margin: 1 of 2 cases differ, largest relative change "
-        "5.000e-01 at ('suite', 0, 'c1')",
-        "partition.x_hat: 1 of 2 cases differ, largest relative change "
-        "2.000e-01 at ('suite', 0, 'c1')",
+        "audit.slack_margin: 1 of 2 cases differ (0 up, 1 down), largest "
+        "relative change 5.000e-01 at ('suite', 0, 'c1')",
+        "partition.x_hat: 1 of 2 cases differ (1 up, 0 down), largest relative "
+        "change 2.000e-01 at ('suite', 0, 'c1')",
     ]
 
 
@@ -85,8 +85,25 @@ def test_a_leaf_on_one_side_only_differs(compare):
 def test_a_total_within_its_tolerance_is_reported_not_gated(compare):
     code, lines = compare([_row("c0")], [_row("c0", total=2.0 * (1.0 + 5e-10))])
     assert code == 0
-    assert lines[-1].startswith("bounds.total: 1 of 1 cases differ, "
+    assert lines[-1].startswith("bounds.total: 1 of 1 cases differ (1 up, 0 down), "
                                 "largest relative change 5.000e-10")
+
+
+def test_a_moved_leaf_counts_the_cases_it_rose_and_fell_in(compare):
+    # a folded path that rose at one index and fell at another is mixed
+    old = [_row(f"c{i}", oracle={"lower_bound": 1.0}) for i in range(4)]
+    new = [_row("c0", oracle={"lower_bound": 1.5}),
+           _row("c1", oracle={"lower_bound": 0.5}),
+           _row("c2", oracle={"lower_bound": 0.75}, x_hat=(0.8, 0.6)),
+           _row("c3", oracle={"lower_bound": 1.0})]
+    code, lines = compare(old, new)
+    assert code == 1
+    assert lines[3:5] == [
+        "oracle.lower_bound: 3 of 4 cases differ (1 up, 2 down), largest relative "
+        "change 5.000e-01 at ('suite', 0, 'c1')",
+        "partition.x_hat: 1 of 4 cases differ (0 up, 0 down, 1 mixed), largest "
+        "relative change 2.500e-01 at ('suite', 0, 'c2')",
+    ]
 
 
 @pytest.mark.parametrize("change, mismatch", [

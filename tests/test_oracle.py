@@ -25,13 +25,19 @@ from helpers import (
 SQRT5 = 2.23606797749979
 
 
+def _philox(seed):
+    """A generator over the Philox stream with key words (seed mod 2^64, 0)."""
+    key = np.array([seed % 2**64, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def _all_candidates(inst, num_samples, seed, x_hat=None):
     """Every candidate the oracle draws, in order: the directed family, then
-    the unit Philox draws."""
+    the unit draws of one Philox stream."""
     cands = list(directed_candidates(inst, x_hat))
-    for k in range(num_samples):
-        key = np.array([seed % 2**64, k], dtype=np.uint64)
-        u = np.random.Generator(np.random.Philox(key=key)).standard_normal(inst.n)
+    gen = _philox(seed)
+    for _ in range(num_samples):
+        u = gen.standard_normal(inst.n)
         cands.append(u / np.linalg.norm(u))
     return cands
 
@@ -131,10 +137,25 @@ def test_gaussian_draws_follow_the_keyed_philox_stream(seed):
     n = 6
     got = np.empty((16, n))
     _gaussian_draws(seed, got)
+    gen = _philox(seed)
     for k in range(16):
-        key = np.array([seed % 2**64, k], dtype=np.uint64)
-        u = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+        u = gen.standard_normal(n)
         assert got[k].tobytes() == (u / np.linalg.norm(u)).tobytes(), k
+
+
+@pytest.mark.parametrize("seed", [0, 7, -1, 2**63 + 5])
+def test_gaussian_draws_are_prefix_stable_and_keep_the_first_row(seed):
+    # row 0 is the first draw of a fresh generator keyed (seed mod 2^64, 0),
+    # as it was when each row k had its own key (seed mod 2^64, k)
+    from hoffbound.oracle import _gaussian_draws
+
+    n = 5
+    short, long = np.empty((3, n)), np.empty((16, n))
+    _gaussian_draws(seed, short)
+    _gaussian_draws(seed, long)
+    assert short.tobytes() == long[:3].tobytes()
+    u = _philox(seed).standard_normal(n)
+    assert long[0].tobytes() == (u / np.linalg.norm(u)).tobytes()
 
 
 def test_gaussian_draws_keep_every_seed_apart():
@@ -219,15 +240,15 @@ def test_monte_carlo_in_a_worker_thread_matches_the_main_thread():
     assert _in_threads([run])[0] == run()
 
 
-# suite seed 1 outputs at the commit before the family was built in place:
-# gaussian-7 keeps its first 128 pair vectors, degenerate-0 drops one and
-# holds 129, so each pins one path of the pair stage and the draws after it
+# suite seed 1 outputs: gaussian-7 keeps its first 128 pair vectors,
+# degenerate-0 drops one and holds 129, so each pins one path of the pair
+# stage and the draws after it
 @pytest.mark.parametrize("name, counts, lower_bound, best_u", [
     ("gaussian-7", (156, 0, 155, 0), 3.239496391974123,
      "aae37b166d43e33f07e952202c18a6bf1d939633a6cfb3bfdf37a2558869d0bf"
      "eea9c20ceb0fbfbf80535bf76dbbd73f625cdaeba2e2d1bfdc3b38832d4ec23f"
      "8356977df2cde13f49fc29ba04fbaebf"),
-    ("degenerate-0", (158, 0, 154, 0), 2.140894707982545,
+    ("degenerate-0", (158, 0, 155, 0), 2.140894707982545,
      "a0bef8010eade0bf49fc538147fad7bf6bc25d850deddebf970acc0c446ee2bf"
      "cb53b860b157c3bf"),
 ])

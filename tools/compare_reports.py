@@ -17,14 +17,16 @@ The comparison prints how many canonical reports and audit metrics are
 byte-identical.  It then walks both reports and both metric dicts leaf by
 leaf and prints one row per field path that moved, with list indices folded
 (``partition.x_hat``, ``audit.slack_margin``): in how many cases it differs,
-its largest relative change and the case where that occurs.  A non-numeric
-leaf that changed counts as a relative change of inf.  A leaf present on one
-side only prints as ``removed`` or ``added``, with the number of cases and
-the first of them.  Moved fields are reported, not gated.  Last come the
-``MISMATCH`` lines; the exit code is 1 unless both dumps cover the same
-cases with the same branches, B/N, errors and audit verdicts, every audit
-passes, totals agree within ``TOTAL_RTOL`` and lower bounds within
-``LOWER_RTOL``.
+in how many of those it rose and in how many it fell, its largest relative
+change and the case where that occurs.  A case counts as ``mixed`` when a
+folded path rose at one index and fell at another; the split is printed only
+for fields with a numeric change.  A non-numeric leaf that changed counts as
+a relative change of inf.  A leaf present on one side only prints as
+``removed`` or ``added``, with the number of cases and the first of them.
+Moved fields are reported, not gated.  Last come the ``MISMATCH`` lines;
+the exit code is 1 unless both dumps cover the same cases with the same
+branches, B/N, errors and audit verdicts, every audit passes, totals agree
+within ``TOTAL_RTOL`` and lower bounds within ``LOWER_RTOL``.
 """
 
 from __future__ import annotations
@@ -142,6 +144,8 @@ def compare(old_path: str, new_path: str) -> int:
     # (field path, "changed" | "removed" | "added") -> (cases, largest
     # relative change, the case where it occurs or the first case)
     moved: dict[tuple[str, str], tuple[int, float, tuple]] = {}
+    # field path -> cases where its numeric leaves only rose, only fell, both
+    trend: dict[str, list[int]] = {}
     for key in common:
         a, b = old[key], new[key]
         for field in ("error", "branch", "B", "N", "audit_ok"):
@@ -157,6 +161,7 @@ def compare(old_path: str, new_path: str) -> int:
                                     f"{b.get(field)!r} (relative {rel:.3e} > {tol:.0e})")
         leaves_a, leaves_b = _leaves(a["tree"]), _leaves(b["tree"])
         worst: dict[tuple[str, str], float] = {}
+        signs: dict[str, set[bool]] = {}
         for path in leaves_a.keys() | leaves_b.keys():
             leaf_a, leaf_b = leaves_a.get(path, _MISSING), leaves_b.get(path, _MISSING)
             rel = _rel(leaf_a, leaf_b)
@@ -165,9 +170,14 @@ def compare(old_path: str, new_path: str) -> int:
                         else "changed")
                 name = (".".join(k for k in path if isinstance(k, str)), kind)
                 worst[name] = max(worst.get(name, 0.0), rel)
+                if rel < math.inf:
+                    signs.setdefault(name[0], set()).add(leaf_b > leaf_a)
         for name, rel in worst.items():
             count, top, where = moved.get(name, (0, 0.0, key))
             moved[name] = (count + 1, *((rel, key) if rel > top else (top, where)))
+        for name, rose in signs.items():
+            split = trend.setdefault(name, [0, 0, 0])
+            split[2 if len(rose) == 2 else 0 if True in rose else 1] += 1
     print(f"{len(new)} cases compared")
     for field, label in (("report", "canonical reports"), ("audit", "audit metrics")):
         same = sum(1 for key in common if json.dumps(old[key].get(field), sort_keys=True)
@@ -175,7 +185,11 @@ def compare(old_path: str, new_path: str) -> int:
         print(f"{same} of {len(common)} {label} byte-identical")
     for (name, kind), (count, rel, where) in sorted(moved.items()):
         if kind == "changed":
-            print(f"{name}: {count} of {len(common)} cases differ, "
+            split = ""
+            if name in trend:
+                up, down, mixed = trend[name]
+                split = f" ({up} up, {down} down{f', {mixed} mixed' if mixed else ''})"
+            print(f"{name}: {count} of {len(common)} cases differ{split}, "
                   f"largest relative change {rel:.3e} at {where}")
         else:
             print(f"{name}: {kind} in {count} of {len(common)} cases, first at {where}")
