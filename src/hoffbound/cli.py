@@ -15,12 +15,10 @@ import sys
 
 from .bounds import bound_h0
 from .core import HoffboundError, ProblemInstance
-from .io import canonical_report_json, load_matrix, report_to_dict
+from .io import SANDWICH_RTOL, canonical_report_json, load_matrix, report_to_dict
 from .oracle import lower_bound_monte_carlo
 
 __all__ = ["build_parser", "main", "run"]
-
-SANDWICH_RTOL = 1e-6
 
 EXIT_OK = 0
 EXIT_ERROR = 1

@@ -39,6 +39,10 @@ __all__ = [
 
 REPORT_VERSION = "1"
 
+# Relative slack of the sandwich check: the lower bound may exceed the total
+# by this much times 1 + total.
+SANDWICH_RTOL = 1e-6
+
 
 class ParseError(HoffboundError):
     """Input file could not be parsed."""
@@ -167,7 +171,7 @@ def save_matrix_csv(path: str | Path, A: np.ndarray) -> None:
 def report_to_dict(
     report: BoundReport,
     oracle: OracleResult | None = None,
-    sandwich_rtol: float = 1e-6,
+    sandwich_rtol: float = SANDWICH_RTOL,
 ) -> dict[str, Any]:
     """JSON-ready payload for a bound report and optional oracle result.
 

@@ -115,8 +115,8 @@ def _directed_family(
 
     Each stage writes into the array itself: the negated rows and witness,
     normalized with the zero rows dropped; the pair sums and differences
-    right after the base, normalized in place when the first 128 are all
-    kept.
+    right after the base, the vectors taken normalized and packed to the
+    front of their stage.
     """
     n = instance.n
     A = instance.A[:_MAX_BASE]
@@ -141,16 +141,11 @@ def _directed_family(
     np.subtract(bi, bj, out=pairs[1::2])
     norms = _norms(pairs)
     keep = norms > 1e-8
-    if keep[:_MAX_PAIR_VECTORS].all():
-        # the first 64 pairs alone reach the cap, or every pair is kept
-        count = min(len(pairs), _MAX_PAIR_VECTORS)
-        np.divide(pairs[:count], norms[:count, None], out=pairs[:count])
-    else:
-        per_pair = keep.reshape(-1, 2).sum(axis=1)
-        emitted_before = np.cumsum(per_pair) - per_pair
-        take = np.repeat(emitted_before < _MAX_PAIR_VECTORS, 2) & keep
-        count = int(np.count_nonzero(take))
-        pairs[:count] = pairs[take] / norms[take, None]
+    per_pair = keep.reshape(-1, 2).sum(axis=1)
+    emitted_before = np.cumsum(per_pair) - per_pair
+    take = np.repeat(emitted_before < _MAX_PAIR_VECTORS, 2) & keep
+    count = int(np.count_nonzero(take))
+    pairs[:count] = pairs[take] / norms[take, None]
     return buf[: size + count + extra], size + count
 
 

@@ -73,8 +73,8 @@ class PartitionCertificate:
         The partition LP's iterate whose split was certified: its support
         margin ``t`` (that iterate need not be feasible, so t can exceed the
         LP's optimal margin), the interior-point steps taken before it
-        (``iterations``, 0 when the LP's starting point certifies the
-        split) and its raw LP ``residuals``.  None when the split was proven
+        (``iterations``, at least 1: the start ``x = 0``, ``y = s`` proves
+        no split) and its raw LP ``residuals``.  None when the split was proven
         before the LP ran, by least-squares witnesses, the least-distance
         fit or the analytic center.
     block : TightBlock or None

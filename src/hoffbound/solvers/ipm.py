@@ -10,7 +10,8 @@ full column rank (the matrix in orthonormal row-space coordinates):
 
 over ``x`` in R^r (free), ``y`` in R^m and ``t``.  The slack ``s`` and the
 coupling slack ``w`` are kept as positive variables with the residuals
-``M x + s`` and ``y - M x - t 1 - w``, so the iteration may start infeasible.
+``M x + s`` and ``y - M x - t 1 - w``, so the iteration starts infeasible,
+from a fixed point.
 
 Each Mehrotra predictor-corrector step solves the Newton system
 
@@ -55,8 +56,6 @@ MAX_ITERS = 500
 _DIV_FLOOR = 1e-300
 _STALL_WINDOW = 25
 _STALL_FACTOR = 0.999
-# Starting slacks and duals are raised to at least this value.
-_START_FLOOR = 0.1
 
 _GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (np.empty(0),))
 
@@ -199,22 +198,11 @@ def solve_qp_ipm(feas_tol: float, gap_tol: float, M: np.ndarray,
     def G_T(lam: np.ndarray, Nlam: np.ndarray) -> np.ndarray:
         return np.concatenate((-colsum * lam[r], (0.0,), Nlam))
 
-    # Starting point (Mehrotra): with unit weights the Newton system gives
-    # the u minimizing ||F u|| on G u = h, and the duals (l, z = F w) of
-    # least norm with G'l + F'z = c; both are then shifted to positivity.
-    unit = _Newton(N, colsum, np.ones(k))
-    u, _, V = unit.solve(np.zeros(r1 + m), h)
-    x = u[:r].copy()
-    g = F(u, V[0])
-    u, lam, V = unit.solve(c, np.zeros(r1))
-    z = F(u, V[0])
-    g += max(-1.5 * float(g.min()), 0.0)
-    z += max(-1.5 * float(z.min()), 0.0)
-    dot = float(g @ z)
-    g += 0.5 * dot / float(z.sum())
-    z += 0.5 * dot / float(g.sum())
-    g = np.maximum(g, _START_FLOOR)
-    z = np.maximum(z, _START_FLOOR)
+    # Fixed infeasible start: every slack and dual at one, x and l at zero.
+    x = np.zeros(r)
+    lam = np.zeros(r1)
+    g = np.ones(k)
+    z = np.ones(k)
 
     best_merit = np.inf
     stall_counter = 0

@@ -69,9 +69,10 @@ def test_mixed_instance():
     assert cert.x_hat[0] == pytest.approx(0.0, abs=1e-8)
     assert cert.x_hat[1] == pytest.approx(1.0, abs=1e-8)
     assert np.allclose(cert.y_hat, [0.5, 0.5], atol=1e-8)
-    # certified at the starting point, whose t is not the optimum 1/3
-    assert cert.lp["iterations"] == 0
-    assert cert.lp["t"] == pytest.approx(43.0 / 136.0, rel=1e-12)
+    # certified after one step from the fixed start; that iterate's t is
+    # not the optimum 1/3
+    assert cert.lp["iterations"] == 1
+    assert cert.lp["t"] == pytest.approx(0.1696540740740743, rel=1e-12)
     metrics = verify_partition(inst, cert).metrics
     assert metrics["min_slack_N"] == pytest.approx(1.0, abs=1e-8)
     assert metrics["min_y_hat"] == pytest.approx(0.5, abs=1e-8)
@@ -155,9 +156,9 @@ def test_untrusted_margin_raises_after_one_solve(monkeypatch):
         seen.append(block)
         return real(block, accept)
 
-    # the starting point certifies C4; the converged LP takes more steps
+    # the first step certifies C4; the converged LP takes more steps
     plain = compute_partition(instance(C4))
-    assert plain.lp["iterations"] == 0 < optimal_lp(C4)[0]["iterations"]
+    assert plain.lp["iterations"] == 1 < optimal_lp(C4)[0]["iterations"]
     monkeypatch.setattr(hoffbound.partition, "solve_partition_lp", counted)
     monkeypatch.setattr(hoffbound.partition, "weight_margin", lambda block, y: 0.0)
     with pytest.raises(AmbiguousIndex, match="margin rule"):
@@ -259,10 +260,10 @@ def test_an_all_slack_input_stops_at_its_first_interior_iterate(monkeypatch):
     monkeypatch.setattr(hoffbound.partition, "solve_min_norm_qp", _no_fit)
     _, first = solve_partition_lp(
         full, lambda x, y, s, t: True if (A @ x < 0.0).all() else None)
-    # the split y > s is all slack only later, and no earlier iterate's
-    # split could have been proven
+    # every row has s > y only later (the start ties y = s), and no earlier
+    # iterate's split could have been proven
     _, late = solve_partition_lp(
-        full, lambda x, y, s, t: None if (y > s).any() else True)
+        full, lambda x, y, s, t: True if (s > y).all() else None)
     assert first["iterations"] < late["iterations"]
     cert = compute_partition(instance(A))
     assert cert.B == ()
