@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-``hoffbound compute --input matrix.csv`` loads a matrix, certifies the upper
-bound, optionally runs the sampling oracle, and prints either a text summary
-or a JSON payload.  Exit codes: 0 on success (including a run with the
-oracle disabled by ``--samples 0``), 2 when the sampled lower bound
-contradicts the certified upper bound, 1 on input or solver errors.
+``hoffbound compute --input matrix.csv`` loads a matrix, runs ``pipeline``
+on it (certify the upper bound, audit it, optionally run the sampling
+oracle) and prints either a text summary or a JSON payload.  Exit codes: 0
+on success (including a run with the oracle disabled by ``--samples 0``), 1
+on input or solver errors, 2 when the sampled lower bound contradicts the
+certified upper bound, 3 when the audit rejects the report (ahead of 2).
 """
 
 from __future__ import annotations
@@ -13,16 +14,18 @@ import argparse
 import json
 import sys
 
-from .bounds import bound_h0
+from .audit import AuditResult, audit_report
+from .bounds import BoundReport, bound_h0
 from .core import HoffboundError, ProblemInstance
 from .io import SANDWICH_RTOL, canonical_report_json, load_matrix, report_to_dict
-from .oracle import lower_bound_monte_carlo
+from .oracle import OracleResult, lower_bound_monte_carlo
 
-__all__ = ["build_parser", "main", "run"]
+__all__ = ["SANDWICH_RTOL", "build_parser", "main", "pipeline", "run"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_SANDWICH = 2
+EXIT_AUDIT = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,23 +69,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def pipeline(
+    instance: ProblemInstance, samples: int, seed: int | None
+) -> tuple[BoundReport, AuditResult, OracleResult | None, dict]:
+    """``(report, audit, oracle, payload)`` of one instance: ``bound_h0``,
+    ``audit_report``, ``lower_bound_monte_carlo`` from the partition's
+    ``x_hat`` (None when ``samples`` is 0) and ``report_to_dict``."""
+    report = bound_h0(instance)
+    audit = audit_report(instance, report)
+    oracle = None
+    if samples != 0:
+        oracle = lower_bound_monte_carlo(
+            instance, num_samples=samples, seed=seed, x_hat=report.partition.x_hat,
+        )
+    return report, audit, oracle, report_to_dict(report, oracle)
+
+
 def run(args: argparse.Namespace) -> int:
     """Execute the run described by parsed ``compute`` arguments; returns
     the exit code."""
     if args.samples < 0:
         raise ValueError("--samples must be at least 0")
-    A = load_matrix(args.input, args.format)
-    instance = ProblemInstance.from_matrix(A)
-
-    report = bound_h0(instance)
-    oracle = None
-    if args.samples > 0:
-        oracle = lower_bound_monte_carlo(
-            instance, num_samples=args.samples, seed=args.seed,
-            x_hat=report.partition.x_hat,
-        )
-
-    payload = report_to_dict(report, oracle, sandwich_rtol=SANDWICH_RTOL)
+    instance = ProblemInstance.from_matrix(load_matrix(args.input, args.format))
+    _, audit, _, payload = pipeline(instance, args.samples, args.seed)
 
     if args.output == "json":
         if args.canonical:
@@ -90,18 +99,23 @@ def run(args: argparse.Namespace) -> int:
         else:
             print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        _print_text(payload)
+        _print_text(payload, audit)
 
+    code = EXIT_OK
     if payload["sandwich"] is not None and not payload["sandwich"]["ok"]:
         print(
             "error: sampled lower bound exceeds the certified upper bound",
             file=sys.stderr,
         )
-        return EXIT_SANDWICH
-    return EXIT_OK
+        code = EXIT_SANDWICH
+    if not audit.ok:
+        for failure in audit.failures:
+            print(f"error: audit failed: {failure}", file=sys.stderr)
+        code = EXIT_AUDIT
+    return code
 
 
-def _print_text(payload: dict) -> None:
+def _print_text(payload: dict, audit: AuditResult) -> None:
     part = payload["partition"]
     bounds = payload["bounds"]
     print(f"branch: {payload['branch']}")
@@ -120,6 +134,7 @@ def _print_text(payload: dict) -> None:
         if block is not None:
             print(f"{label}: {block['value']:.12g}")
     print(f"total upper bound: {bounds['total']:.12g}")
+    print(f"audit: {'passed' if audit.ok else 'FAILED'}")
     oracle = payload["oracle"]
     if oracle is not None:
         projected = oracle["samples_used"] - oracle["screened_feasible"] \

@@ -11,13 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from hoffbound import (
-    audit_report,
-    bound_h0,
-    canonical_report_json,
-    lower_bound_monte_carlo,
-    report_to_dict,
-)
+from hoffbound import audit_report, bound_h0, canonical_report_json
+from hoffbound.cli import pipeline
 
 from helpers import C4, closed_form_H0, degenerate_matrix, gaussian_matrix, instance
 
@@ -39,15 +34,10 @@ def _line(num, ok, detail):
 
 
 def _run(A, *, samples, seed):
+    """The command line's pipeline on A: (instance, report, audit, oracle,
+    payload)."""
     inst = instance(A)
-    rep = bound_h0(inst)
-    orc = lower_bound_monte_carlo(inst, num_samples=samples, seed=seed,
-                                  x_hat=rep.partition.x_hat)
-    return inst, rep, orc
-
-
-def _sandwich_ok(rep, orc):
-    return orc.lower_bound <= rep.total + 1e-6 * (1.0 + rep.total)
+    return (inst, *pipeline(inst, samples, seed))
 
 
 def _suite_matrix(kind, seed):
@@ -56,10 +46,8 @@ def _suite_matrix(kind, seed):
 
 def _run_suite():
     t0 = time.perf_counter()
-    rows = []
-    for k, (kind, seed) in enumerate(SUITE_SEEDS):
-        inst, rep, orc = _run(_suite_matrix(kind, seed), samples=16, seed=k)
-        rows.append((inst, rep, orc, canonical_report_json(report_to_dict(rep, orc))))
+    rows = [_run(_suite_matrix(kind, seed), samples=16, seed=k)
+            for k, (kind, seed) in enumerate(SUITE_SEEDS)]
     return rows, time.perf_counter() - t0
 
 
@@ -97,7 +85,7 @@ def perm_runs():
 
 def test_criterion_01_tight_orthant_instance():
     t0 = time.perf_counter()
-    inst, rep, orc = _run(-np.eye(5), samples=8, seed=0)
+    inst, rep, _, orc, _ = _run(-np.eye(5), samples=8, seed=0)
     elapsed = time.perf_counter() - t0
     err = abs(rep.total - SQRT5)
     lower_err = abs(orc.lower_bound - SQRT5)
@@ -109,7 +97,7 @@ def test_criterion_01_tight_orthant_instance():
 
 
 def test_criterion_02_single_row_closed_form():
-    inst, rep, _ = _run(C2, samples=4, seed=0)
+    inst, rep, *_ = _run(C2, samples=4, seed=0)
     cf = closed_form_H0(inst.A)
     err = abs(rep.total - 0.2)
     ok = err <= 1e-6 and cf is not None and abs(rep.total - cf) <= 1e-12
@@ -118,24 +106,24 @@ def test_criterion_02_single_row_closed_form():
 
 
 def test_criterion_03_lineality_only_instance():
-    inst, rep, orc = _run(C3, samples=8, seed=0)
+    inst, rep, _, orc, payload = _run(C3, samples=8, seed=0)
     err = abs(rep.total - TWO_SQRT2)
     lower_err = abs(orc.lower_bound - 1.0)
     ok = (rep.partition.B == (0, 1) and rep.partition.N == ()
-          and err <= 1e-6 and lower_err <= 1e-6 and _sandwich_ok(rep, orc))
+          and err <= 1e-6 and lower_err <= 1e-6 and payload["sandwich"]["ok"])
     _line(3, ok, f"B={rep.partition.B} N={rep.partition.N}, total={rep.total!r} "
                  f"(err {err:.1e}), lower={orc.lower_bound!r} (err {lower_err:.1e})")
 
 
 def test_criterion_04_mixed_instance():
-    inst, rep, orc = _run(C4, samples=8, seed=0)
+    inst, rep, _, orc, payload = _run(C4, samples=8, seed=0)
     comp_errs = (abs(rep.case_n.value - 1.0),
                  abs(rep.case_b.value - TWO_SQRT2),
                  abs(rep.stitch.value - 3.0))
     total_err = abs(rep.total - SIX_SQRT2)
     ok = (rep.partition.B == (0, 1) and rep.partition.N == (2,)
           and max(comp_errs) <= 1e-6 and total_err <= 1e-3
-          and orc.lower_bound >= SQRT2 - 1e-3 and _sandwich_ok(rep, orc))
+          and orc.lower_bound >= SQRT2 - 1e-3 and payload["sandwich"]["ok"])
     _line(4, ok, f"B={rep.partition.B} N={rep.partition.N}, components "
                  f"({rep.case_n.value!r}, {rep.case_b.value!r}, {rep.stitch.value!r}), "
                  f"total={rep.total!r} (err {total_err:.1e}), lower={orc.lower_bound!r}")
@@ -143,8 +131,8 @@ def test_criterion_04_mixed_instance():
 
 def test_criterion_05_randomized_sandwich_suite(sandwich_suite):
     rows, elapsed = sandwich_suite
-    violations = [k for k, (_, rep, orc, _) in enumerate(rows)
-                  if not _sandwich_ok(rep, orc)]
+    violations = [k for k, (*_, payload) in enumerate(rows)
+                  if not payload["sandwich"]["ok"]]
     ok = len(rows) == 120 and not violations and elapsed < 60.0
     _line(5, ok, f"{len(rows)} instances (100 gaussian + 20 degenerate), "
                  f"{len(violations)} sandwich violations, {elapsed:.1f} s")
@@ -177,38 +165,23 @@ def test_criterion_07_permutation_invariance(perm_runs):
 
 
 def test_criterion_08_certificate_audit(sandwich_suite, scaling_runs, perm_runs):
-    failures = []
-    count = 0
-
-    def check(inst, rep):
-        nonlocal count
-        count += 1
-        res = audit_report(inst, rep)
-        if not res.ok:
-            failures.append(res.failures)
-
-    for A in (-np.eye(5), C2, C3, C4):
-        inst = instance(A)
-        check(inst, bound_h0(inst))
-    for inst, rep, _, _ in sandwich_suite[0]:
-        check(inst, rep)
-    for per_alpha in scaling_runs:
-        for _, inst, rep in per_alpha:
-            check(inst, rep)
+    # the closed-form and suite reports carry the pipeline's own audit
+    audits = [_run(A, samples=0, seed=0)[2] for A in (-np.eye(5), C2, C3, C4)]
+    audits += [audit for _, _, audit, _, _ in sandwich_suite[0]]
+    reports = [(inst, rep) for per_alpha in scaling_runs for _, inst, rep in per_alpha]
     for base_inst, base_rep, variants in perm_runs:
-        check(base_inst, base_rep)
-        for _, inst, rep in variants:
-            check(inst, rep)
-
-    ok = not failures
-    _line(8, ok, f"{count} reports re-verified by the solver-free audit, "
-                 f"{len(failures)} failures")
+        reports += [(base_inst, base_rep)] + [(inst, rep) for _, inst, rep in variants]
+    audits += [audit_report(inst, rep) for inst, rep in reports]
+    failures = [res.failures for res in audits if not res.ok]
+    _line(8, not failures, f"{len(audits)} reports re-verified by the solver-free "
+                           f"audit, {len(failures)} failures")
 
 
 def test_criterion_09_determinism(sandwich_suite):
     rows, _ = sandwich_suite
     rerun, _ = _run_suite()
-    mismatches = sum(1 for (_, _, _, a), (_, _, _, b) in zip(rows, rerun) if a != b)
+    mismatches = sum(1 for a, b in zip(rows, rerun)
+                     if canonical_report_json(a[-1]) != canonical_report_json(b[-1]))
     ok = len(rerun) == len(rows) and mismatches == 0
     _line(9, ok, f"{len(rows)} canonical reports recomputed, "
                  f"{mismatches} byte-level mismatches")
@@ -219,8 +192,8 @@ def test_the_partition_lp_runs_only_on_mixed_splits(sandwich_suite):
     # one-sided split of the suite; the LP, which leaves residuals on the
     # certificate, decides exactly the mixed ones
     rows, _ = sandwich_suite
-    ran = [rep.partition.lp is not None for _, rep, _, _ in rows]
-    mixed = [bool(rep.partition.B and rep.partition.N) for _, rep, _, _ in rows]
+    ran = [rep.partition.lp is not None for _, rep, *_ in rows]
+    mixed = [bool(rep.partition.B and rep.partition.N) for _, rep, *_ in rows]
     print(f"partition LP ran on {sum(ran)} of {len(rows)} suite inputs, "
           f"{sum(mixed)} of them mixed")
     assert ran == mixed

@@ -4,14 +4,16 @@
 up at call time and reads attributes off their arguments and results.  This
 test installs that tracer, runs the pipeline once, and checks that every hook
 found its attribute and that the spans carry what the per-layer numbers read.
-``perfbench/run.py`` also calls the pipeline in shapes of its own, which must
-keep working and give the plain calls' report.
+``perfbench/run.py`` also copies the command line's pipeline in call shapes
+of its own, which must keep working and give ``hoffbound.cli.pipeline``'s
+audit and report.
 """
 
 import hoffbound
 import hoffbound.cli as cli
 from hoffbound import (
     ProblemInstance,
+    audit_report,
     bound_h0,
     canonical_report_json,
     lower_bound_monte_carlo,
@@ -60,18 +62,19 @@ def test_traced_pipeline_resolves_every_hook():
 
 
 def test_the_benchmarks_call_shapes_give_the_plain_report():
-    # run.py passes an (empty) SolverConfig to bound_h0 and to the oracle,
-    # and the command line's sandwich tolerance to report_to_dict
+    # run.py copies the command line's pipeline, passing an (empty)
+    # SolverConfig to bound_h0 and to the oracle, and the command line's
+    # sandwich tolerance to report_to_dict
     inst = ProblemInstance.from_matrix(planted_mixed_matrix(3, 30, 8))
-    plain = bound_h0(inst)
-    x_hat = plain.partition.x_hat
-    plain_text = canonical_report_json(report_to_dict(
-        plain, lower_bound_monte_carlo(inst, num_samples=8, seed=0, x_hat=x_hat)))
+    _, plain_audit, _, plain = cli.pipeline(inst, 8, 0)
 
     cfg = hoffbound.SolverConfig()
     report = bound_h0(inst, cfg)
-    orc = lower_bound_monte_carlo(inst, num_samples=8, seed=0, x_hat=x_hat, cfg=cfg)
+    verdict = audit_report(inst, report)
+    orc = lower_bound_monte_carlo(inst, num_samples=8, seed=0,
+                                  x_hat=report.partition.x_hat, cfg=cfg)
     payload = report_to_dict(report, orc, sandwich_rtol=cli.SANDWICH_RTOL)
-    text = canonical_report_json(payload)
     assert report.branch == "general"
-    assert text == plain_text
+    assert (verdict.ok, verdict.failures) == (plain_audit.ok, plain_audit.failures)
+    assert verdict.metrics == plain_audit.metrics
+    assert canonical_report_json(payload) == canonical_report_json(plain)

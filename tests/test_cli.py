@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 import hoffbound.cli as cli
-from hoffbound import OracleResult, save_matrix_csv
+from hoffbound import (
+    AuditResult,
+    OracleResult,
+    ProblemInstance,
+    bound_h0,
+    canonical_report_json,
+    lower_bound_monte_carlo,
+    report_to_dict,
+    save_matrix_csv,
+)
 
 from helpers import planted_mixed_matrix, report_schema
 
@@ -39,10 +48,12 @@ def test_help_exits_cleanly(capsys):
 def test_text_output(csv_path, capsys):
     rc = cli.main(["compute", "--input", csv_path, "--samples", "4"])
     assert rc == cli.EXIT_OK
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "branch:" in out
     assert "total upper bound:" in out
+    assert "audit: passed\n" in out
     assert "sandwich check: consistent" in out
+    assert err == ""
 
 
 def test_text_output_says_whether_the_partition_lp_ran(csv_path, tmp_path, capsys):
@@ -154,3 +165,50 @@ def test_sandwich_violation_exit_code(csv_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "lower_bound_monte_carlo", inflated)
     rc = cli.main(["compute", "--input", csv_path, "--samples", "1"])
     assert rc == cli.EXIT_SANDWICH
+
+
+def _failed_audit(inst, report):
+    return AuditResult(ok=False, failures=("case_N: forged failure",), metrics={})
+
+
+def test_canonical_stdout_is_the_plain_calls_payload(csv_path, capsys):
+    # the audit adds a line to the text output and nothing to the JSON
+    assert cli.main(["compute", "--input", csv_path, "--output", "json",
+                     "--canonical", "--samples", "8", "--seed", "5"]) == cli.EXIT_OK
+    inst = ProblemInstance.from_matrix(-np.eye(3))
+    report = bound_h0(inst)
+    oracle = lower_bound_monte_carlo(inst, num_samples=8, seed=5,
+                                     x_hat=report.partition.x_hat)
+    plain = canonical_report_json(report_to_dict(report, oracle))
+    assert capsys.readouterr().out == plain + "\n"
+
+
+def test_a_failed_audit_prints_the_report_and_exits_with_its_code(
+        csv_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "audit_report", _failed_audit)
+    rc = cli.main(["compute", "--input", csv_path, "--samples", "4"])
+    assert rc == cli.EXIT_AUDIT == 3
+    captured = capsys.readouterr()
+    assert "total upper bound:" in captured.out
+    assert "sandwich check: consistent" in captured.out
+    assert "audit: FAILED\n" in captured.out
+    assert "case_N: forged failure" in captured.err
+    # the JSON report is printed too, with the same bytes as a passing run
+    argv = ["compute", "--input", csv_path, "--output", "json", "--canonical"]
+    assert cli.main(argv) == cli.EXIT_AUDIT
+    failed = capsys.readouterr().out
+    monkeypatch.undo()
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == failed
+
+
+def test_a_failed_audit_takes_precedence_over_the_sandwich(csv_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "audit_report", _failed_audit)
+    monkeypatch.setattr(cli, "lower_bound_monte_carlo", lambda inst, num_samples, seed, **_:
+                        OracleResult(lower_bound=1e9, best_u=None, samples_used=1,
+                                     screened_feasible=0, pruned=0, failed=0, seed=seed))
+    rc = cli.main(["compute", "--input", csv_path, "--samples", "1"])
+    assert rc == cli.EXIT_AUDIT
+    err = capsys.readouterr().err
+    assert "case_N: forged failure" in err
+    assert "sampled lower bound exceeds the certified upper bound" in err

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hoffbound import HoffboundError, bound_h0, lower_bound_monte_carlo
+from hoffbound.io import SANDWICH_RTOL
 from hoffbound.oracle import directed_candidates, ratio_at
 from hoffbound.partition import compute_partition
 
@@ -339,7 +340,7 @@ def test_monte_carlo_respects_certified_totals():
         rep = bound_h0(inst)
         res = lower_bound_monte_carlo(inst, num_samples=8, seed=seed,
                                       x_hat=rep.partition.x_hat)
-        assert res.lower_bound <= rep.total + 1e-6 * (1 + rep.total)
+        assert res.lower_bound <= rep.total + SANDWICH_RTOL * (1 + rep.total)
 
 
 @pytest.mark.parametrize("c", [1e-12, 1e-14])

@@ -1,12 +1,12 @@
 """Check that two checkouts give the same results on the benchmark's reports.
 
 Over every case of ``perfbench/workloads.make_cases`` (workloads ``suite``,
-``ladder`` and ``tall``, seeds 0 and 1) ``--dump`` runs the benchmark's
-pipeline: ``bound_h0``, the audit, and the sampling oracle wherever the
-workload runs it.  It writes one JSON line per case with the canonical
-report text, the audit verdict and the audit metrics, or the type of the
-error ``bound_h0`` raised.  The package is imported from this checkout's
-``src``.
+``ladder`` and ``tall``, seeds 0 and 1) ``--dump`` runs the command line's
+pipeline (``hoffbound.cli.pipeline``: ``bound_h0``, the audit, and the
+sampling oracle wherever the workload runs it).  It writes one JSON line per
+case with the canonical report text, the audit verdict and the audit
+metrics, or the type of the error the pipeline raised.  The package is
+imported from this checkout's ``src``.
 
 Dump each checkout with a copy of this script placed in it, then compare:
 
@@ -61,35 +61,20 @@ def _load_workloads():
 def dump() -> int:
     workloads = _load_workloads()
     sys.path.insert(0, str(ROOT / "src"))
-    from hoffbound import (
-        HoffboundError,
-        ProblemInstance,
-        audit_report,
-        bound_h0,
-        canonical_report_json,
-        lower_bound_monte_carlo,
-        report_to_dict,
-    )
-    from hoffbound.cli import SANDWICH_RTOL
+    from hoffbound import HoffboundError, ProblemInstance, canonical_report_json
+    from hoffbound.cli import pipeline
 
     for workload in WORKLOADS:
         for seed in SEEDS:
             for case in workloads.make_cases(workload, seed):
                 row = {"workload": workload, "seed": seed, "case": case.name}
-                inst = ProblemInstance.from_matrix(case.A)
+                samples = 0 if case.oracle_seed is None else workloads.ORACLE_SAMPLES
                 try:
-                    report = bound_h0(inst)
+                    _, audit, _, payload = pipeline(
+                        ProblemInstance.from_matrix(case.A), samples, case.oracle_seed)
                 except HoffboundError as exc:
                     row["error"] = type(exc).__name__
                 else:
-                    audit = audit_report(inst, report)
-                    oracle = None
-                    if case.oracle_seed is not None:
-                        oracle = lower_bound_monte_carlo(
-                            inst, num_samples=workloads.ORACLE_SAMPLES,
-                            seed=case.oracle_seed, x_hat=report.partition.x_hat,
-                        )
-                    payload = report_to_dict(report, oracle, sandwich_rtol=SANDWICH_RTOL)
                     row.update(report=canonical_report_json(payload),
                                audit_ok=audit.ok, audit=audit.metrics)
                 print(json.dumps(row, sort_keys=True))
