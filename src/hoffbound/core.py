@@ -23,6 +23,7 @@ __all__ = [
     "ScaleOutOfRange",
     "ZERO_NORM_FLOOR",
     "euclidean_norm",
+    "gamma",
     "row_norms",
 ]
 
@@ -37,6 +38,13 @@ ZERO_NORM_FLOOR = 1e-300
 
 # Machine epsilon of a double, 2^-52: twice the unit roundoff.
 EPS = float(np.finfo(float).eps)
+
+
+def gamma(k: int) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)``, ``u = EPS / 2``: the relative
+    error that k roundings can compound to (*Accuracy and Stability of
+    Numerical Algorithms*, §3.1).  Every rounding term is formed from it."""
+    return k * EPS / (2.0 - k * EPS)
 
 
 class HoffboundError(Exception):

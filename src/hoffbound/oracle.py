@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    EPS,
     ZERO_NORM_FLOOR,
     HoffboundError,
     ProblemInstance,
     euclidean_norm,
+    gamma,
 )
 from .solvers.programs import SolverConfig, project_onto_cone
 
@@ -193,18 +193,18 @@ def _distance_caps(
     instance: ProblemInstance, U: np.ndarray, x_hat: np.ndarray | None
 ) -> np.ndarray:
     """Upper bounds on ``dist(u, P)`` for the rows u of ``U``: ``||u||``, or
-    ``min(||u||, dist(u, K) + 4 (n + 2) eps ||u||)`` when the interior
+    ``min(||u||, dist(u, K) + 4 gamma_{2(n+2)} ||u||)`` when the interior
     witness proves the cone K of ``lower_bound_monte_carlo``'s Notes."""
     norms = np.linalg.norm(U, axis=1)
     if x_hat is None:
         return norms
-    gamma = EPS * (instance.n + 2)
+    g = gamma(2 * (instance.n + 2))
     x = np.asarray(x_hat, dtype=float).reshape(instance.n)
     with np.errstate(all="ignore"):  # a zero or non-finite witness gives NaN
         e = x / euclidean_norm(x)
         # no rows: P is the whole space, and every cap is 0 anyway
         sin_t = float((-(instance.unit_rows @ e)).min(initial=1.0))
-    sin_t = sin_t * (1.0 - gamma) - 2.0 * gamma
+    sin_t = sin_t * (1.0 - g) - 2.0 * g
     if not sin_t > 0.0:
         return norms
     cos_t = np.sqrt(1.0 - sin_t * sin_t)
@@ -212,7 +212,7 @@ def _distance_caps(
     s = _norms(U - c[:, None] * e)
     dist = np.where(c * cos_t + s * sin_t >= 0.0,
                     np.maximum(s * cos_t - c * sin_t, 0.0), norms)
-    return np.minimum(norms, dist + 4.0 * gamma * norms)
+    return np.minimum(norms, dist + 4.0 * g * norms)
 
 
 def lower_bound_monte_carlo(
@@ -295,16 +295,16 @@ def lower_bound_monte_carlo(
     is the apex 0.  The first two cases are
     ``c cos(theta) + s sin(theta) >= 0``, where the distance is
     ``max(0, s cos(theta) - c sin(theta))``; the third gives ``||u||``.  So
-    ``D(u) = min(||u||, dist(u, K) + 4 (n + 2) eps ||u||)``.  In floating
-    point ``w_i`` and e have unit norm within ``gamma = (n + 2) eps``, and
-    each computed ``w_i'e`` is within gamma of the exact one, so the
-    computed minimum, times ``1 - gamma``, less ``2 gamma``, is at most the
-    exact ``min_i -w_i'e / (||w_i|| ||e||)``, as in
-    ``partition.slack_margin``; that is the delta used.  The slack
-    ``4 (n + 2) eps ||u||`` covers the rounding in c, s and the closed form,
-    each a few gamma ``||u||``.  When delta is not positive (NaN included,
-    as for a zero witness, or the witness of a mixed split, which lies on
-    the tight rows' hyperplanes) ``D(u) = ||u||``, as it is without one.
+    ``D(u) = min(||u||, dist(u, K) + 4 g ||u||)``, ``g = gamma_{2(n+2)}``.
+    In floating point ``w_i`` and e have unit norm within g, and each
+    computed ``w_i'e`` is within g of the exact one, so the computed
+    minimum, times ``1 - g``, less ``2 g``, is at most the exact
+    ``min_i -w_i'e / (||w_i|| ||e||)``, as in ``partition.slack_margin``;
+    that is the delta used.  The slack ``4 g ||u||`` covers the rounding in
+    c, s and the closed form, each a few g ``||u||``.  When delta is not
+    positive (NaN included, as for a zero witness, or the witness of a
+    mixed split, which lies on the tight rows' hyperplanes) ``D(u) = ||u||``,
+    as it is without one.
 
     The factor ``1 + 1e-9`` covers rounding: ``d(u)`` can exceed ``||u||``
     by an ulp, and ``ratio_at`` recomputes the violation with its own

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS, HoffboundError, ProblemInstance, euclidean_norm, row_norms
+from .core import HoffboundError, ProblemInstance, euclidean_norm, gamma, row_norms
 from .numerics import NumericalFailure, TightBlock
 from .solvers.programs import (
     AnalyticCenterSolution,
@@ -108,12 +108,6 @@ class PartitionCertificate:
         self.y_hat.setflags(write=False)
 
 
-def _gamma(k: int) -> float:
-    """Higham's ``gamma_k = k u / (1 - k u)`` for the unit roundoff u."""
-    u = EPS / 2
-    return k * u / (1.0 - k * u)
-
-
 def slack_margin(block: TightBlock, A_N: np.ndarray, x_hat: np.ndarray) -> float:
     """Margin by which ``x_hat`` proves every row of ``A_N`` slack on P.
 
@@ -127,20 +121,20 @@ def slack_margin(block: TightBlock, A_N: np.ndarray, x_hat: np.ndarray) -> float
     ``min_i -a_i'x_hat / ||a_i|| - d``, -inf when a row is zero.
 
     Rounding: a computed inner product of length n is within
-    ``gamma_{n+2} ||u|| ||v||`` of the exact one, so ``||W x_hat||`` may
-    exceed its computed value by ``gamma fro ||x_hat||`` and each
-    ``a_i'x_hat / ||a_i||`` be off by ``gamma ||x_hat||``.  The margin adds
-    both terms and inflates d by ``1 + gamma`` for the norm and the
-    quotient.  ``sigma`` and the rank are taken as the SVD computes them.
+    ``g ||u|| ||v||``, ``g = gamma(n + 2)``, of the exact one, so
+    ``||W x_hat||`` may exceed its computed value by ``g fro ||x_hat||`` and
+    each ``a_i'x_hat / ||a_i||`` be off by ``g ||x_hat||``.  The margin adds
+    both terms and inflates d by ``1 + g`` for the norm and the quotient.
+    ``sigma`` and the rank are taken as the SVD computes them.
     """
-    gamma = _gamma(x_hat.size + 2)
+    g = gamma(x_hat.size + 2)
     nx = euclidean_norm(x_hat)
     norms = row_norms(A_N)
     if not norms.min() > 0.0:
         return -np.inf
-    d = (euclidean_norm(block.W @ x_hat) + gamma * block.fro * nx) * (1.0 + gamma)
-    d = d / block.sigma + gamma * nx
-    return float((-(A_N @ x_hat) / norms).min()) * (1.0 - gamma) - d
+    d = (euclidean_norm(block.W @ x_hat) + g * block.fro * nx) * (1.0 + g)
+    d = d / block.sigma + g * nx
+    return float((-(A_N @ x_hat) / norms).min()) * (1.0 - g) - d
 
 
 def weight_margin(block: TightBlock, y_hat: np.ndarray) -> float:
@@ -159,19 +153,19 @@ def weight_margin(block: TightBlock, y_hat: np.ndarray) -> float:
     ``||y_hat - y*|| <= ||(W'y_hat, 1'y_hat - 1)|| / sigma_E =: d`` and the
     margin is ``min y_hat - d`` (-inf when sigma_E is 0).
 
-    Rounding: with ``gamma = gamma_{|B|+2}``, the computed residual norm
-    may fall short of the exact one by ``gamma (fro ||y_hat|| +
-    ||y_hat||_1)``; the margin adds that and inflates d by ``1 + gamma``.
+    Rounding: with ``g = gamma(|B| + 2)``, the computed residual norm may
+    fall short of the exact one by ``g (fro ||y_hat|| + ||y_hat||_1)``; the
+    margin adds that and inflates d by ``1 + g``.
     ``sigma_E`` and the basis V are taken as the SVD computes them, and an
     SVD that does not converge raises ``NumericalFailure``.
     """
     sigma_E = block.slice_factors[1]
     if not sigma_E > 0.0:
         return -np.inf
-    gamma = _gamma(y_hat.size + 2)
+    g = gamma(y_hat.size + 2)
     res = euclidean_norm(np.concatenate([y_hat @ block.W, [y_hat.sum() - 1.0]]))
-    res += gamma * (block.fro * euclidean_norm(y_hat) + float(np.abs(y_hat).sum()))
-    return float(y_hat.min()) - res * (1.0 + gamma) / sigma_E
+    res += g * (block.fro * euclidean_norm(y_hat) + float(np.abs(y_hat).sum()))
+    return float(y_hat.min()) - res * (1.0 + g) / sigma_E
 
 
 def compute_partition(instance: ProblemInstance) -> PartitionCertificate:

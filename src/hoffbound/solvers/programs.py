@@ -32,11 +32,11 @@ import scipy.optimize
 from scipy.linalg.lapack import dgeqrf, dtrtrs
 
 from ..core import (
-    EPS,
     ZERO_NORM_FLOOR,
     HoffboundError,
     ProblemInstance,
     euclidean_norm,
+    gamma,
     row_norms,
 )
 from ..numerics import (
@@ -168,7 +168,6 @@ def solve_partition_lp(block: TightBlock, accept: Callable[..., Any]) -> tuple[A
         "primal_eq_inf": float(np.abs(A @ x + s).max(initial=0.0)),
         "normalization": abs(float(y.sum() + s.sum()) - 1.0),
         "coupling_violation": max(0.0, t - float((y + s).min())),
-        "nonneg_violation": max(0.0, -float(min(y.min(), s.min(), t))),
     }
     return res.accepted, {"t": t, "iterations": res.iterations, "residuals": residuals}
 
@@ -308,12 +307,12 @@ def solve_min_norm_qp(G: np.ndarray) -> MinNormSolution:
         # Weak duality: every lam >= 0 gives ||z||^2 >= 1'lam - ||G'lam||^2 / 4.
         # Along lam = t u the best t gives (1'u)^2 / ||G'u||^2, which needs no
         # rho (rho = 1 - 1'u cancels as ||z|| grows).  At the optimum the bound
-        # meets ||z||^2, so its rounding error is taken off: gamma bounds the
-        # relative error of each sum and product in it.  gamma is a numpy
-        # scalar, so the power overflows to inf here rather than raising.
-        gamma = (k + d + 2) * np.float64(EPS)
-        den = euclidean_norm(G.T @ u) + gamma * euclidean_norm(np.abs(G).T @ u)
-        dual_lower = (1.0 - gamma) * (float(u.sum()) / den) ** 2
+        # meets ||z||^2, so its rounding error is taken off: g bounds the
+        # relative error of each sum and product in it.  g is a numpy scalar,
+        # so the power overflows to inf here rather than raising.
+        g = np.float64(gamma(2 * (k + d + 2)))
+        den = euclidean_norm(G.T @ u) + g * euclidean_norm(np.abs(G).T @ u)
+        dual_lower = (1.0 - g) * (float(u.sum()) / den) ** 2
 
         norm = euclidean_norm(z_best)
         if not np.isfinite(norm):

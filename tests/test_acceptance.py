@@ -7,6 +7,7 @@ run against exactly the instances the sandwich checks saw.
 """
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,18 @@ def _run(A, *, samples, seed):
     payload)."""
     inst = instance(A)
     return (inst, *pipeline(inst, samples, seed))
+
+
+def _exact_products(A, x):
+    """``A x`` in exact rational arithmetic on the stored floats."""
+    xs = [Fraction(v) for v in x.tolist()]
+    return [sum((Fraction(a) * v for a, v in zip(row, xs)), Fraction(0))
+            for row in A.tolist()]
+
+
+def _exact_sq_norm(x):
+    """``||x||^2`` in exact rational arithmetic on the stored floats."""
+    return sum((Fraction(v) ** 2 for v in x.tolist()), Fraction(0))
 
 
 def _suite_matrix(kind, seed):
@@ -198,3 +211,54 @@ def test_the_partition_lp_runs_only_on_mixed_splits(sandwich_suite):
           f"{sum(mixed)} of them mixed")
     assert ran == mixed
     assert sum(mixed) == 4
+
+
+def test_the_partition_witnesses_hold_in_exact_arithmetic(sandwich_suite):
+    # x_hat and y_bar prove strict inequalities, evaluated here on their
+    # stored floats with no rounding: A_N x_hat < 0 and y_bar > 0
+    rows, _ = sandwich_suite
+    failures = []
+    for k, (inst, rep, *_) in enumerate(rows):
+        part = rep.partition
+        if part.N and not max(_exact_products(inst.A[list(part.N)], part.x_hat)) < 0:
+            failures.append(f"{k}: A_N x_hat")
+        if rep.case_b is not None and not all(Fraction(y) > 0 for y in rep.case_b.y_bar.tolist()):
+            failures.append(f"{k}: y_bar")
+    print(f"{len(rows)} suite reports, {len(failures)} exact witness failures")
+    assert failures == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="case N's and the stitch's witnesses and values are "
+                          "computed in floating point, and some miss what they "
+                          "claim by ~1e-15 (ROADMAP item 21)")
+def test_the_value_witnesses_hold_in_exact_arithmetic(sandwich_suite):
+    # case N: min(A_N x_bar) >= 1 and value >= ||x_bar|| / min(A_N x_bar);
+    # the stitch: a_i'w_bar >= ||a_i|| on each slack row and
+    # value >= 1 + 2 ||w_bar|| / min_i (a_i'w_bar / ||a_i||).  Each holds in
+    # exact rational arithmetic on the stored floats, squared to keep the
+    # norms rational.
+    rows, _ = sandwich_suite
+    failures = []
+    for k, (inst, rep, *_) in enumerate(rows):
+        A_N = inst.A[list(rep.partition.N)]
+        if rep.case_n is not None:
+            x = rep.case_n.x_bar
+            low = min(_exact_products(A_N, x))
+            if not low >= 1:
+                failures.append(f"{k}: case-N margin misses 1 by {float(1 - low):.1e}")
+            if not (low > 0 and Fraction(rep.case_n.value) ** 2 * low**2 >= _exact_sq_norm(x)):
+                failures.append(f"{k}: case-N value")
+        if rep.stitch is not None:
+            w = rep.stitch.w_bar
+            dots = _exact_products(A_N, w)
+            rows_sq = [_exact_sq_norm(a) for a in A_N]
+            if not all(d > 0 and d * d >= r for d, r in zip(dots, rows_sq)):
+                failures.append(f"{k}: stitch margin")
+            half = (Fraction(rep.stitch.value) - 1) / 2
+            low_sq = min(d * d / r for d, r in zip(dots, rows_sq))
+            if not (min(dots) > 0 and half >= 0 and half**2 * low_sq >= _exact_sq_norm(w)):
+                failures.append(f"{k}: stitch value")
+    print(f"{len(rows)} suite reports, {len(failures)} exact witness failures:",
+          *failures, sep="\n")
+    assert failures == []

@@ -59,18 +59,65 @@ def _unused_imports(path):
     return imported - read - exported
 
 
+def _modules():
+    """Each module of the package as ``(dotted name, path)``."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        yield ".".join(parts[:-1] if parts[-1] == "__init__" else parts), path
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # the benchmark's tracer wraps some functions where a module imports
     # them, so those imports stay while the tracer reads them
     spans = load_file_module("perfbench_spans", ROOT / "perfbench" / "spans.py")
     hooked = {(module, attr) for module, attr, _, _ in spans.HOOKS}
     unused = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
-        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+    for module, path in _modules():
         unused += [f"{module}.{name}" for name in sorted(_unused_imports(path))
                    if (module, name) not in hooked]
     assert unused == []
+
+
+def _eps_readers(source):
+    """Qualified names of the functions and classes in ``source`` that read
+    machine epsilon, as the name ``EPS``, an attribute ``.EPS`` or an
+    attribute ``.eps`` such as ``np.finfo(float).eps``; "" stands for the
+    module's top level."""
+    readers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Name) and node.id == "EPS"
+                and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr in ("EPS", "eps")):
+            readers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return readers
+
+
+def test_the_guard_finds_eps_readers():
+    assert _eps_readers("from .core import EPS\n__all__ = ['EPS']\n") == set()
+    assert _eps_readers("from .core import EPS\ndef f(k):\n    return k * EPS\n") == {"f"}
+    assert _eps_readers(
+        "import numpy as np\nfrom . import core\nclass C:\n    def g(self):\n"
+        "        return np.finfo(float).eps + core.EPS\nTOL = 2.0 * core.EPS\n"
+    ) == {"C.g", ""}
+
+
+def test_machine_epsilon_is_read_only_by_gamma_and_the_rank_rule():
+    # every rounding term is a core.gamma(k), so no module forms its own
+    # multiple of EPS; the rank rule's cut, max(m, n) eps s_1, is the size
+    # of the SVD's backward error, not a rounding term of a check.  The one
+    # top-level read is EPS's definition in core.
+    readers = {f"{module}.{scope}" if scope else module
+               for module, path in _modules()
+               for scope in _eps_readers(path.read_text())}
+    assert readers == {"hoffbound.core", "hoffbound.core.gamma",
+                       "hoffbound.numerics.numerical_rank"}
 
 
 def _private_scipy_names(source):

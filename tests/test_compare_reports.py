@@ -1,8 +1,8 @@
 """``tools/compare_reports.py`` on small hand-written dumps.
 
 Each row stands for one case of a ``--dump``: the canonical report text, the
-audit verdict and the audit metrics.  The comparison gates B/N, totals and
-lower bounds, and names every other leaf that moved.
+audit verdict and the audit metrics.  The comparison gates B/N, totals,
+lower bounds and the sandwich verdict, and names every other leaf that moved.
 """
 
 import json
@@ -67,18 +67,20 @@ def test_a_moved_float_leaf_is_named_with_its_relative_change(compare):
 
 
 def test_a_leaf_on_one_side_only_differs(compare):
-    # and is told apart from a non-numeric leaf that changed
+    # and is told apart from a non-numeric leaf that changed; the new
+    # sandwich.ok is false, which is also a mismatch
     old = [_row("c0"), _row("c1", sandwich={"ok": True, "upper": 2.0})]
     new = [_row("c0", x_hat=(0.6, 0.8, 0.0)),
            _row("c1", audit={"slack_margin": 0.5, "weight_margin": 1.0},
                 sandwich={"ok": False})]
     code, lines = compare(old, new)
-    assert code == 0
+    assert code == 1
     assert lines[3:] == [
         "audit.weight_margin: added in 1 of 2 cases, first at ('suite', 0, 'c1')",
         "partition.x_hat: added in 1 of 2 cases, first at ('suite', 0, 'c0')",
         "sandwich.ok: 1 of 2 cases differ, largest relative change inf at ('suite', 0, 'c1')",
         "sandwich.upper: removed in 1 of 2 cases, first at ('suite', 0, 'c1')",
+        "MISMATCH ('suite', 0, 'c1'): sandwich fails",
     ]
 
 
@@ -110,7 +112,8 @@ def test_a_moved_leaf_counts_the_cases_it_rose_and_fell_in(compare):
     ({"N": (0,)}, "MISMATCH ('suite', 0, 'c0'): N [0, 1] -> [0]"),
     ({"total": 2.0 * (1.0 + 2e-9)},
      "MISMATCH ('suite', 0, 'c0'): total 2.0 -> 2.000000004 (relative 2.000e-09 > 1e-09)"),
-], ids=["N", "total"])
+    ({"sandwich": {"ok": False}}, "MISMATCH ('suite', 0, 'c0'): sandwich fails"),
+], ids=["N", "total", "sandwich"])
 def test_a_gated_change_fails_with_a_mismatch_line(compare, change, mismatch):
     code, lines = compare([_row("c0"), _row("c1")], [_row("c0", **change), _row("c1")])
     assert code == 1

@@ -274,6 +274,7 @@ def test_schema_rejects_unknown_keys():
         (("bounds", "stitch"), "min_margin", 1.0),
         (("sandwich",), "upper", rep.total),
         (("sandwich",), "lower", oracle.lower_bound),
+        (("sandwich",), "tolerance", 1e-6),
     ]:
         payload = report_to_dict(rep, oracle)
         node = payload

@@ -461,18 +461,21 @@ def test_partition_lp_optimal_values(A, t_star):
 def test_partition_lp_residuals_and_cap():
     for seed in range(10):
         inst = instance(gaussian_matrix(100 + seed))
-        lp, _, _ = optimal_lp(inst.A)
+        lp, y, s = optimal_lp(inst.A)
         assert lp["t"] <= 1.0 / inst.m + 1e-9
         assert lp["t"] > 0.0
+        # the iterate stays interior: no weight or slack leaves the orthant
+        assert y.min() > 0.0 and s.min() > 0.0
         for key in ("dual_eq_inf", "primal_eq_inf", "normalization",
-                    "coupling_violation", "nonneg_violation"):
+                    "coupling_violation"):
             assert lp["residuals"][key] <= 1e-7 * max(1.0, inst.frobenius_scale)
 
 
-def _check_lp(inst, lp):
+def _check_lp(inst, lp, y, s):
     budget = LP_FEAS_TOL * 10.0 * max(1.0, inst.frobenius_scale)
-    for key in ("dual_eq_inf", "primal_eq_inf", "normalization", "nonneg_violation"):
+    for key in ("dual_eq_inf", "primal_eq_inf", "normalization"):
         assert lp["residuals"][key] <= budget, key
+    assert y.min() > 0.0 and s.min() > 0.0
     assert 0.0 < lp["t"] <= 1.0 / inst.m + 1e-9
 
 
@@ -484,7 +487,7 @@ def test_partition_lp_on_a_rank_deficient_rotated_matrix():
     A = benchmark_matrix("suite", 1, "degenerate-8")
     assert A.shape == (4, 5) and np.linalg.matrix_rank(A) == 2
     inst = instance(A)
-    _check_lp(inst, optimal_lp(inst.A)[0])
+    _check_lp(inst, *optimal_lp(inst.A))
     cert = compute_partition(inst)
     assert (cert.B, cert.N) == ((0, 1, 2, 3), ())
     assert verify_partition(inst, cert).ok
@@ -494,15 +497,15 @@ def test_partition_lp_with_a_zero_column_and_zero_rows():
     A = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
                   [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
     inst = instance(A)
-    _check_lp(inst, optimal_lp(inst.A)[0])
+    _check_lp(inst, *optimal_lp(inst.A))
     cert = compute_partition(inst)
     assert (cert.B, cert.N) == ((0, 1, 2, 4), (3,))
     assert verify_partition(inst, cert).ok
     # with every row zero the row space is empty (r = 0): y is uniform and
     # the margin is 1/m
     zero = instance(np.zeros((3, 2)))
-    lp, y, _ = optimal_lp(zero.A)
-    _check_lp(zero, lp)
+    lp, y, s = optimal_lp(zero.A)
+    _check_lp(zero, lp, y, s)
     assert np.allclose(y, 1.0 / 3.0, atol=1e-9)
     assert lp["t"] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
@@ -561,8 +564,8 @@ def test_partition_lp_converges_where_the_weights_span_sixteen_decades(monkeypat
 
     monkeypatch.setattr(hoffbound.solvers.ipm, "_Newton", recording)
     inst = instance(benchmark_matrix("suite", 1, "gaussian-94"))
-    lp, y, _ = optimal_lp(inst.A)
-    _check_lp(inst, lp)
+    lp, y, s = optimal_lp(inst.A)
+    _check_lp(inst, lp, y, s)
     assert max(spans) > 1e16
     assert lp["t"] == pytest.approx(4.3148e-6, rel=1e-4)
     assert np.all(y >= 0.5 * lp["t"])

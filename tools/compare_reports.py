@@ -25,8 +25,9 @@ a relative change of inf.  A leaf present on one side only prints as
 ``removed`` or ``added``, with the number of cases and the first of them.
 Moved fields are reported, not gated.  Last come the ``MISMATCH`` lines;
 the exit code is 1 unless both dumps cover the same cases with the same
-branches, B/N, errors and audit verdicts, every audit passes, totals agree
-within ``TOTAL_RTOL`` and lower bounds within ``LOWER_RTOL``.
+branches, B/N, errors and audit verdicts, every audit and every sandwich
+check (``sandwich.ok``) of the new dump passes, totals agree within
+``TOTAL_RTOL`` and lower bounds within ``LOWER_RTOL``.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ def _load(path: str) -> dict[tuple, dict]:
                 part = tree["partition"]
                 row.update(tree=tree, branch=tree["branch"], B=part["B"],
                            N=part["N"], total=tree["bounds"]["total"],
-                           lower=(tree["oracle"] or {}).get("lower_bound"))
+                           lower=(tree["oracle"] or {}).get("lower_bound"),
+                           sandwich_ok=(tree.get("sandwich") or {}).get("ok", True))
             cases[row["workload"], row["seed"], row["case"]] = row
     return cases
 
@@ -139,6 +141,8 @@ def compare(old_path: str, new_path: str) -> int:
         if "error" not in b:
             if not b["audit_ok"]:
                 problems.append(f"{key}: audit fails")
+            if not b["sandwich_ok"]:
+                problems.append(f"{key}: sandwich fails")
             for field, tol in (("total", TOTAL_RTOL), ("lower", LOWER_RTOL)):
                 rel = _rel(a.get(field), b.get(field))
                 if rel > tol:
