@@ -210,8 +210,8 @@ def compute_partition(instance: ProblemInstance) -> PartitionCertificate:
     AmbiguousIndex
         If the LP converges without an iterate whose split is proven.
     SolverStall
-        If the LP stalls, diverges, meets a singular Newton system or
-        reaches its iteration cap first.
+        If the LP diverges, meets a singular Newton system or reaches its
+        iteration cap first.
     NumericalFailure
         If an SVD of A or of the tight rows does not converge.
     """
@@ -252,7 +252,7 @@ def compute_partition(instance: ProblemInstance) -> PartitionCertificate:
                 return None
         return b_mask, block, A_N, x_hat, y_hat
 
-    def accept(x, y, s, t):
+    def accept(x, y, s):
         # An interior x proves every row slack, whatever y > s says.
         return certify(all_slack if (A @ x < 0.0).all() else y > s, x, y)
 

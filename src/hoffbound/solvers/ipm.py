@@ -54,8 +54,6 @@ __all__ = ["MAX_ITERS", "IPMResult", "solve_qp_ipm"]
 MAX_ITERS = 500
 
 _DIV_FLOOR = 1e-300
-_STALL_WINDOW = 25
-_STALL_FACTOR = 0.999
 
 _GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (np.empty(0),))
 
@@ -154,19 +152,22 @@ def solve_qp_ipm(feas_tol: float, gap_tol: float, M: np.ndarray,
         The LP's matrix in row-space coordinates, of full column rank r
         (r = 0 is allowed).
     accept : callable
-        Called as ``accept(x, y, s, t)`` on every finite iterate, the
-        starting point included, before the convergence test.  The first
-        iterate for which it returns something other than None ends the
-        solve as ``"converged"``, with the return value as ``accepted``.
+        Called as ``accept(x, y, s)`` on every finite iterate, the starting
+        point included, before the convergence test.  The first iterate for
+        which it returns something other than None ends the solve as
+        ``"converged"``, with the return value as ``accepted``.
 
     Returns
     -------
     IPMResult
-        Final iterate, with status ``"converged"``, ``"stalled"`` (also at
-        the ``MAX_ITERS`` cap), ``"diverged"`` when an iterate overflowed
-        to inf or NaN, or ``"singular"`` when the LU of an iterate's Newton
-        system met a zero pivot.  numpy's warnings for that overflow are
-        silenced, since it is detected and ends the solve.
+        Final iterate.  A solve ends at the first of five events, and the
+        status names it: an accepted iterate, or one that meets both
+        tolerances (``"converged"``, with ``accepted`` None in the second
+        case); an iterate that overflowed to inf or NaN (``"diverged"``);
+        an iterate whose Newton system has an LU with a zero pivot
+        (``"singular"``); or the ``MAX_ITERS`` cap (``"stalled"``).  No
+        test of progress ends a solve early.  numpy's warnings for that
+        overflow are silenced, since it is detected and ends the solve.
     """
     m, r = M.shape
     r1 = r + 1
@@ -204,8 +205,6 @@ def solve_qp_ipm(feas_tol: float, gap_tol: float, M: np.ndarray,
     g = np.ones(k)
     z = np.ones(k)
 
-    best_merit = np.inf
-    stall_counter = 0
     status = "stalled"
     found = None
     it = 0
@@ -226,22 +225,12 @@ def solve_qp_ipm(feas_tol: float, gap_tol: float, M: np.ndarray,
         if not math.isfinite(rel_p + rel_d + gap):
             status = "diverged"
             break
-        found = accept(x, g[:m], g[m : 2 * m], t)
+        found = accept(x, g[:m], g[m : 2 * m])
         if found is not None:
             status = "converged"
             break
-        merit = max(rel_p, rel_d, gap)
-        if merit < best_merit:
-            if merit < best_merit * _STALL_FACTOR:
-                stall_counter = 0
-            best_merit = merit
-        else:
-            stall_counter += 1
-
         if rel_p <= feas_tol and rel_d <= feas_tol and gap <= gap_tol:
             status = "converged"
-            break
-        if stall_counter >= _STALL_WINDOW:
             break
 
         D = z / g

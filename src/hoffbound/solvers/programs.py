@@ -132,7 +132,7 @@ def solve_partition_lp(block: TightBlock, accept: Callable[..., Any]) -> tuple[A
     which keeps the Newton systems of ``ipm.solve_qp_ipm`` nonsingular;
     their dimension is 2 rank(A) + 2.
 
-    ``accept(x, y, s, t)`` is called on every iterate, with x in the
+    ``accept(x, y, s)`` is called on every iterate, with x in the
     coordinates of A, and the first iterate for which it returns something
     other than None ends the solve.  Returns ``(accepted, lp)``: that return
     value, or None when the iterates met ``LP_FEAS_TOL`` and ``LP_OPT_TOL``
@@ -143,13 +143,13 @@ def solve_partition_lp(block: TightBlock, accept: Callable[..., Any]) -> tuple[A
     Raises
     ------
     SolverStall
-        If the interior-point iteration stalls, diverges, meets a singular
-        Newton system or reaches its cap.
+        If the interior-point iteration diverges, meets a singular Newton
+        system or reaches its cap.
     """
     V = block.V
 
-    def accept_x(x, y, s, t):
-        return accept(np.ldexp(V @ x, -block.exp), y, s, t)
+    def accept_x(x, y, s):
+        return accept(np.ldexp(V @ x, -block.exp), y, s)
 
     # The matrix is the third positional argument because the benchmark's
     # tracer reads the system size off args[2].shape.

@@ -162,7 +162,7 @@ def optimal_lp(A):
     y and s."""
     last = []
 
-    def never(x, y, s, t):
+    def never(x, y, s):
         last[:] = y.copy(), s.copy()
 
     accepted, lp = solve_partition_lp(TightBlock(A), never)

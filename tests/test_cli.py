@@ -112,9 +112,10 @@ def test_mtx_input(tmp_path, capsys):
 
 
 def test_missing_input_exits_with_error(tmp_path, capsys):
-    rc = cli.main(["compute", "--input", str(tmp_path / "absent.csv")])
-    assert rc == cli.EXIT_ERROR
-    assert "error:" in capsys.readouterr().err
+    for name in ("absent.csv", "absent.mtx"):
+        rc = cli.main(["compute", "--input", str(tmp_path / name)])
+        assert rc == cli.EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
 
 
 def test_invalid_compute_arguments_exit_with_error(csv_path, capsys):

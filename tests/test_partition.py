@@ -1,6 +1,7 @@
 """Tight/slack row partition certificates and their independent verification."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import hoffbound.partition
 import hoffbound.solvers.programs
 from hoffbound import AmbiguousIndex, HoffboundError, audit_report, bound_h0
 from hoffbound.audit import verify_partition
-from hoffbound.numerics import TightBlock
+from hoffbound.numerics import NumericalFailure, TightBlock
 from hoffbound.partition import PartitionCertificate, compute_partition, slack_margin
 from hoffbound.solvers.programs import (
     AnalyticCenterSolution,
@@ -259,11 +260,11 @@ def test_an_all_slack_input_stops_at_its_first_interior_iterate(monkeypatch):
     # ... so the fit is made to defer, and the LP runs
     monkeypatch.setattr(hoffbound.partition, "solve_min_norm_qp", _no_fit)
     _, first = solve_partition_lp(
-        full, lambda x, y, s, t: True if (A @ x < 0.0).all() else None)
+        full, lambda x, y, s: True if (A @ x < 0.0).all() else None)
     # every row has s > y only later (the start ties y = s), and no earlier
     # iterate's split could have been proven
     _, late = solve_partition_lp(
-        full, lambda x, y, s, t: True if (s > y).all() else None)
+        full, lambda x, y, s: True if (s > y).all() else None)
     assert first["iterations"] < late["iterations"]
     cert = compute_partition(instance(A))
     assert cert.B == ()
@@ -345,6 +346,29 @@ def test_a_failed_fit_or_center_falls_back_to_the_lp(monkeypatch, seed, program)
     cert = compute_partition(inst)
     assert (cert.B, cert.N) == (proven.B, proven.N)
     assert cert.solution is None and cert.lp["t"] > 0.0 and cert.lp["residuals"]
+    assert verify_partition(inst, cert).ok
+
+
+def test_a_split_whose_block_factorization_fails_is_left_to_later_iterates(monkeypatch):
+    # certify treats a NumericalFailure of the candidate B's TightBlock as an
+    # unproven split: here the second block it builds fails, and the LP goes
+    # on to prove the planted split at a later iterate
+    A, slack = planted_mixed_split(0, 30, 8)
+    inst = instance(A)
+    built = []
+
+    def fail_second(rows):
+        if sys._getframe(1).f_code.co_name == "certify":
+            built.append(rows.shape[0])
+            if len(built) == 2:
+                raise NumericalFailure("forced")
+        return TightBlock(rows)
+
+    monkeypatch.setattr(hoffbound.partition, "TightBlock", fail_second)
+    cert = compute_partition(inst)
+    assert len(built) > 2
+    assert cert.N == tuple(int(i) for i in np.flatnonzero(slack))
+    assert cert.lp is not None
     assert verify_partition(inst, cert).ok
 
 

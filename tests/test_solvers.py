@@ -204,6 +204,17 @@ def test_analytic_center_empty_slice():
                 solve_analytic_center(TightBlock(np.array(A)))
 
 
+def test_analytic_center_raises_solver_stall_when_the_cap_comes_after_a_full_step(
+        monkeypatch):
+    # Newton converges in 7 steps here and takes its first full step at the
+    # third; a cap of 4 ends it between the two
+    block = TightBlock(np.array([[1.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [0.0, -3.0]]))
+    assert solve_analytic_center(block).iterations > 4
+    monkeypatch.setattr(hoffbound.solvers.programs, "MAX_ITERS", 4)
+    with pytest.raises(SolverStall, match="stalled at decrement"):
+        solve_analytic_center(block)
+
+
 def _assert_in_range(K, b, rtol):
     coef = np.linalg.lstsq(K, b, rcond=None)[0]
     assert np.linalg.norm(K @ coef - b) <= rtol * np.linalg.norm(b)
