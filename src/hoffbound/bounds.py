@@ -126,7 +126,11 @@ class BoundReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def bound_case_n(A_N: np.ndarray, fit: MinNormSolution | None = None) -> CaseNBound:
+def bound_case_n(
+    A_N: np.ndarray,
+    fit: MinNormSolution | None = None,
+    x_hat: np.ndarray | None = None,
+) -> CaseNBound:
     """Certified bound for the slack-row block via a minimum-norm point.
 
     Any x_bar with A_N x_bar >= 1 componentwise certifies that every unit of
@@ -134,10 +138,15 @@ def bound_case_n(A_N: np.ndarray, fit: MinNormSolution | None = None) -> CaseNBo
     Euclidean distance, so the minimum-norm such point gives the tightest
     bound of this family.  ``fit`` is ``solve_min_norm_qp(A_N)`` when
     the caller has it already: the partition's least-distance fit, when
-    that fit proved every row slack.
+    that fit proved every row slack.  ``x_hat`` is the partition's interior
+    witness, with ``A_N x_hat < 0``; the fit takes ``-x_hat`` as the seed
+    of its working set (``solve_min_norm_qp``'s ``z0``), which orders the
+    work, not the answer.
     """
     A_N = np.asarray(A_N, dtype=float)
-    sol = fit if fit is not None else solve_min_norm_qp(A_N)
+    sol = fit
+    if sol is None:
+        sol = solve_min_norm_qp(A_N, None if x_hat is None else -x_hat)
     return CaseNBound(value=sol.norm, x_bar=sol.z.copy())
 
 
@@ -167,7 +176,9 @@ def bound_case_b(
     return CaseBBound(value=2.0 / sigma, y_bar=ac.y.copy(), sigma=sigma)
 
 
-def bound_stitch(block: TightBlock, A_N: np.ndarray) -> StitchBound:
+def bound_stitch(
+    block: TightBlock, A_N: np.ndarray, x_hat: np.ndarray | None = None
+) -> StitchBound:
     """Certified restriction factor tying the block bounds together.
 
     Within L = null(A_B), spanned by the null basis Q of ``block``, the
@@ -176,15 +187,21 @@ def bound_stitch(block: TightBlock, A_N: np.ndarray) -> StitchBound:
     1 + 2 ||w_bar|| (taken as 1 + 2 ||z||) bounds how much distances can grow
     when passing from the subspace to the cone cut out of it.  An empty
     ``A_N``, or one with a zero row, raises ``ValueError``: a slack row
-    proven by ``slack_margin`` is never zero.
+    proven by ``slack_margin`` is never zero.  ``x_hat`` is the partition's
+    interior witness, which lies in L up to the residual ``slack_margin``
+    allows, with ``A_N x_hat < 0``; the fit takes ``-Q'x_hat`` as the seed
+    of its working set (``solve_min_norm_qp``'s ``z0``).
     """
     A_N = np.asarray(A_N, dtype=float)
     norms = row_norms(A_N)
     if A_N.shape[0] == 0 or not norms.min() > 0.0:
         raise ValueError("the slack set must be nonempty, with no zero row")
 
-    sol = solve_min_norm_qp(A_N * (1.0 / norms)[:, None] @ block.Q)
-    return StitchBound(value=1.0 + 2.0 * sol.norm, w_bar=block.Q @ sol.z)
+    Q = block.Q
+    sol = solve_min_norm_qp(
+        A_N * (1.0 / norms)[:, None] @ Q, None if x_hat is None else -(x_hat @ Q)
+    )
+    return StitchBound(value=1.0 + 2.0 * sol.norm, w_bar=Q @ sol.z)
 
 
 def _timed(timings: dict[str, float], key: str, fn, *args, **kwargs):
@@ -231,11 +248,13 @@ def bound_h0(instance: ProblemInstance, cfg: SolverConfig | None = None) -> Boun
     # proven by the analytic center all tight: its solution is that side's
     # solve.
     if cert.N:
-        case_n = _timed(timings, "case_n_s", bound_case_n, A_N, cert.solution)
+        case_n = _timed(
+            timings, "case_n_s", bound_case_n, A_N, cert.solution, cert.x_hat
+        )
     if cert.B:
         case_b = _timed(timings, "case_b_s", bound_case_b, cert.block, cert.solution)
     if cert.N and cert.B:
-        stitch = _timed(timings, "stitch_s", bound_stitch, cert.block, A_N)
+        stitch = _timed(timings, "stitch_s", bound_stitch, cert.block, A_N, cert.x_hat)
         total, branch = stitch.value * max(case_n.value, case_b.value), "general"
     elif cert.N:
         total, branch = case_n.value, "case_N"

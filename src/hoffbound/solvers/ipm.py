@@ -165,8 +165,11 @@ def solve_qp_ipm(feas_tol: float, gap_tol: float, M: np.ndarray,
         tolerances (``"converged"``, with ``accepted`` None in the second
         case); an iterate that overflowed to inf or NaN (``"diverged"``);
         an iterate whose Newton system has an LU with a zero pivot
-        (``"singular"``); or the ``MAX_ITERS`` cap (``"stalled"``).  No
-        test of progress ends a solve early.  numpy's warnings for that
+        (``"singular"``); or the ``MAX_ITERS`` cap (``"stalled"``), at
+        the iterate after the last step, which ``accept`` and the
+        convergence test have seen.  ``iterations`` counts the Newton steps
+        taken, so a capped solve reports ``MAX_ITERS``.  No test of
+        progress ends a solve early.  numpy's warnings for that
         overflow are silenced, since it is detected and ends the solve.
     """
     m, r = M.shape
@@ -207,8 +210,7 @@ def solve_qp_ipm(feas_tol: float, gap_tol: float, M: np.ndarray,
 
     status = "stalled"
     found = None
-    it = 0
-    for it in range(MAX_ITERS):
+    for it in range(MAX_ITERS + 1):
         t = float(g[3 * m])
         u = np.concatenate((x, g[3 * m :], g[:m]))
         Mx, Nlam = np.stack((np.append(x, 0.0), lam)) @ N.T
@@ -231,6 +233,8 @@ def solve_qp_ipm(feas_tol: float, gap_tol: float, M: np.ndarray,
             break
         if rel_p <= feas_tol and rel_d <= feas_tol and gap <= gap_tol:
             status = "converged"
+            break
+        if it == MAX_ITERS:
             break
 
         D = z / g

@@ -7,9 +7,9 @@ Four operations are exposed, each calling its engine directly:
   iterate by iterate for a proven split, in the row-space coordinates of
   ``numerics.TightBlock(A)``, by the interior-point method of ``ipm.py``.
 * ``solve_min_norm_qp``: minimum-Euclidean-norm point of ``{z : G z >= 1}``
-  by one nonnegative least-squares fit (Lawson & Hanson's least-distance
-  program), with exact feasibility after restoration and a certified
-  duality gap.
+  by nonnegative least-squares fits (Lawson & Hanson's least-distance
+  program), on a working set of rows when a seed point is given, with
+  exact feasibility after restoration and a certified duality gap.
 * ``solve_analytic_center``: log-barrier center of ``{y > 0 : A_B' y = 0,
   sum(y) = 1}`` by Newton on its unconstrained dual, in the row space of the
   partition's ``numerics.TightBlock``, started from the uniform point.
@@ -87,9 +87,10 @@ class InfeasibleQP(HoffboundError):
     double precision; on a slack block this signals an upstream partition
     error.
 
-    ``weights`` is the fit's ``u >= 0`` on the rows of G when the fit found
-    no point, else None.  On an infeasible system ``G'u`` vanishes and
-    ``1'u = 1`` up to rounding: the Farkas weights that prove it infeasible.
+    ``weights`` is the fit's ``u >= 0`` on the rows of G (zero outside its
+    working set) when the fit found no point, else None.  On an infeasible
+    system ``G'u`` vanishes and ``1'u = 1`` up to rounding: the Farkas
+    weights that prove it infeasible.
     """
 
     def __init__(self, message: str, weights: np.ndarray | None = None):
@@ -236,11 +237,11 @@ def _restore_feasibility(G: np.ndarray, z: np.ndarray) -> np.ndarray | None:
     raise NumericalFailure("feasibility restoration failed to close the margin")
 
 
-def solve_min_norm_qp(G: np.ndarray) -> MinNormSolution:
+def solve_min_norm_qp(G: np.ndarray, z0: np.ndarray | None = None) -> MinNormSolution:
     """Minimum-norm point of the polyhedron ``{z : G z >= 1}``.
 
     This is a least-distance program, solved as in Lawson & Hanson (1974,
-    ch. 23) by one nonnegative least-squares fit ``min_{u >= 0} ||M u - e||``
+    ch. 23) by a nonnegative least-squares fit ``min_{u >= 0} ||M u - e||``
     with ``M = [G'; 1']`` and ``e`` the last unit vector: the residual
     ``r = M u - e`` gives the point ``r[:d] / -r[d]``, and ``u``, scaled,
     the multipliers.  The fit fixes the point only to about
@@ -249,6 +250,26 @@ def solve_min_norm_qp(G: np.ndarray) -> MinNormSolution:
     feasibility holds exactly.  Polishing makes the returned point a
     deterministic function of the active set, which keeps the result stable
     under row permutations and matrix rescalings.
+
+    At most ``d + 1`` multipliers are positive at the optimum, so when a
+    point ``z0`` is given and G has more than ``4 (d + 1)`` rows, the fit
+    runs on a working set S of rows.  S starts as the ``2 (d + 1)`` rows with
+    the smallest ``g_i'z0``: for ``G z0 > 0`` these bind first along z0.
+    Each round then adds up to ``d + 1`` of the rows that its point violates
+    most, and the loop stops on one of two exact events:
+
+    * the point satisfies every row: it is optimal for a relaxation of the
+      program and feasible for the program, so optimal for it;
+    * the fit on S is infeasible: its weights, zero outside S, satisfy
+      ``G'u = 0`` and ``1'u = 1`` for all of G, a Farkas certificate.
+
+    A row outside S is violated when its multiplier in the fit of all rows
+    would have a positive gradient, ``(M'(e - M u))_i > 0``: that is
+    ``rho (1 - g_i'z)`` with ``rho = -r[d] > 0``, so no tolerance enters.
+    z0 only orders the work: S grows until a stop rule holds, whatever z0
+    is.
+    Without z0, or with fewer rows, S is every row and one fit settles it.
+    The polish, the restoration and the certified gap below use all rows.
 
     The partition calls this too, on all of A (the call ``bound_case_n``
     makes) and on a few of its rows: a point proves those rows slack, and
@@ -283,9 +304,24 @@ def solve_min_norm_qp(G: np.ndarray) -> MinNormSolution:
     M = np.concatenate([Gw.T, np.ones((1, k))], axis=0)
     e = np.zeros(d + 1)
     e[d] = 1.0
-    u, Mu = _nnls(M, e)
-    r = Mu - e
-    rho = -float(r[d])
+    S = np.arange(k)
+    if z0 is not None and k > 4 * (d + 1):
+        S = np.sort(np.argsort(Gw @ z0, kind="stable")[: 2 * (d + 1)])
+    while True:
+        u = np.zeros(k)
+        u[S], Mu = _nnls(M[:, S] if S.size < k else M, e)
+        r = Mu - e
+        rho = -float(r[d])
+        if not rho > 0.0 or S.size == k:
+            break
+        grad = -(r @ M)  # rho (1 - g_i'z) on every row
+        grad[S] = 0.0
+        out = np.flatnonzero(grad > 0.0)
+        if out.size == 0:
+            break
+        if out.size > d + 1:
+            out = out[np.argpartition(grad[out], -(d + 1))[-(d + 1):]]
+        S = np.union1d(S, out)
     z_best = _restore_feasibility(G, r[:d] / (rho * s)) if rho > 0.0 else None
     if z_best is None:
         raise InfeasibleQP(

@@ -79,6 +79,14 @@ def planted_mixed_matrix(seed: int, m: int, n: int) -> np.ndarray:
 
 def planted_mixed_split(seed: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``planted_mixed_matrix`` together with the boolean mask of its slack rows."""
+    return planted_mixed_witness(seed, m, n)[:2]
+
+
+def planted_mixed_witness(
+    seed: int, m: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``planted_mixed_split`` together with the planted unit direction d:
+    the slack rows have ``a'd < 0`` and the tight rows ``a'd = 0``."""
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(n)
     d /= np.linalg.norm(d)
@@ -88,7 +96,7 @@ def planted_mixed_split(seed: int, m: int, n: int) -> tuple[np.ndarray, np.ndarr
     G = rng.standard_normal((m - 2 * pairs, n)) @ perp
     slack = G - rng.uniform(0.2, 1.0, size=(G.shape[0], 1)) * d[None, :]
     order = rng.permutation(m)
-    return np.vstack([R, -R, slack])[order], order >= 2 * pairs
+    return np.vstack([R, -R, slack])[order], order >= 2 * pairs, d
 
 
 def closed_form_H0(A: np.ndarray) -> float | None:

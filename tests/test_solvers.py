@@ -18,6 +18,7 @@ from hoffbound import (
     SolverStall,
     bound_h0,
 )
+import hoffbound.bounds
 import hoffbound.solvers.ipm
 from hoffbound.audit import verify_partition
 from hoffbound.numerics import NumericalFailure, TightBlock
@@ -38,6 +39,7 @@ from helpers import (
     optimal_lp,
     planted_mixed_matrix,
     planted_mixed_split,
+    planted_mixed_witness,
 )
 
 
@@ -430,15 +432,17 @@ def test_projection_with_rows_scaled_over_sixteen_decades(seed, n, m, u_seed):
     _check_projection(rng.standard_normal((m, n)) * scales, u_seed)
 
 
-def _check_min_norm(G):
-    # either a certified point or a typed error, never another exception
+def _check_min_norm(G, z0=None):
+    # either a certified point, which is returned, or a typed error, never
+    # another exception
     try:
-        sol = solve_min_norm_qp(G)
+        sol = solve_min_norm_qp(G, z0)
     except HoffboundError:
-        return
+        return None
     assert float((G @ sol.z).min()) >= 1.0
     gap = sol.norm ** 2 - sol.dual_lower
     assert 0.0 <= gap <= 1e-8 * (1.0 + sol.norm ** 2)
+    return sol
 
 
 @_PROJECTION_SETTINGS
@@ -454,6 +458,74 @@ def test_min_norm_qp_with_rows_scaled_over_sixteen_decades(seed, n, m):
 def test_min_norm_qp_on_planted_slack_blocks(seed, n, m):
     A, slack = planted_mixed_split(seed, m, n)
     _check_min_norm(A[slack])
+
+
+@_PROJECTION_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), m=st.integers(5, 400))
+def test_a_seeded_min_norm_fit_finds_the_optimum_of_all_rows(seed, n, m):
+    # the planted direction d has G (-d) > 0 and ranks the rows that bind
+    # first along it first; +d ranks them in reverse.  The seed orders the
+    # work and does not decide the answer, so both meet the unseeded fit.
+    A, slack, d = planted_mixed_witness(seed, m, n)
+    G = A[slack]
+    ref = _check_min_norm(G)
+    if ref is None:
+        return
+    for z0 in (-d, d):
+        sol = _check_min_norm(G, z0)
+        assert sol is not None
+        assert sol.norm == pytest.approx(ref.norm, rel=1e-12)
+
+
+@_PROJECTION_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), extra=st.integers(1, 200))
+def test_a_seeded_fit_of_an_infeasible_system_certifies_every_row(seed, d, extra):
+    # the rows sum to zero, so 1'G = 0 and G z >= 1 has no point; the fit
+    # stops on a working set whose weights, zero outside it, prove that for
+    # all k rows
+    rng = np.random.default_rng(seed)
+    k = 4 * (d + 1) + extra
+    G = rng.standard_normal((k, d))
+    G[-1] = -G[:-1].sum(axis=0)
+    with pytest.raises(InfeasibleQP) as exc:
+        solve_min_norm_qp(G, rng.standard_normal(d))
+    u = exc.value.weights
+    assert u.shape == (k,) and (u >= 0.0).all()
+    assert u.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.norm(G.T @ u) <= 1e-9 * np.linalg.norm(G, axis=1).max()
+
+
+def test_case_n_and_the_stitch_never_fit_every_slack_row(monkeypatch):
+    # both fits start from the partition's interior witness, so on a tall
+    # slack block they hand scipy's nnls a working set, never all k rows
+    A, slack = planted_mixed_split(7, 400, 40)
+    k = int(slack.sum())
+    fits = []  # per fit of bound_h0, the column count of each nnls call
+    inside = [False]
+    nnls = scipy.optimize.nnls
+    solve = hoffbound.bounds.solve_min_norm_qp
+
+    def recording_nnls(M, b, *args, **kwargs):
+        if inside[0]:
+            fits[-1].append(M.shape[1])
+        return nnls(M, b, *args, **kwargs)
+
+    def recording_solve(*args, **kwargs):
+        fits.append([])
+        inside[0] = True
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(scipy.optimize, "nnls", recording_nnls)
+    monkeypatch.setattr(hoffbound.bounds, "solve_min_norm_qp", recording_solve)
+    report = bound_h0(instance(A))
+    assert report.branch == "general"
+    assert report.partition.N == tuple(int(i) for i in np.flatnonzero(slack))
+    assert len(fits) == 2  # case N, then the stitch
+    for counts in fits:
+        assert counts and max(counts) < k
 
 
 # --- partition linear program ---------------------------------------------------
@@ -531,6 +603,35 @@ def test_partition_lp_whose_iterates_overflow_stalls_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverStall, match="diverged"):
             optimal_lp(A)
+
+
+def test_partition_lp_at_its_cap_stops_at_the_last_iterate_it_tested(monkeypatch):
+    # a capped solve takes MAX_ITERS steps, one factorization each, and
+    # returns the iterate after the last of them, which accept has seen
+    factorizations = []
+    seen = []
+    newton = hoffbound.solvers.ipm._Newton
+
+    def counting(N, colsum, D):
+        factorizations.append(None)
+        return newton(N, colsum, D)
+
+    def never(x, y, s):
+        seen.append((x.copy(), y.copy(), s.copy()))
+
+    monkeypatch.setattr(hoffbound.solvers.ipm, "_Newton", counting)
+    monkeypatch.setattr(hoffbound.solvers.ipm, "MAX_ITERS", 3)
+    A, _ = planted_mixed_split(0, 18, 5)
+    block = TightBlock(A)
+    res = hoffbound.solvers.ipm.solve_qp_ipm(1e-10, 1e-9, block.W @ block.V, never)
+    assert res.status == "stalled"
+    assert res.iterations == len(factorizations) == 3
+    assert len(seen) == 4  # the start and the iterate after each step
+    x, y, s = seen[-1]
+    assert np.array_equal(res.x, x) and np.array_equal(res.y, y)
+    assert np.array_equal(res.s, s)
+    with pytest.raises(SolverStall, match=r"stalled, 3 iterations"):
+        optimal_lp(A)
 
 
 def test_partition_lp_with_a_singular_newton_system_stalls():
