@@ -10,8 +10,9 @@ proves every split with it, whichever witnesses it tried (the least-squares
 point and residual, the least-distance fit, the analytic center or a
 partition LP iterate), and the audit applies it again to the stored
 witnesses, on its own ``numerics.TightBlock`` of the instance's rows A_B
-(never the report's), which also gives the case-B check its sigma and the
-stitch check the rank gap of A_B.  No rank is decided outside that block.
+(never the report's), which also gives the case-B check its sigma and box
+and the stitch check the rank gap of A_B.  No rank is decided outside that
+block.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundReport
+from .bounds import BoundReport, CaseBBound
 from .core import ProblemInstance, ScaleOutOfRange, euclidean_norm, row_norms
 from .numerics import NumericalFailure, TightBlock
 from .partition import PartitionCertificate, slack_margin, weight_margin
@@ -119,6 +120,41 @@ def _close(a: float, b: float) -> bool:
     return a == b or (abs(a - b) <= UNIT_RTOL * abs(b) and math.isfinite(b))
 
 
+def _check_case_b(cb: CaseBBound, block: TightBlock, metrics: dict) -> list[str]:
+    """Failures of a tight-block bound ``cb`` with a sigma, against the
+    audit's own ``block.weighted_bounds(y_bar)``, which rebuilds each lam,
+    its residual and ``R'R`` from its SVD: bound_case_b's call, so an honest
+    report is reproduced.  ``sigma`` may exceed the recomputed one and each
+    ``b_k`` fall below its recomputation by ``SIGMA_RTOL`` relative at most,
+    ``b`` has one entry per direction of the block's row space, and the
+    value is at least the recomputed ``min(2 / sigma, box)`` by the same
+    comparison and at most the report's own ``min(2 / sigma, box)``."""
+    try:
+        sigma, b, box = block.weighted_bounds(cb.y_bar)
+    except NumericalFailure as exc:
+        return [f"sigma of A_B' diag(y_bar): {exc}"]
+    metrics["case_b_sigma"] = sigma
+    metrics["case_b_box"] = box
+    failures = []
+    # Each test is written so that a NaN fails it.
+    if not cb.sigma <= sigma * (1.0 + SIGMA_RTOL):
+        failures.append(f"sigma {cb.sigma!r} exceeds the recomputed value {sigma!r}")
+    if cb.b is None or cb.b.shape != b.shape:
+        size = None if cb.b is None else cb.b.size
+        failures.append(f"b has {size} entries, not the rank {b.size} of A_B")
+    elif not np.all(b <= cb.b * (1.0 + SIGMA_RTOL)):
+        failures.append("b falls below its recomputed value")
+    proven = min(2.0 / sigma if sigma > 0.0 else math.inf, box)
+    if not proven <= cb.value * (1.0 + SIGMA_RTOL):
+        failures.append(f"tight-block value {cb.value!r} is below the recomputed "
+                        f"min(2 / sigma, box) {proven!r}")
+    if not cb.sigma > 0.0:
+        failures.append("sigma must be positive")
+    elif not cb.value <= min(2.0 / cb.sigma, box) * (1.0 + UNIT_RTOL):
+        failures.append("tight-block value exceeds min(2 / sigma, box)")
+    return failures
+
+
 def verify_partition(
     instance: ProblemInstance, cert: PartitionCertificate
 ) -> AuditResult:
@@ -213,11 +249,12 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     The partition certificate passes ``verify_partition``; the slack-block
     witness has unit margin on A_N, its norm is the reported value, and
     ``value >= ||x_bar|| / min(A_N x_bar)`` (``_check_unit_margin``); the
-    tight-block weights ``y_bar`` pass ``_check_weights``, and ``sigma``
-    exceeds the audit block's ``weighted_sigma(y_bar)`` by at most
-    ``SIGMA_RTOL`` relative, so that ``||diag(y_bar) A_B w|| >= sigma ||w||``
-    (to that rounding) on the row space of A_B, or, without a sigma, A_B is
-    exactly zero and the value 0; the stitching witness w_bar has
+    tight-block weights ``y_bar`` pass ``_check_weights``, and ``sigma``,
+    ``b`` and the value pass ``_check_case_b`` against the audit block's
+    ``weighted_bounds(y_bar)``, so that ``||diag(y_bar) A_B w|| >= sigma ||w||``
+    on the row space of A_B and the value is at least ``min(2 / sigma, box)``
+    (to ``SIGMA_RTOL``), or, without a sigma, A_B is exactly zero, ``b`` is
+    absent and the value 0; the stitching witness w_bar has
     ``||A_B w_bar||_inf <= RESIDUAL_TOL ||A_B||_F ||w_bar||``, unit margin
     through the recomputed row scaling D, ``value = 1 + 2 ||w_bar||`` and
     ``value >= 1 + 2 ||w_bar|| / min(D A_N w_bar)``.  Both value
@@ -267,25 +304,14 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
         elif cb.sigma is None:
             if np.any(A_B):
                 failures.append("sigma is missing for a nonzero tight block")
+            if cb.b is not None:
+                failures.append("a zero tight block carries a box")
             if cb.value != 0.0:
                 failures.append("zero tight block must report value 0")
         else:
             failures += _check_weights(y, A_B, fro_B, metrics)
             if block is not None:  # else the rank failure of A_B is recorded
-                try:  # bound_case_b's call: an honest sigma is reproduced
-                    sigma = block.weighted_sigma(y)
-                except NumericalFailure as exc:
-                    failures.append(f"sigma of A_B' diag(y_bar): {exc}")
-                else:
-                    metrics["case_b_sigma"] = sigma
-                    if not cb.sigma <= sigma * (1.0 + SIGMA_RTOL):
-                        failures.append(
-                            f"sigma {cb.sigma!r} exceeds the recomputed value {sigma!r}"
-                        )
-            if cb.sigma <= 0.0:
-                failures.append("sigma must be positive")
-            elif not _close(cb.value, 2.0 / cb.sigma):
-                failures.append("tight-block value does not equal 2 / sigma")
+                failures += _check_case_b(cb, block, metrics)
 
     st = report.stitch
     if st is not None and st.w_bar.shape != (instance.n,):

@@ -11,9 +11,17 @@ attached to the tight/slack row partition (B, N):
 * slack rows: any x_bar with A_N x_bar >= 1 gives H0(A_N) <= ||x_bar||_2
   (the sign of x_bar is immaterial; flipping it turns the deep-slack
   certificate into a deep-violation one with the same norm);
-* tight rows: any y_bar > 0 with sum 1 and A_B' y_bar = 0 gives
-  H0(A_B) <= 2 / sigma, sigma the smallest singular value of
-  A_B' diag(y_bar) on the row space of A_B (``TightBlock.weighted_sigma``);
+* tight rows: any y_bar > 0 with sum 1 and A_B' y_bar = 0 gives the
+  paper's H0(A_B) <= 2 / sigma, sigma the smallest singular value of
+  A_B' diag(y_bar) on the row space of A_B.  The same SVD,
+  diag(y_bar) W V = P S R' (W = 2^-e A_B, V its row-space basis), also
+  gives a box: per singular direction k, nonnegative weights
+  lam = +-diag(y_bar) P_k / S_k + t y_bar bound |R_k'c| by
+  b_k + rho_k ||c|| on {W V c <= 1}, b_k the larger 1'lam (at most
+  2 / S_k) and rho_k the residual ||W'V lam -+ R_k||, which folds in the
+  slice residual t V'W'y_bar.  So H0(A_B) <= 2^-e ||b|| / (1 - delta - ||rho||),
+  delta = ||R'R - I||_F, and the tight-block bound is the smaller of the
+  two (``TightBlock.weighted_bounds``);
 * stitching: with D the inverse row norms of A_N, any w_bar in null(A_B)
   with D A_N w_bar >= 1 bounds the restriction factor by 1 + 2 ||w_bar||_2.
 
@@ -76,19 +84,25 @@ class CaseNBound:
 
 @dataclass(frozen=True)
 class CaseBBound:
-    """Bound on the tight-row block: value = 2 / sigma at the analytic center.
+    """Bound on the tight-row block at the analytic center:
+    value = min(2 / sigma, box).
 
-    ``sigma`` is ``TightBlock.weighted_sigma(y_bar)``; it is None only for an
-    identically zero tight block, where the bound is 0: zero rows hold at
-    every point and add no error.
+    ``sigma``, the box and ``b`` (one entry per row-space direction, in A's
+    units) are ``TightBlock.weighted_bounds(y_bar)``; 2 / sigma is the
+    paper's bound, kept as its reproduction.  ``sigma`` and ``b`` are None
+    only for an identically zero tight block, where the bound is 0: zero
+    rows hold at every point and add no error.
     """
 
     value: float
     y_bar: np.ndarray
     sigma: float | None
+    b: np.ndarray | None
 
     def __post_init__(self) -> None:
         self.y_bar.setflags(write=False)
+        if self.b is not None:
+            self.b.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -156,24 +170,32 @@ def bound_case_b(
     """Certified bound for the tight rows of ``block`` via the analytic center.
 
     The center y_bar maximizes the product of the dual weights on the slice
-    {y > 0 : A_B' y = 0, sum(y) = 1}.  ``sigma = block.weighted_sigma(y_bar)``
-    has ``||diag(y_bar) A_B w|| >= sigma ||w||`` on the row space of A_B,
-    which gives the bound 2 / sigma.  The center is computed from the block
+    {y > 0 : A_B' y = 0, sum(y) = 1}.  One SVD ``diag(y_bar) M = P S R'``
+    of ``M = W V`` (``block.weighted_bounds``) gives two bounds.  Its
+    ``sigma`` has ``||diag(y_bar) A_B w|| >= sigma ||w||`` on the row space
+    of A_B, which gives the paper's 2 / sigma.  Its singular directions give
+    the box: the nonnegative weights ``lam = +-diag(y_bar) P_k / S_k + t y_bar``
+    bound ``|R_k'c| <= b_k + rho_k ||c||`` on ``{M c <= 1}``, with the
+    residual ``rho_k = ||M'lam -+ R_k||`` (the slice residual ``t M'y_bar``
+    folded in) and ``delta = ||R'R - I||_F`` taken by products, so
+    ``H0(A_B) <= 2^-e ||b|| / (1 - delta - ||rho||)``.  Each ``b_k`` is at
+    most 2 / S_k, but ``||b||`` is not always below 2 / S_r, so the value
+    is ``min(2 / sigma, box)``.  The center is computed from the block
     alone, by Newton on its unconstrained dual (``solve_analytic_center``),
     which needs no starting point on the slice; ``center`` is that solve
     when the caller has it already: the partition's center, when the center
     proved every row tight.  An identically zero block returns 0 with
-    uniform weights.
+    uniform weights, and no sigma or b.
     """
     p = block.A_B.shape[0]
     if p == 0:
         raise ValueError("the tight set must be nonempty")
     if block.rank == 0:  # A_B is identically zero
-        return CaseBBound(value=0.0, y_bar=np.full(p, 1.0 / p), sigma=None)
+        return CaseBBound(value=0.0, y_bar=np.full(p, 1.0 / p), sigma=None, b=None)
 
     ac = center if center is not None else solve_analytic_center(block)
-    sigma = block.weighted_sigma(ac.y)
-    return CaseBBound(value=2.0 / sigma, y_bar=ac.y.copy(), sigma=sigma)
+    sigma, b, box = block.weighted_bounds(ac.y)
+    return CaseBBound(value=min(2.0 / sigma, box), y_bar=ac.y.copy(), sigma=sigma, b=b)
 
 
 def bound_stitch(

@@ -10,6 +10,7 @@ matrix: of A for the partition LP, and of the tight rows once per report.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -118,13 +119,46 @@ class TightBlock:
             )
         return Q
 
-    def weighted_sigma(self, y: np.ndarray) -> float:
-        """``sigma = 2^e s_r(diag(y) W V)`` at the block's rank r (0 at r = 0),
-        deciding no rank of its own: ``||diag(y) A_B w|| >= sigma ||w||`` for
-        w in range(V), the inequality the tight-block bound 2 / sigma rests
-        on.  ``NumericalFailure`` if the SVD does not converge (a NaN in y)."""
-        s = _svd(y[:, None] * self.WV, full_matrices=False)[1]
-        return float(np.ldexp(s[-1], self.exp)) if self.rank else 0.0
+    def weighted_bounds(self, y: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """``(sigma, b, box)``, the two tight-block bounds of the weights y,
+        from one SVD ``diag(y) M = P S R'`` of ``M = W V`` at the block's
+        rank r, deciding no rank of its own; ``(0, [], 0)`` at r = 0.
+
+        ``sigma = 2^e S_r`` has ``||diag(y) A_B w|| >= sigma ||w||`` for w in
+        range(V), the inequality the paper's bound 2 / sigma rests on.
+
+        The box reads the SVD one direction at a time.  For each k and sign
+        s, ``lam = s diag(y) P_k / S_k + t y`` with
+        ``t = max(0, max_i(-s P_ik) / S_k)`` is nonnegative, and
+        ``M'lam = s R_k + t M'y`` since ``M'diag(y) P = R S``.  On
+        ``{M c <= 1}``, ``lam'M c <= 1'lam`` gives
+        ``|R_k'c| <= b_k + rho_k ||c||``: ``b_k`` is the larger ``1'lam`` of
+        the two signs (at most 2 / S_k when 1'y = 1) and ``rho_k`` the larger
+        residual ``||M'lam - s R_k||``, formed by products, which folds in
+        the slice residual ``t M'y``.  With ``delta = ||R'R - I||_F``,
+        ``||R'c|| >= (1 - delta) ||c||``, so
+        ``H0(A_B) <= box = 2^-e ||b|| / (1 - delta - ||rho||)``.  ``b`` is
+        returned in A_B's units (times 2^-e); ``box`` is inf unless every
+        lam is nonnegative (y > 0 makes it so) and the denominator positive.
+        ``NumericalFailure`` if the SVD does not converge (a NaN in y).
+        """
+        r = self.rank
+        if not r:
+            return 0.0, np.zeros(0), 0.0
+        P, S, Rt = _svd(y[:, None] * self.WV, full_matrices=False)
+        with np.errstate(all="ignore"):  # a zero S_r gives NaN, and no box
+            G = P / S  # column k is P_k / S_k
+            G = np.concatenate([G, -G], axis=1)  # the signs s = 1, then s = -1
+            lam = y[:, None] * (G + np.maximum(0.0, (-G).max(axis=0)))
+            res = self.WV.T @ lam
+            res[:, :r] -= Rt.T
+            res[:, r:] += Rt.T
+            rho, sums = (res * res).sum(axis=0), lam.sum(axis=0)
+            rho = np.maximum(rho[:r], rho[r:]).sum()
+            fold = 1.0 - euclidean_norm(Rt @ Rt.T - np.eye(r)) - math.sqrt(rho)
+            b = np.ldexp(np.maximum(sums[:r], sums[r:]), -self.exp)
+            box = euclidean_norm(b) / fold if fold > 0.0 and lam.min() >= 0.0 else math.inf
+        return float(np.ldexp(S[-1], self.exp)), b, box
 
     @cached_property
     def slice_factors(self) -> tuple[np.ndarray, float]:

@@ -7,6 +7,7 @@ and row duplication that exercise the partition and stitching paths.
 
 import importlib.resources
 import importlib.util
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 from hoffbound import ProblemInstance
 from hoffbound.core import euclidean_norm, row_norms
 from hoffbound.numerics import TightBlock
-from hoffbound.solvers.programs import solve_partition_lp
+from hoffbound.solvers.programs import project_onto_cone, solve_partition_lp
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
@@ -129,6 +130,52 @@ def closed_form_H0(A: np.ndarray) -> float | None:
             return float(np.sqrt(np.sum(1.0 / diag**2)))
 
     return None
+
+
+def exact_H0(A: np.ndarray, max_rows: int = 18, max_rank: int = 8) -> tuple[float, float]:
+    """H0(A) by vertex enumeration: a ``(lower, upper)`` pair around it.
+
+    H0(A) is the largest ``dist(v, P)`` over the vertices v of
+    ``{u in row(A) : A u <= 1}``.  By homogeneity H0 is the supremum of
+    ``dist(u, P)`` over ``A u <= 1``, and u may be taken in row(A), since
+    null(A) lies in P and in -P and moves neither the distance nor the
+    violation.  In row-space coordinates ``u = V c`` the set
+    ``{M c <= 1}``, ``M = A V``, is pointed; ``dist(., P)`` is convex and
+    does not grow along its recession cone, which lies in P, so its maximum
+    is at a vertex (Rockafellar, *Convex Analysis*, 1970, sec. 32).
+
+    A vertex solves ``M_I c = 1`` for r independent rows I (r the rank of
+    ``TightBlock(A)``), and every r-subset is solved.  Each basic solution
+    within 1e-6 of ``M c <= 1`` is scored by ``dist(u, P) / max(A u)``:
+    that ratio is at most H0 at any u, so a near-feasible point that is not
+    a vertex cannot raise the maximum.  ``project_onto_cone`` gives the
+    distance's certified lower end (``distance_lower``) and its upper end
+    (``distance``); ``lower`` is at most H0 at any rounding, and ``upper``
+    is at least H0 up to the rounding of the vertices.  Raises
+    ``ValueError`` above ``max_rows`` rows or ``max_rank``, where the
+    C(m, r) solves grow out of a test's budget.
+    """
+    A = np.asarray(A, dtype=float)
+    block = TightBlock(A)
+    r, m = block.rank, A.shape[0]
+    if m > max_rows or r > max_rank:
+        raise ValueError(f"{m} rows of rank {r} exceed the caps {max_rows} and {max_rank}")
+    if r == 0:
+        return 0.0, 0.0
+    M = A @ block.V
+    bases = M[np.array(list(itertools.combinations(range(m), r)))]
+    s = np.linalg.svd(bases, compute_uv=False)
+    bases = bases[s[:, -1] > 1e-10 * s[:, 0]]
+    C = np.linalg.solve(bases, np.ones((bases.shape[0], r, 1)))[..., 0]
+    C = np.unique(C[(C @ M.T).max(axis=1) <= 1.0 + 1e-6], axis=0)
+    inst = ProblemInstance.from_matrix(A)
+    lower = upper = 0.0
+    for u in C @ block.V.T:
+        viol = float((A @ u).max())
+        proj = project_onto_cone(inst, u)
+        lower = max(lower, proj.distance_lower / viol)
+        upper = max(upper, proj.distance / viol)
+    return lower, upper
 
 
 def directed_candidates_loop(A: np.ndarray, x_hat: np.ndarray | None = None) -> list[np.ndarray]:

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hoffbound.audit
+import hoffbound.numerics
+import hoffbound.solvers.programs
 from hoffbound import audit_report, bound_h0, lower_bound_monte_carlo
 from hoffbound.bounds import CaseBBound
 from hoffbound.numerics import smallest_positive_singular_value
@@ -87,7 +89,7 @@ def test_audit_rejects_tampered_center():
 
 def test_audit_rejects_inflated_sigma():
     # inflating sigma 100x and redoing the branch arithmetic consistently
-    # lowers the README example's total from 8.485 to 3.0
+    # would lower the paper's total of the README example from 8.485 to 3.0
     inst = instance(C4)
     rep = bound_h0(inst)
     sigma = rep.case_b.sigma * 100.0
@@ -123,11 +125,11 @@ def test_audit_rejects_a_forged_sigma_cut_by_a_second_rank_decision():
 
 
 @pytest.mark.parametrize("case_b, message", [
-    (CaseBBound(value=1.0, y_bar=np.array([0.5, 0.5]), sigma=2.0),
+    (CaseBBound(value=1.0, y_bar=np.array([0.5, 0.5]), sigma=2.0, b=None),
      "sigma 2.0 exceeds the recomputed value 0.0"),
-    (CaseBBound(value=1.0, y_bar=np.zeros(0), sigma=2.0),
+    (CaseBBound(value=1.0, y_bar=np.zeros(0), sigma=2.0, b=None),
      "tight-block witness length does not match B"),
-    (CaseBBound(value=1.0, y_bar=np.full(3, 1.0 / 3.0), sigma=2.0),
+    (CaseBBound(value=1.0, y_bar=np.full(3, 1.0 / 3.0), sigma=2.0, b=None),
      "tight-block witness length does not match B"),
 ], ids=["rank_0", "empty", "wrong_length"])
 def test_audit_records_a_malformed_tight_block_witness(case_b, message):
@@ -218,7 +220,7 @@ def test_audit_records_a_witness_of_the_wrong_length(component, witness, message
     (C4, "case_b.sigma", lambda s: -s, "sigma must be positive"),
     (np.array([[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]), "case_b.value", lambda v: 1.0,
      "zero tight block must report value 0"),
-    (C4, "case_b.value", lambda v: 1.5 * v, "tight-block value does not equal 2 / sigma"),
+    (C4, "case_b.value", lambda v: 1.5 * v, "tight-block value exceeds min(2 / sigma, box)"),
     (C4, "stitch.value", lambda v: v + 1.0, "stitch value does not equal 1 + 2 ||w_bar||"),
     (C4, "branch", lambda b: "bogus", "unknown branch 'bogus'"),
     (C4, "branch", lambda b: "zero", "unknown branch 'zero'"),
@@ -263,6 +265,73 @@ def test_audit_factors_the_tight_rows_once(monkeypatch):
     assert res.metrics["stitch_rank_gap"] > 1e14
 
 
+def test_certify_and_audit_take_a_fixed_count_of_svds(monkeypatch):
+    # the counts before the box: 9 in bound_h0 (A, four blocks the partition
+    # tries, two slices, the center's rank probe and one weighted SVD) and 3
+    # in the audit (A_B, the slice of y_hat and one weighted SVD); sigma and
+    # the box share the weighted SVD, and a new factorization changes a count
+    calls = []
+    svd = hoffbound.numerics._svd
+
+    def counting(M, *args, **kwargs):
+        calls.append(M.shape)
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(hoffbound.numerics, "_svd", counting)
+    monkeypatch.setattr(hoffbound.solvers.programs, "_svd", counting)
+    inst = instance(planted_mixed_matrix(3, 30, 8))
+    rep = bound_h0(inst)
+    certify = len(calls)
+    res = audit_report(inst, rep)
+    assert rep.branch == "general" and res.ok, res.failures
+    assert (certify, len(calls) - certify) == (9, 3), calls
+
+
+def _with_case_b(rep, case_b):
+    """``rep`` with ``case_b`` and the total its branch formula gives."""
+    factor = 1.0 if rep.stitch is None else rep.stitch.value
+    blocks = [c.value for c in (rep.case_n, case_b) if c is not None]
+    return dataclasses.replace(rep, case_b=case_b, total=factor * max(blocks))
+
+
+def _halve_b1(cb):
+    b = cb.b.copy()
+    b[1] *= 0.5
+    return dataclasses.replace(cb, b=b)
+
+
+@pytest.mark.parametrize("A, change, message", [
+    (eps_block(1e-3), _halve_b1, "b falls below its recomputed value"),
+    (eps_block(1e-3), lambda cb: dataclasses.replace(cb, b=cb.b[:1]),
+     "b has 1 entries, not the rank 2 of A_B"),
+    (C4, lambda cb: dataclasses.replace(cb, b=np.append(cb.b, 1.0)),
+     "b has 2 entries, not the rank 1 of A_B"),
+    (C4, lambda cb: dataclasses.replace(cb, b=None), "b has None entries"),
+    (np.array([[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]),
+     lambda cb: dataclasses.replace(cb, b=np.ones(1)), "a zero tight block carries a box"),
+], ids=["b_lowered", "b_shrunk", "b_grown", "b_missing", "rank_0_box"])
+def test_audit_rejects_a_tampered_box(A, change, message):
+    # the total is redone by the branch formula, so only case B's checks fire
+    inst = instance(A)
+    rep = bound_h0(inst)
+    assert audit_report(inst, rep).ok
+    res = audit_report(inst, _with_case_b(rep, change(rep.case_b)))
+    assert not res.ok
+    assert any(f.startswith(message) for f in res.failures), res.failures
+
+
+def test_audit_rejects_a_value_below_the_recomputed_bounds():
+    # the halved value of eps = 1e-3, with the total redone, is named
+    # against the recomputed min(2 / sigma, box), which is the box there
+    inst = instance(eps_block(1e-3))
+    rep = bound_h0(inst)
+    bad = _with_case_b(rep, dataclasses.replace(rep.case_b, value=0.5 * rep.case_b.value))
+    res = audit_report(inst, bad)
+    assert res.metrics["case_b_box"] == rep.case_b.value < 2.0 / res.metrics["case_b_sigma"]
+    assert (f"tight-block value {bad.case_b.value!r} is below the recomputed "
+            f"min(2 / sigma, box) {rep.case_b.value!r}") in res.failures
+
+
 def test_audit_rejects_nonzero_total_on_zero_matrix():
     inst = instance(np.zeros((2, 2)))
     rep = bound_h0(inst)
@@ -293,7 +362,8 @@ def test_audit_metrics_expose_branch_quantities():
 @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-8, 1e-9, 1e-10, 1e-12])
 def test_counted_small_singular_value_is_certified(eps):
     # A_B' diag(y_bar) has singular values ~ 1 and ~ eps; eps lies above the
-    # rounding noise, so it is counted and the total is 5.657 / eps
+    # rounding noise, so it is counted: the paper's bound is 5.657 / eps,
+    # and the box 2 / eps (H0 = 1 / eps)
     inst = instance(eps_block(eps))
     rep = bound_h0(inst)
     res = audit_report(inst, rep)
@@ -302,7 +372,8 @@ def test_counted_small_singular_value_is_certified(eps):
     low = lower_bound_monte_carlo(inst, num_samples=16, seed=0,
                                   x_hat=rep.partition.x_hat)
     assert low.lower_bound <= rep.total
-    assert rep.total == pytest.approx(4.0 * np.sqrt(2.0) / eps, rel=1e-9)
+    assert 2.0 / rep.case_b.sigma == pytest.approx(4.0 * np.sqrt(2.0) / eps, rel=1e-9)
+    assert rep.total == pytest.approx(2.0 / eps, rel=1e-4)
 
 
 def test_audit_records_an_ambiguous_rank_as_a_failure():
@@ -319,7 +390,7 @@ def test_audit_records_an_ambiguous_rank_as_a_failure():
 def test_audit_budget_scales_with_the_tight_block():
     # off the slice, y_bar = (0.9, 0.1) leaves A_B' y_bar = 8e-9, inside an
     # absolute budget of 1e-8; with sigma and the total redone consistently
-    # it would certify 6.63e8 where the honest total is 8.49e8
+    # it would certify 6.63e8 where the paper's honest total is 8.49e8
     c = 1e-8
     inst = instance(c * C4)
     rep = bound_h0(inst)
@@ -330,7 +401,8 @@ def test_audit_budget_scales_with_the_tight_block():
                                      value=2.0 / sigma)
     total = rep.stitch.value * max(rep.case_n.value, bad_case_b.value)
     assert total * c == pytest.approx(6.626, rel=1e-3)
-    assert rep.total * c == pytest.approx(8.485, rel=1e-3)
+    paper = rep.stitch.value * max(rep.case_n.value, 2.0 / rep.case_b.sigma)
+    assert paper * c == pytest.approx(8.485, rel=1e-3)
     res = audit_report(inst, dataclasses.replace(rep, case_b=bad_case_b, total=total))
     assert not res.ok
     assert any("A_B' y_bar residual" in f for f in res.failures)
@@ -349,7 +421,7 @@ def test_audit_records_an_empty_tight_block_witness():
     # B is empty on -eye(3); a tight-block component there has nothing to weigh
     inst = instance(-np.eye(3))
     rep = bound_h0(inst)
-    case_b = CaseBBound(value=1.0, y_bar=np.zeros(0), sigma=2.0)
+    case_b = CaseBBound(value=1.0, y_bar=np.zeros(0), sigma=2.0, b=None)
     res = audit_report(inst, dataclasses.replace(rep, case_b=case_b))
     assert not res.ok
     assert "y_bar is empty" in res.failures

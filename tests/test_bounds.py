@@ -71,8 +71,10 @@ def test_case_n_scale_invariance():
 # --- tight-block bound ----------------------------------------------------
 
 def test_case_b_opposing_rows():
+    # the paper's 2 / sigma is 2 sqrt(2); the box meets H0 = 1
     res = bound_case_b(TightBlock(np.array([[1.0], [-1.0]])))
-    assert res.value == pytest.approx(TWO_SQRT2, rel=1e-9)
+    assert 2.0 / res.sigma == pytest.approx(TWO_SQRT2, rel=1e-9)
+    assert res.value == pytest.approx(1.0, rel=1e-12)
     assert res.sigma == pytest.approx(np.sqrt(0.5), rel=1e-9)
     assert np.allclose(res.y_bar, [0.5, 0.5], atol=1e-9)
 
@@ -80,18 +82,39 @@ def test_case_b_opposing_rows():
 def test_case_b_zero_block_contributes_nothing():
     res = bound_case_b(TightBlock(np.array([[0.0], [0.0]])))
     assert res.value == 0.0
-    assert res.sigma is None
+    assert res.sigma is None and res.b is None
     assert np.allclose(res.y_bar, 0.5)
 
 
 def test_case_b_two_orthogonal_opposing_pairs():
     # the center is uniform, so sigma is a quarter of sqrt(10), the singular
-    # value of A_B, and the bound is 8 / sqrt(10)
+    # value of A_B, and the paper's bound is 8 / sqrt(10); each b_k is 0.8,
+    # so the box is 0.8 sqrt(2), against H0 = sqrt(2 / 5)
     A_B = np.array([[1.0, 2.0], [-1.0, -2.0], [2.0, -1.0], [-2.0, 1.0]])
     res = bound_case_b(TightBlock(A_B))
     assert np.allclose(res.y_bar, 0.25, rtol=0.0, atol=1e-15)
     assert res.sigma == pytest.approx(np.sqrt(10.0) / 4.0, rel=1e-14)
-    assert res.value == pytest.approx(8.0 / np.sqrt(10.0), rel=1e-14)
+    assert 2.0 / res.sigma == pytest.approx(8.0 / np.sqrt(10.0), rel=1e-14)
+    assert res.b == pytest.approx([0.8, 0.8], rel=1e-14)
+    assert res.value == pytest.approx(0.8 * np.sqrt(2.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("A", [
+    np.array([[1.0], [-1.0]]),
+    eps_block(1e-6),
+    np.array([[1.0, 2.0], [-1.0, -2.0], [2.0, -1.0], [-2.0, 1.0]]),
+    np.vstack([np.eye(3), -np.ones((1, 3))]),
+    gaussian_matrix(302),
+], ids=["pair", "eps_block", "square", "simplex", "gaussian"])
+def test_case_b_value_is_the_smaller_of_the_paper_bound_and_the_box(A):
+    # bit for bit: the value is min(2 / sigma, box) of one weighted SVD,
+    # and b is its vector, one entry per direction of the row space
+    block = TightBlock(A)
+    res = bound_case_b(block)
+    sigma, b, box = block.weighted_bounds(res.y_bar)
+    print(f"2 / sigma {2.0 / sigma:.6g}, box {box:.6g}")
+    assert (res.sigma, res.value) == (sigma, min(2.0 / sigma, box))
+    assert np.array_equal(res.b, b) and res.b.shape == (block.rank,)
 
 
 # --- stitching bound --------------------------------------------------------
@@ -154,7 +177,8 @@ def test_case_n_branch():
 def test_case_b_branch():
     rep = bound_h0(instance(np.array([[1.0], [-1.0]])))
     assert rep.branch == "case_B"
-    assert rep.total == pytest.approx(TWO_SQRT2, rel=1e-9)
+    assert 2.0 / rep.case_b.sigma == pytest.approx(TWO_SQRT2, rel=1e-9)
+    assert rep.total <= 2.0 / rep.case_b.sigma
     assert rep.case_n is None and rep.stitch is None
     assert rep.total == rep.case_b.value
 
@@ -163,9 +187,13 @@ def test_general_branch_component_values():
     rep = bound_h0(instance(C4))
     assert rep.branch == "general"
     assert rep.case_n.value == pytest.approx(1.0, rel=1e-9)
-    assert rep.case_b.value == pytest.approx(TWO_SQRT2, rel=1e-9)
+    paper = 2.0 / rep.case_b.sigma
+    assert paper == pytest.approx(TWO_SQRT2, rel=1e-9)
     assert rep.stitch.value == pytest.approx(3.0, rel=1e-9)
-    assert rep.total == pytest.approx(SIX_SQRT2, rel=1e-9)
+    assert rep.stitch.value * max(rep.case_n.value, paper) == pytest.approx(SIX_SQRT2, rel=1e-9)
+    # the box meets H0 = 1 of the tight pair, and the total falls to 3
+    assert rep.case_b.value == pytest.approx(1.0, rel=1e-12)
+    assert rep.total == pytest.approx(3.0, rel=1e-12)
     # the combination is literal arithmetic on the stored components
     assert rep.total == rep.stitch.value * max(rep.case_n.value, rep.case_b.value)
 
@@ -223,7 +251,8 @@ def test_scaled_down_tight_block_is_certified(c):
     inst = instance(c * np.array([[1.0], [-1.0]]))
     rep = bound_h0(inst)
     assert rep.branch == "case_B"
-    assert rep.total * c == pytest.approx(TWO_SQRT2, rel=1e-12)
+    assert 2.0 / rep.case_b.sigma * c == pytest.approx(TWO_SQRT2, rel=1e-12)
+    assert rep.total * c == pytest.approx(1.0, rel=1e-12)
     assert audit_report(inst, rep).ok
 
 
@@ -369,7 +398,7 @@ def test_an_accepted_case_b_sigma_holds_at_an_exact_slice_point():
     block = TightBlock(A_B)
     y = rep.case_b.y_bar
     d = float(y.min()) - weight_margin(block, y)
-    lower = block.weighted_sigma(y) - d * euclidean_norm(A_B)
+    lower = block.weighted_bounds(y)[0] - d * euclidean_norm(A_B)
     assert rep.case_b.sigma <= lower * (1.0 + SIGMA_RTOL)
 
 

@@ -107,11 +107,51 @@ def test_weighted_sigma_is_the_rth_singular_value_of_the_block():
     block = TightBlock(A_B)
     assert block.rank == 2
     s_2 = 3e-6 * np.hypot(y[2], y[3])
-    assert block.weighted_sigma(y) == pytest.approx(s_2, rel=1e-12, abs=0.0)
+    assert block.weighted_bounds(y)[0] == pytest.approx(s_2, rel=1e-12, abs=0.0)
     s = np.linalg.svd(A_B.T * y[None, :], compute_uv=False)
     assert s[1] < 1e-13 * s[0]
     assert s[0] == pytest.approx(3.0 * np.hypot(y[0], y[1]), rel=1e-12)
-    assert TightBlock(np.zeros((2, 2))).weighted_sigma(np.full(2, 0.5)) == 0.0
+    sigma, b, box = TightBlock(np.zeros((2, 2))).weighted_bounds(np.full(2, 0.5))
+    assert (sigma, b.shape, box) == (0.0, (0,), 0.0)
+
+
+@pytest.mark.parametrize("A", [
+    np.array([[1.0, 2.0], [-1.0, -2.0], [2.0, -1.0], [-2.0, 1.0]]),
+    np.array([[3.0, 0.0], [-3.0, 0.0], [0.0, 3e-6], [0.0, -3e-6]]),
+    np.vstack([np.eye(3), -np.ones((1, 3))]),
+    np.vstack([np.eye(4), -np.ones((1, 4)), [[1.0, -1.0, 2.0, 0.5]], [[-1.0, 1.0, -2.0, -0.5]]]),
+], ids=["square", "scaled_pairs", "simplex", "simplex_and_pair"])
+def test_weighted_bounds_match_a_loop_over_directions(A):
+    # the box built one direction and one sign at a time, as its
+    # derivation reads, at the analytic center: lam >= 0 exactly, and b,
+    # rho and delta agree with the array form to rounding
+    block = TightBlock(A)
+    y = solve_analytic_center(block).y
+    sigma, b, box = block.weighted_bounds(y)
+    M, r = block.WV, block.rank
+    P, S, Rt = np.linalg.svd(y[:, None] * M, full_matrices=False)
+    b_loop, rho = np.zeros(r), np.zeros(r)
+    for k in range(r):
+        for s in (1.0, -1.0):
+            t = max(0.0, max(-s * P[:, k]) / S[k])
+            lam = y * (s * P[:, k] / S[k] + t)
+            assert lam.min() >= 0.0
+            b_loop[k] = max(b_loop[k], lam.sum())
+            rho[k] = max(rho[k], np.linalg.norm(M.T @ lam - s * Rt[k]))
+    delta = np.linalg.norm(Rt @ Rt.T - np.eye(r))
+    assert sigma == np.ldexp(S[-1], block.exp)
+    assert b == pytest.approx(np.ldexp(b_loop, -block.exp), rel=1e-13, abs=0.0)
+    assert np.all(b_loop <= 2.0 / S * (1.0 + 1e-13))
+    expect = np.ldexp(np.linalg.norm(b_loop), -block.exp) / (1.0 - delta - np.linalg.norm(rho))
+    assert 0.0 < box == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+
+def test_weighted_bounds_claim_no_box_far_off_the_slice():
+    # at these weights the residual t M'y of each lam exceeds 1, so the
+    # fold 1 - delta - ||rho|| is negative and no box is claimed
+    block = TightBlock(np.array([[1.0, 2.0], [-1.0, -2.0], [2.0, -1.0], [-2.0, 1.0]]))
+    sigma, b, box = block.weighted_bounds(np.array([0.7, 0.1, 0.1, 0.1]))
+    assert sigma > 0.0 and b.shape == (2,) and box == np.inf
 
 
 def test_error_hierarchy():
