@@ -5,8 +5,9 @@ The package computes a certified upper bound on
     H0(A) = sup_{u : (A u)^+ != 0} dist_2(u, {x : A x <= 0}) / ||(A u)^+||_inf
 
 together with the intermediate certificates (row partition, per-block
-witnesses, restriction factor), an independent audit of those certificates,
-and a Monte Carlo lower-bound oracle for sandwich validation.
+witnesses, restriction factor, decomposition witness), an independent audit
+of those certificates, and a Monte Carlo lower-bound oracle for sandwich
+validation.
 
 Only the entry points and the error classes are exported here.  Every other
 name is imported from the module that defines it, e.g.

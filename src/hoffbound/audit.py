@@ -12,7 +12,9 @@ partition LP iterate), and the audit applies it again to the stored
 witnesses, on its own ``numerics.TightBlock`` of the instance's rows A_B
 (never the report's), which also gives the case-B check its sigma and box
 and the stitch check the rank gap of A_B.  No rank is decided outside that
-block.
+block.  The decomposition's row scales c and its value are the formulas of
+``bounds.decomposition_scales`` and ``decomposition_value``, evaluated on
+the audit's own block and weighted SVD.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundReport, CaseBBound
+from .bounds import BoundReport, CaseBBound, decomposition_scales, decomposition_value
 from .core import ProblemInstance, ScaleOutOfRange, euclidean_norm, row_norms
-from .numerics import NumericalFailure, TightBlock
+from .numerics import NumericalFailure, TightBlock, WeightedBounds
 from .partition import PartitionCertificate, slack_margin, weight_margin
 
 __all__ = ["AuditResult", "audit_report", "verify_partition"]
@@ -36,11 +38,13 @@ SUM_TOL = 1e-12
 SIGMA_RTOL = 1e-12
 
 # The components each branch combines: the total is the stitch factor (1
-# without a stitch) times the larger block bound present.
+# without a stitch) times the larger block bound present, or the
+# decomposition bound where that is smaller.
+_COMPONENTS = ("case_n", "case_b", "stitch", "decomposition")
 _BRANCH_COMPONENTS = {
     "case_N": ("case_n",),
     "case_B": ("case_b",),
-    "general": ("case_n", "case_b", "stitch"),
+    "general": _COMPONENTS,
 }
 
 
@@ -95,12 +99,13 @@ def _check_unit_margin(Gz: np.ndarray, z: np.ndarray, value: float, bound,
 
 def _check_branch(report: BoundReport) -> list[str]:
     """Failure unless the report carries exactly its branch's components,
-    ``total`` and their values are finite, and ``total`` equals their product
-    formula bit for bit."""
+    ``total`` and their values are finite, and ``total`` equals their
+    formula bit for bit: ``min(stitch * max(case_N, case_B), decomposition)``
+    on the general branch, the one block bound on the others."""
     parts = _BRANCH_COMPONENTS.get(report.branch)
     if parts is None:
         return [f"unknown branch {report.branch!r}"]
-    present = tuple(k for k in ("case_n", "case_b", "stitch") if getattr(report, k))
+    present = tuple(k for k in _COMPONENTS if getattr(report, k))
     if present != parts:
         return [f"{report.branch} branch carries {present}, not {parts}"]
     values = {"total": report.total, **{k: getattr(report, k).value for k in present}}
@@ -108,9 +113,21 @@ def _check_branch(report: BoundReport) -> list[str]:
     if bad:
         return [f"non-finite bound: {', '.join(bad)}"]
     blocks = [c.value for c in (report.case_n, report.case_b) if c is not None]
-    factor = 1.0 if report.stitch is None else report.stitch.value
-    if report.total != factor * max(blocks):
+    total = max(blocks)
+    if report.stitch is not None:
+        total = min(report.stitch.value * total, report.decomposition.value)
+    if report.total != total:
         return [f"{report.branch} branch arithmetic mismatch"]
+    return []
+
+
+def _check_null_space(A_B: np.ndarray, w: np.ndarray, fro_B: float, name: str,
+                      metrics: dict) -> list[str]:
+    """Failure unless ``||A_B w||_inf <= RESIDUAL_TOL ||A_B||_F ||w||``, the
+    residual recorded as ``{name}_null_res``."""
+    metrics[f"{name}_null_res"] = res = float(np.abs(A_B @ w).max(initial=0.0))
+    if not res <= RESIDUAL_TOL * fro_B * euclidean_norm(w):
+        return [f"{name} witness leaves the null space of A_B ({res:.3e})"]
     return []
 
 
@@ -120,19 +137,16 @@ def _close(a: float, b: float) -> bool:
     return a == b or (abs(a - b) <= UNIT_RTOL * abs(b) and math.isfinite(b))
 
 
-def _check_case_b(cb: CaseBBound, block: TightBlock, metrics: dict) -> list[str]:
+def _check_case_b(cb: CaseBBound, wb: WeightedBounds, metrics: dict) -> list[str]:
     """Failures of a tight-block bound ``cb`` with a sigma, against the
-    audit's own ``block.weighted_bounds(y_bar)``, which rebuilds each lam,
-    its residual and ``R'R`` from its SVD: bound_case_b's call, so an honest
-    report is reproduced.  ``sigma`` may exceed the recomputed one and each
+    audit's own ``wb = block.weighted_bounds(y_bar)``, which rebuilds each
+    lam, its residual and ``R'R`` from its SVD: bound_case_b's call, so an
+    honest report is reproduced.  ``sigma`` may exceed the recomputed one and each
     ``b_k`` fall below its recomputation by ``SIGMA_RTOL`` relative at most,
     ``b`` has one entry per direction of the block's row space, and the
     value is at least the recomputed ``min(2 / sigma, box)`` by the same
     comparison and at most the report's own ``min(2 / sigma, box)``."""
-    try:
-        sigma, b, box = block.weighted_bounds(cb.y_bar)
-    except NumericalFailure as exc:
-        return [f"sigma of A_B' diag(y_bar): {exc}"]
+    sigma, b, box = wb.sigma, wb.b, wb.box
     metrics["case_b_sigma"] = sigma
     metrics["case_b_box"] = box
     failures = []
@@ -258,9 +272,14 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     ``||A_B w_bar||_inf <= RESIDUAL_TOL ||A_B||_F ||w_bar||``, unit margin
     through the recomputed row scaling D, ``value = 1 + 2 ||w_bar||`` and
     ``value >= 1 + 2 ||w_bar|| / min(D A_N w_bar)``.  Both value
-    inequalities hold up to ``UNIT_RTOL``.
-    Finally the report carries exactly its branch's components, and their
-    product formula gives the total bit for bit, and every value is finite.
+    inequalities hold up to ``UNIT_RTOL``.  The decomposition witness w
+    passes the same null-space check; each ``c_i`` is rebuilt from the
+    audit's own ``weighted_bounds(y_bar)`` and the audited ``h_B``, the
+    case-B value; w has unit margin on ``(A_N w) / c``, and the value is
+    ``sqrt(h_B^2 + r^2)``, ``r = ||w|| / min(1, min((A_N w) / c))``, bit for
+    bit, so it is not one ulp below ``sqrt(h_B^2 + (||w|| / min((A_N w) / c))^2)``.
+    Finally the report carries exactly its branch's components, their
+    formula gives the total bit for bit, and every value is finite.
     Every budget is relative to the matrix it checks.  An SVD that does not
     converge, a row index out of range, an empty weight vector and a witness
     of the wrong length are recorded as failures, not raised.
@@ -296,6 +315,7 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
                     f"slack-block value {cn.value!r} does not equal ||x_bar|| {nrm!r}"
                 )
 
+    wb = None  # the audit's weighted_bounds(y_bar), once y_bar fits the block
     if report.case_b is not None:
         cb = report.case_b
         y = cb.y_bar
@@ -308,10 +328,17 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
                 failures.append("a zero tight block carries a box")
             if cb.value != 0.0:
                 failures.append("zero tight block must report value 0")
+            if block is not None and block.rank == 0:  # no SVD at rank 0
+                wb = block.weighted_bounds(y)
         else:
             failures += _check_weights(y, A_B, fro_B, metrics)
             if block is not None:  # else the rank failure of A_B is recorded
-                failures += _check_case_b(cb, block, metrics)
+                try:
+                    wb = block.weighted_bounds(y)
+                except NumericalFailure as exc:
+                    failures.append(f"sigma of A_B' diag(y_bar): {exc}")
+                else:
+                    failures += _check_case_b(cb, wb, metrics)
 
     st = report.stitch
     if st is not None and st.w_bar.shape != (instance.n,):
@@ -320,11 +347,7 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
         if block is not None:
             metrics["stitch_rank_gap"] = block.rank_gap
         w = st.w_bar
-        metrics["stitch_null_res"] = null_res = float(np.abs(A_B @ w).max(initial=0.0))
-        if not null_res <= RESIDUAL_TOL * fro_B * euclidean_norm(w):
-            failures.append(
-                f"stitch witness leaves the null space of A_B ({null_res:.3e})"
-            )
+        failures += _check_null_space(A_B, w, fro_B, "stitch", metrics)
         norms = row_norms(A_N)
         if np.any(norms <= 0.0):
             failures.append("a slack row is identically zero")
@@ -335,6 +358,21 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
         expect = 1.0 + 2.0 * euclidean_norm(w)
         if not _close(st.value, expect):
             failures.append("stitch value does not equal 1 + 2 ||w_bar||")
+
+    dc = report.decomposition
+    if dc is not None and dc.w.shape != (instance.n,):
+        failures.append("decomposition witness length does not match n")
+    elif dc is not None and wb is not None:  # else case B's failure is recorded
+        h_B = report.case_b.value
+        failures += _check_null_space(A_B, dc.w, fro_B, "decomposition", metrics)
+        Gw = (A_N @ dc.w) / decomposition_scales(block, wb, A_N, h_B)
+        failures += _check_unit_margin(
+            Gw, dc.w, dc.value, lambda r: math.sqrt(h_B * h_B + r * r),
+            "decomposition witness", "decomposition_margin", metrics)
+        # r = ||w|| / min(1, margin) is at least what w proves, so equality
+        # also rejects a value one ulp below that
+        if Gw.size and dc.value != decomposition_value(h_B, dc.w, Gw):
+            failures.append("decomposition value does not equal sqrt(h_B^2 + ||w||^2)")
 
     failures += _check_branch(report)
     return AuditResult(ok=not failures, failures=tuple(failures), metrics=metrics)

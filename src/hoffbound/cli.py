@@ -129,7 +129,8 @@ def _print_text(payload: dict, audit: AuditResult) -> None:
         print("partition LP: not run, the split was proven before it")
     for key, label in (("case_N", "slack-block bound"),
                        ("case_B", "tight-block bound"),
-                       ("stitch", "restriction factor")):
+                       ("stitch", "restriction factor"),
+                       ("decomposition", "decomposition bound")):
         block = bounds[key]
         if block is not None:
             print(f"{label}: {block['value']:.12g}")

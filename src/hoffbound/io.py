@@ -180,8 +180,9 @@ def report_to_dict(
     ``metadata={"json": False}``: the partition's ``block`` and ``A_N``,
     which the audit rebuilds from the instance, and its ``solution``, whose
     point the bound built from it stores.  Every witness a bound rests on is
-    serialized: ``x_hat``, ``y_hat``, ``x_bar``, ``y_bar`` with ``sigma``,
-    and the stitch's ``w_bar`` in null(A_B) with ``D A_N w_bar >= 1``.
+    serialized: ``x_hat``, ``y_hat``, ``x_bar``, ``y_bar`` with ``sigma``
+    and ``b``, the stitch's ``w_bar`` in null(A_B) with
+    ``D A_N w_bar >= 1``, and the decomposition's ``w`` in null(A_B).
     When an oracle result is attached, the sandwich block holds one verdict,
     ``ok = oracle.lower_bound <= total + sandwich_rtol (1 + total)``, with
     ``total = bounds.total``.  ``sandwich_rtol`` only ever receives its
@@ -197,6 +198,7 @@ def report_to_dict(
             "case_N": report.case_n,
             "case_B": report.case_b,
             "stitch": report.stitch,
+            "decomposition": report.decomposition,
             "total": report.total,
         },
         "oracle": oracle,

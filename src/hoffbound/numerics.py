@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import numpy.typing as npt
@@ -28,10 +29,26 @@ from .core import (
 __all__ = [
     "NumericalFailure",
     "TightBlock",
+    "WeightedBounds",
     "numerical_rank",
     "orthonormal_null_basis",
     "smallest_positive_singular_value",
 ]
+
+
+class WeightedBounds(NamedTuple):
+    """``TightBlock.weighted_bounds(y)``: the paper's ``sigma``, the box's
+    ``b`` and value ``box``, and what the box is built from, the right
+    singular vectors ``R`` (as columns), the residuals ``rho`` and
+    ``delta = ||R'R - I||_F``."""
+
+    sigma: float
+    b: np.ndarray
+    box: float
+    R: np.ndarray
+    rho: np.ndarray
+    delta: float
+
 
 class NumericalFailure(HoffboundError):
     """A dense factorization failed to converge or produced invalid output."""
@@ -119,10 +136,12 @@ class TightBlock:
             )
         return Q
 
-    def weighted_bounds(self, y: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """``(sigma, b, box)``, the two tight-block bounds of the weights y,
-        from one SVD ``diag(y) M = P S R'`` of ``M = W V`` at the block's
-        rank r, deciding no rank of its own; ``(0, [], 0)`` at r = 0.
+    def weighted_bounds(self, y: np.ndarray) -> WeightedBounds:
+        """``(sigma, b, box, R, rho, delta)``, the two tight-block bounds of
+        the weights y and the box's pieces, from one SVD
+        ``diag(y) M = P S R'`` of ``M = W V`` at the block's rank r, deciding
+        no rank of its own; sigma, box and delta 0 and the arrays empty at
+        r = 0.
 
         ``sigma = 2^e S_r`` has ``||diag(y) A_B w|| >= sigma ||w||`` for w in
         range(V), the inequality the paper's bound 2 / sigma rests on.
@@ -138,13 +157,16 @@ class TightBlock:
         the slice residual ``t M'y``.  With ``delta = ||R'R - I||_F``,
         ``||R'c|| >= (1 - delta) ||c||``, so
         ``H0(A_B) <= box = 2^-e ||b|| / (1 - delta - ||rho||)``.  ``b`` is
-        returned in A_B's units (times 2^-e); ``box`` is inf unless every
-        lam is nonnegative (y > 0 makes it so) and the denominator positive.
+        returned in A_B's units (times 2^-e), so the box holds on
+        ``{A_B V c <= 1}`` as ``|R_k'c| <= b_k + rho_k ||c||``; ``box`` is
+        inf unless every lam is nonnegative (y > 0 makes it so) and the
+        denominator positive, and b and rho bound nothing then.  ``R`` is
+        r by r.
         ``NumericalFailure`` if the SVD does not converge (a NaN in y).
         """
         r = self.rank
         if not r:
-            return 0.0, np.zeros(0), 0.0
+            return WeightedBounds(0.0, np.zeros(0), 0.0, np.zeros((0, 0)), np.zeros(0), 0.0)
         P, S, Rt = _svd(y[:, None] * self.WV, full_matrices=False)
         with np.errstate(all="ignore"):  # a zero S_r gives NaN, and no box
             G = P / S  # column k is P_k / S_k
@@ -154,11 +176,13 @@ class TightBlock:
             res[:, :r] -= Rt.T
             res[:, r:] += Rt.T
             rho, sums = (res * res).sum(axis=0), lam.sum(axis=0)
-            rho = np.maximum(rho[:r], rho[r:]).sum()
-            fold = 1.0 - euclidean_norm(Rt @ Rt.T - np.eye(r)) - math.sqrt(rho)
+            rho = np.maximum(rho[:r], rho[r:])  # rho_k squared
+            delta = euclidean_norm(Rt @ Rt.T - np.eye(r))
+            fold = 1.0 - delta - math.sqrt(rho.sum())
             b = np.ldexp(np.maximum(sums[:r], sums[r:]), -self.exp)
             box = euclidean_norm(b) / fold if fold > 0.0 and lam.min() >= 0.0 else math.inf
-        return float(np.ldexp(S[-1], self.exp)), b, box
+        return WeightedBounds(float(np.ldexp(S[-1], self.exp)), b, box, Rt.T, np.sqrt(rho),
+                              delta)
 
     @cached_property
     def slice_factors(self) -> tuple[np.ndarray, float]:

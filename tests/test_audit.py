@@ -13,8 +13,13 @@ import hoffbound.audit
 import hoffbound.numerics
 import hoffbound.solvers.programs
 from hoffbound import audit_report, bound_h0, lower_bound_monte_carlo
-from hoffbound.bounds import CaseBBound
-from hoffbound.numerics import smallest_positive_singular_value
+from hoffbound.bounds import (
+    CaseBBound,
+    DecompositionBound,
+    bound_decomposition,
+    decomposition_scales,
+)
+from hoffbound.numerics import TightBlock, smallest_positive_singular_value
 
 from helpers import (
     C4,
@@ -178,10 +183,7 @@ def test_audit_rejects_a_witness_shrunk_below_unit_margin(A, component, witness,
     z = getattr(getattr(rep, component), witness) * (1.0 - 5e-10)
     bad = dataclasses.replace(getattr(rep, component), **{witness: z, "value": value(z)})
     bad = dataclasses.replace(rep, **{component: bad})
-    factor = 1.0 if bad.stitch is None else bad.stitch.value
-    bad = dataclasses.replace(bad, total=factor * max(
-        c.value for c in (bad.case_n, bad.case_b) if c is not None))
-    res = audit_report(inst, bad)
+    res = audit_report(inst, dataclasses.replace(bad, total=_branch_total(bad)))
     assert not res.ok
     assert len(res.failures) == 1
     assert res.failures[0].startswith(f"{name} proves")
@@ -192,7 +194,8 @@ def test_audit_rejects_a_witness_shrunk_below_unit_margin(A, component, witness,
     ("partition", "x_hat", "x_hat length does not match n"),
     ("case_n", "x_bar", "slack-block witness length does not match n"),
     ("stitch", "w_bar", "stitch witness length does not match n"),
-], ids=["x_hat", "x_bar", "w_bar"])
+    ("decomposition", "w", "decomposition witness length does not match n"),
+], ids=["x_hat", "x_bar", "w_bar", "w"])
 def test_audit_records_a_witness_of_the_wrong_length(component, witness, message):
     # each once escaped as numpy's ValueError from a matrix product
     inst = instance(C4)
@@ -222,6 +225,8 @@ def test_audit_records_a_witness_of_the_wrong_length(component, witness, message
      "zero tight block must report value 0"),
     (C4, "case_b.value", lambda v: 1.5 * v, "tight-block value exceeds min(2 / sigma, box)"),
     (C4, "stitch.value", lambda v: v + 1.0, "stitch value does not equal 1 + 2 ||w_bar||"),
+    (C4, "decomposition.value", lambda v: v + 1.0,
+     "decomposition value does not equal sqrt(h_B^2 + ||w||^2)"),
     (C4, "branch", lambda b: "bogus", "unknown branch 'bogus'"),
     (C4, "branch", lambda b: "zero", "unknown branch 'zero'"),
     (C4, "partition", lambda p: None, "report is missing its partition certificate"),
@@ -231,7 +236,8 @@ def test_audit_records_a_witness_of_the_wrong_length(component, witness, message
      lambda p: dataclasses.replace(p, B=(0, 1), N=(2, 3)), "a slack row is identically zero"),
 ], ids=["B_N_cover", "B_unsorted", "x_hat_norm", "x_hat_missing", "x_hat_without_N",
         "y_hat_length", "y_hat_without_B", "y_bar_sum", "y_bar_residual", "sigma_missing",
-        "sigma_negative", "zero_block_value", "case_b_value", "stitch_value", "branch",
+        "sigma_negative", "zero_block_value", "case_b_value", "stitch_value",
+        "decomposition_value", "branch",
         "zero_branch", "partition_missing", "zero_slack_row"])
 def test_audit_names_the_check_a_tampered_field_fails(A, field, change, message):
     # one field of an honest report changed: its own check records the failure
@@ -287,11 +293,26 @@ def test_certify_and_audit_take_a_fixed_count_of_svds(monkeypatch):
     assert (certify, len(calls) - certify) == (9, 3), calls
 
 
+def _branch_total(rep):
+    """The total that the components of ``rep`` give by its branch formula:
+    ``min(stitch * max(case_N, case_B), decomposition)`` on the general
+    branch."""
+    total = max(c.value for c in (rep.case_n, rep.case_b) if c is not None)
+    if rep.stitch is None:
+        return total
+    return min(rep.stitch.value * total, rep.decomposition.value)
+
+
 def _with_case_b(rep, case_b):
     """``rep`` with ``case_b`` and the total its branch formula gives."""
-    factor = 1.0 if rep.stitch is None else rep.stitch.value
-    blocks = [c.value for c in (rep.case_n, case_b) if c is not None]
-    return dataclasses.replace(rep, case_b=case_b, total=factor * max(blocks))
+    rep = dataclasses.replace(rep, case_b=case_b)
+    return dataclasses.replace(rep, total=_branch_total(rep))
+
+
+def _with_decomposition(rep, decomposition):
+    """``rep`` with ``decomposition`` and the total its branch formula gives."""
+    rep = dataclasses.replace(rep, decomposition=decomposition)
+    return dataclasses.replace(rep, total=_branch_total(rep))
 
 
 def _halve_b1(cb):
@@ -473,3 +494,111 @@ def test_the_audits_value_comparison_is_np_isclose_without_atol(a, b, ulps, near
         a = b + ulps * math.ulp(b)
     expect = bool(np.isclose(a, b, rtol=1e-13, atol=0.0))
     assert hoffbound.audit._close(a, b) is expect
+
+
+# --- the decomposition bound ------------------------------------------------
+
+def test_audit_rejects_a_decomposition_witness_off_the_null_space():
+    inst = instance(C4)
+    rep = bound_h0(inst)
+    w = rep.decomposition.w + 1e-3 * np.array([1.0, 0.0])  # along the row space
+    bad = _with_decomposition(rep, dataclasses.replace(rep.decomposition, w=w))
+    res = audit_report(inst, bad)
+    assert not res.ok
+    assert any(f.startswith("decomposition witness leaves the null space")
+               for f in res.failures), res.failures
+
+
+@pytest.mark.parametrize("A", [C4, planted_mixed_matrix(3, 30, 8)], ids=["C4", "planted"])
+def test_audit_rejects_a_halved_decomposition_witness(A):
+    # the value is redone from the halved w, so only its margin misses c
+    inst = instance(A)
+    rep = bound_h0(inst)
+    w = rep.decomposition.w * 0.5
+    bad = _with_decomposition(rep, DecompositionBound(
+        value=math.hypot(rep.case_b.value, float(np.linalg.norm(w))), w=w))
+    res = audit_report(inst, bad)
+    assert not res.ok
+    assert any(f.startswith("decomposition witness margin") for f in res.failures)
+    assert res.metrics["decomposition_margin"] == pytest.approx(
+        0.5 * audit_report(inst, rep).metrics["decomposition_margin"], rel=1e-12)
+
+
+def _proven(inst, rep):
+    """What the decomposition witness of ``rep`` proves, as the audit
+    computes it: sqrt(h_B^2 + (||w|| / min((A_N w) / c))^2)."""
+    A_B, A_N = inst.A[list(rep.partition.B)], inst.A[list(rep.partition.N)]
+    block, h_B, w = TightBlock(A_B), rep.case_b.value, rep.decomposition.w
+    c = decomposition_scales(block, block.weighted_bounds(rep.case_b.y_bar), A_N, h_B)
+    r = float(np.linalg.norm(w)) / float(((A_N @ w) / c).min())
+    return math.sqrt(h_B * h_B + r * r)
+
+
+@pytest.mark.parametrize("A", [C4, planted_mixed_matrix(3, 30, 8),
+                               planted_mixed_matrix(5, 60, 12)],
+                         ids=["C4", "planted_30x8", "planted_60x12"])
+def test_audit_rejects_a_decomposition_value_one_ulp_below_what_w_proves(A):
+    inst = instance(A)
+    rep = bound_h0(inst)
+    proven = _proven(inst, rep)
+    assert audit_report(inst, rep).ok and rep.decomposition.value >= proven
+    value = math.nextafter(proven, 0.0)
+    res = audit_report(inst, _with_decomposition(
+        rep, dataclasses.replace(rep.decomposition, value=value)))
+    assert res.failures == ("decomposition value does not equal sqrt(h_B^2 + ||w||^2)",)
+
+
+def _lower_b(rep):
+    """``rep``'s case B with b and rho of its weighted SVD cut to a quarter
+    and to 0: the box form of every tau falls."""
+    wb = rep.case_b.weighted
+    return dataclasses.replace(rep.case_b, weighted=wb._replace(b=0.25 * wb.b, rho=0.0 * wb.rho))
+
+
+@pytest.mark.parametrize("forge, reported, message", [
+    (_lower_b, lambda rep, forged: rep.case_b, "decomposition witness margin"),
+    (lambda rep: dataclasses.replace(rep.case_b, value=0.25 * rep.case_b.value),
+     lambda rep, forged: rep.case_b, "decomposition witness margin"),
+    (lambda rep: dataclasses.replace(rep.case_b, value=0.25 * rep.case_b.value),
+     lambda rep, forged: forged, "tight-block value"),
+], ids=["b_lowered", "h_B_lowered", "case_b_value_lowered"])
+def test_audit_rejects_a_decomposition_fit_to_a_lowered_c(forge, reported, message):
+    # the witness is refit to the c of a lowered b, or of a lowered h_B, with
+    # the value it then proves; the audit rebuilds c from its own weighted
+    # SVD and the audited case-B value, and the refit w misses that c
+    inst = instance(planted_mixed_matrix(3, 30, 8))
+    rep = bound_h0(inst)
+    part = rep.partition
+    forged = forge(rep)
+    dc = bound_decomposition(part.block, forged, part.A_N, part.x_hat)
+    assert dc.value < rep.decomposition.value
+    bad = _with_decomposition(dataclasses.replace(rep, case_b=reported(rep, forged)), dc)
+    res = audit_report(inst, bad)
+    assert not res.ok
+    assert any(f.startswith(message) for f in res.failures), res.failures
+
+
+def test_audit_rejects_a_general_total_that_is_not_the_smaller_bound():
+    # on C4 the decomposition (sqrt 2) is below the paper's product (3)
+    inst = instance(C4)
+    rep = bound_h0(inst)
+    product = rep.stitch.value * max(rep.case_n.value, rep.case_b.value)
+    assert rep.total == rep.decomposition.value < product
+    res = audit_report(inst, dataclasses.replace(rep, total=product))
+    assert res.failures == ("general branch arithmetic mismatch",)
+
+
+@pytest.mark.parametrize("A, branch", [
+    (-np.eye(3), "case_N"),
+    (np.array([[1.0], [-1.0]]), "case_B"),
+], ids=["case_N", "case_B"])
+def test_audit_rejects_a_decomposition_on_a_one_sided_report(A, branch):
+    inst = instance(A)
+    rep = bound_h0(inst)
+    assert rep.branch == branch and rep.decomposition is None
+    dc = DecompositionBound(value=0.5 * rep.total, w=np.ones(inst.n))
+    res = audit_report(inst, dataclasses.replace(rep, decomposition=dc, total=dc.value))
+    assert not res.ok
+    component = "case_n" if branch == "case_N" else "case_b"
+    assert (f"{branch} branch carries ({component!r}, 'decomposition'), "
+            f"not ({component!r},)") in res.failures

@@ -111,7 +111,7 @@ def test_case_b_value_is_the_smaller_of_the_paper_bound_and_the_box(A):
     # and b is its vector, one entry per direction of the row space
     block = TightBlock(A)
     res = bound_case_b(block)
-    sigma, b, box = block.weighted_bounds(res.y_bar)
+    sigma, b, box, *_ = block.weighted_bounds(res.y_bar)
     print(f"2 / sigma {2.0 / sigma:.6g}, box {box:.6g}")
     assert (res.sigma, res.value) == (sigma, min(2.0 / sigma, box))
     assert np.array_equal(res.b, b) and res.b.shape == (block.rank,)
@@ -191,11 +191,33 @@ def test_general_branch_component_values():
     assert paper == pytest.approx(TWO_SQRT2, rel=1e-9)
     assert rep.stitch.value == pytest.approx(3.0, rel=1e-9)
     assert rep.stitch.value * max(rep.case_n.value, paper) == pytest.approx(SIX_SQRT2, rel=1e-9)
-    # the box meets H0 = 1 of the tight pair, and the total falls to 3
+    # the box meets H0 = 1 of the tight pair, and the product falls to 3
     assert rep.case_b.value == pytest.approx(1.0, rel=1e-12)
-    assert rep.total == pytest.approx(3.0, rel=1e-12)
+    product = rep.stitch.value * max(rep.case_n.value, rep.case_b.value)
+    assert product == pytest.approx(3.0, rel=1e-12)
+    # the slack row -e_2 is orthogonal to the tight rows' span, so c = 1,
+    # w = -e_2 and the decomposition meets H0 = sqrt(1^2 + 1^2)
+    assert rep.decomposition.value == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert rep.decomposition.w == pytest.approx([0.0, -1.0], abs=1e-15)
+    assert rep.total == pytest.approx(np.sqrt(2.0), rel=1e-12)
     # the combination is literal arithmetic on the stored components
-    assert rep.total == rep.stitch.value * max(rep.case_n.value, rep.case_b.value)
+    assert rep.total == min(product, rep.decomposition.value)
+
+
+@pytest.mark.parametrize("A", [
+    np.array([[0.0, 0.0, 0.0], [-1.0, 0.5, 0.2], [0.0, 0.0, 0.0],
+              [0.3, -1.0, 0.1], [0.2, 0.1, -1.0]]),
+    np.vstack([np.zeros((2, 6)), -np.abs(gaussian_matrix(41, 12, 6))]),
+], ids=["three_slack", "gaussian_slack"])
+def test_a_rank_0_tight_block_gives_case_n_bit_for_bit(A):
+    # zero rows are tight, of rank 0: h_B = 0, c = 1 and Q = I, so the
+    # decomposition's fit is case N's own and sqrt(0 + ||z||^2) = ||z||
+    rep = bound_h0(instance(A))
+    assert rep.branch == "general" and rep.partition.block.rank == 0
+    assert rep.case_b.value == 0.0
+    assert np.array_equal(rep.decomposition.w, rep.case_n.x_bar)
+    assert rep.decomposition.value == rep.case_n.value == rep.total
+    assert rep.stitch.value * rep.case_n.value > rep.total
 
 
 def test_general_branch_factors_the_tight_rows_once(monkeypatch):

@@ -111,8 +111,9 @@ def test_weighted_sigma_is_the_rth_singular_value_of_the_block():
     s = np.linalg.svd(A_B.T * y[None, :], compute_uv=False)
     assert s[1] < 1e-13 * s[0]
     assert s[0] == pytest.approx(3.0 * np.hypot(y[0], y[1]), rel=1e-12)
-    sigma, b, box = TightBlock(np.zeros((2, 2))).weighted_bounds(np.full(2, 0.5))
-    assert (sigma, b.shape, box) == (0.0, (0,), 0.0)
+    wb = TightBlock(np.zeros((2, 2))).weighted_bounds(np.full(2, 0.5))
+    assert (wb.sigma, wb.b.shape, wb.box) == (0.0, (0,), 0.0)
+    assert (wb.R.shape, wb.rho.shape, wb.delta) == ((0, 0), (0,), 0.0)
 
 
 @pytest.mark.parametrize("A", [
@@ -124,10 +125,10 @@ def test_weighted_sigma_is_the_rth_singular_value_of_the_block():
 def test_weighted_bounds_match_a_loop_over_directions(A):
     # the box built one direction and one sign at a time, as its
     # derivation reads, at the analytic center: lam >= 0 exactly, and b,
-    # rho and delta agree with the array form to rounding
+    # rho and delta agree with the array form to rounding; R is the SVD's
     block = TightBlock(A)
     y = solve_analytic_center(block).y
-    sigma, b, box = block.weighted_bounds(y)
+    sigma, b, box, R, rho_k, delta_k = block.weighted_bounds(y)
     M, r = block.WV, block.rank
     P, S, Rt = np.linalg.svd(y[:, None] * M, full_matrices=False)
     b_loop, rho = np.zeros(r), np.zeros(r)
@@ -140,6 +141,9 @@ def test_weighted_bounds_match_a_loop_over_directions(A):
             rho[k] = max(rho[k], np.linalg.norm(M.T @ lam - s * Rt[k]))
     delta = np.linalg.norm(Rt @ Rt.T - np.eye(r))
     assert sigma == np.ldexp(S[-1], block.exp)
+    assert np.array_equal(R, Rt.T)
+    assert rho_k == pytest.approx(rho, rel=1e-12, abs=1e-15)
+    assert delta_k == pytest.approx(delta, rel=1e-12, abs=1e-15)
     assert b == pytest.approx(np.ldexp(b_loop, -block.exp), rel=1e-13, abs=0.0)
     assert np.all(b_loop <= 2.0 / S * (1.0 + 1e-13))
     expect = np.ldexp(np.linalg.norm(b_loop), -block.exp) / (1.0 - delta - np.linalg.norm(rho))
@@ -150,7 +154,7 @@ def test_weighted_bounds_claim_no_box_far_off_the_slice():
     # at these weights the residual t M'y of each lam exceeds 1, so the
     # fold 1 - delta - ||rho|| is negative and no box is claimed
     block = TightBlock(np.array([[1.0, 2.0], [-1.0, -2.0], [2.0, -1.0], [-2.0, 1.0]]))
-    sigma, b, box = block.weighted_bounds(np.array([0.7, 0.1, 0.1, 0.1]))
+    sigma, b, box, *_ = block.weighted_bounds(np.array([0.7, 0.1, 0.1, 0.1]))
     assert sigma > 0.0 and b.shape == (2,) and box == np.inf
 
 

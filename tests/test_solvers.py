@@ -496,8 +496,8 @@ def test_a_seeded_fit_of_an_infeasible_system_certifies_every_row(seed, d, extra
 
 
 def test_case_n_and_the_stitch_never_fit_every_slack_row(monkeypatch):
-    # both fits start from the partition's interior witness, so on a tall
-    # slack block they hand scipy's nnls a working set, never all k rows
+    # the three fits start from the partition's interior witness, so on a
+    # tall slack block they hand scipy's nnls a working set, never all k rows
     A, slack = planted_mixed_split(7, 400, 40)
     k = int(slack.sum())
     fits = []  # per fit of bound_h0, the column count of each nnls call
@@ -523,7 +523,7 @@ def test_case_n_and_the_stitch_never_fit_every_slack_row(monkeypatch):
     report = bound_h0(instance(A))
     assert report.branch == "general"
     assert report.partition.N == tuple(int(i) for i in np.flatnonzero(slack))
-    assert len(fits) == 2  # case N, then the stitch
+    assert len(fits) == 3  # case N, the stitch, then the decomposition
     for counts in fits:
         assert counts and max(counts) < k
 
