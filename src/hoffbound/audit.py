@@ -14,7 +14,9 @@ witnesses, on its own ``numerics.TightBlock`` of the instance's rows A_B
 and the stitch check the rank gap of A_B.  No rank is decided outside that
 block.  The decomposition's row scales c and its value are the formulas of
 ``bounds.decomposition_scales`` and ``decomposition_value``, evaluated on
-the audit's own block and weighted SVD.
+the audit's own block, weighted SVD and the report's y_bar; the scales'
+basis form adds a pivoted QR and one LU of the tight rows, whose output
+only has to be nonnegative weights for the bound to hold.
 """
 
 from __future__ import annotations
@@ -273,9 +275,10 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     through the recomputed row scaling D, ``value = 1 + 2 ||w_bar||`` and
     ``value >= 1 + 2 ||w_bar|| / min(D A_N w_bar)``.  Both value
     inequalities hold up to ``UNIT_RTOL``.  The decomposition witness w
-    passes the same null-space check; each ``c_i`` is rebuilt from the
-    audit's own ``weighted_bounds(y_bar)`` and the audited ``h_B``, the
-    case-B value; w has unit margin on ``(A_N w) / c``, and the value is
+    passes the same null-space check; each ``c_i`` is rebuilt, with its
+    ball, box and basis forms, from the audit's own block,
+    ``weighted_bounds(y_bar)``, y_bar and the audited ``h_B``, the case-B
+    value; w has unit margin on ``(A_N w) / c``, and the value is
     ``sqrt(h_B^2 + r^2)``, ``r = ||w|| / min(1, min((A_N w) / c))``, bit for
     bit, so it is not one ulp below ``sqrt(h_B^2 + (||w|| / min((A_N w) / c))^2)``.
     Finally the report carries exactly its branch's components, their
@@ -365,13 +368,14 @@ def audit_report(instance: ProblemInstance, report: BoundReport) -> AuditResult:
     elif dc is not None and wb is not None:  # else case B's failure is recorded
         h_B = report.case_b.value
         failures += _check_null_space(A_B, dc.w, fro_B, "decomposition", metrics)
-        Gw = (A_N @ dc.w) / decomposition_scales(block, wb, A_N, h_B)
+        Gw = (A_N @ dc.w) / decomposition_scales(block, report.case_b.y_bar, wb, A_N, h_B)
         failures += _check_unit_margin(
             Gw, dc.w, dc.value, lambda r: math.sqrt(h_B * h_B + r * r),
             "decomposition witness", "decomposition_margin", metrics)
         # r = ||w|| / min(1, margin) is at least what w proves, so equality
-        # also rejects a value one ulp below that
-        if Gw.size and dc.value != decomposition_value(h_B, dc.w, Gw):
+        # also rejects a value one ulp below that; a margin that is not
+        # positive proves nothing, and its failure is recorded above
+        if Gw.size and Gw.min() > 0.0 and dc.value != decomposition_value(h_B, dc.w, Gw):
             failures.append("decomposition value does not equal sqrt(h_B^2 + ||w||^2)")
 
     failures += _check_branch(report)

@@ -28,7 +28,11 @@ attached to the tight/slack row partition (B, N):
   A_B and in L = null(A_B).  The W part is at most h_B, the tight-block
   bound, and any w in L with a_i'w >= c_i on each slack row, c_i = 1 plus a
   bound on what the W part can take off a_i'p, gives
-  H0(A) <= sqrt(h_B^2 + ||w||^2) (``bound_decomposition``).
+  H0(A) <= sqrt(h_B^2 + ||w||^2) (``bound_decomposition``).  That bound,
+  tau_i, is the smallest of three forms: a ball, the box, and a basis form
+  from r independent tight rows: any lam >= 0 gives
+  ``-g'c = lam'M c - (M'lam + g)'c <= 1'lam + ||M'lam + g|| h_B`` on
+  ``{M c <= 1}``, M = A_B V, and one LU gives every slack row its lam.
 
 The paper's total is the restriction factor times the larger of the two
 row-block bounds; on the general branch the total is the smaller of that
@@ -51,6 +55,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgeqp3, dgesv
 
 from .core import ProblemInstance, euclidean_norm, row_norms
 from .numerics import (
@@ -261,21 +266,75 @@ def bound_stitch(
     return StitchBound(value=1.0 + 2.0 * sol.norm, w_bar=Q @ sol.z)
 
 
+def _row_basis(M: np.ndarray, y: np.ndarray, h_B: float):
+    """``(S, L, E)``: r independent rows S of ``M`` (pivoted QR of M',
+    LAPACK's ``dgeqp3``), and
+    for each j in S a nonnegative ``l_j`` (row j of L) with
+    ``M'l_j ≈ -M_j`` and its residual ``E_j = M'l_j + M_j``.
+
+    Each l_j is the cheaper, by ``1'l + ||M'l + M_j|| h_B``, of the center's
+    weights ``y / y_j`` with entry j set to 0 (only when ``y > 0``) and one
+    other row, ``a e_k`` with ``a = max(0, -M_k'M_j / ||M_k||^2)``, scored
+    for every k by one Gram product; k = j gives ``l_j = 0``."""
+    r = M.shape[1]
+    S = dgeqp3(M.T)[1][:r] - 1  # its pivots count from 1
+    M_S = M[S]
+    sq = (M * M).sum(axis=1)
+    gram = M_S @ M.T
+    a = np.zeros_like(gram)
+    np.divide(-gram, sq, out=a, where=sq > 0.0)
+    a = np.maximum(a, 0.0)
+    res = np.sqrt(np.maximum(a * a * sq + 2.0 * a * gram + sq[S][:, None], 0.0))
+    score = a + res * h_B
+    k = score.argmin(axis=1)
+    rows = np.arange(r)
+    L = np.zeros_like(gram)
+    L[rows, k] = a[rows, k]
+    if y.min() > 0.0:
+        y_S = y[S]
+        center = ((y.sum() - y_S) + euclidean_norm(y @ M) * h_B) / y_S
+        take = center < score[rows, k]
+        L[take] = y / y_S[take, None]
+        L[take, S[take]] = 0.0
+    return S, L, L @ M + M_S
+
+
 def decomposition_scales(
-    block: TightBlock, weighted: WeightedBounds, A_N: np.ndarray, h_B: float
+    block: TightBlock, y: np.ndarray, weighted: WeightedBounds, A_N: np.ndarray, h_B: float
 ) -> np.ndarray:
     """``c_i = 1 + tau_i`` for each slack row a_i, with ``g_i = V'a_i`` and
-    ``tau_i = min(||g_i|| h_B, sum_k |R_k'g_i| (b_k + rho_k h_B)
-    + ||g_i|| delta h_B)``, the ball and the box form of
-    ``bound_decomposition``.  ``weighted`` is ``block.weighted_bounds(y)``;
-    without a box (inf) the ball form stands alone."""
+    tau_i the smallest of the ball, the box and the basis form of
+    ``bound_decomposition``:
+
+    * ball: ``||g_i|| h_B``;
+    * box: ``sum_k |R_k'g_i| (b_k + rho_k h_B) + ||g_i|| delta h_B``, from
+      ``weighted = block.weighted_bounds(y)``; without a box (inf) it is
+      left out;
+    * basis: ``1'lam_i + ||M'lam_i + g_i|| h_B`` with ``M = A_B V`` and
+      ``lam_i = alpha+`` on the rows S of ``_row_basis(M, y, h_B)`` plus
+      ``sum_j alpha-_j l_j``, where ``M_S'alpha = -g_i`` (one LU for every
+      row, LAPACK's ``dgesv``) and ``alpha = alpha+ - alpha-``.  So
+      ``M'lam_i + g_i = (M_S'alpha + g_i) + sum_j alpha-_j E_j``.  It is
+      left out at rank 0, with no slack row, and when M_S is singular.
+    """
     g = A_N @ block.V
-    ball = row_norms(g) * h_B
-    if not math.isfinite(weighted.box):
-        return 1.0 + ball
-    box = (np.abs(g @ weighted.R) @ (weighted.b + weighted.rho * h_B)
-           + row_norms(g) * (weighted.delta * h_B))
-    return 1.0 + np.minimum(ball, box)
+    tau = row_norms(g) * h_B
+    if math.isfinite(weighted.box):
+        box = (np.abs(g @ weighted.R) @ (weighted.b + weighted.rho * h_B)
+               + row_norms(g) * (weighted.delta * h_B))
+        tau = np.minimum(tau, box)
+    if block.rank and g.shape[0]:
+        M = np.ldexp(block.WV, block.exp)
+        S, L, E = _row_basis(M, y, h_B)
+        M_S = M[S]
+        alpha, info = dgesv(M_S.T, -g.T)[2:]
+        if not info:  # else M_S is exactly singular
+            alpha = alpha.T
+            neg = np.maximum(-alpha, 0.0)
+            basis = (np.maximum(alpha, 0.0).sum(axis=1) + neg @ L.sum(axis=1)
+                     + row_norms(alpha @ M_S + g + neg @ E) * h_B)
+            tau = np.minimum(tau, basis)
+    return 1.0 + tau
 
 
 def decomposition_value(h_B: float, w: np.ndarray, Gw: np.ndarray) -> float:
@@ -319,9 +378,10 @@ def bound_decomposition(
     7. So ``||p_L|| <= ||z||``, and ``||p||^2 = ||p_W||^2 + ||p_L||^2
        <= h_B^2 + ||z||^2``.  ∎
 
-    The two forms of tau_i (``decomposition_scales``; the smaller is taken)
-    write q in W as ``V c``, with ``||c|| = ||q|| <= h_B`` and
-    ``-a_i'q = -g_i'c``, ``g_i = V'a_i``:
+    The three forms of tau_i (``decomposition_scales``; the smallest is
+    taken) write q in W as ``V c``, with ``||c|| = ||q|| <= h_B``,
+    ``M c = A_B q <= 1`` for ``M = A_B V`` and ``-a_i'q = -g_i'c``,
+    ``g_i = V'a_i``:
 
     * ball: ``-g_i'c <= ||g_i|| ||c|| <= ||g_i|| h_B``;
     * box: with R, b, rho and delta of ``case_b.weighted``
@@ -331,6 +391,15 @@ def bound_decomposition(
       ``-g_i'c <= sum_k |R_k'g_i| (b_k + rho_k h_B) + ||g_i|| delta h_B``.
       The box's b and rho bound only when its lam are nonnegative, so
       without a box (inf) the ball stands alone.
+    * basis: for any ``lam >= 0``, ``lam'M c <= 1'lam``, so
+      ``-g_i'c = lam'M c - (M'lam + g_i)'c <= 1'lam + ||M'lam + g_i|| h_B``.
+      With r independent rows S of M and nonnegative ``l_j``,
+      ``M'l_j ≈ -M_j`` (``_row_basis``), ``M_S'alpha = -g_i`` gives
+      ``lam_i = alpha+`` on S plus ``sum_j alpha-_j l_j``, nonnegative by
+      construction.  Its residual ``M'lam_i + g_i`` is what the LU and the
+      ``l_j`` leave; the bound holds for whatever lam comes out.  When the
+      tight rows come in +-pairs, each l_j is the partner row with zero
+      residual and ``tau_i = ||M_S^{-T} g_i||_1``, the LP optimum.
 
     The smallest such z solves the least-distance program of the rows
     ``(A_N Q)_i / c_i`` (``solve_min_norm_qp``), seeded by ``-Q'x_hat`` as
@@ -340,7 +409,7 @@ def bound_decomposition(
     fit is case N's own and the value case N's, bit for bit.
     """
     h_B = case_b.value
-    c = decomposition_scales(block, case_b.weighted, A_N, h_B)
+    c = decomposition_scales(block, case_b.y_bar, case_b.weighted, A_N, h_B)
     Q = block.Q
     sol = solve_min_norm_qp((A_N @ Q) / c[:, None], None if x_hat is None else -(x_hat @ Q))
     w = Q @ sol.z

@@ -198,7 +198,11 @@ def compute_partition(instance: ProblemInstance) -> PartitionCertificate:
 
     Otherwise each iterate of the partition LP is tried as it comes, with
     the split ``B = {i : y_i > s_i}``, or the all-slack split when
-    ``A x < 0``.  The LP stops at the first iterate whose split is proven,
+    ``A x < 0``.  A split that x does not already separate,
+    ``max_{i in B} |a_i'x| / ||a_i|| >= min_{i in N} -a_i'x / ||a_i||``, is
+    passed over before its block is factored: the screen only rejects, and
+    the margin rule decides every split it lets through.  The LP stops at
+    the first iterate whose split is proven,
     which the certificate's ``lp`` records.  The LP runs when the
     witnesses above fail: on a mixed split, and whenever a fit or the
     center raises or its witness fails the margin rule.  ``A`` is factored
@@ -252,9 +256,21 @@ def compute_partition(instance: ProblemInstance) -> PartitionCertificate:
                 return None
         return b_mask, block, A_N, x_hat, y_hat
 
+    # zero rows get 0 in the screen: tight in B, and failing it in N
+    norms = row_norms(A)
+    inv_norms = np.zeros(A.shape[0])
+    np.divide(1.0, norms, out=inv_norms, where=norms > 0.0)
+
     def accept(x, y, s):
+        Ax = A @ x
         # An interior x proves every row slack, whatever y > s says.
-        return certify(all_slack if (A @ x < 0.0).all() else y > s, x, y)
+        if (Ax < 0.0).all():
+            return certify(all_slack, x, y)
+        # A split that x does not separate is passed over unfactored.
+        b_mask, v = y > s, Ax * inv_norms
+        if not np.abs(v[b_mask]).max(initial=0.0) < (-v[~b_mask]).min(initial=np.inf):
+            return None
+        return certify(b_mask, x, y)
 
     # x_ls = -V c solves W x = -1 in least squares, with c = (WV)^+ 1: the
     # columns of WV = U S are orthogonal, so c_k = (WV)'1 / s_k^2.  Its

@@ -100,6 +100,29 @@ def planted_mixed_witness(
     return np.vstack([R, -R, slack])[order], order >= 2 * pairs, d
 
 
+def planted_circuit_split(seed: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mixed-branch matrix whose tight rows form one positive circuit, with
+    the boolean mask of its slack rows, rows in shuffled order.
+
+    k rows R (2 <= k < n) orthogonal to a unit direction d, plus the row
+    ``-(w'R)`` with weights w > 0, are tight: ``w'R - w'R = 0`` is a positive
+    combination.  Their polytope in the row space is a simplex, not the
+    parallelotope of ``planted_mixed_matrix``'s +-pairs.  Every other row
+    has ``a'd < 0`` and is slack.
+    """
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(n)
+    d /= np.linalg.norm(d)
+    perp = np.eye(n) - np.outer(d, d)
+    k = int(rng.integers(2, n))
+    R = rng.standard_normal((k, n)) @ perp
+    w = rng.uniform(0.2, 1.0, size=k)
+    G = rng.standard_normal((m - k - 1, n)) @ perp
+    slack = G - rng.uniform(0.2, 1.0, size=(G.shape[0], 1)) * d[None, :]
+    order = rng.permutation(m)
+    return np.vstack([R, -(w @ R)[None, :], slack])[order], order > k
+
+
 def closed_form_H0(A: np.ndarray) -> float | None:
     """Exact constant for the few shapes that admit one, else None.
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hoffbound.audit
+import hoffbound.bounds
 import hoffbound.numerics
 import hoffbound.solvers.programs
 from hoffbound import audit_report, bound_h0, lower_bound_monte_carlo
@@ -272,10 +273,12 @@ def test_audit_factors_the_tight_rows_once(monkeypatch):
 
 
 def test_certify_and_audit_take_a_fixed_count_of_svds(monkeypatch):
-    # the counts before the box: 9 in bound_h0 (A, four blocks the partition
-    # tries, two slices, the center's rank probe and one weighted SVD) and 3
-    # in the audit (A_B, the slice of y_hat and one weighted SVD); sigma and
-    # the box share the weighted SVD, and a new factorization changes a count
+    # 8 in bound_h0 (A, three blocks the partition tries, two slices, the
+    # center's rank probe and one weighted SVD) and 3 in the audit (A_B, the
+    # slice of y_hat and one weighted SVD); sigma, the box and the
+    # decomposition share the weighted SVD, and a new factorization changes a
+    # count.  The partition's screen of splits its iterate does not separate
+    # took the blocks it tries from four to three.
     calls = []
     svd = hoffbound.numerics._svd
 
@@ -290,7 +293,7 @@ def test_certify_and_audit_take_a_fixed_count_of_svds(monkeypatch):
     certify = len(calls)
     res = audit_report(inst, rep)
     assert rep.branch == "general" and res.ok, res.failures
-    assert (certify, len(calls) - certify) == (9, 3), calls
+    assert (certify, len(calls) - certify) == (8, 3), calls
 
 
 def _branch_total(rep):
@@ -529,7 +532,8 @@ def _proven(inst, rep):
     computes it: sqrt(h_B^2 + (||w|| / min((A_N w) / c))^2)."""
     A_B, A_N = inst.A[list(rep.partition.B)], inst.A[list(rep.partition.N)]
     block, h_B, w = TightBlock(A_B), rep.case_b.value, rep.decomposition.w
-    c = decomposition_scales(block, block.weighted_bounds(rep.case_b.y_bar), A_N, h_B)
+    c = decomposition_scales(block, rep.case_b.y_bar,
+                             block.weighted_bounds(rep.case_b.y_bar), A_N, h_B)
     r = float(np.linalg.norm(w)) / float(((A_N @ w) / c).min())
     return math.sqrt(h_B * h_B + r * r)
 
@@ -576,6 +580,57 @@ def test_audit_rejects_a_decomposition_fit_to_a_lowered_c(forge, reported, messa
     res = audit_report(inst, bad)
     assert not res.ok
     assert any(f.startswith(message) for f in res.failures), res.failures
+
+
+def test_audit_rejects_a_decomposition_fit_to_a_lowered_basis_tau(monkeypatch):
+    # one l_j of the basis form halved while its residual E_j is kept: every
+    # row that draws on l_j gets a tau below what its lam proves, and the
+    # witness refit to those c misses the c the audit rebuilds
+    inst = instance(planted_mixed_matrix(3, 30, 8))
+    rep = bound_h0(inst)
+    part = rep.partition
+    row_basis = hoffbound.bounds._row_basis
+
+    def halved(M, y, h_B):
+        S, L, E = row_basis(M, y, h_B)
+        L = L.copy()
+        L[0] *= 0.5
+        return S, L, E
+
+    monkeypatch.setattr(hoffbound.bounds, "_row_basis", halved)
+    dc = bound_decomposition(part.block, rep.case_b, part.A_N, part.x_hat)
+    monkeypatch.undo()
+    assert dc.value < rep.decomposition.value
+    res = audit_report(inst, _with_decomposition(rep, dc))
+    assert not res.ok
+    assert any(f.startswith("decomposition witness margin") for f in res.failures), res.failures
+
+
+def test_audit_records_a_decomposition_whose_slack_rows_were_emptied():
+    # every row filed as tight, with weights to match: the decomposition is
+    # rechecked on an empty A_N, which records failures and raises nothing
+    inst = instance(planted_mixed_matrix(3, 30, 8))
+    rep = bound_h0(inst)
+    cert = dataclasses.replace(rep.partition, B=tuple(range(inst.m)), N=(), x_hat=None,
+                               y_hat=np.full(inst.m, 1.0 / inst.m))
+    case_b = dataclasses.replace(rep.case_b, y_bar=np.full(inst.m, 1.0 / inst.m))
+    res = audit_report(inst, dataclasses.replace(rep, partition=cert, case_b=case_b))
+    assert not res.ok
+    assert "y_hat does not prove B tight" in " ".join(res.failures), res.failures
+    assert res.metrics["decomposition_margin"] == math.inf
+
+
+def test_audit_records_a_zero_decomposition_witness():
+    # w = 0 has margin 0 on every slack row; the value check once divided
+    # by that margin and raised ZeroDivisionError
+    inst = instance(planted_mixed_matrix(3, 30, 8))
+    rep = bound_h0(inst)
+    bad = _with_decomposition(rep, DecompositionBound(value=rep.case_b.value,
+                                                      w=np.zeros(inst.n)))
+    res = audit_report(inst, bad)
+    assert not res.ok
+    assert res.metrics["decomposition_margin"] == 0.0
+    assert "decomposition witness margin 0.0 is below 1" in res.failures
 
 
 def test_audit_rejects_a_general_total_that_is_not_the_smaller_bound():

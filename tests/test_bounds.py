@@ -3,10 +3,12 @@
 import collections
 import functools
 import json
+import statistics
 
 import jsonschema
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +24,8 @@ from hoffbound import (
     save_matrix_csv,
 )
 from hoffbound.audit import SIGMA_RTOL
-from hoffbound.bounds import bound_case_b, bound_case_n, bound_stitch
-from hoffbound.core import euclidean_norm
+from hoffbound.bounds import bound_case_b, bound_case_n, bound_stitch, decomposition_scales
+from hoffbound.core import euclidean_norm, row_norms
 from hoffbound.numerics import TightBlock
 from hoffbound.partition import weight_margin
 
@@ -33,6 +35,7 @@ from helpers import (
     eps_block,
     gaussian_matrix,
     instance,
+    planted_circuit_split,
     planted_mixed_matrix,
     planted_mixed_split,
     record_svd_inputs,
@@ -218,6 +221,42 @@ def test_a_rank_0_tight_block_gives_case_n_bit_for_bit(A):
     assert np.array_equal(rep.decomposition.w, rep.case_n.x_bar)
     assert rep.decomposition.value == rep.case_n.value == rep.total
     assert rep.stitch.value * rep.case_n.value > rep.total
+
+
+def test_the_basis_tau_is_sound_on_tight_blocks_that_are_not_pairs():
+    # 40 planted 30 x 8 inputs whose tight rows form one positive circuit, a
+    # simplex in the row space: each c_i - 1 is at least the exact
+    # tau_i* = max{-g_i'c : M c <= 1} (scipy's HiGHS, a test-only
+    # reference), to rounding, and no c_i is above the ball and box forms'.
+    # tau/tau* is min 1.0000 and p50 1.005; with the ball and box alone its
+    # p50 is 1.82, so the p50 gate fails without the basis form
+    ratios = []
+    for seed in range(40):
+        A, slack = planted_circuit_split(seed, 30, 8)
+        rep = bound_h0(instance(A))
+        assert rep.branch == "general", seed
+        assert rep.partition.N == tuple(np.flatnonzero(slack)), seed
+        block, cb, A_N = rep.partition.block, rep.case_b, rep.partition.A_N
+        h_B, wb = cb.value, cb.weighted
+        c = decomposition_scales(block, cb.y_bar, wb, A_N, h_B)
+        g = A_N @ block.V
+        ball_box = row_norms(g) * h_B
+        if np.isfinite(wb.box):
+            ball_box = np.minimum(ball_box, np.abs(g @ wb.R) @ (wb.b + wb.rho * h_B)
+                                  + row_norms(g) * (wb.delta * h_B))
+        assert np.all(c <= 1.0 + ball_box), seed
+        tau = c - 1.0
+        M = np.ldexp(block.WV, block.exp)
+        for i in range(g.shape[0]):
+            lp = scipy.optimize.linprog(g[i], A_ub=M, b_ub=np.ones(M.shape[0]),
+                                        bounds=(None, None), method="highs")
+            assert lp.status == 0, (seed, i, lp.message)
+            exact = -lp.fun
+            assert tau[i] >= exact * (1.0 - 1e-9), (seed, i, tau[i], exact)
+            ratios.append(tau[i] / exact)
+    print(f"tau/exact over {len(ratios)} slack rows: min {min(ratios):.5g}, "
+          f"p50 {statistics.median(ratios):.4g}, max {max(ratios):.4g}")
+    assert statistics.median(ratios) <= 1.1
 
 
 def test_general_branch_factors_the_tight_rows_once(monkeypatch):

@@ -351,22 +351,23 @@ def test_a_failed_fit_or_center_falls_back_to_the_lp(monkeypatch, seed, program)
 
 def test_a_split_whose_block_factorization_fails_is_left_to_later_iterates(monkeypatch):
     # certify treats a NumericalFailure of the candidate B's TightBlock as an
-    # unproven split: here the second block it builds fails, and the LP goes
-    # on to prove the planted split at a later iterate
+    # unproven split: here the first block it builds (10 rows, the planted 8
+    # and two slack rows) fails, and the LP goes on to prove the planted
+    # split at a later iterate
     A, slack = planted_mixed_split(0, 30, 8)
     inst = instance(A)
     built = []
 
-    def fail_second(rows):
+    def fail_first(rows):
         if sys._getframe(1).f_code.co_name == "certify":
             built.append(rows.shape[0])
-            if len(built) == 2:
+            if len(built) == 1:
                 raise NumericalFailure("forced")
         return TightBlock(rows)
 
-    monkeypatch.setattr(hoffbound.partition, "TightBlock", fail_second)
+    monkeypatch.setattr(hoffbound.partition, "TightBlock", fail_first)
     cert = compute_partition(inst)
-    assert len(built) > 2
+    assert built[0] == 10 and len(built) > 1
     assert cert.N == tuple(int(i) for i in np.flatnonzero(slack))
     assert cert.lp is not None
     assert verify_partition(inst, cert).ok
